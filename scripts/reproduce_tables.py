@@ -34,7 +34,9 @@ def main() -> int:
                      "--exponents", EXPONENTS, *common])
     failures += run(["compare", "--dim", "3", "--sizes", "2,4",
                      "--exponents", "8.75,7.00,5.00", *common])
-    known = run(["compare", "--dim", "3", "--sizes", "2,4",
+    failures += run(["compare", "--dim", "3", "--sizes", "4",
+                     "--exponents", "3.00", *common])
+    known = run(["compare", "--dim", "3", "--sizes", "2",
                  "--exponents", "3.00", *common])
     if known:
         print(

@@ -29,12 +29,12 @@ from .lattice import LatticeSpec, RawIntegrals, boys_f0, build_lattice, compute_
 from .metrics import ResourceReport, lattice_scaling, qubit_bounds, report
 from .ortho import canonical_orthogonalizer, rotate_integrals, symmetric_orthogonalizer
 from .pauli import (
+    NonHermitianError,
     PauliOperatorSum,
     PauliTerm,
     coefficient_l1_norm,
     multiply,
     simplify,
-    tensor_weight,
 )
 from .superfast import (
     InteractionGraph,

@@ -17,6 +17,7 @@ import io
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -159,10 +160,21 @@ def run_sweep(cfg: SweepConfig) -> List[SweepRow]:
     ]
     if cfg.jobs > 1 and len(keys) > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            rows = list(pool.map(_run_cell_args, keys))
-    else:
-        rows = [run_cell(*k) for k in keys]
-    return rows
+            futures = [pool.submit(_run_cell_args, k) for k in keys]
+            return [_result_or_error_row(f, k) for f, k in zip(futures, keys)]
+    return [run_cell(*k) for k in keys]
+
+
+def _result_or_error_row(future, key) -> SweepRow:
+    """A worker that dies (say, killed for memory) breaks the pool and every
+    cell it had not finished; those cells get error rows."""
+    try:
+        return future.result()
+    except BrokenProcessPool as exc:
+        dimension, size, exponent = key[:3]
+        row = SweepRow(dimension, basis_label(exponent), size**dimension)
+        row.error = f"BrokenProcessPool: {exc}"
+        return row
 
 
 def _cell(value: Optional[int]) -> str:

@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -28,7 +29,7 @@ from .bench import (
 from .fermion import classify_spatial, from_spatial_integrals
 from .jw import jw_transform_terms
 from .lattice import LatticeSpec, lattice_integrals
-from .metrics import probe_scaling, report, report_as_dict
+from .metrics import probe_scaling, report
 from .oracle import sector_spectra_match
 from .ortho import (
     canonical_orthogonalizer,
@@ -120,15 +121,14 @@ def cmd_transform(args) -> int:
         graph = build_interaction_graph(terms, num_modes)
         op = ose_transform_terms(terms, graph, constant=data.constant, eps=eps)
         reports.append(report(op, "ose"))
+    rows = [asdict(r) for r in reports]
     if args.format == "json":
-        text = json.dumps([report_as_dict(r) for r in reports], indent=2) + "\n"
+        text = json.dumps(rows, indent=2) + "\n"
     else:
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        fields = list(report_as_dict(reports[0]).keys()) if reports else []
-        writer.writerow(fields)
-        for r in reports:
-            writer.writerow([report_as_dict(r)[f] for f in fields])
+        writer = csv.DictWriter(buf, list(rows[0]) if rows else [], lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
         text = buf.getvalue()
     _emit(text, args.out)
     return 0

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -182,6 +182,20 @@ class _Accumulator:
         return out
 
 
+def group_by_kind(terms: Sequence[ClassifiedTerm]) -> Dict[Kind, Tuple[np.ndarray, np.ndarray]]:
+    """Index array ``[n, arity]`` and coefficient vector ``[n]`` of every kind
+    present, each in term order."""
+    grouped = {}
+    for kind in Kind:
+        members = [t for t in terms if t.kind is kind]
+        if members:
+            grouped[kind] = (
+                np.array([t.indices for t in members], dtype=np.intp),
+                np.array([t.coefficient for t in members]),
+            )
+    return grouped
+
+
 def classify(h: FermionHamiltonian, cutoff: float = 0.0) -> List[ClassifiedTerm]:
     """Assign every tensor entry with |value| >= cutoff to a canonical term."""
     if cutoff < 0:
@@ -237,48 +251,3 @@ def classify_spatial(
                     mode(int(j), s1), v,
                 )
     return acc.terms()
-
-
-def spin_orbital_entries(
-    h1_spatial: np.ndarray,
-    eri_chemist: np.ndarray,
-    cutoff: float = 0.0,
-    interleaving: str = "blocked",
-) -> Tuple[List[Tuple[int, int, float]], List[Tuple[int, int, int, int, float]]]:
-    """Surviving spin-orbital tensor entries ((p, q, value) and
-    (p, q, r, s, value)) without materializing the spin tensors.
-
-    Same cutoff semantics as :func:`classify_spatial`: an entry survives when
-    its spin-orbital magnitude (half the chemist integral for two-body
-    entries) is at least the cutoff.
-    """
-    h1 = np.asarray(h1_spatial, dtype=float)
-    eri = np.asarray(eri_chemist, dtype=float)
-    m = h1.shape[0]
-
-    def mode(i: int, sp: int) -> int:
-        if interleaving == "blocked":
-            return i + sp * m
-        if interleaving == "interleaved":
-            return 2 * i + sp
-        raise ValueError(f"unknown interleaving {interleaving!r}")
-
-    one: List[Tuple[int, int, float]] = []
-    for i, j in np.argwhere(np.abs(h1) >= max(cutoff, 1e-300)):
-        for sp in (0, 1):
-            one.append((mode(int(i), sp), mode(int(j), sp), float(h1[i, j])))
-    two: List[Tuple[int, int, int, int, float]] = []
-    for i, j, k, l in np.argwhere(0.5 * np.abs(eri) >= max(cutoff, 1e-300)):
-        v = 0.5 * float(eri[i, j, k, l])
-        for s1 in (0, 1):
-            for s2 in (0, 1):
-                p, s = mode(int(i), s1), mode(int(j), s1)
-                q, r = mode(int(k), s2), mode(int(l), s2)
-                if p == q or r == s:
-                    continue  # the operator vanishes identically
-                two.append((p, q, r, s, v))
-    return one, two
-
-
-def modes_of(term: ClassifiedTerm) -> Tuple[int, ...]:
-    return term.indices

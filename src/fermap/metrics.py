@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from math import comb
 from typing import Dict, List, Sequence, Tuple
 
@@ -29,23 +29,19 @@ class ResourceReport:
 
 
 def report(s: PauliOperatorSum, label: str) -> ResourceReport:
-    weights = [t.weight() for t in s.terms]
-    total = int(sum(weights))
-    count = len(weights)
+    weights = s.weights()
+    total = int(weights.sum())
+    count = len(s)
     return ResourceReport(
         label=label,
         qubits=s.num_qubits,
         term_count=count,
         total_weight=total,
         average_weight=total / count if count else 0.0,
-        max_weight=max(weights) if weights else 0,
+        max_weight=int(weights.max()) if count else 0,
         l1_norm=coefficient_l1_norm(s, include_identity=True),
         l1_norm_no_identity=coefficient_l1_norm(s, include_identity=False),
     )
-
-
-def report_as_dict(r: ResourceReport) -> Dict:
-    return asdict(r)
 
 
 def qubit_bounds(

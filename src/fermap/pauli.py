@@ -2,17 +2,25 @@
 
 A Pauli term is a complex coefficient times a tensor product of single-qubit
 factors from {X, Y, Z} (identity factors are implicit).  Factors are stored as
-two integer bit masks (x, z): bit q of ``x`` marks an X component on qubit q,
-bit q of ``z`` a Z component, and both bits together mean Y.  Products are
-computed exactly, with the +/-1, +/-i phase folded into the coefficient.
+two bit masks (x, z): bit q of ``x`` marks an X component on qubit q, bit q of
+``z`` a Z component, and both bits together mean Y.  Products are computed
+exactly, with the +/-1, +/-i phase folded into the coefficient.
+
+``PauliTerm`` holds one term with Python-integer masks.  ``PauliOperatorSum``
+holds many terms as arrays: the masks packed into little-endian ``uint64``
+words of shape ``[n_terms, num_words(Q)]`` (Aaronson & Gottesman's symplectic
+tableau, word-packed as in Stim) plus a complex coefficient vector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Tuple
 
+import numpy as np
+
 _I_POW = (1, 1j, -1, -1j)
+_I_POW_ARRAY = np.array(_I_POW, dtype=complex)
 
 _LETTER_TO_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_LETTER = {(1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
@@ -20,6 +28,10 @@ _BITS_TO_LETTER = {(1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 
 class DimensionMismatchError(ValueError):
     """Raised when operands act on different qubit counts."""
+
+
+class NonHermitianError(ValueError):
+    """Raised when a mapped Hamiltonian has a coefficient that is not real."""
 
 
 @dataclass(frozen=True)
@@ -80,9 +92,6 @@ class PauliTerm:
     def adjoint(self) -> "PauliTerm":
         return PauliTerm(self.coefficient.conjugate(), self.x, self.z, self.num_qubits)
 
-    def scaled(self, factor: complex) -> "PauliTerm":
-        return PauliTerm(self.coefficient * factor, self.x, self.z, self.num_qubits)
-
     def commutes_with(self, other: "PauliTerm") -> bool:
         """True when the underlying Pauli strings commute."""
         anti = ((self.x & other.z).bit_count() + (self.z & other.x).bit_count()) % 2
@@ -115,85 +124,180 @@ def multiply(a: PauliTerm, b: PauliTerm) -> PauliTerm:
     return PauliTerm(a.coefficient * b.coefficient * _I_POW[phase], x, z, a.num_qubits)
 
 
-@dataclass(frozen=True)
-class PauliOperatorSum:
-    """A qubit operator as a collection of Pauli terms over a fixed register."""
+#: A batch of packed Pauli rows ``(x, z, c)``: x and z carry the words on their
+#: last axis, c has the leading shape of x and z without it.
+Packed = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
-    terms: Tuple[PauliTerm, ...]
+
+def num_words(num_qubits: int) -> int:
+    """uint64 words per mask; at least one, so empty registers keep a key."""
+    return max(1, -(-num_qubits // 64))
+
+
+def pack_masks(masks: Iterable[int], num_qubits: int) -> np.ndarray:
+    """Python-integer masks as a uint64 word array ``[n, num_words(num_qubits)]``."""
+    words = num_words(num_qubits)
+    raw = b"".join(m.to_bytes(8 * words, "little") for m in masks)
+    return np.frombuffer(raw, dtype="<u8").reshape(-1, words).astype(np.uint64)
+
+
+def _to_int(words: np.ndarray) -> int:
+    return int.from_bytes(words.astype("<u8").tobytes(), "little")
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+
+
+def product(a: Packed, b: Packed) -> Packed:
+    """Row-wise product of two packed batches, broadcasting as numpy does.
+
+    The same rule as :func:`multiply`, with each bit count summed across the
+    words of a row before the phase is taken mod 4.
+    """
+    ax, az, ac = a
+    bx, bz, bc = b
+    x = ax ^ bx
+    z = az ^ bz
+    phase = (
+        _popcount(ax & az) + _popcount(bx & bz) - _popcount(x & z) + 2 * _popcount(az & bx)
+    ) % 4
+    return x, z, ac * bc * _I_POW_ARRAY[phase]
+
+
+def outer(a: Packed, b: Packed) -> Packed:
+    """Per-group outer product: ``a`` has R rows and ``b`` T rows per group
+    (axis 1); the result has the R*T products ``a[r] * b[t]`` per group."""
+    (ax, az, ac), (bx, bz, bc) = a, b
+    x, z, c = product(
+        (ax[:, :, None], az[:, :, None], ac[:, :, None]),
+        (bx[:, None], bz[:, None], bc[:, None]),
+    )
+    n, words = x.shape[0], x.shape[-1]
+    return x.reshape(n, -1, words), z.reshape(n, -1, words), c.reshape(n, -1)
+
+
+def z_rows(z: np.ndarray, c) -> Packed:
+    """Z-only rows: masks ``[n, R, words]``, coefficients broadcast to ``[n, R]``."""
+    return np.zeros_like(z), z, np.broadcast_to(np.asarray(c, dtype=complex), z.shape[:2])
+
+
+def half_one_minus(z: np.ndarray) -> Packed:
+    """(1 - Z^z) / 2 for every mask row of z: two rows per mask."""
+    return z_rows(np.stack([np.zeros_like(z), z], axis=1), (0.5, -0.5))
+
+
+@dataclass(frozen=True, eq=False)
+class PauliOperatorSum:
+    """A qubit operator as packed Pauli rows over a fixed register."""
+
+    x: np.ndarray  # uint64 [n_terms, num_words(num_qubits)]
+    z: np.ndarray
+    coefficients: np.ndarray  # complex [n_terms]
     num_qubits: int
 
     def __post_init__(self):
-        for t in self.terms:
-            if t.num_qubits != self.num_qubits:
-                raise DimensionMismatchError("all terms must share num_qubits")
-
-    @classmethod
-    def zero(cls, num_qubits: int) -> "PauliOperatorSum":
-        return cls((), num_qubits)
+        shape = (len(self.coefficients), num_words(self.num_qubits))
+        if self.x.shape != shape or self.z.shape != shape:
+            raise DimensionMismatchError(
+                f"masks of shape {self.x.shape}/{self.z.shape} do not fit {shape}"
+            )
 
     @classmethod
     def from_terms(cls, terms: Iterable[PauliTerm], num_qubits: int) -> "PauliOperatorSum":
-        return cls(tuple(terms), num_qubits)
+        terms = tuple(terms)
+        if any(t.num_qubits != num_qubits for t in terms):
+            raise DimensionMismatchError("all terms must share num_qubits")
+        return cls(
+            pack_masks((t.x for t in terms), num_qubits),
+            pack_masks((t.z for t in terms), num_qubits),
+            np.array([t.coefficient for t in terms], dtype=complex),
+            num_qubits,
+        )
+
+    @classmethod
+    def from_packed(
+        cls, batches: Iterable[Packed], num_qubits: int, constant: complex = 0.0
+    ) -> "PauliOperatorSum":
+        """One sum from packed batches of any leading shape, after an identity
+        row carrying ``constant`` when it is nonzero."""
+        words, n = num_words(num_qubits), 1 if constant else 0
+        rows = [(np.zeros((n, words), np.uint64),) * 2 + (np.full(n, constant, dtype=complex),)]
+        rows += [(x.reshape(-1, words), z.reshape(-1, words), c.reshape(-1)) for x, z, c in batches]
+        x, z, c = (np.concatenate(col) for col in zip(*rows))
+        return cls(x, z, c, num_qubits)
+
+    @property
+    def terms(self) -> Tuple[PauliTerm, ...]:
+        """The rows as scalar terms, built on each access."""
+        return tuple(
+            PauliTerm(complex(c), _to_int(x), _to_int(z), self.num_qubits)
+            for x, z, c in zip(self.x, self.z, self.coefficients)
+        )
+
+    def weights(self) -> np.ndarray:
+        """Non-identity factor count of every row."""
+        return _popcount(self.x | self.z)
 
     def __add__(self, other: "PauliOperatorSum") -> "PauliOperatorSum":
         if self.num_qubits != other.num_qubits:
             raise DimensionMismatchError("cannot add sums on different registers")
-        return PauliOperatorSum(self.terms + other.terms, self.num_qubits)
-
-    def __mul__(self, other) -> "PauliOperatorSum":
-        if isinstance(other, PauliOperatorSum):
-            if self.num_qubits != other.num_qubits:
-                raise DimensionMismatchError("cannot multiply sums on different registers")
-            prods = [multiply(a, b) for a in self.terms for b in other.terms]
-            return PauliOperatorSum(tuple(prods), self.num_qubits)
-        return self.scaled(other)
+        rows = [(s.x, s.z, s.coefficients) for s in (self, other)]
+        return PauliOperatorSum.from_packed(rows, self.num_qubits)
 
     def scaled(self, factor: complex) -> "PauliOperatorSum":
-        return PauliOperatorSum(tuple(t.scaled(factor) for t in self.terms), self.num_qubits)
-
-    def adjoint(self) -> "PauliOperatorSum":
-        return PauliOperatorSum(tuple(t.adjoint() for t in self.terms), self.num_qubits)
+        return PauliOperatorSum(self.x, self.z, self.coefficients * factor, self.num_qubits)
 
     def sorted_terms(self) -> Tuple[PauliTerm, ...]:
         """Deterministic ordering: lexicographic on (factor indices, letters)."""
         return tuple(sorted(self.terms, key=PauliTerm.sort_key))
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.coefficients)
 
     def __str__(self) -> str:
         return " + ".join(str(t) for t in self.sorted_terms()) or "0"
 
 
 def simplify(s: PauliOperatorSum, eps: float = 1e-12) -> PauliOperatorSum:
-    """Merge like terms and drop coefficients with magnitude below eps."""
+    """Merge like terms and drop coefficients with magnitude below eps.
+
+    A stable lexsort on the (x, z) words groups like rows, so the output is
+    ordered by the words and the same on every run.
+    """
     if eps < 0:
         raise ValueError("eps must be non-negative")
-    acc: Dict[Tuple[int, int], complex] = {}
-    for t in s.terms:
-        key = (t.x, t.z)
-        acc[key] = acc.get(key, 0.0) + t.coefficient
-    kept = [
-        PauliTerm(c, x, z, s.num_qubits)
-        for (x, z), c in acc.items()
-        if abs(c) >= eps
-    ]
-    kept.sort(key=PauliTerm.sort_key)
-    return PauliOperatorSum(tuple(kept), s.num_qubits)
+    keys = np.concatenate([s.x, s.z], axis=1)
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    merged = np.add.reduceat(s.coefficients[order], starts)
+    kept = np.abs(merged) >= eps
+    rows = order[starts[kept]]
+    return PauliOperatorSum(s.x[rows], s.z[rows], merged[kept], s.num_qubits)
 
 
-def tensor_weight(t: PauliTerm) -> int:
-    return t.weight()
-
-
-def total_tensor_weight(s: PauliOperatorSum) -> int:
-    return sum(t.weight() for t in s.terms)
+def merge_images(grouped, kind_images, num_qubits: int, constant: complex, eps: float):
+    """Scale each kind's packed unit images ``kind_images(kind, indices)`` by
+    the coefficients in ``grouped[kind]``, add ``constant`` times the identity,
+    merge and cut at eps.  A Pauli sum is Hermitian exactly when its merged
+    coefficients are real, so any |imag| above eps raises NonHermitianError.
+    """
+    images = []
+    for kind, (indices, coefficients) in grouped.items():
+        x, z, c = kind_images(kind, indices)
+        images.append((x, z, c * coefficients[:, None]))
+    merged = simplify(PauliOperatorSum.from_packed(images, num_qubits, constant), eps)
+    worst = float(np.abs(merged.coefficients.imag).max(initial=0.0))
+    if worst > eps:
+        raise NonHermitianError(f"coefficient with |imag| = {worst:.3e} > {eps:.3e}")
+    return merged
 
 
 def coefficient_l1_norm(s: PauliOperatorSum, include_identity: bool = True) -> float:
-    total = 0.0
-    for t in s.terms:
-        if not include_identity and t.weight() == 0:
-            continue
-        total += abs(t.coefficient)
-    return total
+    magnitudes = np.abs(s.coefficients)
+    if not include_identity:
+        magnitudes = magnitudes[s.weights() > 0]
+    return float(magnitudes.sum())

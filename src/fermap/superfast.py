@@ -10,10 +10,23 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .fermion import ClassifiedTerm, Kind
-from .pauli import PauliOperatorSum, PauliTerm, multiply, simplify
+import numpy as np
+
+from .fermion import ClassifiedTerm, Kind, group_by_kind
+from .pauli import (
+    Packed,
+    PauliOperatorSum,
+    PauliTerm,
+    half_one_minus,
+    merge_images,
+    multiply,
+    outer,
+    pack_masks,
+    z_rows,
+)
 
 
 class MissingEdgeError(KeyError):
@@ -80,56 +93,33 @@ class InteractionGraph:
         return comps
 
 
-def interleaved_spin(p: int) -> int:
-    return p % 2
-
-
-def blocked_spin(num_modes: int) -> Callable[[int], int]:
-    """Spin sector of a mode under blocked ordering (up modes first)."""
-    half = num_modes // 2
-    return lambda p: 0 if p < half else 1
-
-
-def _graph_spin(g: "InteractionGraph") -> Callable[[int], int]:
-    # Round down to an even mode count so a trailing ancilla vertex does not
-    # shift the sector boundary.
-    return blocked_spin(g.num_vertices - g.num_vertices % 2)
+def spin_table(num_vertices: int, spin: Optional[Callable[[int], int]] = None) -> np.ndarray:
+    """Spin sector of every vertex: ``spin(v)``, or by default blocked ordering
+    (up modes first) with the boundary at ``num_vertices // 2``, so a trailing
+    ancilla vertex does not shift it."""
+    if spin is None:
+        return (np.arange(num_vertices) >= num_vertices // 2).astype(np.intp)
+    return np.array([spin(v) for v in range(num_vertices)], dtype=np.intp)
 
 
 def pair_partition(
-    indices: Tuple[int, int, int, int], spin: Callable[[int], int]
-) -> Tuple[Tuple[int, int], Tuple[int, int], int]:
-    """Partition a double-excitation index tuple into two edge pairs.
+    indices: np.ndarray, spins: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Partition double-excitation index rows ``[n, 4]`` into two edge pairs.
 
-    Same-spin indices are paired together so that every edge stays inside one
-    spin sector; when all four share a spin, each creation index is paired
-    with an annihilation index, outermost with outermost.  Returns the two
-    pairs in operator order plus the Majorana reordering sign of the pairing
-    (-1 for the crossing pairing, +1 otherwise); signs verified against a
-    dense Majorana-product oracle.
+    ``spins[v]`` is the spin sector of vertex v.  Same-spin indices are paired
+    together so that every edge stays inside one spin sector; when all four
+    share a spin, each creation index is paired with an annihilation index,
+    outermost with outermost.  Returns the two pairs ``[n, 2]`` in operator
+    order plus the Majorana reordering sign of each pairing (-1 for the
+    crossing pairing, +1 otherwise); signs verified against a dense
+    Majorana-product oracle.
     """
-    i, j, k, l = indices
-    if spin(i) == spin(j):
-        return (i, l), (j, k), +1
-    if spin(i) == spin(k):
-        return (i, k), (j, l), -1
-    return (i, l), (j, k), +1
-
-
-def required_edges(
-    term: ClassifiedTerm, spin: Callable[[int], int]
-) -> List[Tuple[int, int]]:
-    k = term.kind
-    if k is Kind.EXCITATION or k is Kind.PAIR_CREATION:
-        i, j = term.indices
-        return [(i, j)]
-    if k is Kind.NUMBER_EXCITATION:
-        i, _, kk = term.indices
-        return [(i, kk)]
-    if k is Kind.DOUBLE_EXCITATION:
-        p1, p2, _ = pair_partition(term.indices, spin)
-        return [p1, p2]
-    return []  # number and Coulomb/exchange need only vertex operators
+    i, j, k, l = np.asarray(indices, dtype=np.intp).reshape(-1, 4).T
+    cross = ((spins[i] != spins[j]) & (spins[i] == spins[k]))[:, None]
+    first = np.where(cross, np.stack([i, k], axis=1), np.stack([i, l], axis=1))
+    second = np.where(cross, np.stack([j, l], axis=1), np.stack([j, k], axis=1))
+    return first, second, np.where(cross[:, 0], -1.0, 1.0)
 
 
 def build_interaction_graph(
@@ -144,35 +134,41 @@ def build_interaction_graph(
 
     ``extra_edges`` allows callers to add state-preparation edges explicitly;
     they are never added automatically.  ``spin`` defaults to blocked mode
-    ordering.
+    ordering.  Number and Coulomb/exchange terms need only vertex operators.
     """
-    if spin is None:
-        spin = blocked_spin(num_modes)
-    edges = set()
-    for t in terms:
-        for p, q in required_edges(t, spin):
-            edges.add((min(p, q), max(p, q)))
-    for p, q in extra_edges:
-        edges.add((min(p, q), max(p, q)))
+    spins = spin_table(num_modes, spin)
+    pairs = [np.empty((0, 2), dtype=np.intp)]
+    for kind, (idx, _) in group_by_kind(terms).items():
+        if kind is Kind.EXCITATION or kind is Kind.PAIR_CREATION:
+            pairs.append(idx)
+        elif kind is Kind.NUMBER_EXCITATION:
+            pairs.append(idx[:, [0, 2]])
+        elif kind is Kind.DOUBLE_EXCITATION:
+            pairs.extend(pair_partition(idx, spins)[:2])
+    required = np.unique(np.sort(np.concatenate(pairs), axis=1), axis=0)
+    edges = [tuple(e) for e in required.tolist()] + list(extra_edges)
     num_vertices = num_modes
     if include_parity_ancilla:
-        edges.add((ancilla_partner, num_modes))
+        edges.append((ancilla_partner, num_modes))
         num_vertices += 1
     return InteractionGraph.from_edges(num_vertices, edges)
 
 
-def vertex_operator(i: int, g: InteractionGraph) -> PauliTerm:
-    """B_i: Z on every edge qubit incident to vertex i."""
+def _vertex_mask(i: int, g: InteractionGraph) -> int:
     if not 0 <= i < g.num_vertices:
         raise ValueError(f"vertex {i} out of range")
     z = 0
     for j in g.neighbors[i]:
         z |= 1 << g.qubit_of(i, j)
-    return PauliTerm(1.0, 0, z, g.num_qubits)
+    return z
 
 
-def edge_operator(p: int, q: int, g: InteractionGraph) -> PauliTerm:
-    """A_pq: X on edge {p,q} with Z dressing; A_qp = -A_pq."""
+def vertex_operator(i: int, g: InteractionGraph) -> PauliTerm:
+    """B_i: Z on every edge qubit incident to vertex i."""
+    return PauliTerm(1.0, 0, _vertex_mask(i, g), g.num_qubits)
+
+
+def _edge_masks(p: int, q: int, g: InteractionGraph) -> Tuple[float, int, int]:
     if p == q:
         raise ValueError("edge operator needs two distinct modes")
     sign = 1.0
@@ -189,35 +185,44 @@ def edge_operator(p: int, q: int, g: InteractionGraph) -> PauliTerm:
         if s < lo:
             z |= 1 << g.qubit_of(s, hi)
     z &= ~x
-    return PauliTerm(sign, x, z, g.num_qubits)
+    return sign, x, z
 
 
-def _one_minus_b(i: int, g: InteractionGraph) -> PauliOperatorSum:
-    return PauliOperatorSum(
-        (PauliTerm.identity(g.num_qubits, 0.5), vertex_operator(i, g).scaled(-0.5)),
-        g.num_qubits,
-    )
+def edge_operator(p: int, q: int, g: InteractionGraph) -> PauliTerm:
+    """A_pq: X on edge {p,q} with Z dressing; A_qp = -A_pq."""
+    return PauliTerm(*_edge_masks(p, q, g), g.num_qubits)
 
 
-def hopping_image(i: int, j: int, g: InteractionGraph) -> PauliOperatorSum:
-    """Image of a_i^ a_j + a_j^ a_i:  -i (A_ij B_j + B_i A_ij) / 2."""
-    a = edge_operator(i, j, g)
-    bi = vertex_operator(i, g)
-    bj = vertex_operator(j, g)
-    terms = (multiply(a, bj).scaled(-0.5j), multiply(bi, a).scaled(-0.5j))
-    return PauliOperatorSum(terms, g.num_qubits)
+class _Tables:
+    """Packed B_i and A_pq (p < q) of one graph, plus a vertex-pair lookup of
+    edge indices (-1 where there is no edge)."""
+
+    def __init__(self, g: InteractionGraph):
+        q = g.num_qubits
+        self.vertex = pack_masks((_vertex_mask(i, g) for i in range(g.num_vertices)), q)
+        _, xs, zs = zip(*(_edge_masks(p, r, g) for p, r in g.edges)) if q else ((), (), ())
+        self.edge_x, self.edge_z = pack_masks(xs, q), pack_masks(zs, q)
+        self.lookup = np.full((g.num_vertices, g.num_vertices), -1, dtype=np.intp)
+        ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
+        self.lookup[ends[:, 0], ends[:, 1]] = self.lookup[ends[:, 1], ends[:, 0]] = np.arange(q)
+
+    def a(self, p: np.ndarray, q: np.ndarray) -> Packed:
+        """A_pq for every pair: one row per term."""
+        e = self.lookup[p, q]
+        if (e < 0).any():
+            k = int(np.argmax(e < 0))
+            raise MissingEdgeError(f"no edge between modes {p[k]} and {q[k]}")
+        c = np.where(p > q, -1.0, 1.0)[:, None]  # A_qp = -A_pq
+        return self.edge_x[e][:, None], self.edge_z[e][:, None], c
+
+    def b(self, vertices: Sequence[np.ndarray], c) -> Packed:
+        """c[r] B_v for every v in ``vertices[r]``: len(vertices) rows per term."""
+        return z_rows(np.stack([self.vertex[v] for v in vertices], axis=1), c)
 
 
-def pair_creation_image(i: int, j: int, g: InteractionGraph) -> PauliOperatorSum:
-    """Image of a_i^ a_j^ + a_j a_i:  i (A_ij B_i + A_ij B_j) / 2.
-
-    Sign fixed against a dense Majorana-product oracle.
-    """
-    a = edge_operator(i, j, g)
-    bi = vertex_operator(i, g)
-    bj = vertex_operator(j, g)
-    terms = (multiply(a, bi).scaled(0.5j), multiply(a, bj).scaled(0.5j))
-    return PauliOperatorSum(terms, g.num_qubits)
+def _hops(t: _Tables, i: np.ndarray, j: np.ndarray) -> Packed:
+    """a_i^ a_j + a_j^ a_i  ->  -i (A_ij B_j + B_i A_ij) / 2, with B_i A_ij = -A_ij B_i."""
+    return outer(t.a(i, j), t.b([j, i], (-0.5j, 0.5j)))
 
 
 # B-subset signs for the double-excitation expansion, keyed by the subset of
@@ -236,51 +241,36 @@ _DOUBLE_B_SUBSETS = (
 )
 
 
-def double_excitation_image(
-    indices: Tuple[int, int, int, int],
-    g: InteractionGraph,
-    spin: Optional[Callable[[int], int]] = None,
-) -> PauliOperatorSum:
-    """Image of a_i^ a_j^ a_k a_l + h.c. using two same-spin edge operators."""
-    if spin is None:
-        spin = _graph_spin(g)
-    (x1, x2), (x3, x4), pair_sign = pair_partition(indices, spin)
-    aa = multiply(edge_operator(x1, x2, g), edge_operator(x3, x4, g))
-    b = [vertex_operator(m, g) for m in indices]
-    out = []
-    for subset, sgn in _DOUBLE_B_SUBSETS:
-        term = aa
-        for pos in subset:
-            term = multiply(term, b[pos])
-        out.append(term.scaled(sgn * pair_sign / 8.0))
-    return PauliOperatorSum(tuple(out), g.num_qubits)
+def _double_excitations(t: _Tables, idx: np.ndarray, spins: np.ndarray) -> Packed:
+    """a_i^ a_j^ a_k a_l + h.c. from two same-spin edge operators and eight B-subsets."""
+    first, second, pair_sign = pair_partition(idx, spins)
+    aa = outer(t.a(first[:, 0], first[:, 1]), t.a(second[:, 0], second[:, 1]))
+    # the B_v commute and carry no X, so each subset's product is one Z mask
+    subsets, signs = zip(*_DOUBLE_B_SUBSETS)
+    b = t.vertex[idx]
+    z = np.stack([np.bitwise_xor.reduce(b[:, list(sub)], axis=1) for sub in subsets], axis=1)
+    c = np.outer(pair_sign / 8.0, signs)
+    return outer(aa, z_rows(z, c))
 
 
-def ose_term(
-    term: ClassifiedTerm,
-    g: InteractionGraph,
-    spin: Optional[Callable[[int], int]] = None,
-) -> PauliOperatorSum:
-    gcoef = term.coefficient
-    k = term.kind
-    if k is Kind.NUMBER:
-        (i,) = term.indices
-        return _one_minus_b(i, g).scaled(gcoef)
-    if k is Kind.COULOMB_EXCHANGE:
-        i, j = term.indices
-        return (_one_minus_b(i, g) * _one_minus_b(j, g)).scaled(gcoef)
-    if k is Kind.EXCITATION:
-        i, j = term.indices
-        return hopping_image(i, j, g).scaled(gcoef)
-    if k is Kind.NUMBER_EXCITATION:
-        i, j, kk = term.indices
-        return (hopping_image(i, kk, g) * _one_minus_b(j, g)).scaled(gcoef)
-    if k is Kind.DOUBLE_EXCITATION:
-        return double_excitation_image(term.indices, g, spin).scaled(gcoef)
-    if k is Kind.PAIR_CREATION:
-        i, j = term.indices
-        return pair_creation_image(i, j, g).scaled(gcoef)
-    raise ValueError(f"unhandled kind {k}")
+def _kind_images(kind: Kind, idx: np.ndarray, t: _Tables, spins: np.ndarray) -> Packed:
+    """Images of the unit-coefficient terms of one kind, grouped per term."""
+    cols = idx.T
+    if kind is Kind.NUMBER:
+        return half_one_minus(t.vertex[cols[0]])
+    if kind is Kind.COULOMB_EXCHANGE:
+        return outer(half_one_minus(t.vertex[cols[0]]), half_one_minus(t.vertex[cols[1]]))
+    if kind is Kind.EXCITATION:
+        return _hops(t, cols[0], cols[1])
+    if kind is Kind.NUMBER_EXCITATION:
+        return outer(_hops(t, cols[0], cols[2]), half_one_minus(t.vertex[cols[1]]))
+    if kind is Kind.DOUBLE_EXCITATION:
+        return _double_excitations(t, idx, spins)
+    if kind is Kind.PAIR_CREATION:
+        # a_i^ a_j^ + a_j a_i -> i (A_ij B_i + A_ij B_j) / 2; sign fixed against
+        # a dense Majorana-product oracle
+        return outer(t.a(cols[0], cols[1]), t.b([cols[0], cols[1]], (0.5j, 0.5j)))
+    raise ValueError(f"unhandled kind {kind}")
 
 
 def ose_transform_terms(
@@ -290,133 +280,14 @@ def ose_transform_terms(
     eps: float = 1e-12,
     spin: Optional[Callable[[int], int]] = None,
 ) -> PauliOperatorSum:
-    """Map classified terms onto the edge-qubit register; Q equals |E|."""
-    if spin is None:
-        spin = _graph_spin(g)
-    collected: List[PauliTerm] = []
-    if constant:
-        collected.append(PauliTerm.identity(g.num_qubits, constant))
-    for t in terms:
-        collected.extend(ose_term(t, g, spin).terms)
-    return simplify(PauliOperatorSum(tuple(collected), g.num_qubits), eps)
+    """Map classified terms onto the edge-qubit register; Q equals |E|.
 
-
-def _majorana_pair_image(
-    va: int, ka: int, vb: int, kb: int, g: InteractionGraph
-) -> PauliTerm:
-    """Encoded image of the Majorana pair c_{2va+ka} c_{2vb+kb}.
-
-    Uses c_2i c_2j = i A_ij, c_2i c_2i+1 = i B_i and the substitutions that
-    follow from them; identical factors square to the identity.
+    Like terms are merged and |c| < eps dropped; raises NonHermitianError
+    when a merged coefficient has |imag| > eps.
     """
-    if va == vb:
-        if ka == kb:
-            return PauliTerm.identity(g.num_qubits, 1.0)
-        b = vertex_operator(va, g)
-        return b.scaled(1j if ka == 0 else -1j)
-    a = edge_operator(va, vb, g)
-    if ka == 0 and kb == 0:
-        return a.scaled(1j)
-    if ka == 0 and kb == 1:
-        return multiply(a, vertex_operator(vb, g)).scaled(-1.0)
-    if ka == 1 and kb == 0:
-        return multiply(a, vertex_operator(va, g)).scaled(-1.0)
-    return multiply(
-        multiply(a, vertex_operator(va, g)), vertex_operator(vb, g)
-    ).scaled(-1j)
-
-
-def one_body_entry_image(p: int, q: int, v: float, g: InteractionGraph) -> List[PauliTerm]:
-    """Image of v a_p^ a_q for a single tensor entry."""
-    if p == q:
-        return [
-            PauliTerm.identity(g.num_qubits, 0.5 * v),
-            vertex_operator(p, g).scaled(-0.5 * v),
-        ]
-    out = []
-    for alpha in (0, 1):
-        for gamma in (0, 1):
-            coef = 0.25 * v * (-1j) ** alpha * 1j**gamma
-            out.append(_majorana_pair_image(p, alpha, q, gamma, g).scaled(coef))
-    return out
-
-
-def two_body_entry_image(
-    p: int, q: int, r: int, s: int, v: float, g: InteractionGraph
-) -> List[PauliTerm]:
-    """Image of v a_p^ a_q^ a_r a_s for a single tensor entry.
-
-    The four Majorana factors are paired as (p, s)(q, r), matching the spin
-    structure of a two-body integral, so only those two mode pairs ever
-    require an edge.
-    """
-    if p == q or r == s:
-        return []
-    out = []
-    for alpha in (0, 1):
-        for beta in (0, 1):
-            for gamma in (0, 1):
-                for delta in (0, 1):
-                    coef = (
-                        v / 16.0 * (-1j) ** alpha * (-1j) ** beta
-                        * 1j**gamma * 1j**delta
-                    )
-                    # reorder c_P c_Q c_R c_S -> (c_P c_S)(c_Q c_R); the S
-                    # factor passes R then Q, each swap of distinct Majoranas
-                    # contributing a minus sign
-                    if (s, delta) != (r, gamma):
-                        coef = -coef
-                    if (s, delta) != (q, beta):
-                        coef = -coef
-                    f1 = _majorana_pair_image(p, alpha, s, delta, g)
-                    f2 = _majorana_pair_image(q, beta, r, gamma, g)
-                    out.append(multiply(f1, f2).scaled(coef))
-    return out
-
-
-def entry_interaction_graph(
-    entries_one: Iterable[Tuple[int, int]],
-    entries_two: Iterable[Tuple[int, int, int, int]],
-    num_modes: int,
-    extra_edges: Iterable[Tuple[int, int]] = (),
-) -> InteractionGraph:
-    """Graph whose edges are the mode pairs used by entry-wise images:
-    (p, q) per one-body entry and (p, s), (q, r) per two-body entry."""
-    edges = set()
-    for p, q in entries_one:
-        if p != q:
-            edges.add((min(p, q), max(p, q)))
-    for p, q, r, s in entries_two:
-        if p == q or r == s:
-            continue
-        if p != s:
-            edges.add((min(p, s), max(p, s)))
-        if q != r:
-            edges.add((min(q, r), max(q, r)))
-    for p, q in extra_edges:
-        edges.add((min(p, q), max(p, q)))
-    return InteractionGraph.from_edges(num_modes, edges)
-
-
-def ose_entry_transform(
-    entries_one: Sequence[Tuple[int, int, float]],
-    entries_two: Sequence[Tuple[int, int, int, int, float]],
-    g: InteractionGraph,
-    constant: float = 0.0,
-    eps: float = 1e-12,
-) -> PauliOperatorSum:
-    """Entry-wise encoding: every tensor entry is mapped independently through
-    its Majorana expansion instead of being accumulated into canonical
-    self-adjoint terms first.  The two routes agree on the code space but
-    produce different Pauli decompositions."""
-    collected: List[PauliTerm] = []
-    if constant:
-        collected.append(PauliTerm.identity(g.num_qubits, constant))
-    for p, q, v in entries_one:
-        collected.extend(one_body_entry_image(p, q, v, g))
-    for p, q, r, s, v in entries_two:
-        collected.extend(two_body_entry_image(p, q, r, s, v, g))
-    return simplify(PauliOperatorSum(tuple(collected), g.num_qubits), eps)
+    spins = spin_table(g.num_vertices, spin)
+    images = partial(_kind_images, t=_Tables(g), spins=spins)
+    return merge_images(group_by_kind(terms), images, g.num_qubits, constant, eps)
 
 
 @dataclass(frozen=True)
@@ -486,7 +357,7 @@ def add_parity_ancilla(
         raise ValueError(f"vertex {k} out of range")
     s = g.num_vertices
     g2 = InteractionGraph.from_edges(s + 1, list(g.edges) + [(k, s)])
-    return g2, pair_creation_image(k, s, g2)
+    return g2, ose_transform_terms([ClassifiedTerm(Kind.PAIR_CREATION, (k, s), 1.0)], g2)
 
 
 def symplectic_rank(terms: Iterable[PauliTerm]) -> int:

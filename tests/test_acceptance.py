@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fermap.bench import run_cell
-from fermap.fermion import from_spatial_integrals
+from fermap.fermion import ClassifiedTerm, Kind, from_spatial_integrals
 from fermap.lattice import LatticeSpec, lattice_integrals
 from fermap.metrics import probe_scaling
 from fermap.molecules import molecule_bounds, published_bounds
@@ -20,11 +20,9 @@ from fermap.pauli import PauliTerm, multiply
 from fermap.sampling import random_connected_graph_edges, random_spatial_hamiltonian
 from fermap.superfast import (
     InteractionGraph,
-    double_excitation_image,
     edge_operator,
-    hopping_image,
     loop_stabilizers,
-    pair_creation_image,
+    ose_transform_terms,
     vertex_operator,
 )
 
@@ -153,16 +151,14 @@ def test_criterion_5_operator_algebra():
                 a1, a2 = edge_operator(*e1, g), edge_operator(*e2, g)
                 ok &= a1.commutes_with(a2) != (len(set(e1) & set(e2)) == 1)
         # stabilizers commute with every Hamiltonian-term image on the graph
-        images = []
-        for p, q in g.edges:
-            images.extend(hopping_image(p, q, g).terms)
-            images.extend(pair_creation_image(p, q, g).terms)
+        pairs = (Kind.EXCITATION, Kind.PAIR_CREATION)
+        terms = [ClassifiedTerm(kind, e, 1.0) for e in g.edges for kind in pairs]
         if len(edges) >= 2:
             (p, q), (r, s) = edges[0], edges[1]
             if len({p, q, r, s}) == 4 and (min(p, r), max(p, r)) not in g.edge_index:
-                images.extend(
-                    double_excitation_image((p, s, r, q), g, spin=lambda _v: 0).terms
-                )
+                terms.append(ClassifiedTerm(Kind.DOUBLE_EXCITATION, (p, s, r, q), 1.0))
+        # one term per call, so no image string is merged away
+        images = [t for x in terms for t in ose_transform_terms([x], g, spin=lambda _v: 0).terms]
         for s in loop_stabilizers(g).stabilizers:
             for t in images:
                 ok &= s.commutes_with(t)
@@ -177,7 +173,7 @@ def test_criterion_5_operator_algebra():
         raw = lattice_integrals(LatticeSpec(1, side, exponent))
         h1, eri, const = rotate_integrals(raw, symmetric_orthogonalizer(raw.overlap))
         from fermap.fermion import classify_spatial
-        from fermap.superfast import build_interaction_graph, ose_transform_terms
+        from fermap.superfast import build_interaction_graph
 
         terms = classify_spatial(h1, eri, cutoff=1e-7)
         g = build_interaction_graph(terms, 2 * side)

@@ -1,8 +1,14 @@
 """Sweep harness: cell pipeline, serialization determinism, reference diffs."""
 
+import json
+import multiprocessing
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from fermap import bench
 from fermap.bench import (
     CSV_COLUMNS,
     ReferenceRow,
@@ -77,9 +83,45 @@ def test_run_sweep_parallel_matches_serial():
     assert serial == parallel
 
 
-def test_rows_to_json_round_trips():
-    import json
+def test_run_sweep_survives_a_dead_worker(monkeypatch):
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched cell reaches the workers only when they are forked")
+    real = bench.run_cell
 
+    def crash_on_side_4(dimension, size, *rest):
+        if size == 4:
+            os._exit(1)
+        return real(dimension, size, *rest)
+
+    monkeypatch.setattr(bench, "run_cell", crash_on_side_4)
+    rows = run_sweep(small_config(sizes=(2, 4, 6), jobs=2))
+    assert [r.size for r in rows] == [2, 4, 6]
+    assert rows[1].error.startswith("BrokenProcessPool: ")
+    # cells the broken pool had not finished are error rows too; none is lost
+    assert all(r.error is None or r.error.startswith("BrokenProcessPool: ") for r in rows)
+
+
+SEED_OUTPUTS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "seed_outputs.json").read_text()
+)
+SMALL_CELLS = [(1, side, e) for side in (2, 4, 6, 8, 10) for e in (8.75, 7.0, 5.0, 3.0, 1.0)] + [
+    (dim, 2, e) for dim in (2, 3) for e in (8.75, 7.0, 5.0, 3.0, 1.0)
+]
+
+
+@pytest.mark.parametrize("dimension,side,exponent", SMALL_CELLS)
+def test_run_cell_matches_seed_outputs(dimension, side, exponent):
+    row = run_cell(dimension, side, exponent, cutoff=1e-7)
+    key = f"d{dimension} a{basis_label(exponent)} n{side ** dimension}"
+    for mapping, rep in (("jw", row.jw_report), ("ose", row.bksf_report)):
+        seed = SEED_OUTPUTS[f"{key} {mapping}"]
+        for field in ("qubits", "term_count", "total_weight", "max_weight"):
+            assert getattr(rep, field) == seed[field], (key, mapping, field)
+        for field in ("l1_norm", "l1_norm_no_identity"):
+            assert getattr(rep, field) == pytest.approx(seed[field], rel=1e-12, abs=0)
+
+
+def test_rows_to_json_round_trips():
     rows = run_sweep(small_config(sizes=(2,)))
     decoded = json.loads(rows_to_json(rows))
     assert decoded[0]["size"] == 2

@@ -12,7 +12,6 @@ from fermap.fermion import (
     classify_spatial,
     from_spatial_integrals,
     spin_of,
-    spin_orbital_entries,
 )
 from fermap.oracle import classified_dense, fermion_dense
 from fermap.sampling import random_spatial_hamiltonian, random_spatial_integrals
@@ -106,17 +105,3 @@ def test_number_and_coulomb_classification():
     numbers = {t.indices[0]: t.coefficient for t in terms if t.kind is Kind.NUMBER}
     assert numbers[0] == pytest.approx(0.7)
     assert numbers[2] == pytest.approx(0.7)  # spin-down copy (blocked)
-
-
-def test_spin_orbital_entries_cutoff_semantics():
-    rng = np.random.default_rng(3)
-    h1, eri = random_spatial_integrals(2, rng, scale=1.0)
-    one, two = spin_orbital_entries(h1, eri, cutoff=0.0)
-    # every two-body entry value is half the chemist integral
-    for p, q, r, s, v in two:
-        assert abs(v) <= 0.5 * np.abs(eri).max() + 1e-12
-    # a cutoff of half the largest chemist integral removes at least the rest
-    cut = 0.5 * np.abs(eri).max()
-    _, two_cut = spin_orbital_entries(h1, eri, cutoff=cut)
-    assert all(abs(v) >= cut - 1e-12 for *_ignored, v in two_cut)
-    assert len(two_cut) < len(two)

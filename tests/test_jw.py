@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from fermap.fermion import classify
+from fermap.fermion import ClassifiedTerm, Kind, classify
 from fermap.jw import jw_ladder, jw_transform, jw_transform_terms
 from fermap.oracle import dense_matrix, fermion_dense, fock_ladder_operators
+from fermap.pauli import NonHermitianError
 from fermap.sampling import random_spatial_hamiltonian
 
 
@@ -53,6 +54,9 @@ def test_jw_output_is_hermitian():
     assert np.allclose(mat, mat.conj().T, atol=1e-12)
     for t in jw_transform(h).terms:
         assert abs(t.coefficient.imag) < 1e-12
+    # an imaginary coefficient on a self-adjoint term is caught after the merge
+    with pytest.raises(NonHermitianError):
+        jw_transform_terms([ClassifiedTerm(Kind.NUMBER, (0,), 0.5j)], 2)
 
 
 def test_jw_eps_drops_small_terms():

@@ -9,7 +9,6 @@ from fermap.metrics import (
     probe_scaling,
     qubit_bounds,
     report,
-    report_as_dict,
 )
 from fermap.pauli import PauliOperatorSum, PauliTerm
 
@@ -33,8 +32,6 @@ def test_report_fields():
     assert r.average_weight == pytest.approx(5 / 3)
     assert r.l1_norm == pytest.approx(4.0)
     assert r.l1_norm_no_identity == pytest.approx(2.0)
-    d = report_as_dict(r)
-    assert d["total_weight"] == 5 and d["label"] == "sample"
 
 
 def test_qubit_bounds_examples():

@@ -1,20 +1,21 @@
 """Pauli algebra: symplectic representation against dense matrices."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermap.oracle import dense_term
+from fermap.oracle import dense_matrix, dense_term
 from fermap.pauli import (
     DimensionMismatchError,
     PauliOperatorSum,
     PauliTerm,
     coefficient_l1_norm,
     multiply,
+    product,
     simplify,
-    tensor_weight,
-    total_tensor_weight,
 )
 
 PAULI_MATS = {
@@ -88,7 +89,6 @@ def test_identity_and_weight():
     assert ident.weight() == 0
     t = PauliTerm.from_factors(1.0, {0: "X", 2: "Z"}, 3)
     assert t.weight() == 2
-    assert tensor_weight(t) == 2
     assert t.factors == {0: "X", 2: "Z"}
 
 
@@ -118,7 +118,7 @@ def test_simplify_cancellation_to_zero_operator():
     b = PauliTerm.from_factors(-0.75, {0: "Z"}, 1)
     s = simplify(PauliOperatorSum.from_terms([a, b], 1))
     assert len(s) == 0
-    assert total_tensor_weight(s) == 0
+    assert s.weights().sum() == 0
 
 
 def test_operator_sum_addition_and_scaling():
@@ -142,3 +142,44 @@ def test_dimension_mismatch_raises():
     b = PauliTerm.from_factors(1.0, {0: "X"}, 3)
     with pytest.raises((DimensionMismatchError, ValueError)):
         multiply(a, b)
+
+
+# widths on both sides of the 64-bit word boundaries, so the phase and the
+# merge key both span several words
+PACKED_WIDTHS = (1, 5, 63, 64, 65, 130)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_packed_product_and_merge_match_scalar_algebra(data):
+    q = data.draw(st.sampled_from(PACKED_WIDTHS))
+    bits = random.Random(data.draw(st.integers(0, 2**32 - 1)))  # dense masks fill every word
+    parts = st.sampled_from((-1.5, -1.0, 0.0, 1.0, 2.0))
+
+    def term(x, z):
+        return PauliTerm(complex(data.draw(parts), data.draw(parts)), x, z, q)
+
+    def string():
+        return bits.getrandbits(q), bits.getrandbits(q)
+
+    pairs = [(term(*string()), term(*string())) for _ in range(data.draw(st.integers(1, 6)))]
+    a, b = (PauliOperatorSum.from_terms(side, q) for side in zip(*pairs))
+    rows = product((a.x, a.z, a.coefficients), (b.x, b.z, b.coefficients))
+    got = PauliOperatorSum.from_packed([rows], q)
+    assert got.terms == tuple(multiply(a, b) for a, b in pairs)
+
+    # merge repeated strings, some differing in one bit, against a dictionary
+    x, z = string()
+    flip = 1 << data.draw(st.integers(0, q - 1))
+    pool = st.sampled_from([(x, z), (x ^ flip, z), (x, z ^ flip), string()])
+    terms = [term(*data.draw(pool)) for _ in range(data.draw(st.integers(0, 12)))]
+    merged = simplify(PauliOperatorSum.from_terms(terms, q))
+    expected = {}
+    for t in terms:
+        expected[t.x, t.z] = expected.get((t.x, t.z), 0) + t.coefficient
+    expected = {key: c for key, c in expected.items() if abs(c) >= 1e-12}
+    assert {(t.x, t.z): t.coefficient for t in merged.terms} == pytest.approx(expected)
+    if q <= 12:
+        dense = sum((kron_term(t) for t in terms), np.zeros((2**q, 2**q)))
+        assert np.allclose(dense_matrix(merged), dense)
+        assert np.allclose(dense_matrix(got), sum(kron_term(a) @ kron_term(b) for a, b in pairs))

@@ -1,30 +1,24 @@
-"""Edge/vertex operator algebra of the superfast encoding, loop stabilizers,
-and agreement between the accumulated and entry-wise encodings."""
+"""Edge/vertex operator algebra of the superfast encoding and loop
+stabilizers."""
 
 import numpy as np
 import pytest
 
-from fermap.fermion import classify, classify_spatial, spin_orbital_entries
+from fermap.fermion import ClassifiedTerm, Kind, classify_spatial
 from fermap.lattice import LatticeSpec, lattice_integrals
-from fermap.oracle import (
-    codespace_projector,
-    dense_matrix,
-    sector_spectra_match,
-)
+from fermap.oracle import codespace_projector, sector_spectra_match
 from fermap.ortho import rotate_integrals, symmetric_orthogonalizer
-from fermap.pauli import PauliTerm, multiply
+from fermap.pauli import NonHermitianError, PauliTerm, multiply
 from fermap.sampling import random_connected_graph_edges, random_spatial_hamiltonian
 from fermap.superfast import (
     InteractionGraph,
     add_parity_ancilla,
-    blocked_spin,
     build_interaction_graph,
     edge_operator,
-    entry_interaction_graph,
     loop_stabilizers,
-    ose_entry_transform,
     ose_transform_terms,
     pair_partition,
+    spin_table,
     symplectic_rank,
     vertex_operator,
 )
@@ -116,16 +110,15 @@ def test_codespace_dimension_matches_cycle_count():
 
 
 def test_pair_partition_spin_sectors():
-    spin = blocked_spin(8)
+    spin = spin_table(8)
     # mixed spin: same-spin indices end up paired together
-    for idx in [(0, 4, 5, 1), (0, 5, 4, 1), (2, 6, 7, 3)]:
-        p1, p2, sign = pair_partition(idx, spin)
-        assert spin(p1[0]) == spin(p1[1])
-        assert spin(p2[0]) == spin(p2[1])
-        assert sign in (-1, +1)
+    first, second, sign = pair_partition([(0, 4, 5, 1), (0, 5, 4, 1), (2, 6, 7, 3)], spin)
+    assert (spin[first[:, 0]] == spin[first[:, 1]]).all()
+    assert (spin[second[:, 0]] == spin[second[:, 1]]).all()
+    assert set(sign) <= {-1, +1}
     # all same spin: outermost creation with outermost annihilation
-    p1, p2, sign = pair_partition((0, 1, 2, 3), spin)
-    assert p1 == (0, 3) and p2 == (1, 2) and sign == +1
+    first, second, sign = pair_partition([(0, 1, 2, 3)], spin)
+    assert first.tolist() == [[0, 3]] and second.tolist() == [[1, 2]] and sign.tolist() == [1]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -149,35 +142,15 @@ def test_add_parity_ancilla_extends_graph():
     assert pair.num_qubits == g2.num_qubits
 
 
-def test_entrywise_and_accumulated_encodings_agree_on_code_space():
-    h = random_spatial_hamiltonian(2, 42)
-    terms = classify(h)
-    m = 2
-    spatial_h1 = h.one_body[:m, :m].real
-    # rebuild the chemist tensor from the spin two-body block
-    eri = np.zeros((m,) * 4)
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                for l in range(m):
-                    eri[i, j, k, l] = 2.0 * h.two_body[i, m + k, m + l, j].real
-    one, two = spin_orbital_entries(spatial_h1, eri, cutoff=0.0)
-    g = entry_interaction_graph(
-        [(p, q) for p, q, _ in one], [(p, q, r, s) for p, q, r, s, _ in two], 4
-    )
-    for p, q in build_interaction_graph(terms, 4).edges:
-        assert (p, q) in g.edge_index
-    acc = ose_transform_terms(terms, g, constant=h.constant)
-    ent = ose_entry_transform(one, two, g, constant=h.constant)
-    proj = codespace_projector(loop_stabilizers(g), g.num_qubits)
-    a = proj @ dense_matrix(acc) @ proj
-    b = proj @ dense_matrix(ent) @ proj
-    assert np.allclose(a, b, atol=1e-9)
-
-
 def test_missing_edge_raises():
     from fermap.superfast import MissingEdgeError
 
     g = InteractionGraph.from_edges(3, [(0, 1)])
     with pytest.raises(MissingEdgeError):
         edge_operator(0, 2, g)
+
+
+def test_non_hermitian_terms_raise():
+    g = InteractionGraph.from_edges(2, [(0, 1)])
+    with pytest.raises(NonHermitianError):
+        ose_transform_terms([ClassifiedTerm(Kind.NUMBER, (0,), 0.5j)], g)
