@@ -16,6 +16,7 @@ from .bench import (
 )
 from .fermion import (
     ClassifiedTerm,
+    ClassifiedTerms,
     FermionHamiltonian,
     Kind,
     apply_cutoff,

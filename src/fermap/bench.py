@@ -114,6 +114,11 @@ def run_cell(
 
     ``size`` is the lattice side length; the emitted row records the atom
     count ``size ** dimension``, matching the reference-table "Size" column.
+
+    The nuclear-repulsion constant is left out of the mapped operators, so a
+    row's L1 norms cover the electronic terms only.  ``fermap transform``
+    keeps an FCIDUMP file's constant as an identity term, so its ``l1_norm``
+    includes it.
     """
     row = SweepRow(dimension=dimension, basis=basis_label(exponent), size=size**dimension)
     try:

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Tuple
 
 import numpy as np
 
 SYMMETRY_ATOL = 1e-10
+#: Two-body entries canonicalised at a time, which bounds the temporaries.
+_BLOCK = 1 << 15
 
 
 class Kind(enum.Enum):
@@ -24,10 +26,6 @@ class Kind(enum.Enum):
     NUMBER_EXCITATION = "number_excitation"
     DOUBLE_EXCITATION = "double_excitation"
     PAIR_CREATION = "pair_creation"
-
-
-# kinds whose second-quantized form is already self-adjoint (no h.c. partner)
-_SELF_ADJOINT = {Kind.NUMBER, Kind.COULOMB_EXCHANGE}
 
 
 @dataclass(frozen=True)
@@ -47,6 +45,43 @@ class ClassifiedTerm:
     kind: Kind
     indices: Tuple[int, ...]
     coefficient: float
+
+
+class ClassifiedTerms:
+    """Classified terms held per kind: an index array ``[n, arity]`` and a
+    coefficient vector ``[n]`` for every kind that has terms, in ``Kind``
+    order.  Rows follow ``ClassifiedTerm``'s index semantics.  Iteration
+    yields ``ClassifiedTerm``s ordered by kind name, then by the order of the
+    rows (lexicographic indices for ``classify``'s output)."""
+
+    def __init__(self, by_kind: Dict[Kind, Tuple[np.ndarray, np.ndarray]]):
+        self.by_kind = {k: by_kind[k] for k in Kind if k in by_kind and len(by_kind[k][1])}
+
+    @classmethod
+    def of(cls, terms: Iterable[ClassifiedTerm]) -> "ClassifiedTerms":
+        """Group terms by kind, keeping their order within each kind; a
+        ``ClassifiedTerms`` comes back as it is."""
+        if isinstance(terms, ClassifiedTerms):
+            return terms
+        grouped: Dict[Kind, list] = {}
+        for t in terms:
+            grouped.setdefault(t.kind, []).append(t)
+        return cls({
+            kind: (
+                np.array([t.indices for t in members], dtype=np.intp),
+                np.array([t.coefficient for t in members]),
+            )
+            for kind, members in grouped.items()
+        })
+
+    def __len__(self) -> int:
+        return sum(len(c) for _, c in self.by_kind.values())
+
+    def __iter__(self) -> Iterator[ClassifiedTerm]:
+        for kind in sorted(self.by_kind, key=lambda k: k.value):
+            indices, coefficients = self.by_kind[kind]
+            for row, c in zip(indices.tolist(), coefficients.tolist()):
+                yield ClassifiedTerm(kind, tuple(row), c)
 
 
 @dataclass
@@ -71,19 +106,19 @@ class FermionHamiltonian:
             raise ValueError("two_body must satisfy h_pqrs = h_srqp")
 
 
-def spin_of(p: int, num_modes: int, interleaving: str = "blocked") -> int:
-    if interleaving == "interleaved":
-        return p % 2
-    if interleaving == "blocked":
-        return 0 if p < num_modes // 2 else 1
-    raise ValueError(f"unknown interleaving {interleaving!r}")
+def blocked_modes(num_modes: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Spatial orbital and spin of every mode in the one mode convention,
+    blocked: mode ``orbital + spin * (num_modes // 2)``, spin-up modes first.
+    A trailing odd mode (a parity ancilla) falls in the spin-down block."""
+    m = num_modes // 2
+    spin = (np.arange(num_modes) >= m).astype(np.intp)
+    return np.arange(num_modes) - m * spin, spin
 
 
 def from_spatial_integrals(
     h1_spatial: np.ndarray,
     eri_chemist: np.ndarray,
     constant: float = 0.0,
-    interleaving: str = "blocked",
 ) -> FermionHamiltonian:
     """Expand spatial-orbital integrals to a spin-orbital Hamiltonian.
 
@@ -98,8 +133,7 @@ def from_spatial_integrals(
         if np.abs(eri - eri.transpose(perm)).max() > SYMMETRY_ATOL:
             raise ValueError("ERI tensor must have 8-fold permutational symmetry")
     M = 2 * m
-    spins = np.array([spin_of(p, M, interleaving) for p in range(M)])
-    orb = _spatial_index(M, interleaving)
+    orb, spins = blocked_modes(M)
     same = spins[:, None] == spins[None, :]
 
     one_body = h1[np.ix_(orb, orb)] * same
@@ -107,14 +141,6 @@ def from_spatial_integrals(
     two_body = 0.5 * eri[np.ix_(orb, orb, orb, orb)].transpose(0, 2, 3, 1)
     two_body *= same[:, None, None, :] * same[None, :, :, None]
     return FermionHamiltonian(float(constant), one_body, two_body, M)
-
-
-def _spatial_index(M: int, interleaving: str) -> np.ndarray:
-    if interleaving == "interleaved":
-        return np.arange(M) // 2
-    if interleaving == "blocked":
-        return np.arange(M) % (M // 2)
-    raise ValueError(f"unknown interleaving {interleaving!r}")
 
 
 def apply_cutoff(h: FermionHamiltonian, eps: float) -> FermionHamiltonian:
@@ -126,96 +152,75 @@ def apply_cutoff(h: FermionHamiltonian, eps: float) -> FermionHamiltonian:
     return FermionHamiltonian(h.constant, one, two, h.num_modes)
 
 
-class _Accumulator:
-    """Collects signed tensor-entry contributions into canonical terms."""
-
-    def __init__(self):
-        self.acc: Dict[Tuple[Kind, Tuple[int, ...]], float] = {}
-
-    def add(self, kind: Kind, indices: Tuple[int, ...], value: float) -> None:
-        key = (kind, indices)
-        self.acc[key] = self.acc.get(key, 0.0) + value
-
-    def one_body_entry(self, p: int, q: int, v: float) -> None:
-        if p == q:
-            self.add(Kind.NUMBER, (p,), v)
-        else:
-            # entry and its transpose each contribute half of the combined term
-            self.add(Kind.EXCITATION, (min(p, q), max(p, q)), 0.5 * v)
-
-    def two_body_entry(self, p: int, q: int, r: int, s: int, v: float) -> None:
-        if p == q or r == s:
-            return  # operator vanishes identically
-        sign = 1.0
-        c1, c2 = (p, q) if p < q else (q, p)
-        if p > q:
-            sign = -sign
-        d_hi, d_lo = (r, s) if r > s else (s, r)
-        if r < s:
-            sign = -sign
-        # canonical operator: a_c1^ a_c2^ a_dhi a_dlo, c1<c2, dlo<dhi
-        cre, ann = {c1, c2}, {d_lo, d_hi}
-        shared = cre & ann
-        if len(shared) == 2:
-            self.add(Kind.COULOMB_EXCHANGE, (c1, c2), sign * v)
-        elif len(shared) == 1:
-            j = shared.pop()
-            i = (cre - {j}).pop()
-            k = (ann - {j}).pop()
-            if c1 == j:
-                sign = -sign  # a_j^ a_i^ -> -a_i^ a_j^
-            if d_lo == j:
-                sign = -sign  # a_k a_j -> -a_j a_k
-            self.add(Kind.NUMBER_EXCITATION, (min(i, k), j, max(i, k)), 0.5 * sign * v)
-        else:
-            tup = (c1, c2, d_hi, d_lo)
-            conj = (d_lo, d_hi, c2, c1)
-            self.add(Kind.DOUBLE_EXCITATION, min(tup, conj), 0.5 * sign * v)
-
-    def terms(self, drop_below: float = 0.0) -> List[ClassifiedTerm]:
-        out = [
-            ClassifiedTerm(kind, idx, coeff)
-            for (kind, idx), coeff in self.acc.items()
-            if abs(coeff) > drop_below
-        ]
-        out.sort(key=lambda t: (t.kind.value, t.indices))
-        return out
+def _summed(parts: list, num_modes: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Sum the values of equal index rows over ``(rows, values)`` parts and
+    drop sums that are exactly zero; rows come back in lexicographic order.
+    ``np.bincount`` adds each row's values in input order, bitwise as a loop."""
+    shape = (num_modes,) * parts[0][0].shape[1]
+    keys = np.concatenate([np.ravel_multi_index(tuple(rows.T), shape) for rows, _ in parts])
+    keys, group = np.unique(keys, return_inverse=True)
+    sums = np.bincount(group, weights=np.concatenate([v for _, v in parts]), minlength=len(keys))
+    kept = np.abs(sums) > 0
+    return np.stack(np.unravel_index(keys[kept], shape), axis=1), sums[kept]
 
 
-def group_by_kind(terms: Sequence[ClassifiedTerm]) -> Dict[Kind, Tuple[np.ndarray, np.ndarray]]:
-    """Index array ``[n, arity]`` and coefficient vector ``[n]`` of every kind
-    present, each in term order."""
-    grouped = {}
-    for kind in Kind:
-        members = [t for t in terms if t.kind is kind]
-        if members:
-            grouped[kind] = (
-                np.array([t.indices for t in members], dtype=np.intp),
-                np.array([t.coefficient for t in members]),
-            )
-    return grouped
+def _two_body_rows(p, q, r, s, v) -> Dict[Kind, Tuple[np.ndarray, np.ndarray]]:
+    """Index rows and signed contributions of two-body entries h[p,q,r,s] = v
+    to the canonical terms, per kind, in input order."""
+    live = (p != q) & (r != s)  # a_p^ a_p^ and a_r a_r vanish
+    p, q, r, s, v = (a[live] for a in (p, q, r, s, v))
+    # canonical operator: a_c1^ a_c2^ a_hi a_lo, c1 < c2, lo < hi
+    sign = np.where(p > q, -1.0, 1.0) * np.where(r < s, -1.0, 1.0)
+    c1, c2, lo, hi = np.minimum(p, q), np.maximum(p, q), np.minimum(r, s), np.maximum(r, s)
+    c1_shared, c2_shared = (c1 == lo) | (c1 == hi), (c2 == lo) | (c2 == hi)
+    both, one_shared, none = c1_shared & c2_shared, c1_shared ^ c2_shared, ~(c1_shared | c2_shared)
+    rows = {Kind.COULOMB_EXCHANGE: (np.stack([c1, c2], axis=1)[both], (sign * v)[both])}
+    # n_j (a_i^ a_k + h.c.): a_j^ a_i^ -> -a_i^ a_j^ and a_k a_j -> -a_j a_k
+    j = np.where(c1_shared, c1, c2)
+    i, k = np.where(c1_shared, c2, c1), np.where(lo == j, hi, lo)
+    flip = np.where(c1_shared, -1.0, 1.0) * np.where(lo == j, -1.0, 1.0)
+    triples = np.stack([np.minimum(i, k), j, np.maximum(i, k)], axis=1)
+    rows[Kind.NUMBER_EXCITATION] = (triples[one_shared], (0.5 * sign * flip * v)[one_shared])
+    # the lexicographically smaller of (c1, c2, hi, lo) and its h.c., the reversed tuple
+    quads = np.stack([c1, c2, hi, lo], axis=1)
+    quads = np.where((c1 < lo)[:, None], quads, quads[:, ::-1])
+    rows[Kind.DOUBLE_EXCITATION] = (quads[none], (0.5 * sign * v)[none])
+    return rows
 
 
-def classify(h: FermionHamiltonian, cutoff: float = 0.0) -> List[ClassifiedTerm]:
+def _canonical_terms(one, two, num_modes: int) -> ClassifiedTerms:
+    """Sum signed tensor entries into canonical terms.
+
+    ``one = (p, q, v)`` holds one-body entries h[p,q] and ``two = (p, q, r, s,
+    v)`` two-body entries h[p,q,r,s], as parallel arrays.  Each term's
+    coefficient sums its entries' contributions in input order.
+    """
+    p, q, v = one
+    diag = p == q
+    pairs = np.stack([np.minimum(p, q), np.maximum(p, q)], axis=1)
+    # an off-diagonal entry and its transpose each contribute half of the term
+    raw = {Kind.NUMBER: [(p[diag, None], v[diag])], Kind.EXCITATION: [(pairs[~diag], 0.5 * v[~diag])]}
+    for start in range(0, len(two[0]), _BLOCK):
+        for kind, part in _two_body_rows(*(a[start : start + _BLOCK] for a in two)).items():
+            raw.setdefault(kind, []).append(part)
+    return ClassifiedTerms({kind: _summed(parts, num_modes) for kind, parts in raw.items()})
+
+
+def classify(h: FermionHamiltonian, cutoff: float = 0.0) -> ClassifiedTerms:
     """Assign every tensor entry with |value| >= cutoff to a canonical term."""
     if cutoff < 0:
         raise ValueError("cutoff must be non-negative")
-    acc = _Accumulator()
-    one = h.one_body
-    for p, q in np.argwhere(np.abs(one) >= max(cutoff, 1e-300)):
-        acc.one_body_entry(int(p), int(q), float(one[p, q]))
-    two = h.two_body
-    for p, q, r, s in np.argwhere(np.abs(two) >= max(cutoff, 1e-300)):
-        acc.two_body_entry(int(p), int(q), int(r), int(s), float(two[p, q, r, s]))
-    return acc.terms()
+    floor = max(cutoff, 1e-300)
+    one, two = np.nonzero(np.abs(h.one_body) >= floor), np.nonzero(np.abs(h.two_body) >= floor)
+    one_body, two_body = h.one_body[one].astype(float), h.two_body[two].astype(float)
+    return _canonical_terms((*one, one_body), (*two, two_body), h.num_modes)
 
 
 def classify_spatial(
     h1_spatial: np.ndarray,
     eri_chemist: np.ndarray,
     cutoff: float = 0.0,
-    interleaving: str = "blocked",
-) -> List[ClassifiedTerm]:
+) -> ClassifiedTerms:
     """Classify directly from spatial integrals without materializing the
     spin-orbital tensors.
 
@@ -227,27 +232,18 @@ def classify_spatial(
     h1 = np.asarray(h1_spatial, dtype=float)
     eri = np.asarray(eri_chemist, dtype=float)
     m = h1.shape[0]
-    M = 2 * m
-
-    def mode(i: int, sp: int) -> int:
-        if interleaving == "blocked":
-            return i + sp * m
-        if interleaving == "interleaved":
-            return 2 * i + sp
-        raise ValueError(f"unknown interleaving {interleaving!r}")
-
-    acc = _Accumulator()
-    for i, j in np.argwhere(np.abs(h1) >= max(cutoff, 1e-300)):
-        v = float(h1[i, j])
-        for sp in (0, 1):
-            acc.one_body_entry(mode(int(i), sp), mode(int(j), sp), v)
-    # (ij|kl) feeds h[p,q,r,s] = (ij|kl)/2 at p~i, s~j, q~k, r~l
-    for i, j, k, l in np.argwhere(0.5 * np.abs(eri) >= max(cutoff, 1e-300)):
-        v = 0.5 * float(eri[i, j, k, l])
-        for s1 in (0, 1):
-            for s2 in (0, 1):
-                acc.two_body_entry(
-                    mode(int(i), s1), mode(int(k), s2), mode(int(l), s2),
-                    mode(int(j), s1), v,
-                )
-    return acc.terms()
+    orbital, spin = blocked_modes(2 * m)
+    mode = np.empty((m, 2), dtype=np.intp)
+    mode[orbital, spin] = np.arange(2 * m)
+    floor = max(cutoff, 1e-300)
+    # each entry is expanded over its spins, entry-major, then the first spin,
+    # then the second: the order in which every coefficient has always been summed
+    i, j = np.nonzero(np.abs(h1) >= floor)
+    one = (mode[i].ravel(), mode[j].ravel(), np.repeat(h1[i, j], 2))
+    # (ij|kl) feeds h[p,q,r,s] = (ij|kl)/2 at p~i, s~j (spin s1), q~k, r~l (spin s2)
+    i, j, k, l = np.nonzero(0.5 * np.abs(eri) >= floor)
+    shape = (len(i), 2, 2)
+    p, s = (np.broadcast_to(mode[x][:, :, None], shape).ravel() for x in (i, j))
+    q, r = (np.broadcast_to(mode[x][:, None, :], shape).ravel() for x in (k, l))
+    two = (p, q, r, s, np.repeat(0.5 * eri[i, j, k, l], 4))
+    return _canonical_terms(one, two, 2 * m)

@@ -11,11 +11,11 @@ strings), and multiplied row-wise.
 from __future__ import annotations
 
 from functools import partial
-from typing import Sequence, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
-from .fermion import ClassifiedTerm, FermionHamiltonian, Kind, classify, group_by_kind
+from .fermion import ClassifiedTerm, ClassifiedTerms, FermionHamiltonian, Kind, classify
 from .pauli import Packed, PauliOperatorSum, half_one_minus, merge_images, outer, pack_masks
 
 
@@ -72,7 +72,7 @@ def jw_ladder(j: int, dagger: bool, num_modes: int) -> PauliOperatorSum:
 
 
 def jw_transform_terms(
-    terms: Sequence[ClassifiedTerm],
+    terms: Iterable[ClassifiedTerm],
     num_modes: int,
     constant: float = 0.0,
     eps: float = 1e-12,
@@ -82,7 +82,7 @@ def jw_transform_terms(
     Raises NonHermitianError when a merged coefficient has |imag| > eps.
     """
     images = partial(_kind_images, tables=_register_tables(num_modes))
-    return merge_images(group_by_kind(terms), images, num_modes, constant, eps)
+    return merge_images(ClassifiedTerms.of(terms).by_kind, images, num_modes, constant, eps)
 
 
 def jw_transform(

@@ -11,7 +11,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import jacobi
 from .fermion import ClassifiedTerm, FermionHamiltonian, Kind, classify
 from .jw import jw_transform_terms
 from .pauli import PauliOperatorSum, PauliTerm
@@ -237,13 +236,9 @@ def sector_spectra_match(
     the loop stabilizers.
     """
     terms = classify(h, cutoff)
-    with_ancilla = parity_ancilla_mode is not None
-    g = build_interaction_graph(
-        terms,
-        h.num_modes,
-        include_parity_ancilla=with_ancilla,
-        ancilla_partner=parity_ancilla_mode or 0,
-    )
+    g = build_interaction_graph(terms, h.num_modes)
+    if parity_ancilla_mode is not None:
+        g = add_parity_ancilla(g, parity_ancilla_mode)[0]
     num_modes = g.num_vertices  # includes the ancilla when requested
     _check_size(num_modes)
     _check_size(g.num_qubits)
@@ -254,13 +249,13 @@ def sector_spectra_match(
     basis = code_basis(proj)
     h_ose = dense_matrix(ose)
     h_code = basis.conj().T @ h_ose @ basis
-    evals_ose = jacobi.eigvalsh(h_code)
+    evals_ose = np.linalg.eigvalsh(h_code)
 
     jw = jw_transform_terms(terms, num_modes, h.constant, eps)
     h_jw = dense_matrix(jw)
     sel = _component_even_indices(g.connected_components(), num_modes)
     h_sector = h_jw[np.ix_(sel, sel)]
-    evals_jw = jacobi.eigvalsh(h_sector)
+    evals_jw = np.linalg.eigvalsh(h_sector)
 
     if len(evals_jw) != len(evals_ose):
         raise RuntimeError(

@@ -11,7 +11,6 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .jacobi import jacobi_eigh
 from .lattice import RawIntegrals
 
 
@@ -34,7 +33,7 @@ class Orthogonalizer:
 def symmetric_orthogonalizer(
     overlap: np.ndarray, eigenvalue_floor: float = 1e-10
 ) -> Orthogonalizer:
-    s, u = jacobi_eigh(np.asarray(overlap, dtype=float))
+    s, u = np.linalg.eigh(np.asarray(overlap, dtype=float))
     if s.size == 0 or s.min() <= eigenvalue_floor:
         raise NearLinearDependenceError(
             f"smallest overlap eigenvalue {s.min() if s.size else 'n/a'} below "
@@ -47,7 +46,7 @@ def symmetric_orthogonalizer(
 def canonical_orthogonalizer(overlap: np.ndarray, tau: float = 1e-8) -> Orthogonalizer:
     if tau < 0:
         raise ValueError("tau must be non-negative")
-    s, u = jacobi_eigh(np.asarray(overlap, dtype=float))
+    s, u = np.linalg.eigh(np.asarray(overlap, dtype=float))
     keep = s >= max(tau, 1e-300)
     if not np.any(keep):
         raise EmptyBasisError("all overlap eigenvalues fall below the threshold")

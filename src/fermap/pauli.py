@@ -239,15 +239,6 @@ class PauliOperatorSum:
         """Non-identity factor count of every row."""
         return _popcount(self.x | self.z)
 
-    def __add__(self, other: "PauliOperatorSum") -> "PauliOperatorSum":
-        if self.num_qubits != other.num_qubits:
-            raise DimensionMismatchError("cannot add sums on different registers")
-        rows = [(s.x, s.z, s.coefficients) for s in (self, other)]
-        return PauliOperatorSum.from_packed(rows, self.num_qubits)
-
-    def scaled(self, factor: complex) -> "PauliOperatorSum":
-        return PauliOperatorSum(self.x, self.z, self.coefficients * factor, self.num_qubits)
-
     def sorted_terms(self) -> Tuple[PauliTerm, ...]:
         """Deterministic ordering: lexicographic on (factor indices, letters)."""
         return tuple(sorted(self.terms, key=PauliTerm.sort_key))

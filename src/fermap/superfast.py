@@ -15,7 +15,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fermion import ClassifiedTerm, Kind, group_by_kind
+from .fermion import ClassifiedTerm, ClassifiedTerms, Kind, blocked_modes
 from .pauli import (
     Packed,
     PauliOperatorSum,
@@ -94,11 +94,11 @@ class InteractionGraph:
 
 
 def spin_table(num_vertices: int, spin: Optional[Callable[[int], int]] = None) -> np.ndarray:
-    """Spin sector of every vertex: ``spin(v)``, or by default blocked ordering
-    (up modes first) with the boundary at ``num_vertices // 2``, so a trailing
-    ancilla vertex does not shift it."""
+    """Spin sector of every vertex: ``spin(v)``, or by default that of the
+    blocked mode convention (``fermion.blocked_modes``), whose boundary at
+    ``num_vertices // 2`` a trailing ancilla vertex does not shift."""
     if spin is None:
-        return (np.arange(num_vertices) >= num_vertices // 2).astype(np.intp)
+        return blocked_modes(num_vertices)[1]
     return np.array([spin(v) for v in range(num_vertices)], dtype=np.intp)
 
 
@@ -123,22 +123,18 @@ def pair_partition(
 
 
 def build_interaction_graph(
-    terms: Sequence[ClassifiedTerm],
+    terms: Iterable[ClassifiedTerm],
     num_modes: int,
-    include_parity_ancilla: bool = False,
-    ancilla_partner: int = 0,
     spin: Optional[Callable[[int], int]] = None,
-    extra_edges: Iterable[Tuple[int, int]] = (),
 ) -> InteractionGraph:
     """Edge set = union of the edges each term's encoded image requires.
 
-    ``extra_edges`` allows callers to add state-preparation edges explicitly;
-    they are never added automatically.  ``spin`` defaults to blocked mode
-    ordering.  Number and Coulomb/exchange terms need only vertex operators.
+    ``spin`` defaults to blocked mode ordering.  Number and Coulomb/exchange
+    terms need only vertex operators.
     """
     spins = spin_table(num_modes, spin)
     pairs = [np.empty((0, 2), dtype=np.intp)]
-    for kind, (idx, _) in group_by_kind(terms).items():
+    for kind, (idx, _) in ClassifiedTerms.of(terms).by_kind.items():
         if kind is Kind.EXCITATION or kind is Kind.PAIR_CREATION:
             pairs.append(idx)
         elif kind is Kind.NUMBER_EXCITATION:
@@ -146,12 +142,7 @@ def build_interaction_graph(
         elif kind is Kind.DOUBLE_EXCITATION:
             pairs.extend(pair_partition(idx, spins)[:2])
     required = np.unique(np.sort(np.concatenate(pairs), axis=1), axis=0)
-    edges = [tuple(e) for e in required.tolist()] + list(extra_edges)
-    num_vertices = num_modes
-    if include_parity_ancilla:
-        edges.append((ancilla_partner, num_modes))
-        num_vertices += 1
-    return InteractionGraph.from_edges(num_vertices, edges)
+    return InteractionGraph.from_edges(num_modes, required.tolist())
 
 
 def _vertex_mask(i: int, g: InteractionGraph) -> int:
@@ -274,7 +265,7 @@ def _kind_images(kind: Kind, idx: np.ndarray, t: _Tables, spins: np.ndarray) -> 
 
 
 def ose_transform_terms(
-    terms: Sequence[ClassifiedTerm],
+    terms: Iterable[ClassifiedTerm],
     g: InteractionGraph,
     constant: float = 0.0,
     eps: float = 1e-12,
@@ -287,7 +278,7 @@ def ose_transform_terms(
     """
     spins = spin_table(g.num_vertices, spin)
     images = partial(_kind_images, t=_Tables(g), spins=spins)
-    return merge_images(group_by_kind(terms), images, g.num_qubits, constant, eps)
+    return merge_images(ClassifiedTerms.of(terms).by_kind, images, g.num_qubits, constant, eps)
 
 
 @dataclass(frozen=True)

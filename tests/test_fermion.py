@@ -5,21 +5,27 @@ import numpy as np
 import pytest
 
 from fermap.fermion import (
+    ClassifiedTerms,
     FermionHamiltonian,
     Kind,
     apply_cutoff,
     classify,
     classify_spatial,
     from_spatial_integrals,
-    spin_of,
 )
 from fermap.oracle import classified_dense, fermion_dense
 from fermap.sampling import random_spatial_hamiltonian, random_spatial_integrals
 
 
-def test_spin_of_blocked_and_interleaved():
-    assert [spin_of(p, 6, "blocked") for p in range(6)] == [0, 0, 0, 1, 1, 1]
-    assert [spin_of(p, 6, "interleaved") for p in range(6)] == [0, 1, 0, 1, 0, 1]
+def general_hamiltonian(seed, num_modes=5):
+    """Random tensors with only h_pqrs = h_qpsr = h_srqp: not spin-expanded,
+    with entries in the p == q and r == s slots and about half of them zero,
+    so every sign branch of the classification sees nonzero entries."""
+    rng = np.random.default_rng(seed)
+    t = rng.normal(size=(num_modes,) * 4) * (rng.random((num_modes,) * 4) < 0.5)
+    t = t + t.transpose(1, 0, 3, 2)
+    a = rng.normal(size=(num_modes, num_modes))
+    return FermionHamiltonian(0.3, a + a.T, t + t.transpose(3, 2, 1, 0), num_modes)
 
 
 def test_from_spatial_integrals_spin_deltas():
@@ -83,15 +89,43 @@ def test_classify_spatial_matches_classify_with_cutoff():
         assert t.coefficient == pytest.approx(lookup[(t.kind, t.indices)], abs=1e-12)
 
 
-def test_classify_spatial_interleaved_is_relabelled_blocked():
-    rng = np.random.default_rng(8)
-    h1, eri = random_spatial_integrals(2, rng)
-    blocked = classify_spatial(h1, eri, interleaving="blocked")
-    inter = classify_spatial(h1, eri, interleaving="interleaved")
-    # mode relabelling is a permutation of Fock space, so spectra must agree
-    a = np.linalg.eigvalsh(classified_dense(blocked, 4))
-    b = np.linalg.eigvalsh(classified_dense(inter, 4))
-    assert np.allclose(np.sort(a), np.sort(b), atol=1e-10)
+@pytest.mark.parametrize("cutoff", [0.0, 0.5])
+@pytest.mark.parametrize("seed", range(4))
+def test_classify_general_tensors_match_fermion_dense(seed, cutoff):
+    h = general_hamiltonian(seed)
+    h.validate()
+    terms = classify(h, cutoff)
+    assert {t.kind for t in terms} == set(Kind) - {Kind.PAIR_CREATION}
+    i, j, k, l = terms.by_kind[Kind.DOUBLE_EXCITATION][0].T
+    assert ((i < j) & (l < k) & (i < l)).all()  # (i, j, k, l) < its h.c. (l, k, j, i)
+    rebuilt = classified_dense(terms, h.num_modes, h.constant)
+    assert np.allclose(rebuilt, fermion_dense(apply_cutoff(h, cutoff)), atol=1e-10)
+
+
+def test_classify_drops_terms_that_cancel_exactly():
+    # a_0^ a_1^ a_1 a_0 = n_0 n_1 = -a_0^ a_1^ a_0 a_1, so the four entries sum to 0
+    two = np.zeros((2,) * 4)
+    two[0, 1, 1, 0] = two[1, 0, 0, 1] = two[0, 1, 0, 1] = two[1, 0, 1, 0] = 0.25
+    h = FermionHamiltonian(0.0, np.diag([0.5, 0.0]), two, 2)
+    h.validate()
+    assert [(t.kind, t.indices, t.coefficient) for t in classify(h)] == [(Kind.NUMBER, (0,), 0.5)]
+
+
+def test_classification_does_not_depend_on_the_block_size(monkeypatch):
+    h = general_hamiltonian(1)  # 557 two-body entries: one block, or 80 of 7
+    whole = list(classify(h))
+    monkeypatch.setattr("fermap.fermion._BLOCK", 7)
+    assert list(classify(h)) == whole  # every sum still adds in input order
+
+
+def test_classified_terms_round_trip_through_terms():
+    terms = classify(general_hamiltonian(0))
+    back = ClassifiedTerms.of(list(terms))
+    assert len(back) == len(terms) and list(back) == list(terms)
+    assert list(back.by_kind) == list(terms.by_kind) == [k for k in Kind if k in terms.by_kind]
+    for kind, (indices, coefficients) in terms.by_kind.items():
+        assert np.array_equal(back.by_kind[kind][0], indices)
+        assert np.array_equal(back.by_kind[kind][1], coefficients)
 
 
 def test_number_and_coulomb_classification():

@@ -121,14 +121,6 @@ def test_simplify_cancellation_to_zero_operator():
     assert s.weights().sum() == 0
 
 
-def test_operator_sum_addition_and_scaling():
-    a = PauliOperatorSum.from_terms([PauliTerm.from_factors(1.0, {0: "X"}, 2)], 2)
-    b = PauliOperatorSum.from_terms([PauliTerm.from_factors(2.0, {1: "Y"}, 2)], 2)
-    s = simplify((a + b).scaled(2.0))
-    coeffs = sorted(abs(t.coefficient) for t in s.terms)
-    assert coeffs == pytest.approx([2.0, 4.0])
-
-
 def test_l1_norm_with_and_without_identity():
     s = PauliOperatorSum.from_terms(
         [PauliTerm.identity(2, 3.0), PauliTerm.from_factors(-4.0, {0: "Z"}, 2)], 2
