@@ -129,6 +129,9 @@ def run_cell(
         else:
             ortho = canonical_orthogonalizer(raw.overlap)
         h1, eri, _ = rotate_integrals(raw, ortho)
+        # the raw ERI is as large as the rotated one and is not read again:
+        # freeing it here keeps it out of classification's peak memory
+        del raw
         terms = classify_spatial(h1, eri, cutoff=cutoff)
         num_modes = 2 * h1.shape[1]
         eps = max(cutoff, 0.0)

@@ -241,7 +241,7 @@ def classify_spatial(
     i, j = np.nonzero(np.abs(h1) >= floor)
     one = (mode[i].ravel(), mode[j].ravel(), np.repeat(h1[i, j], 2))
     # (ij|kl) feeds h[p,q,r,s] = (ij|kl)/2 at p~i, s~j (spin s1), q~k, r~l (spin s2)
-    i, j, k, l = np.nonzero(0.5 * np.abs(eri) >= floor)
+    i, j, k, l = np.nonzero(np.abs(eri) >= 2.0 * floor)
     shape = (len(i), 2, 2)
     p, s = (np.broadcast_to(mode[x][:, :, None], shape).ravel() for x in (i, j))
     q, r = (np.broadcast_to(mode[x][:, None, :], shape).ravel() for x in (k, l))

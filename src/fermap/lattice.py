@@ -8,12 +8,13 @@ internally, lattice spacing specified in Angstrom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
 
 ANGSTROM_TO_BOHR = 1.8897259886
+_ERI_BLOCK = 256  # pair-rows of the ERI assembled per step
 
 
 class GeometryError(ValueError):
@@ -42,10 +43,6 @@ class LatticeSpec:
             raise ValueError("exponent must be positive")
         if self.spacing <= 0:
             raise ValueError("spacing must be positive")
-
-    @property
-    def num_atoms(self) -> int:
-        return self.side_length**self.dimension
 
 
 @dataclass
@@ -120,13 +117,20 @@ def compute_integrals(centers: np.ndarray, alpha: float) -> RawIntegrals:
         attraction -= v_pref * boys_f0(p * pc2)
     core = kinetic + attraction
 
-    # (ij|kl) over normalized orbitals; combined exponent pq/(p+q) = alpha
+    # (ij|kl) over normalized orbitals; combined exponent pq/(p+q) = alpha.
+    # It depends on the centers only through kab and the two pair midpoints,
+    # so F0 is evaluated once per pair of distinct midpoints (pairs ij and ji
+    # share one) and the m^4 tensor is assembled a block of pair-rows at a time
     kab = np.exp(-0.5 * alpha * r2).reshape(-1)
-    pairs = midpoints.reshape(-1, 3)
-    sq = np.sum(pairs * pairs, axis=1)
-    pq2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (pairs @ pairs.T), 0.0)
+    points, which = np.unique(midpoints.reshape(-1, 3), axis=0, return_inverse=True)
+    sq = np.sum(points * points, axis=1)
+    pq2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (points @ points.T), 0.0)
+    boys = boys_f0(alpha * pq2)
     eri_pref = norm2**2 * 2.0 * np.pi**2.5 / (p * p * np.sqrt(2.0 * p))
-    eri = eri_pref * kab[:, None] * kab[None, :] * boys_f0(alpha * pq2)
+    eri = np.empty((m * m, m * m))
+    for start in range(0, m * m, _ERI_BLOCK):
+        rows = slice(start, start + _ERI_BLOCK)
+        eri[rows] = eri_pref * kab[rows, None] * kab[None, :] * boys[which[rows]][:, which]
     eri = eri.reshape(m, m, m, m)
 
     if m > 1:

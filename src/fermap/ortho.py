@@ -6,8 +6,8 @@ canonical: X = U s^{-1/2} with optional truncation of small eigenvalues.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -62,5 +62,11 @@ def rotate_integrals(
     if x.shape[0] != raw.num_orbitals:
         raise ValueError("orthogonalizer dimension mismatch")
     h1 = x.T @ raw.core @ x
-    eri = np.einsum("pi,qj,rk,sl,pqrs->ijkl", x, x, x, x, raw.eri, optimize=True)
-    return h1, eri, raw.nuclear_repulsion
+    # four GEMMs: each contracts the leading index with x and appends its
+    # image last, so after four the order is ijkl again; at most two m^4
+    # intermediates are alive besides the raw tensor
+    m, k = x.shape
+    eri = raw.eri
+    for _ in range(4):
+        eri = eri.reshape(m, -1).T @ x
+    return h1, eri.reshape(k, k, k, k), raw.nuclear_repulsion

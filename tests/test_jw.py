@@ -5,6 +5,7 @@ import pytest
 
 from fermap.fermion import ClassifiedTerm, Kind, classify
 from fermap.jw import jw_ladder, jw_transform, jw_transform_terms
+from fermap.metrics import report
 from fermap.oracle import dense_matrix, fermion_dense, fock_ladder_operators
 from fermap.pauli import NonHermitianError
 from fermap.sampling import random_spatial_hamiltonian
@@ -67,3 +68,12 @@ def test_jw_eps_drops_small_terms():
     pruned = jw_transform(h, eps=thresh * 1.0000001)
     assert all(abs(t.coefficient) >= thresh or t.weight() == 0 for t in pruned.terms)
     assert len(pruned) < len(full)
+
+
+def test_eps_zero_keeps_no_zero_coefficients():
+    # a_0^ a_2 + h.c.: the XY and YX strings cancel exactly and must not be
+    # kept, or counted, at eps = 0
+    op = jw_transform_terms([ClassifiedTerm(Kind.EXCITATION, (0, 2), 0.5)], 3, eps=0.0)
+    assert str(op) == "(+0.25+0j) X0 Z1 X2 + (+0.25+0j) Y0 Z1 Y2"
+    rep = report(op, "hop")
+    assert (rep.term_count, rep.total_weight) == (2, 6)

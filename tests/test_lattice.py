@@ -1,6 +1,8 @@
 """Analytic s-Gaussian integrals against quadrature and an independent
 general-exponent implementation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -178,6 +180,50 @@ def test_integrals_match_general_exponent_reference(alpha):
             ref_eri(alpha, alpha, alpha, alpha, *(centers[x] for x in (i, j, k, l))),
             abs=1e-12,
         )
+
+
+def dense_eri(centers, alpha):
+    """All m^4 ERIs as one dense expression over every pair of pair midpoints."""
+    m = len(centers)
+    r2 = np.sum((centers[:, None] - centers[None]) ** 2, axis=2)
+    kab = np.exp(-0.5 * alpha * r2).reshape(-1)
+    pairs = (0.5 * (centers[:, None] + centers[None])).reshape(-1, 3)
+    sq = np.sum(pairs * pairs, axis=1)
+    pq2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (pairs @ pairs.T), 0.0)
+    p = 2.0 * alpha
+    pref = (2.0 * alpha / np.pi) ** 3 * 2.0 * np.pi**2.5 / (p * p * np.sqrt(2.0 * p))
+    return (pref * kab[:, None] * kab[None, :] * boys_f0(alpha * pq2)).reshape((m,) * 4)
+
+
+def random_centers(m, seed):
+    return np.random.default_rng(seed).uniform(-3.0, 3.0, size=(m, 3))
+
+
+@pytest.mark.parametrize(
+    "centers, alpha",
+    [
+        # 625 pair-rows: more than one assembly block and a partial last one
+        (build_lattice(LatticeSpec(2, 5, 1.0)), 1.0),
+        (build_lattice(LatticeSpec(3, 2, 8.75)), 8.75),
+        (random_centers(9, 0), 0.7),  # no two pair midpoints coincide
+        (random_centers(20, 1), 2.3),
+    ],
+)
+def test_eri_matches_dense_expression(centers, alpha):
+    eri = compute_integrals(centers, alpha).eri
+    np.testing.assert_allclose(eri, dense_eri(centers, alpha), rtol=1e-14, atol=0)
+
+
+def test_integrals_peak_memory_is_bounded_by_the_eri():
+    # a guard against m^4 temporaries: building the ERI from dense m^4
+    # intermediates peaks at about 8x its size
+    tracemalloc.start()
+    try:
+        raw = lattice_integrals(LatticeSpec(3, 3, 8.75))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * raw.eri.nbytes
 
 
 def test_single_center_known_values():

@@ -1,6 +1,8 @@
 """Basis orthogonalization: metric identities, minimality, spectral
 invariance of the rotated problem."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -99,3 +101,32 @@ def test_rotate_integrals_dimension_check():
     bad = symmetric_orthogonalizer(np.eye(2))
     with pytest.raises(ValueError):
         rotate_integrals(raw, bad)
+
+
+@pytest.mark.parametrize("truncate", [False, True])
+def test_rotate_integrals_matches_einsum(truncate):
+    raw = lattice_integrals(LatticeSpec(2, 3, 1.0))
+    if truncate:  # keep the overlap eigenvalues above the median: k < m
+        ortho = canonical_orthogonalizer(raw.overlap, tau=np.median(np.linalg.eigvalsh(raw.overlap)))
+        assert ortho.matrix.shape[1] < raw.num_orbitals
+    else:
+        ortho = symmetric_orthogonalizer(raw.overlap)
+    x = ortho.matrix
+    h1, eri, constant = rotate_integrals(raw, ortho)
+    assert eri.shape == (x.shape[1],) * 4
+    expected = np.einsum("pi,qj,rk,sl,pqrs->ijkl", x, x, x, x, raw.eri, optimize=True)
+    np.testing.assert_allclose(eri, expected, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(h1, x.T @ raw.core @ x, rtol=0, atol=1e-14)
+    assert constant == raw.nuclear_repulsion
+
+
+def test_rotation_peak_memory_is_bounded_by_the_eri():
+    raw = lattice_integrals(LatticeSpec(3, 3, 8.75))
+    ortho = symmetric_orthogonalizer(raw.overlap)
+    tracemalloc.start()
+    try:
+        rotate_integrals(raw, ortho)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * raw.eri.nbytes

@@ -119,6 +119,7 @@ def test_simplify_cancellation_to_zero_operator():
     s = simplify(PauliOperatorSum.from_terms([a, b], 1))
     assert len(s) == 0
     assert s.weights().sum() == 0
+    assert len(simplify(PauliOperatorSum.from_terms([a, b], 1), eps=0.0)) == 0
 
 
 def test_l1_norm_with_and_without_identity():
