@@ -25,10 +25,15 @@ from .fermion import (
     from_spatial_integrals,
 )
 from .fcidump import IntegralFile
-from .jw import jw_ladder, jw_transform, jw_transform_terms
+from .jw import jw_ladder, jw_transform_terms
 from .lattice import LatticeSpec, RawIntegrals, boys_f0, build_lattice, compute_integrals
-from .metrics import ResourceReport, lattice_scaling, qubit_bounds, report
-from .ortho import canonical_orthogonalizer, rotate_integrals, symmetric_orthogonalizer
+from .metrics import ResourceReport, lattice_scaling, map_integrals, qubit_bounds, report
+from .ortho import (
+    canonical_orthogonalizer,
+    orthonormal_integrals,
+    rotate_integrals,
+    symmetric_orthogonalizer,
+)
 from .pauli import (
     NonHermitianError,
     PauliOperatorSum,

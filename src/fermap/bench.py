@@ -1,13 +1,13 @@
 """Lattice benchmark sweeps and comparison against the bundled reference
 tables.
 
-A sweep cell runs the full pipeline for one (dimension, size, exponent):
-build the Hydrogen grid, evaluate the s-Gaussian integrals, orthogonalize the
-basis, apply the integral cutoff, classify the surviving second-quantized
-terms, and transform with the requested mappings.  Reference tables with the
-published qubit counts and total tensor weights ship with the package as CSV
-files; ``compare_reference`` diffs sweep output against them (exact on qubit
-columns, toleranced on weight columns).
+A sweep cell runs the two pipeline stages for one (dimension, size,
+exponent): ``ortho.orthonormal_integrals`` (Hydrogen grid, s-Gaussian
+integrals, orthogonalization, rotation) and ``metrics.map_integrals``
+(cutoff, classification, the requested mappings, merge, report).  Reference
+tables with the published qubit counts and total tensor weights ship with the
+package as CSV files; ``compare_reference`` diffs sweep output against them
+(exact on qubit columns, toleranced on weight columns).
 """
 
 from __future__ import annotations
@@ -18,20 +18,13 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .fermion import classify_spatial
-from .jw import jw_transform_terms
-from .lattice import LatticeSpec, lattice_integrals
-from .metrics import ResourceReport, report
-from .ortho import (
-    canonical_orthogonalizer,
-    rotate_integrals,
-    symmetric_orthogonalizer,
-)
-from .superfast import build_interaction_graph, ose_transform_terms
+from .lattice import LatticeSpec
+from .metrics import ResourceReport, map_integrals
+from .ortho import orthonormal_integrals
 
 CSV_COLUMNS = ("Dimension", "Basis", "Size", "JW_Qbts", "BKSF_Qbts", "JW_TWt", "BKSF_TWt")
 
@@ -60,7 +53,6 @@ class SweepConfig:
     rotation: str = "aos"  # "aos" (symmetric) | "aoc" (canonical)
     mappings: Tuple[str, ...] = ("jw", "ose")
     spacing: float = 1.0
-    output_format: str = "csv"  # "csv" | "json"
     jobs: int = 1
 
     def __post_init__(self):
@@ -74,8 +66,6 @@ class SweepConfig:
             raise ValueError("rotation must be 'aos' or 'aoc'")
         if not self.mappings or any(m not in ("jw", "ose") for m in self.mappings):
             raise ValueError("mappings must be a non-empty subset of {'jw', 'ose'}")
-        if self.output_format not in ("csv", "json"):
-            raise ValueError("output format must be 'csv' or 'json'")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
 
@@ -106,7 +96,7 @@ def run_cell(
     mappings: Sequence[str] = ("jw", "ose"),
     spacing: float = 1.0,
 ) -> SweepRow:
-    """Run the full pipeline for one lattice and return its result row.
+    """Run both pipeline stages for one lattice and return its result row.
 
     The final qubit operators are compressed at the same threshold as the
     integral cutoff, so term groups whose coefficients cancel below the
@@ -115,39 +105,23 @@ def run_cell(
     ``size`` is the lattice side length; the emitted row records the atom
     count ``size ** dimension``, matching the reference-table "Size" column.
 
-    The nuclear-repulsion constant is left out of the mapped operators, so a
-    row's L1 norms cover the electronic terms only.  ``fermap transform``
-    keeps an FCIDUMP file's constant as an identity term, so its ``l1_norm``
-    includes it.
+    Sweep-row convention: the nuclear-repulsion constant is left out of the
+    mapped operators, so a row's L1 norms cover the electronic terms only.
+    ``fermap transform`` runs the same mapping stage but keeps an FCIDUMP
+    file's constant as an identity term, so its ``l1_norm`` includes it.
     """
     row = SweepRow(dimension=dimension, basis=basis_label(exponent), size=size**dimension)
     try:
         spec = LatticeSpec(dimension, size, exponent, spacing)
-        raw = lattice_integrals(spec)
-        if rotation == "aos":
-            ortho = symmetric_orthogonalizer(raw.overlap)
-        else:
-            ortho = canonical_orthogonalizer(raw.overlap)
-        h1, eri, _ = rotate_integrals(raw, ortho)
-        # the raw ERI is as large as the rotated one and is not read again:
-        # freeing it here keeps it out of classification's peak memory
-        del raw
-        terms = classify_spatial(h1, eri, cutoff=cutoff)
-        num_modes = 2 * h1.shape[1]
-        eps = max(cutoff, 0.0)
-        if "jw" in mappings:
-            op = jw_transform_terms(terms, num_modes, eps=eps)
-            rep = report(op, f"jw-d{dimension}-n{size}-a{row.basis}")
-            row.jw_report = rep
-            row.jw_qubits = rep.qubits
-            row.jw_total_weight = rep.total_weight
-        if "ose" in mappings:
-            graph = build_interaction_graph(terms, num_modes)
-            op = ose_transform_terms(terms, graph, eps=eps)
-            rep = report(op, f"ose-d{dimension}-n{size}-a{row.basis}")
-            row.bksf_report = rep
-            row.bksf_qubits = rep.qubits
-            row.bksf_total_weight = rep.total_weight
+        h1, eri, _ = orthonormal_integrals(spec, rotation)
+        tag = f"-d{dimension}-n{size}-a{row.basis}"
+        reports = map_integrals(h1, eri, cutoff, mappings, label=tag)
+        if "jw" in reports:
+            row.jw_report = rep = reports["jw"]
+            row.jw_qubits, row.jw_total_weight = rep.qubits, rep.total_weight
+        if "ose" in reports:
+            row.bksf_report = rep = reports["ose"]
+            row.bksf_qubits, row.bksf_total_weight = rep.qubits, rep.total_weight
     except Exception as exc:  # sweep robustness: report, do not abort
         row.error = f"{type(exc).__name__}: {exc}"
     return row
@@ -209,11 +183,7 @@ def rows_to_csv(rows: Sequence[SweepRow]) -> str:
 
 
 def rows_to_json(rows: Sequence[SweepRow]) -> str:
-    payload = []
-    for r in rows:
-        d = asdict(r)
-        payload.append(d)
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps([asdict(r) for r in rows], indent=2, sort_keys=True) + "\n"
 
 
 # --- bundled reference tables ------------------------------------------------

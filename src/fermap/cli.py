@@ -13,8 +13,6 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from . import fcidump
 from .bench import (
     SweepConfig,
@@ -26,16 +24,11 @@ from .bench import (
     rows_to_csv,
     rows_to_json,
 )
-from .fermion import classify_spatial, from_spatial_integrals
-from .jw import jw_transform_terms
-from .lattice import LatticeSpec, lattice_integrals
-from .metrics import probe_scaling, report
+from .fermion import from_spatial_integrals
+from .lattice import LatticeSpec
+from .metrics import map_integrals, probe_scaling
 from .oracle import sector_spectra_match
-from .ortho import (
-    canonical_orthogonalizer,
-    rotate_integrals,
-    symmetric_orthogonalizer,
-)
+from .ortho import orthonormal_integrals
 from .molecules import (
     AE6_NAMES,
     load_geometry,
@@ -44,7 +37,6 @@ from .molecules import (
     published_bounds,
 )
 from .sampling import random_spatial_hamiltonian
-from .superfast import build_interaction_graph, ose_transform_terms
 
 DEFAULT_SIDES = {1: "2,4,6,8,10", 2: "2,4", 3: "2,4"}
 DEFAULT_EXPONENTS = "8.75,7.00,5.00,3.00,1.00"
@@ -95,7 +87,6 @@ def _sweep_config(args) -> SweepConfig:
         rotation=args.rotation,
         mappings=_mappings(args.mapping),
         spacing=args.spacing,
-        output_format=getattr(args, "format", "csv"),
         jobs=args.jobs,
     )
 
@@ -103,25 +94,17 @@ def _sweep_config(args) -> SweepConfig:
 def cmd_sweep(args) -> int:
     cfg = _sweep_config(args)
     rows = run_sweep(cfg)
-    text = rows_to_csv(rows) if cfg.output_format == "csv" else rows_to_json(rows)
+    text = rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows)
     _emit(text, args.out)
     return 0 if all(r.error is None for r in rows) else 1
 
 
 def cmd_transform(args) -> int:
     data = fcidump.load(args.integrals)
-    terms = classify_spatial(data.one_body, data.eri, cutoff=args.cutoff)
-    num_modes = 2 * data.num_orbitals
-    eps = max(args.cutoff, 0.0)
-    reports = []
-    if "jw" in _mappings(args.mapping):
-        op = jw_transform_terms(terms, num_modes, constant=data.constant, eps=eps)
-        reports.append(report(op, "jw"))
-    if "ose" in _mappings(args.mapping):
-        graph = build_interaction_graph(terms, num_modes)
-        op = ose_transform_terms(terms, graph, constant=data.constant, eps=eps)
-        reports.append(report(op, "ose"))
-    rows = [asdict(r) for r in reports]
+    reports = map_integrals(
+        data.one_body, data.eri, args.cutoff, _mappings(args.mapping), constant=data.constant
+    )
+    rows = [asdict(r) for r in reports.values()]
     if args.format == "json":
         text = json.dumps(rows, indent=2) + "\n"
     else:
@@ -169,14 +152,7 @@ def cmd_verify(args) -> int:
         for exponent in _float_list(args.exponents):
             for side in sides:
                 spec = LatticeSpec(args.dim, side, exponent, args.spacing)
-                raw = lattice_integrals(spec)
-                ortho = (
-                    symmetric_orthogonalizer(raw.overlap)
-                    if args.rotation == "aos"
-                    else canonical_orthogonalizer(raw.overlap)
-                )
-                h1, eri, constant = rotate_integrals(raw, ortho)
-                h = from_spatial_integrals(h1, eri, constant)
+                h = from_spatial_integrals(*orthonormal_integrals(spec, args.rotation))
                 ancilla = h.num_modes - 1 if args.ancilla else None
                 dev = sector_spectra_match(
                     h, cutoff=args.cutoff, parity_ancilla_mode=ancilla

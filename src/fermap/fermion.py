@@ -229,6 +229,8 @@ def classify_spatial(
     cutoff), 0)``.  Since the two-body entry is half the chemist integral,
     a two-body integral survives when ``|(ij|kl)| / 2 >= cutoff``.
     """
+    if cutoff < 0:
+        raise ValueError("cutoff must be non-negative")
     h1 = np.asarray(h1_spatial, dtype=float)
     eri = np.asarray(eri_chemist, dtype=float)
     m = h1.shape[0]

@@ -15,7 +15,7 @@ from typing import Iterable, Tuple
 
 import numpy as np
 
-from .fermion import ClassifiedTerm, ClassifiedTerms, FermionHamiltonian, Kind, classify
+from .fermion import ClassifiedTerm, ClassifiedTerms, Kind
 from .pauli import Packed, PauliOperatorSum, half_one_minus, merge_images, outer, pack_masks
 
 
@@ -83,11 +83,3 @@ def jw_transform_terms(
     """
     images = partial(_kind_images, tables=_register_tables(num_modes))
     return merge_images(ClassifiedTerms.of(terms).by_kind, images, num_modes, constant, eps)
-
-
-def jw_transform(
-    h: FermionHamiltonian, cutoff: float = 0.0, eps: float = 1e-12
-) -> PauliOperatorSum:
-    """Map a fermionic Hamiltonian to qubits; Q equals the mode count."""
-    terms = classify(h, cutoff)
-    return jw_transform_terms(terms, h.num_modes, h.constant, eps)

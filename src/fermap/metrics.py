@@ -1,4 +1,4 @@
-"""Resource metrics, analytic qubit bounds, and scaling probes."""
+"""Resource metrics, the mapping stage, analytic qubit bounds, and scaling probes."""
 
 from __future__ import annotations
 
@@ -44,6 +44,29 @@ def report(s: PauliOperatorSum, label: str) -> ResourceReport:
     )
 
 
+def map_integrals(
+    h1: np.ndarray, eri: np.ndarray, cutoff: float, mappings: Sequence[str] = ("jw", "ose"),
+    constant: float = 0.0, label: str = "",
+) -> Dict[str, ResourceReport]:
+    """The mapping stage every caller runs on spatial integrals: classify at
+    ``cutoff``, map with each requested mapping (JW first), merge like terms
+    at ``eps = cutoff`` and report.  ``constant`` becomes an identity term of
+    both operators; a report's label is its mapping name plus ``label``.
+    """
+    terms = classify_spatial(h1, eri, cutoff=cutoff)
+    num_modes = 2 * h1.shape[0]
+    reports = {}
+    if "jw" in mappings:
+        op = jw_transform_terms(terms, num_modes, constant=constant, eps=cutoff)
+        reports["jw"] = report(op, f"jw{label}")
+    if "ose" in mappings:
+        graph = build_interaction_graph(terms, num_modes)
+        # rebinding op frees JW only once OSE is built: dense-2d peak RSS depends on this order
+        op = ose_transform_terms(terms, graph, constant=constant, eps=cutoff)
+        reports["ose"] = report(op, f"ose{label}")
+    return reports
+
+
 def qubit_bounds(
     orbitals_per_atom: Sequence[int], total_spatial: int
 ) -> Tuple[int, int, int]:
@@ -82,16 +105,8 @@ def complete_graph_probe(num_modes: int) -> Dict[str, int]:
     if num_modes % 2 or num_modes < 4:
         raise ValueError("num_modes must be an even integer >= 4")
     m = num_modes // 2
-    h1 = np.ones((m, m))
-    eri = np.ones((m, m, m, m))
-    terms = classify_spatial(h1, eri, cutoff=0.0)
-    graph = build_interaction_graph(terms, num_modes)
-    encoded = report(
-        ose_transform_terms(terms, graph), f"encoded-complete-M{num_modes}"
-    )
-    direct = report(
-        jw_transform_terms(terms, num_modes), f"jw-complete-M{num_modes}"
-    )
+    reports = map_integrals(np.ones((m, m)), np.ones((m,) * 4), cutoff=0.0)
+    encoded, direct = reports["ose"], reports["jw"]
     return {
         "num_modes": num_modes,
         "qubits": encoded.qubits,

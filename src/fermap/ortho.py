@@ -11,7 +11,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .lattice import RawIntegrals
+from .lattice import LatticeSpec, RawIntegrals, lattice_integrals
 
 
 class NearLinearDependenceError(ValueError):
@@ -70,3 +70,17 @@ def rotate_integrals(
     for _ in range(4):
         eri = eri.reshape(m, -1).T @ x
     return h1, eri.reshape(k, k, k, k), raw.nuclear_repulsion
+
+
+def orthonormal_integrals(
+    spec: LatticeSpec, rotation: str = "aos"
+) -> Tuple[np.ndarray, np.ndarray, float]:
+    """The integrals stage: a lattice's (one_body, eri, constant) in the
+    symmetric (``rotation="aos"``) or else the canonical orthonormal basis.
+    The raw ERI, as large as the rotated one, is freed before this returns."""
+    raw = lattice_integrals(spec)
+    if rotation == "aos":
+        ortho = symmetric_orthogonalizer(raw.overlap)
+    else:
+        ortho = canonical_orthogonalizer(raw.overlap)
+    return rotate_integrals(raw, ortho)

@@ -89,9 +89,6 @@ class PauliTerm:
     def sort_key(self) -> Tuple:
         return tuple(sorted(self.factors.items()))
 
-    def adjoint(self) -> "PauliTerm":
-        return PauliTerm(self.coefficient.conjugate(), self.x, self.z, self.num_qubits)
-
     def commutes_with(self, other: "PauliTerm") -> bool:
         """True when the underlying Pauli strings commute."""
         anti = ((self.x & other.z).bit_count() + (self.z & other.x).bit_count()) % 2

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,15 +93,6 @@ class InteractionGraph:
         return comps
 
 
-def spin_table(num_vertices: int, spin: Optional[Callable[[int], int]] = None) -> np.ndarray:
-    """Spin sector of every vertex: ``spin(v)``, or by default that of the
-    blocked mode convention (``fermion.blocked_modes``), whose boundary at
-    ``num_vertices // 2`` a trailing ancilla vertex does not shift."""
-    if spin is None:
-        return blocked_modes(num_vertices)[1]
-    return np.array([spin(v) for v in range(num_vertices)], dtype=np.intp)
-
-
 def pair_partition(
     indices: np.ndarray, spins: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -122,17 +113,13 @@ def pair_partition(
     return first, second, np.where(cross[:, 0], -1.0, 1.0)
 
 
-def build_interaction_graph(
-    terms: Iterable[ClassifiedTerm],
-    num_modes: int,
-    spin: Optional[Callable[[int], int]] = None,
-) -> InteractionGraph:
+def build_interaction_graph(terms: Iterable[ClassifiedTerm], num_modes: int) -> InteractionGraph:
     """Edge set = union of the edges each term's encoded image requires.
 
-    ``spin`` defaults to blocked mode ordering.  Number and Coulomb/exchange
-    terms need only vertex operators.
+    Spins follow the blocked mode convention (``fermion.blocked_modes``).
+    Number and Coulomb/exchange terms need only vertex operators.
     """
-    spins = spin_table(num_modes, spin)
+    spins = blocked_modes(num_modes)[1]
     pairs = [np.empty((0, 2), dtype=np.intp)]
     for kind, (idx, _) in ClassifiedTerms.of(terms).by_kind.items():
         if kind is Kind.EXCITATION or kind is Kind.PAIR_CREATION:
@@ -269,15 +256,15 @@ def ose_transform_terms(
     g: InteractionGraph,
     constant: float = 0.0,
     eps: float = 1e-12,
-    spin: Optional[Callable[[int], int]] = None,
 ) -> PauliOperatorSum:
     """Map classified terms onto the edge-qubit register; Q equals |E|.
 
-    Like terms are merged and |c| < eps dropped; raises NonHermitianError
-    when a merged coefficient has |imag| > eps.
+    Vertex spins follow the blocked mode convention, whose boundary at
+    ``num_vertices // 2`` a trailing ancilla vertex does not shift.  Like
+    terms are merged and |c| < eps dropped; raises NonHermitianError when a
+    merged coefficient has |imag| > eps.
     """
-    spins = spin_table(g.num_vertices, spin)
-    images = partial(_kind_images, t=_Tables(g), spins=spins)
+    images = partial(_kind_images, t=_Tables(g), spins=blocked_modes(g.num_vertices)[1])
     return merge_images(ClassifiedTerms.of(terms).by_kind, images, g.num_qubits, constant, eps)
 
 

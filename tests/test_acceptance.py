@@ -10,16 +10,17 @@ import numpy as np
 import pytest
 
 from fermap.bench import run_cell
-from fermap.fermion import ClassifiedTerm, Kind, from_spatial_integrals
-from fermap.lattice import LatticeSpec, lattice_integrals
+from fermap.fermion import ClassifiedTerm, Kind, classify_spatial, from_spatial_integrals
+from fermap.lattice import LatticeSpec
 from fermap.metrics import probe_scaling
 from fermap.molecules import molecule_bounds, published_bounds
 from fermap.oracle import sector_spectra_match
-from fermap.ortho import rotate_integrals, symmetric_orthogonalizer
-from fermap.pauli import PauliTerm, multiply
+from fermap.ortho import orthonormal_integrals
+from fermap.pauli import multiply
 from fermap.sampling import random_connected_graph_edges, random_spatial_hamiltonian
 from fermap.superfast import (
     InteractionGraph,
+    build_interaction_graph,
     edge_operator,
     loop_stabilizers,
     ose_transform_terms,
@@ -44,9 +45,7 @@ def cell(dim, size, exponent, cutoff=1e-7):
 
 @lru_cache(maxsize=None)
 def chain_hamiltonian(side, exponent):
-    raw = lattice_integrals(LatticeSpec(1, side, exponent))
-    h1, eri, const = rotate_integrals(raw, symmetric_orthogonalizer(raw.overlap))
-    return from_spatial_integrals(h1, eri, const)
+    return from_spatial_integrals(*orthonormal_integrals(LatticeSpec(1, side, exponent)))
 
 
 def test_criterion_1_qubit_reproduction():
@@ -131,7 +130,8 @@ def test_criterion_5_operator_algebra():
     for _ in range(50):
         n = int(rng.integers(3, 9))
         edges = sorted(random_connected_graph_edges(n, max_extra_edges=4, rng=rng))[:12]
-        g = InteractionGraph.from_edges(n, edges)
+        # n isolated vertices more put every edge in the blocked spin-up sector
+        g = InteractionGraph.from_edges(2 * n, edges)
         bs = [vertex_operator(i, g) for i in range(n)]
         for i, bi in enumerate(bs):
             sq = multiply(bi, bi)
@@ -158,7 +158,7 @@ def test_criterion_5_operator_algebra():
             if len({p, q, r, s}) == 4 and (min(p, r), max(p, r)) not in g.edge_index:
                 terms.append(ClassifiedTerm(Kind.DOUBLE_EXCITATION, (p, s, r, q), 1.0))
         # one term per call, so no image string is merged away
-        images = [t for x in terms for t in ose_transform_terms([x], g, spin=lambda _v: 0).terms]
+        images = [t for x in terms for t in ose_transform_terms([x], g).terms]
         for s in loop_stabilizers(g).stabilizers:
             for t in images:
                 ok &= s.commutes_with(t)
@@ -170,11 +170,7 @@ def test_criterion_5_operator_algebra():
         row = cell(1, side, exponent)
         if row.bksf_qubits > 12:
             continue
-        raw = lattice_integrals(LatticeSpec(1, side, exponent))
-        h1, eri, const = rotate_integrals(raw, symmetric_orthogonalizer(raw.overlap))
-        from fermap.fermion import classify_spatial
-        from fermap.superfast import build_interaction_graph
-
+        h1, eri, const = orthonormal_integrals(LatticeSpec(1, side, exponent))
         terms = classify_spatial(h1, eri, cutoff=1e-7)
         g = build_interaction_graph(terms, 2 * side)
         h = ose_transform_terms(terms, g, constant=const, eps=1e-7)

@@ -7,8 +7,12 @@ import json
 import numpy as np
 import pytest
 
+from fermap.bench import run_cell
 from fermap.cli import main
 from fermap.fcidump import IntegralFile, dump
+from fermap.lattice import LatticeSpec
+from fermap.ortho import orthonormal_integrals
+from fermap.sampling import random_spatial_integrals
 
 
 def run_cli(argv, capsys):
@@ -55,6 +59,36 @@ def test_transform_json(tmp_path, capsys):
     reports = {r["label"]: r for r in json.loads(out)}
     assert reports["jw"]["qubits"] == 4
     assert reports["ose"]["qubits"] >= 1
+
+
+def test_transform_constant_and_negative_cutoff(tmp_path, capsys):
+    h1, eri = random_spatial_integrals(4, np.random.default_rng(1))
+    path = tmp_path / "random.fcidump"
+    dump(IntegralFile(4, 4, h1, eri, constant=0.7), path)
+    code, out = run_cli(["transform", str(path)], capsys)
+    assert code == 0
+    # both carry the constant in the same identity coefficient, l1_norm - l1_norm_no_identity;
+    # on two orbitals they would not, as a single-edge component has B_i B_j = 1
+    jw, ose = (r["l1_norm"] - r["l1_norm_no_identity"] for r in json.loads(out))
+    assert ose == pytest.approx(jw, rel=1e-12)
+    with pytest.raises(ValueError, match="non-negative"):
+        main(["transform", str(path), "--cutoff", "-1"])
+
+
+@pytest.mark.parametrize("dim,side,exponent", [(1, 4, 1.00), (2, 2, 3.00)])
+def test_transform_of_a_dumped_cell_matches_the_sweep(dim, side, exponent, tmp_path, capsys):
+    # both run the same mapping stage; the file has no constant, as sweep rows leave it out
+    h1, eri, _ = orthonormal_integrals(LatticeSpec(dim, side, exponent))
+    path = tmp_path / "cell.fcidump"
+    dump(IntegralFile(len(h1), len(h1), h1, eri, constant=0.0), path)
+    code, out = run_cli(["transform", str(path), "--cutoff", "1e-7"], capsys)
+    assert code == 0
+    row = run_cell(dim, side, exponent, cutoff=1e-7)
+    for mapped, report in zip(json.loads(out), (row.jw_report, row.bksf_report), strict=True):
+        for field in ("qubits", "term_count", "total_weight", "max_weight"):
+            assert mapped[field] == getattr(report, field), field
+        for field in ("l1_norm", "l1_norm_no_identity"):
+            assert mapped[field] == pytest.approx(getattr(report, field), rel=1e-12, abs=0)
 
 
 def test_bounds_listing(capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fermap.fermion import ClassifiedTerm, Kind, classify
-from fermap.jw import jw_ladder, jw_transform, jw_transform_terms
+from fermap.jw import jw_ladder, jw_transform_terms
 from fermap.metrics import report
 from fermap.oracle import dense_matrix, fermion_dense, fock_ladder_operators
 from fermap.pauli import NonHermitianError
@@ -38,22 +38,16 @@ def test_jw_ladders_satisfy_anticommutation():
 @pytest.mark.parametrize("seed", range(5))
 def test_jw_transform_matches_dense_hamiltonian(seed):
     h = random_spatial_hamiltonian(2, seed)
-    qubit_h = jw_transform(h)
+    qubit_h = jw_transform_terms(classify(h), h.num_modes, h.constant)
     assert np.allclose(dense_matrix(qubit_h), fermion_dense(h), atol=1e-10)
-
-
-def test_jw_transform_terms_matches_transform():
-    h = random_spatial_hamiltonian(2, 17)
-    a = jw_transform(h)
-    b = jw_transform_terms(classify(h), h.num_modes, constant=h.constant)
-    assert np.allclose(dense_matrix(a), dense_matrix(b), atol=1e-10)
 
 
 def test_jw_output_is_hermitian():
     h = random_spatial_hamiltonian(2, 23)
-    mat = dense_matrix(jw_transform(h))
+    op = jw_transform_terms(classify(h), h.num_modes, h.constant)
+    mat = dense_matrix(op)
     assert np.allclose(mat, mat.conj().T, atol=1e-12)
-    for t in jw_transform(h).terms:
+    for t in op.terms:
         assert abs(t.coefficient.imag) < 1e-12
     # an imaginary coefficient on a self-adjoint term is caught after the merge
     with pytest.raises(NonHermitianError):
@@ -62,10 +56,11 @@ def test_jw_output_is_hermitian():
 
 def test_jw_eps_drops_small_terms():
     h = random_spatial_hamiltonian(2, 31)
-    full = jw_transform(h, eps=0.0)
+    terms = classify(h)
+    full = jw_transform_terms(terms, h.num_modes, h.constant, eps=0.0)
     coeffs = sorted(abs(t.coefficient) for t in full.terms if t.weight() > 0)
     thresh = coeffs[len(coeffs) // 2]
-    pruned = jw_transform(h, eps=thresh * 1.0000001)
+    pruned = jw_transform_terms(terms, h.num_modes, h.constant, eps=thresh * 1.0000001)
     assert all(abs(t.coefficient) >= thresh or t.weight() == 0 for t in pruned.terms)
     assert len(pruned) < len(full)
 

@@ -6,8 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fermap.fermion import from_spatial_integrals
-from fermap.jw import jw_transform
+from fermap.fermion import classify, from_spatial_integrals
+from fermap.jw import jw_transform_terms
 from fermap.lattice import LatticeSpec, lattice_integrals
 from fermap.oracle import dense_matrix
 from fermap.ortho import (
@@ -91,7 +91,7 @@ def test_spectrum_invariant_under_orthogonalization_choice(side):
     for factory in (symmetric_orthogonalizer, canonical_orthogonalizer):
         h1, eri, c = rotate_integrals(raw, factory(raw.overlap))
         h = from_spatial_integrals(h1, eri, c)
-        mat = dense_matrix(jw_transform(h))
+        mat = dense_matrix(jw_transform_terms(classify(h), h.num_modes, h.constant))
         spectra.append(np.sort(np.linalg.eigvalsh(mat)))
     assert np.allclose(spectra[0], spectra[1], atol=1e-8)
 

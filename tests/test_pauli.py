@@ -92,11 +92,6 @@ def test_identity_and_weight():
     assert t.factors == {0: "X", 2: "Z"}
 
 
-def test_adjoint_matches_dense():
-    t = PauliTerm.from_factors(1 + 2j, {0: "Y", 1: "Z"}, 2)
-    assert np.allclose(dense_term(t.adjoint()), kron_term(t).conj().T, atol=1e-12)
-
-
 def test_multiply_self_inverse_up_to_coefficient():
     t = PauliTerm.from_factors(1.0, {0: "X", 1: "Y", 2: "Z"}, 3)
     sq = multiply(t, t)

@@ -4,21 +4,17 @@ stabilizers."""
 import numpy as np
 import pytest
 
-from fermap.fermion import ClassifiedTerm, Kind, classify_spatial
-from fermap.lattice import LatticeSpec, lattice_integrals
+from fermap.fermion import ClassifiedTerm, Kind, blocked_modes
 from fermap.oracle import codespace_projector, sector_spectra_match
-from fermap.ortho import rotate_integrals, symmetric_orthogonalizer
 from fermap.pauli import NonHermitianError, PauliTerm, multiply
 from fermap.sampling import random_connected_graph_edges, random_spatial_hamiltonian
 from fermap.superfast import (
     InteractionGraph,
     add_parity_ancilla,
-    build_interaction_graph,
     edge_operator,
     loop_stabilizers,
     ose_transform_terms,
     pair_partition,
-    spin_table,
     symplectic_rank,
     vertex_operator,
 )
@@ -87,20 +83,6 @@ def test_loop_stabilizers_commute_with_all_operators(g):
             assert s.commutes_with(op)
 
 
-@pytest.mark.parametrize("side,exponent", [(4, 8.75), (6, 8.75), (4, 5.00)])
-def test_loop_stabilizers_commute_with_lattice_hamiltonian(side, exponent):
-    raw = lattice_integrals(LatticeSpec(1, side, exponent))
-    h1, eri, const = rotate_integrals(raw, symmetric_orthogonalizer(raw.overlap))
-    terms = classify_spatial(h1, eri, cutoff=1e-7)
-    g = build_interaction_graph(terms, 2 * side)
-    if g.num_qubits > 12:
-        pytest.skip("register too large for this check")
-    h = ose_transform_terms(terms, g, constant=const, eps=1e-7)
-    for s in loop_stabilizers(g).stabilizers:
-        for t in h.terms:
-            assert s.commutes_with(t)
-
-
 def test_codespace_dimension_matches_cycle_count():
     g = InteractionGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     stabs = loop_stabilizers(g)
@@ -110,7 +92,7 @@ def test_codespace_dimension_matches_cycle_count():
 
 
 def test_pair_partition_spin_sectors():
-    spin = spin_table(8)
+    spin = blocked_modes(8)[1]
     # mixed spin: same-spin indices end up paired together
     first, second, sign = pair_partition([(0, 4, 5, 1), (0, 5, 4, 1), (2, 6, 7, 3)], spin)
     assert (spin[first[:, 0]] == spin[first[:, 1]]).all()
