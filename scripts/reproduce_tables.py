@@ -5,6 +5,10 @@ reference tables.
 By default the densest 3-D cell (side 4, exponent 1.00) is skipped: its
 direct-mapping Hamiltonian holds tens of millions of Pauli factors and needs
 far more memory than a typical workstation.  Pass --full to include it.
+
+Every compared row gates the run.  A row passes as KNOWN only when its
+failing columns are listed in the bundled ``reference/known.csv`` with the
+values it still gives; see ``fermap.bench.compare_reference``.
 """
 
 import argparse
@@ -33,17 +37,7 @@ def main() -> int:
     failures += run(["compare", "--dim", "2", "--sizes", "2,4",
                      "--exponents", EXPONENTS, *common])
     failures += run(["compare", "--dim", "3", "--sizes", "2,4",
-                     "--exponents", "8.75,7.00,5.00", *common])
-    failures += run(["compare", "--dim", "3", "--sizes", "4",
-                     "--exponents", "3.00", *common])
-    known = run(["compare", "--dim", "3", "--sizes", "2",
-                 "--exponents", "3.00", *common])
-    if known:
-        print(
-            "note: the 3-D exponent-3.00 side-2 qubit column is a known "
-            "reference discrepancy (the reference count excludes face-diagonal "
-            "edges whose amplitude exceeds smaller amplitudes it includes in "
-            "1-D); weight deltas above are still within tolerance.")
+                     "--exponents", "8.75,7.00,5.00,3.00", *common])
     d3_dense_sizes = "2,4" if args.full else "2"
     failures += run(["compare", "--dim", "3", "--sizes", d3_dense_sizes,
                      "--exponents", "1.00", *common])

@@ -19,6 +19,7 @@ from .bench import (
     basis_label,
     compare_reference,
     diff_report_text,
+    load_known,
     load_reference,
     run_sweep,
     rows_to_csv,
@@ -179,11 +180,9 @@ def cmd_compare(args) -> int:
     cfg = _sweep_config(args)
     rows = run_sweep(cfg)
     bases = [basis_label(e) for e in cfg.exponents]
-    if args.reference:
-        reference = load_reference(cfg.dimension, bases, base=Path(args.reference))
-    else:
-        reference = load_reference(cfg.dimension, bases)
-    diff = compare_reference(rows, reference, weight_rtol=args.weight_tol)
+    base = Path(args.reference) if args.reference else None
+    reference = load_reference(cfg.dimension, bases, base=base)
+    diff = compare_reference(rows, reference, weight_rtol=args.weight_tol, known=load_known(base))
     _emit(diff_report_text(diff), args.out)
     return 0 if diff.passed else 1
 

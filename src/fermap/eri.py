@@ -1,0 +1,103 @@
+"""Pair-packed storage of chemist-ordered two-electron integrals (ij|kl).
+
+Under the 8-fold permutational symmetry of real orbitals only one slot per
+orbit is independent.  Orbital pairs i <= j are numbered ``pair(i, j) =
+j (j + 1) / 2 + i``, so there are P = m (m + 1) / 2 of them, and the packed
+array holds ``(ij|kl)`` for ``a = pair(ij) <= b = pair(kl)`` at position
+``b (b + 1) / 2 + a``: a 1-D array of length P (P + 1) / 2 whose packed row
+``b`` (positions ``b (b + 1) / 2`` onwards, ``b + 1`` of them) is the lower
+triangle of the P x P pair matrix.
+"""
+
+from __future__ import annotations
+
+from typing import Tuple
+
+import numpy as np
+
+
+def triangular(n) -> np.ndarray:
+    """n (n + 1) / 2: the number of pairs a <= b below n, elementwise."""
+    n = np.asarray(n, dtype=np.int64)
+    return n * (n + 1) // 2
+
+
+def packed_length(m: int) -> int:
+    """Entries of the packed ERI of m orbitals: P (P + 1) / 2."""
+    return int(triangular(triangular(m)))
+
+
+def pair_orbitals(m: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Orbitals (i, j), i <= j, of every pair in pair order."""
+    j, i = np.tril_indices(m)
+    return i, j
+
+
+def pair_table(m: int) -> np.ndarray:
+    """``[m, m]`` table of ``pair(i, j)`` for every ordered (i, j)."""
+    orbitals = np.arange(m)
+    return tri_index(orbitals[:, None], orbitals)
+
+
+def tri_index(a, b) -> np.ndarray:
+    """Index of (a, b), in either order, in a row-major lower triangle: the
+    pair index of orbitals (a, b), or the packed position of pairs (a, b)."""
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    return triangular(hi) + lo
+
+
+def packed_pairs(positions: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Pair indices (a, b), a <= b, of packed positions."""
+    positions = np.asarray(positions, dtype=np.int64)
+    b = ((np.sqrt(8.0 * positions + 1.0) - 1.0) // 2).astype(np.int64)
+    b += triangular(b + 1) <= positions  # mend float rounding either way
+    b -= triangular(b) > positions
+    return positions - triangular(b), b
+
+
+def put_rows(packed: np.ndarray, start: int, full: np.ndarray) -> None:
+    """Fill the packed rows ``start, start + 1, ...`` from full rows
+    ``full[r, a]``; the entries a > b of row b are left out."""
+    rows = np.arange(start, start + len(full))
+    stop = start + len(full)
+    packed[triangular(start) : triangular(stop)] = full[:, :stop][np.arange(stop) <= rows[:, None]]
+
+
+def packed_indices(m: int, positions=None) -> Tuple[np.ndarray, ...]:
+    """Orbitals (i, j, k, l) of the packed slots at ``positions`` (default:
+    every slot, in packed order); i <= j, k <= l and pair(ij) <= pair(kl)."""
+    if positions is None:
+        positions = np.arange(packed_length(m))
+    a, b = packed_pairs(positions)
+    first, second = pair_orbitals(m)
+    return first[a], second[a], first[b], second[b]
+
+
+def orbit_keys(i, j, k, l, m: int) -> np.ndarray:
+    """``[n, 8]`` flat m^4 indices of the 8 symmetric copies of each
+    (i, j, k, l); copies of a slot with repeated indices coincide."""
+    i, j, k, l = (np.asarray(x, dtype=np.int64)[:, None] for x in (i, j, k, l))
+    ij, ji, kl, lk = (a * m + b for a, b in ((i, j), (j, i), (k, l), (l, k)))
+    bra, ket = np.hstack([ij, ji, ij, ji]), np.hstack([kl, kl, lk, lk])
+    return np.hstack([bra * m * m + ket, ket * m * m + bra])
+
+
+def pack_eri(dense: np.ndarray) -> np.ndarray:
+    """The packed form of an ``[m, m, m, m]`` tensor: the slot (ij|kl) with
+    i <= j, k <= l and pair(ij) <= pair(kl) of each orbit."""
+    dense = np.asarray(dense, dtype=float)
+    m = dense.shape[0]
+    first, second = pair_orbitals(m)
+    rows = first * m + second
+    pairs = dense.reshape(m * m, m * m)[np.ix_(rows, rows)]
+    return pairs.T[np.tri(len(rows), dtype=bool)]
+
+
+def unpack_eri(packed: np.ndarray, m: int) -> np.ndarray:
+    """The dense, exactly 8-fold symmetric ``[m, m, m, m]`` tensor, for
+    callers that need one (the dense oracles, integral files)."""
+    packed = np.asarray(packed, dtype=float)
+    if packed.shape != (packed_length(m),):
+        raise ValueError(f"a packed ERI of {m} orbitals has {packed_length(m)} entries")
+    table = pair_table(m).reshape(-1)
+    return packed[tri_index(table[:, None], table)].reshape((m,) * 4)

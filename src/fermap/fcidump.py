@@ -15,6 +15,8 @@ from typing import Iterator, List, Tuple
 
 import numpy as np
 
+from .eri import orbit_keys, packed_indices
+
 
 class FcidumpParseError(ValueError):
     """Malformed header or record; carries the offending line number."""
@@ -215,18 +217,12 @@ def dumps(data: IntegralFile, threshold: float = 0.0) -> str:
     def fmt(value: float, i: int, j: int, k: int, l: int) -> str:
         return f" {value: .16e} {i:4d} {j:4d} {k:4d} {l:4d}"
 
-    seen: set = set()
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                for l in range(m):
-                    key = min(sym(i, j, k, l) for sym in _ERI_SYMMETRY)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    v = float(data.eri[i, j, k, l])
-                    if abs(v) > threshold:
-                        out.append(fmt(v, i + 1, j + 1, k + 1, l + 1))
+    # each orbit is written at its lexicographically first slot, in that order
+    first = np.sort(orbit_keys(*packed_indices(m), m).min(axis=1))
+    values = data.eri.reshape(-1)[first]
+    kept = np.abs(values) > threshold
+    slots = np.stack(np.unravel_index(first[kept], (m,) * 4), axis=1) + 1
+    out.extend(fmt(v, *slot) for v, slot in zip(values[kept].tolist(), slots.tolist()))
     for i in range(m):
         for j in range(i + 1):
             v = float(data.one_body[i, j])

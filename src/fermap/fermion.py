@@ -14,6 +14,8 @@ from typing import Dict, Iterable, Iterator, Tuple
 
 import numpy as np
 
+from .eri import orbit_keys, pack_eri, packed_indices, packed_length, unpack_eri
+
 SYMMETRY_ATOL = 1e-10
 #: Two-body entries canonicalised at a time, which bounds the temporaries.
 _BLOCK = 1 << 15
@@ -115,6 +117,27 @@ def blocked_modes(num_modes: int) -> Tuple[np.ndarray, np.ndarray]:
     return np.arange(num_modes) - m * spin, spin
 
 
+def _check_eri_symmetry(eri: np.ndarray, m: int) -> None:
+    if eri.shape != (m,) * 4:
+        raise ValueError(f"dense ERI tensor must have shape {(m,) * 4}")
+    for perm in [(1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)]:
+        if np.abs(eri - eri.transpose(perm)).max(initial=0.0) > SYMMETRY_ATOL:
+            raise ValueError("ERI tensor must have 8-fold permutational symmetry")
+
+
+def _packed_eri(eri_chemist: np.ndarray, m: int) -> np.ndarray:
+    """The pair-packed ERI of ``m`` orbitals (``fermap.eri``).  A dense
+    ``[m, m, m, m]`` tensor is checked for 8-fold symmetry, since packing
+    keeps one slot per orbit, and packed; a packed one is returned as it is."""
+    eri = np.asarray(eri_chemist, dtype=float)
+    if eri.ndim == 4:
+        _check_eri_symmetry(eri, m)
+        return pack_eri(eri)
+    if eri.shape != (packed_length(m),):
+        raise ValueError(f"a packed ERI of {m} orbitals has {packed_length(m)} entries")
+    return eri
+
+
 def from_spatial_integrals(
     h1_spatial: np.ndarray,
     eri_chemist: np.ndarray,
@@ -122,16 +145,18 @@ def from_spatial_integrals(
 ) -> FermionHamiltonian:
     """Expand spatial-orbital integrals to a spin-orbital Hamiltonian.
 
-    ``eri_chemist[i,j,k,l]`` is the chemist-notation integral (ij|kl).
+    ``eri_chemist`` holds the chemist-notation integrals (ij|kl), either
+    dense, ``eri_chemist[i,j,k,l]``, or pair-packed (``fermap.eri``).
     """
     h1 = np.asarray(h1_spatial, dtype=float)
     eri = np.asarray(eri_chemist, dtype=float)
     m = h1.shape[0]
     if np.abs(h1 - h1.T).max() > SYMMETRY_ATOL:
         raise ValueError("spatial one-body matrix must be symmetric")
-    for perm in [(1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)]:
-        if np.abs(eri - eri.transpose(perm)).max() > SYMMETRY_ATOL:
-            raise ValueError("ERI tensor must have 8-fold permutational symmetry")
+    if eri.ndim == 4:
+        _check_eri_symmetry(eri, m)
+    else:
+        eri = unpack_eri(eri, m)
     M = 2 * m
     orb, spins = blocked_modes(M)
     same = spins[:, None] == spins[None, :]
@@ -222,7 +247,9 @@ def classify_spatial(
     cutoff: float = 0.0,
 ) -> ClassifiedTerms:
     """Classify directly from spatial integrals without materializing the
-    spin-orbital tensors.
+    spin-orbital tensors.  ``eri_chemist`` is pair-packed (``fermap.eri``) or
+    dense; a dense one must be 8-fold symmetric and is packed first, so both
+    forms classify alike.
 
     The cutoff is applied to the spin-orbital tensor entries, so it is
     equivalent to ``classify(apply_cutoff(from_spatial_integrals(...),
@@ -232,8 +259,8 @@ def classify_spatial(
     if cutoff < 0:
         raise ValueError("cutoff must be non-negative")
     h1 = np.asarray(h1_spatial, dtype=float)
-    eri = np.asarray(eri_chemist, dtype=float)
     m = h1.shape[0]
+    eri = _packed_eri(eri_chemist, m)
     orbital, spin = blocked_modes(2 * m)
     mode = np.empty((m, 2), dtype=np.intp)
     mode[orbital, spin] = np.arange(2 * m)
@@ -242,10 +269,15 @@ def classify_spatial(
     # then the second: the order in which every coefficient has always been summed
     i, j = np.nonzero(np.abs(h1) >= floor)
     one = (mode[i].ravel(), mode[j].ravel(), np.repeat(h1[i, j], 2))
+    # every packed entry that passes stands for its distinct symmetric copies,
+    # taken in lexicographic (i, j, k, l) order as a dense scan would find them
+    (kept,) = np.nonzero(np.abs(eri) >= 2.0 * floor)
+    keys, first = np.unique(orbit_keys(*packed_indices(m, kept), m), return_index=True)
+    values = eri[kept[first // 8]]
+    i, j, k, l = np.unravel_index(keys, (m,) * 4)
     # (ij|kl) feeds h[p,q,r,s] = (ij|kl)/2 at p~i, s~j (spin s1), q~k, r~l (spin s2)
-    i, j, k, l = np.nonzero(np.abs(eri) >= 2.0 * floor)
     shape = (len(i), 2, 2)
     p, s = (np.broadcast_to(mode[x][:, :, None], shape).ravel() for x in (i, j))
     q, r = (np.broadcast_to(mode[x][:, None, :], shape).ravel() for x in (k, l))
-    two = (p, q, r, s, np.repeat(0.5 * eri[i, j, k, l], 4))
+    two = (p, q, r, s, np.repeat(0.5 * values, 4))
     return _canonical_terms(one, two, 2 * m)

@@ -13,8 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
+from .eri import packed_length, pair_orbitals, put_rows
+
 ANGSTROM_TO_BOHR = 1.8897259886
-_ERI_BLOCK = 256  # pair-rows of the ERI assembled per step
+_ERI_BLOCK = 256  # packed ERI rows assembled per step
+#: ERIs below this, some 190 orders under any cutoff, are stored as 0.  As
+#: subnormal numbers, and through the subnormal products they form, they
+#: made the rotation's matrix products 1.7x slower on the 125-orbital lattice.
+_ERI_FLOOR = 1e-200
 
 
 class GeometryError(ValueError):
@@ -48,7 +54,8 @@ class LatticeSpec:
 @dataclass
 class RawIntegrals:
     """Spatial-orbital integrals: overlap, core (T+V), chemist-ordered ERIs
-    (ij|kl), and the nuclear repulsion constant."""
+    (ij|kl) in the pair-packed form of ``fermap.eri``, and the nuclear
+    repulsion constant."""
 
     overlap: np.ndarray
     core: np.ndarray
@@ -119,19 +126,24 @@ def compute_integrals(centers: np.ndarray, alpha: float) -> RawIntegrals:
 
     # (ij|kl) over normalized orbitals; combined exponent pq/(p+q) = alpha.
     # It depends on the centers only through kab and the two pair midpoints,
-    # so F0 is evaluated once per pair of distinct midpoints (pairs ij and ji
-    # share one) and the m^4 tensor is assembled a block of pair-rows at a time
-    kab = np.exp(-0.5 * alpha * r2).reshape(-1)
-    points, which = np.unique(midpoints.reshape(-1, 3), axis=0, return_inverse=True)
+    # so F0 is evaluated once per pair of distinct midpoints, and the packed
+    # ERI is filled a block of packed rows at a time: row b = pair(kl) holds
+    # (ij|kl) for pair(ij) <= b
+    first, second = pair_orbitals(m)
+    kab = np.exp(-0.5 * alpha * r2[first, second])
+    points, which = np.unique(midpoints[first, second], axis=0, return_inverse=True)
     sq = np.sum(points * points, axis=1)
     pq2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (points @ points.T), 0.0)
     boys = boys_f0(alpha * pq2)
     eri_pref = norm2**2 * 2.0 * np.pi**2.5 / (p * p * np.sqrt(2.0 * p))
-    eri = np.empty((m * m, m * m))
-    for start in range(0, m * m, _ERI_BLOCK):
-        rows = slice(start, start + _ERI_BLOCK)
-        eri[rows] = eri_pref * kab[rows, None] * kab[None, :] * boys[which[rows]][:, which]
-    eri = eri.reshape(m, m, m, m)
+    eri = np.empty(packed_length(m))
+    for start in range(0, len(kab), _ERI_BLOCK):
+        rows = np.arange(start, min(start + _ERI_BLOCK, len(kab)))
+        cols = slice(0, rows[-1] + 1)
+        boys_block = boys[np.ix_(which[cols], which[rows])].T
+        block = eri_pref * kab[None, cols] * kab[rows, None] * boys_block
+        block[block < _ERI_FLOOR] = 0.0
+        put_rows(eri, start, block)
 
     if m > 1:
         inv_r = np.zeros((m, m))

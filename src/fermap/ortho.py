@@ -11,7 +11,14 @@ from typing import Tuple
 
 import numpy as np
 
+from .eri import packed_length, pair_orbitals, pair_table, put_rows, tri_index, triangular
 from .lattice import LatticeSpec, RawIntegrals, lattice_integrals
+
+
+#: Pair rows rotated per step of a half-transform.  Each step makes two
+#: GEMM calls; fewer, larger calls keep the rotation fast when several
+#: processes share the cores with multithreaded BLAS.
+_ROTATE_BLOCK = 64
 
 
 class NearLinearDependenceError(ValueError):
@@ -54,22 +61,50 @@ def canonical_orthogonalizer(overlap: np.ndarray, tau: float = 1e-8) -> Orthogon
     return Orthogonalizer(x, "canonical", tuple(float(v) for v in s[~keep]))
 
 
+def _congruence(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """X^T M X for n symmetric m x m matrices M laid out as ``mats[p, b, q]
+    = M_b[p, q]``, as the pairs i <= l of each result in pair order, ``[K,
+    n]``.  Two flat GEMMs, X^T [M_0 ... M_n-1] and then that times X, with
+    no transposed copy in between."""
+    m, n, _ = mats.shape
+    k = x.shape[1]
+    rotated = ((x.T @ mats.reshape(m, n * m)).reshape(k * n, m) @ x).reshape(k, n, k)
+    first, second = pair_orbitals(k)
+    return rotated[first, :, second]
+
+
 def rotate_integrals(
     raw: RawIntegrals, ortho: Orthogonalizer
 ) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Rotated (one_body, eri, constant); the overlap becomes the identity."""
+    """Rotated (one_body, packed eri, constant); the overlap becomes the
+    identity.  The packed ERI has ``ortho.matrix.shape[1]`` orbitals."""
     x = ortho.matrix
-    if x.shape[0] != raw.num_orbitals:
+    m, k = x.shape
+    if m != raw.num_orbitals:
         raise ValueError("orthogonalizer dimension mismatch")
     h1 = x.T @ raw.core @ x
-    # four GEMMs: each contracts the leading index with x and appends its
-    # image last, so after four the order is ijkl again; at most two m^4
-    # intermediates are alive besides the raw tensor
-    m, k = x.shape
-    eri = raw.eri
-    for _ in range(4):
-        eri = eri.reshape(m, -1).T @ x
-    return h1, eri.reshape(k, k, k, k), raw.nuclear_repulsion
+    # two half-transforms, a block of pair rows at a time: each unpacks its
+    # rows to m x m matrices and rotates them.  The first stores its result
+    # transposed, row kl holding (pq|kl) for every pair pq; the second
+    # rotates those rows and packs them straight into the output
+    table = pair_table(m)[:, None, :]
+    half = np.empty((triangular(k), triangular(m)))
+    for start in range(0, half.shape[1], _ROTATE_BLOCK):
+        rows = np.arange(start, min(start + _ROTATE_BLOCK, half.shape[1]))
+        mats = raw.eri[tri_index(rows[:, None], table)]
+        half[:, start : start + len(rows)] = _congruence(mats, x)
+    # row kl keeps (ij|kl) for pair(ij) <= pair(kl), so j <= l: a block whose
+    # last row has l = top - 1 needs only the first top columns of x
+    _, second = pair_orbitals(k)
+    # flat position of each unpacked entry [p, b, q] within a block of rows
+    offsets = np.arange(_ROTATE_BLOCK)[:, None] * half.shape[1] + table
+    eri = np.empty(packed_length(k))
+    for start in range(0, len(half), _ROTATE_BLOCK):
+        rows = half[start : start + _ROTATE_BLOCK]
+        top = second[start + len(rows) - 1] + 1
+        mats = np.take(rows, offsets[:, : len(rows)])
+        put_rows(eri, start, _congruence(mats, x[:, :top]).T)
+    return h1, eri, raw.nuclear_repulsion
 
 
 def orthonormal_integrals(

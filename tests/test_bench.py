@@ -15,13 +15,16 @@ from fermap.bench import (
     SweepConfig,
     basis_label,
     compare_reference,
+    SweepRow,
     diff_report_text,
+    load_known,
     load_reference,
     run_cell,
     run_sweep,
     rows_to_csv,
     rows_to_json,
 )
+from fermap.cli import main as cli_main
 
 
 def small_config(**overrides):
@@ -171,3 +174,55 @@ def test_compare_reference_reports_uncovered_keys():
     ref = [r for r in load_reference(1, bases=["8.75"]) if r.size in (2, 4)]
     diff = compare_reference(rows, ref)
     assert (1, "8.75", 4) in diff.uncovered_reference
+
+
+def test_bundled_known_discrepancy_is_the_d3_face_diagonal_row():
+    (known,) = load_known()
+    assert (known.key, known.column) == ((3, "3.00", 8), "BKSF_Qbts")
+    assert (known.reference, known.ours) == (24, 48)
+    (ref,) = [r for r in load_reference(3, bases=["3.00"]) if r.size == 8]
+    assert ref.bksf_qubits == known.reference
+
+
+def _known_row(**changes):
+    """The d3 a3.00 n8 reference row's values with BKSF qubits 48, as the cell gives."""
+    (ref,) = [r for r in load_reference(3, bases=["3.00"]) if r.size == 8]
+    values = dict(
+        jw_qubits=ref.jw_qubits,
+        bksf_qubits=48,
+        jw_total_weight=ref.jw_total_weight,
+        bksf_total_weight=ref.bksf_total_weight,
+    )
+    values.update(changes)
+    return SweepRow(3, "3.00", 8, **values), ref
+
+
+def test_compare_reference_passes_a_known_row_as_known():
+    row, ref = _known_row()
+    assert not compare_reference([row], [ref]).passed  # without the known file it fails
+    diff = compare_reference([row], [ref], known=load_known())
+    assert diff.passed
+    text = diff_report_text(diff)
+    assert "KNOWN" in text and "BKSF_Qbts 48 vs reference 24" in text
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        dict(bksf_qubits=40),  # the known value changed
+        dict(bksf_qubits=24),  # fixed: the known entry is stale and must go
+        dict(jw_qubits=18),  # a column that is not known fails
+    ],
+)
+def test_compare_reference_fails_a_known_row_that_changes(changes):
+    row, ref = _known_row(**changes)
+    diff = compare_reference([row], [ref], known=load_known())
+    assert not diff.passed
+    assert "FAIL" in diff_report_text(diff)
+
+
+def test_compare_cli_shows_the_known_row(capsys):
+    code = cli_main(["compare", "--dim", "3", "--sizes", "2", "--exponents", "3.00"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "d3 a3.00 n8" in out and "KNOWN" in out and "overall: PASS" in out

@@ -111,3 +111,41 @@ def test_dumps_threshold_prunes_entries():
 def test_shape_validation():
     with pytest.raises(ValueError):
         IntegralFile(2, 2, np.zeros((3, 3)), np.zeros((2,) * 4))
+
+
+def reference_dumps(data, threshold):
+    """The file text from a scan over all m^4 slots that writes each symmetry
+    orbit once, at the first slot that reaches it."""
+    m = data.num_orbitals
+    symmetry = (
+        lambda i, j, k, l: (i, j, k, l), lambda i, j, k, l: (j, i, k, l),
+        lambda i, j, k, l: (i, j, l, k), lambda i, j, k, l: (j, i, l, k),
+        lambda i, j, k, l: (k, l, i, j), lambda i, j, k, l: (l, k, i, j),
+        lambda i, j, k, l: (k, l, j, i), lambda i, j, k, l: (l, k, j, i),
+    )
+
+    def fmt(value, i, j, k, l):
+        return f" {value: .16e} {i:4d} {j:4d} {k:4d} {l:4d}"
+
+    lines = [f"&FCI NORB={m},NELEC={data.num_electrons},MS2={data.ms2},", " ISYM=1,", "&END"]
+    seen = set()
+    for slot in np.ndindex(*(m,) * 4):
+        key = min(sym(*slot) for sym in symmetry)
+        if key not in seen:
+            seen.add(key)
+            if abs(float(data.eri[slot])) > threshold:
+                lines.append(fmt(float(data.eri[slot]), *(x + 1 for x in slot)))
+    for i in range(m):
+        for j in range(i + 1):
+            if abs(float(data.one_body[i, j])) > threshold:
+                lines.append(fmt(float(data.one_body[i, j]), i + 1, j + 1, 0, 0))
+    lines.append(fmt(data.constant, 0, 0, 0, 0))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("threshold", [0.0, 0.05])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_dumps_matches_a_full_scan(m, threshold):
+    data = random_integral_file(m, 10 + m)
+    data.eri[np.abs(data.eri) < 0.02] = 0.0  # some records fall under either threshold
+    assert dumps(data, threshold) == reference_dumps(data, threshold)

@@ -4,6 +4,7 @@ the dense Fock-space oracle."""
 import numpy as np
 import pytest
 
+from fermap.eri import pack_eri
 from fermap.fermion import (
     ClassifiedTerms,
     FermionHamiltonian,
@@ -139,3 +140,37 @@ def test_number_and_coulomb_classification():
     numbers = {t.indices[0]: t.coefficient for t in terms if t.kind is Kind.NUMBER}
     assert numbers[0] == pytest.approx(0.7)
     assert numbers[2] == pytest.approx(0.7)  # spin-down copy (blocked)
+
+
+@pytest.mark.parametrize("cutoff", [0.0, 0.2])
+def test_classify_spatial_dense_and_packed_input_agree(cutoff):
+    h1, eri = random_spatial_integrals(4, np.random.default_rng(3))
+    dense = classify_spatial(h1, eri, cutoff=cutoff)
+    packed = classify_spatial(h1, pack_eri(eri), cutoff=cutoff)
+    assert list(dense.by_kind) == list(packed.by_kind)
+    for kind, (indices, coefficients) in dense.by_kind.items():
+        assert np.array_equal(packed.by_kind[kind][0], indices)
+        assert np.array_equal(packed.by_kind[kind][1], coefficients)
+
+
+def test_classify_spatial_rejects_an_asymmetric_tensor():
+    # packing keeps one slot per orbit, so an asymmetric tensor would lose entries silently
+    h1, eri = random_spatial_integrals(3, np.random.default_rng(4))
+    eri[0, 1, 2, 2] += 1e-6
+    with pytest.raises(ValueError, match="8-fold"):
+        classify_spatial(h1, eri)
+    with pytest.raises(ValueError, match="8-fold"):
+        from_spatial_integrals(h1, eri)
+
+
+def test_classify_spatial_rejects_a_packed_eri_of_the_wrong_size():
+    with pytest.raises(ValueError):
+        classify_spatial(np.eye(3), np.zeros(20))
+
+
+def test_from_spatial_integrals_unpacks_a_packed_eri():
+    h1, eri = random_spatial_integrals(3, np.random.default_rng(6))
+    packed = from_spatial_integrals(h1, pack_eri(eri), 0.4)
+    dense = from_spatial_integrals(h1, eri, 0.4)
+    np.testing.assert_allclose(packed.two_body, dense.two_body, rtol=0, atol=1e-15)
+    assert packed.constant == 0.4

@@ -8,6 +8,7 @@ import pytest
 from scipy import integrate
 from scipy.special import erf
 
+from fermap.eri import pack_eri, unpack_eri
 from fermap.lattice import (
     ANGSTROM_TO_BOHR,
     GeometryError,
@@ -175,8 +176,9 @@ def test_integrals_match_general_exponent_reference(alpha):
                 for c in range(m)
             )
             assert raw.core[i, j] == pytest.approx(kin + att, abs=1e-12)
+    eri = unpack_eri(raw.eri, m)
     for i, j, k, l in [(0, 0, 0, 0), (0, 1, 2, 0), (0, 1, 1, 2), (2, 2, 0, 1)]:
-        assert raw.eri[i, j, k, l] == pytest.approx(
+        assert eri[i, j, k, l] == pytest.approx(
             ref_eri(alpha, alpha, alpha, alpha, *(centers[x] for x in (i, j, k, l))),
             abs=1e-12,
         )
@@ -211,19 +213,32 @@ def random_centers(m, seed):
 )
 def test_eri_matches_dense_expression(centers, alpha):
     eri = compute_integrals(centers, alpha).eri
-    np.testing.assert_allclose(eri, dense_eri(centers, alpha), rtol=1e-14, atol=0)
+    np.testing.assert_allclose(eri, pack_eri(dense_eri(centers, alpha)), rtol=1e-14, atol=0)
+
+
+def test_eri_below_the_floor_is_stored_as_zero():
+    # (00|01) of two far-apart tight orbitals is about 1e-251, some 240 orders
+    # below any cutoff; such values would reach the rotation as subnormal products
+    centers = np.array([[0.0, 0.0, 0.0], [11.47, 0.0, 0.0]])
+    dense = dense_eri(centers, 8.75)
+    assert 0.0 < dense[0, 0, 0, 1] < 1e-200
+    floored = pack_eri(np.where(dense < 1e-200, 0.0, dense))
+    np.testing.assert_allclose(compute_integrals(centers, 8.75).eri, floored, rtol=1e-14, atol=0)
 
 
 def test_integrals_peak_memory_is_bounded_by_the_eri():
-    # a guard against m^4 temporaries: building the ERI from dense m^4
-    # intermediates peaks at about 8x its size
+    # a guard against m^4 arrays: the packed ERI takes about m^4 bytes, an
+    # eighth of a dense float64 tensor, and the assembly blocks are bounded.
+    # One dense m^4 float64 array alone breaks the bound
+    m = 27
     tracemalloc.start()
     try:
         raw = lattice_integrals(LatticeSpec(3, 3, 8.75))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * raw.eri.nbytes
+    assert raw.num_orbitals == m
+    assert peak <= 0.75 * m**4 * 8
 
 
 def test_single_center_known_values():
@@ -233,17 +248,21 @@ def test_single_center_known_values():
     assert raw.core[0, 0] == pytest.approx(1.5 * alpha - 2.0 * np.sqrt(2 * alpha / np.pi))
     # on-site repulsion (ss|ss) = sqrt(2/pi) * 2 * sqrt(alpha) / sqrt(2) * ... check
     # against the general-exponent reference instead of a hand-derived constant
-    assert raw.eri[0, 0, 0, 0] == pytest.approx(
+    assert raw.eri.shape == (1,)
+    assert raw.eri[0] == pytest.approx(
         ref_eri(alpha, alpha, alpha, alpha, *([np.zeros(3)] * 4))
     )
     assert raw.nuclear_repulsion == 0.0
 
 
 def test_eri_eightfold_symmetry():
-    raw = lattice_integrals(LatticeSpec(1, 3, 2.0))
-    eri = raw.eri
+    # every slot of the closed form obeys the 8-fold symmetry, so storing one
+    # slot per orbit loses nothing
+    spec = LatticeSpec(1, 3, 2.0)
+    eri = dense_eri(build_lattice(spec), spec.exponent)
     for perm in [(1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]:
         assert np.allclose(eri, eri.transpose(perm), atol=1e-13)
+    np.testing.assert_allclose(unpack_eri(lattice_integrals(spec).eri, 3), eri, rtol=1e-14, atol=0)
 
 
 def test_translation_invariance():

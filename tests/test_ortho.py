@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fermap.eri import unpack_eri
 from fermap.fermion import classify, from_spatial_integrals
 from fermap.jw import jw_transform_terms
 from fermap.lattice import LatticeSpec, lattice_integrals
@@ -113,14 +114,28 @@ def test_rotate_integrals_matches_einsum(truncate):
         ortho = symmetric_orthogonalizer(raw.overlap)
     x = ortho.matrix
     h1, eri, constant = rotate_integrals(raw, ortho)
-    assert eri.shape == (x.shape[1],) * 4
-    expected = np.einsum("pi,qj,rk,sl,pqrs->ijkl", x, x, x, x, raw.eri, optimize=True)
-    np.testing.assert_allclose(eri, expected, rtol=0, atol=1e-14)
+    k = x.shape[1]
+    dense = unpack_eri(raw.eri, raw.num_orbitals)
+    expected = np.einsum("pi,qj,rk,sl,pqrs->ijkl", x, x, x, x, dense, optimize=True)
+    np.testing.assert_allclose(unpack_eri(eri, k), expected, rtol=0, atol=1e-14)
     np.testing.assert_allclose(h1, x.T @ raw.core @ x, rtol=0, atol=1e-14)
     assert constant == raw.nuclear_repulsion
 
 
+def test_rotation_does_not_depend_on_the_block_size(monkeypatch):
+    raw = lattice_integrals(LatticeSpec(2, 3, 1.0))
+    tau = np.median(np.linalg.eigvalsh(raw.overlap))  # truncated, so k < m
+    ortho = canonical_orthogonalizer(raw.overlap, tau=tau)
+    _, whole, _ = rotate_integrals(raw, ortho)
+    monkeypatch.setattr("fermap.ortho._ROTATE_BLOCK", 7)  # 45 pair rows, 7 at a time
+    np.testing.assert_allclose(rotate_integrals(raw, ortho)[1], whole, rtol=0, atol=1e-15)
+
+
 def test_rotation_peak_memory_is_bounded_by_the_eri():
+    # the packed output takes about m^4 bytes, the transposed half-transform
+    # about 2 m^4 and the blocks are bounded; the packed input exists before
+    # tracing starts.  One dense m^4 float64 temporary alone breaks the bound
+    m = 27
     raw = lattice_integrals(LatticeSpec(3, 3, 8.75))
     ortho = symmetric_orthogonalizer(raw.overlap)
     tracemalloc.start()
@@ -129,4 +144,5 @@ def test_rotation_peak_memory_is_bounded_by_the_eri():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * raw.eri.nbytes
+    assert raw.num_orbitals == m
+    assert peak <= 1.0 * m**4 * 8
