@@ -38,19 +38,15 @@ from .ortho import (
 from .pauli import (
     NonHermitianError,
     PauliOperatorSum,
-    PauliTerm,
     coefficient_l1_norm,
-    multiply,
     simplify,
 )
 from .superfast import (
     InteractionGraph,
     add_parity_ancilla,
     build_interaction_graph,
-    edge_operator,
     loop_stabilizers,
     ose_transform_terms,
-    vertex_operator,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

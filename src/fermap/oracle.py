@@ -7,16 +7,14 @@ independent of the bit-level Pauli algebra where it serves as an oracle.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .fermion import ClassifiedTerm, FermionHamiltonian, Kind, classify
 from .jw import jw_transform_terms
-from .pauli import PauliOperatorSum, PauliTerm
+from .pauli import PauliOperatorSum, commute
 from .superfast import (
-    InteractionGraph,
-    StabilizerSet,
     add_parity_ancilla,
     build_interaction_graph,
     loop_stabilizers,
@@ -24,13 +22,6 @@ from .superfast import (
 )
 
 DENSE_QUBIT_LIMIT = 12
-
-_SINGLE = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 
 class SizeError(ValueError):
@@ -42,44 +33,22 @@ def _check_size(num_qubits: int) -> None:
         raise SizeError(f"{num_qubits} qubits exceeds dense limit {DENSE_QUBIT_LIMIT}")
 
 
-def dense_term(t: PauliTerm) -> np.ndarray:
-    """Dense matrix of one Pauli term; basis index bit q is qubit q."""
-    _check_size(t.num_qubits)
-    out = np.array([[t.coefficient]], dtype=complex)
-    factors = t.factors
-    for q in range(t.num_qubits):
-        out = np.kron(_SINGLE[factors.get(q, "I")], out)
-    return out
+def _row_actions(s: PauliOperatorSum):
+    """Per row of ``s``: the basis indices j, their images j ^ x and the
+    matrix entries c i^|x&z| (-1)^|z&j|, from X^x Z^z |j> = (-1)^|z&j| |j ^ x>.
+    Basis index bit q is qubit q."""
+    j = np.arange(2**s.num_qubits, dtype=np.uint64)
+    for x, z, c in zip(s.x[:, 0], s.z[:, 0], s.coefficients):
+        sign = 1 - 2 * (np.bitwise_count(z & j) & 1).astype(np.int64)
+        yield j ^ x, j, c * 1j ** int(np.bitwise_count(x & z)) * sign
 
 
 def dense_matrix(s: PauliOperatorSum) -> np.ndarray:
+    """Dense matrix of a Pauli sum, one row at a time."""
     _check_size(s.num_qubits)
-    dim = 2**s.num_qubits
-    out = np.zeros((dim, dim), dtype=complex)
-    for t in s.terms:
-        out += dense_term(t)
-    return out
-
-
-def apply_term_to_vector(t: PauliTerm, vec: np.ndarray) -> np.ndarray:
-    """Apply one Pauli term to a state vector without forming its matrix.
-
-    Uses per-qubit 2x2 contractions; independent of the symplectic product.
-    """
-    q_total = t.num_qubits
-    psi = np.asarray(vec, dtype=complex).reshape([2] * q_total)
-    for q, letter in t.factors.items():
-        axis = q_total - 1 - q  # axis 0 is the most significant qubit
-        psi = np.moveaxis(
-            np.tensordot(_SINGLE[letter], psi, axes=([1], [axis])), 0, axis
-        )
-    return t.coefficient * psi.reshape(-1)
-
-
-def apply_sum_to_vector(s: PauliOperatorSum, vec: np.ndarray) -> np.ndarray:
-    out = np.zeros(2**s.num_qubits, dtype=complex)
-    for t in s.terms:
-        out += apply_term_to_vector(t, vec)
+    out = np.zeros((2**s.num_qubits,) * 2, dtype=complex)
+    for rows, cols, entries in _row_actions(s):
+        out[rows, cols] += entries
     return out
 
 
@@ -166,18 +135,19 @@ def classified_dense(
 # --- code space --------------------------------------------------------------
 
 
-def codespace_projector(stabs: StabilizerSet, num_qubits: int) -> np.ndarray:
-    """Projector onto the joint +1 eigenspace of all loop stabilizers."""
-    _check_size(num_qubits)
-    for i, s in enumerate(stabs.stabilizers):
-        for t in stabs.stabilizers[i + 1 :]:
-            if not s.commutes_with(t):
-                raise RuntimeError("stabilizers do not commute; upstream bug")
-    dim = 2**num_qubits
+def codespace_projector(stabs: PauliOperatorSum) -> np.ndarray:
+    """Projector onto the joint +1 eigenspace of the loop stabilizers, one
+    Pauli row each."""
+    _check_size(stabs.num_qubits)
+    if not commute((stabs.x[:, None], stabs.z[:, None]), (stabs.x, stabs.z)).all():
+        raise RuntimeError("stabilizers do not commute; upstream bug")
+    dim = 2**stabs.num_qubits
     out = np.eye(dim, dtype=complex)
     eye = np.eye(dim, dtype=complex)
-    for s in stabs.stabilizers:
-        out = out @ (eye + dense_term(s)) / 2.0
+    for rows, cols, entries in _row_actions(stabs):
+        stabilizer = np.zeros((dim, dim), dtype=complex)
+        stabilizer[rows, cols] = entries
+        out = out @ (eye + stabilizer) / 2.0
     return out
 
 
@@ -244,8 +214,7 @@ def sector_spectra_match(
     _check_size(g.num_qubits)
 
     ose = ose_transform_terms(terms, g, h.constant, eps)
-    stabs = loop_stabilizers(g)
-    proj = codespace_projector(stabs, g.num_qubits)
+    proj = codespace_projector(loop_stabilizers(g))
     basis = code_basis(proj)
     h_ose = dense_matrix(ose)
     h_code = basis.conj().T @ h_ose @ basis

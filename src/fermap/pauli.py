@@ -1,29 +1,24 @@
-"""Exact multi-qubit Pauli algebra on a symplectic bit representation.
+"""Exact multi-qubit Pauli algebra on a packed symplectic bit representation.
 
 A Pauli term is a complex coefficient times a tensor product of single-qubit
 factors from {X, Y, Z} (identity factors are implicit).  Factors are stored as
 two bit masks (x, z): bit q of ``x`` marks an X component on qubit q, bit q of
-``z`` a Z component, and both bits together mean Y.  Products are computed
-exactly, with the +/-1, +/-i phase folded into the coefficient.
-
-``PauliTerm`` holds one term with Python-integer masks.  ``PauliOperatorSum``
-holds many terms as arrays: the masks packed into little-endian ``uint64``
-words of shape ``[n_terms, num_words(Q)]`` (Aaronson & Gottesman's symplectic
-tableau, word-packed as in Stim) plus a complex coefficient vector.
+``z`` a Z component, and both bits together mean Y, so a term is
+``c * i**|x&z| * X^x Z^z``.  The masks are packed into little-endian ``uint64``
+words on the last axis (Aaronson & Gottesman's symplectic tableau, word-packed
+as in Stim); a batch of terms is a tuple of packed rows ``(x, z, c)``, and a
+``PauliOperatorSum`` holds one such batch over a fixed register.  Products are
+computed exactly, with the +/-1, +/-i phase folded into the coefficient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
-_I_POW = (1, 1j, -1, -1j)
-_I_POW_ARRAY = np.array(_I_POW, dtype=complex)
-
-_LETTER_TO_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_BITS_TO_LETTER = {(1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+_I_POW_ARRAY = np.array((1, 1j, -1, -1j), dtype=complex)
 
 
 class DimensionMismatchError(ValueError):
@@ -32,93 +27,6 @@ class DimensionMismatchError(ValueError):
 
 class NonHermitianError(ValueError):
     """Raised when a mapped Hamiltonian has a coefficient that is not real."""
-
-
-@dataclass(frozen=True)
-class PauliTerm:
-    """One coefficient times a product of single-qubit Pauli factors."""
-
-    coefficient: complex
-    x: int
-    z: int
-    num_qubits: int
-
-    def __post_init__(self):
-        if self.num_qubits < 0:
-            raise ValueError("num_qubits must be non-negative")
-        mask = (1 << self.num_qubits) - 1
-        if (self.x | self.z) & ~mask:
-            raise ValueError("factor index out of range")
-
-    @classmethod
-    def identity(cls, num_qubits: int, coefficient: complex = 1.0) -> "PauliTerm":
-        return cls(complex(coefficient), 0, 0, num_qubits)
-
-    @classmethod
-    def from_factors(
-        cls,
-        coefficient: complex,
-        factors: Mapping[int, str],
-        num_qubits: int,
-    ) -> "PauliTerm":
-        x = z = 0
-        for q, letter in factors.items():
-            if not 0 <= q < num_qubits:
-                raise ValueError(f"qubit index {q} out of range for {num_qubits} qubits")
-            xb, zb = _LETTER_TO_BITS[letter]
-            x |= xb << q
-            z |= zb << q
-        return cls(complex(coefficient), x, z, num_qubits)
-
-    @property
-    def factors(self) -> Dict[int, str]:
-        """Map qubit index -> factor letter, identity factors absent."""
-        out = {}
-        support = self.x | self.z
-        q = 0
-        while support >> q:
-            if (support >> q) & 1:
-                out[q] = _BITS_TO_LETTER[((self.x >> q) & 1, (self.z >> q) & 1)]
-            q += 1
-        return out
-
-    def weight(self) -> int:
-        """Number of non-identity factors."""
-        return (self.x | self.z).bit_count()
-
-    def sort_key(self) -> Tuple:
-        return tuple(sorted(self.factors.items()))
-
-    def commutes_with(self, other: "PauliTerm") -> bool:
-        """True when the underlying Pauli strings commute."""
-        anti = ((self.x & other.z).bit_count() + (self.z & other.x).bit_count()) % 2
-        return anti == 0
-
-    def __str__(self) -> str:
-        body = " ".join(f"{letter}{q}" for q, letter in sorted(self.factors.items()))
-        return f"({self.coefficient:+g}) {body or 'I'}"
-
-
-def multiply(a: PauliTerm, b: PauliTerm) -> PauliTerm:
-    """Operator product a*b with the phase folded into the coefficient.
-
-    Internally each term is ``c * i**|x&z| * X^x Z^z``; commuting the Z part of
-    ``a`` through the X part of ``b`` contributes ``(-1)**|z_a & x_b|`` and the
-    Y bookkeeping contributes an exact power of i.
-    """
-    if a.num_qubits != b.num_qubits:
-        raise DimensionMismatchError(
-            f"cannot multiply terms on {a.num_qubits} and {b.num_qubits} qubits"
-        )
-    x = a.x ^ b.x
-    z = a.z ^ b.z
-    phase = (
-        (a.x & a.z).bit_count()
-        + (b.x & b.z).bit_count()
-        - (x & z).bit_count()
-        + 2 * (a.z & b.x).bit_count()
-    ) % 4
-    return PauliTerm(a.coefficient * b.coefficient * _I_POW[phase], x, z, a.num_qubits)
 
 
 #: A batch of packed Pauli rows ``(x, z, c)``: x and z carry the words on their
@@ -132,14 +40,17 @@ def num_words(num_qubits: int) -> int:
 
 
 def pack_masks(masks: Iterable[int], num_qubits: int) -> np.ndarray:
-    """Python-integer masks as a uint64 word array ``[n, num_words(num_qubits)]``."""
+    """Python-integer masks as a uint64 word array ``[n, num_words(num_qubits)]``.
+
+    Raises ValueError for a mask that is negative or has a bit at or above
+    ``num_qubits``.
+    """
+    masks = tuple(masks)
+    if any(m >> num_qubits for m in masks):
+        raise ValueError(f"mask with a bit outside qubits 0..{num_qubits - 1}")
     words = num_words(num_qubits)
     raw = b"".join(m.to_bytes(8 * words, "little") for m in masks)
     return np.frombuffer(raw, dtype="<u8").reshape(-1, words).astype(np.uint64)
-
-
-def _to_int(words: np.ndarray) -> int:
-    return int.from_bytes(words.astype("<u8").tobytes(), "little")
 
 
 def _popcount(words: np.ndarray) -> np.ndarray:
@@ -149,7 +60,9 @@ def _popcount(words: np.ndarray) -> np.ndarray:
 def product(a: Packed, b: Packed) -> Packed:
     """Row-wise product of two packed batches, broadcasting as numpy does.
 
-    The same rule as :func:`multiply`, with each bit count summed across the
+    With each term written as ``c * i**|x&z| * X^x Z^z``, commuting the Z part
+    of ``a`` through the X part of ``b`` contributes ``(-1)**|az & bx|`` and the
+    Y bookkeeping an exact power of i; each bit count is summed across the
     words of a row before the phase is taken mod 4.
     """
     ax, az, ac = a
@@ -160,6 +73,13 @@ def product(a: Packed, b: Packed) -> Packed:
         _popcount(ax & az) + _popcount(bx & bz) - _popcount(x & z) + 2 * _popcount(az & bx)
     ) % 4
     return x, z, ac * bc * _I_POW_ARRAY[phase]
+
+
+def commute(a: Packed, b: Packed) -> np.ndarray:
+    """True where the Pauli strings of two packed batches commute, broadcasting
+    as numpy does: ``|ax & bz| + |az & bx|``, summed over the words, is even.
+    Coefficients are not read, so ``(x, z)`` pairs serve as well."""
+    return (_popcount(a[0] & b[1]) + _popcount(a[1] & b[0])) % 2 == 0
 
 
 def outer(a: Packed, b: Packed) -> Packed:
@@ -201,18 +121,6 @@ class PauliOperatorSum:
             )
 
     @classmethod
-    def from_terms(cls, terms: Iterable[PauliTerm], num_qubits: int) -> "PauliOperatorSum":
-        terms = tuple(terms)
-        if any(t.num_qubits != num_qubits for t in terms):
-            raise DimensionMismatchError("all terms must share num_qubits")
-        return cls(
-            pack_masks((t.x for t in terms), num_qubits),
-            pack_masks((t.z for t in terms), num_qubits),
-            np.array([t.coefficient for t in terms], dtype=complex),
-            num_qubits,
-        )
-
-    @classmethod
     def from_packed(
         cls, batches: Iterable[Packed], num_qubits: int, constant: complex = 0.0
     ) -> "PauliOperatorSum":
@@ -224,27 +132,12 @@ class PauliOperatorSum:
         x, z, c = (np.concatenate(col) for col in zip(*rows))
         return cls(x, z, c, num_qubits)
 
-    @property
-    def terms(self) -> Tuple[PauliTerm, ...]:
-        """The rows as scalar terms, built on each access."""
-        return tuple(
-            PauliTerm(complex(c), _to_int(x), _to_int(z), self.num_qubits)
-            for x, z, c in zip(self.x, self.z, self.coefficients)
-        )
-
     def weights(self) -> np.ndarray:
         """Non-identity factor count of every row."""
         return _popcount(self.x | self.z)
 
-    def sorted_terms(self) -> Tuple[PauliTerm, ...]:
-        """Deterministic ordering: lexicographic on (factor indices, letters)."""
-        return tuple(sorted(self.terms, key=PauliTerm.sort_key))
-
     def __len__(self) -> int:
         return len(self.coefficients)
-
-    def __str__(self) -> str:
-        return " + ".join(str(t) for t in self.sorted_terms()) or "0"
 
 
 def simplify(s: PauliOperatorSum, eps: float = 1e-12) -> PauliOperatorSum:

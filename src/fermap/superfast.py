@@ -19,12 +19,12 @@ from .fermion import ClassifiedTerm, ClassifiedTerms, Kind, blocked_modes
 from .pauli import (
     Packed,
     PauliOperatorSum,
-    PauliTerm,
     half_one_minus,
     merge_images,
-    multiply,
+    num_words,
     outer,
     pack_masks,
+    product,
     z_rows,
 )
 
@@ -133,42 +133,24 @@ def build_interaction_graph(terms: Iterable[ClassifiedTerm], num_modes: int) -> 
 
 
 def _vertex_mask(i: int, g: InteractionGraph) -> int:
-    if not 0 <= i < g.num_vertices:
-        raise ValueError(f"vertex {i} out of range")
+    """B_i: Z on every edge qubit incident to vertex i."""
     z = 0
     for j in g.neighbors[i]:
         z |= 1 << g.qubit_of(i, j)
     return z
 
 
-def vertex_operator(i: int, g: InteractionGraph) -> PauliTerm:
-    """B_i: Z on every edge qubit incident to vertex i."""
-    return PauliTerm(1.0, 0, _vertex_mask(i, g), g.num_qubits)
-
-
-def _edge_masks(p: int, q: int, g: InteractionGraph) -> Tuple[float, int, int]:
-    if p == q:
-        raise ValueError("edge operator needs two distinct modes")
-    sign = 1.0
-    if p > q:
-        sign = -1.0
-    e_pq = g.qubit_of(p, q)
-    lo, hi = min(p, q), max(p, q)
-    x = 1 << e_pq
+def _edge_masks(p: int, q: int, g: InteractionGraph) -> Tuple[int, int]:
+    """A_pq for an edge p < q: X on edge {p,q}, Z on the edges from p to its
+    neighbours below q and from q to its neighbours below p."""
     z = 0
-    for l in g.neighbors[lo]:
-        if l < hi and l != lo:
-            z |= 1 << g.qubit_of(l, lo)
-    for s in g.neighbors[hi]:
-        if s < lo:
-            z |= 1 << g.qubit_of(s, hi)
-    z &= ~x
-    return sign, x, z
-
-
-def edge_operator(p: int, q: int, g: InteractionGraph) -> PauliTerm:
-    """A_pq: X on edge {p,q} with Z dressing; A_qp = -A_pq."""
-    return PauliTerm(*_edge_masks(p, q, g), g.num_qubits)
+    for l in g.neighbors[p]:
+        if l < q:
+            z |= 1 << g.qubit_of(l, p)
+    for s in g.neighbors[q]:
+        if s < p:
+            z |= 1 << g.qubit_of(s, q)
+    return 1 << g.qubit_of(p, q), z
 
 
 class _Tables:
@@ -178,7 +160,7 @@ class _Tables:
     def __init__(self, g: InteractionGraph):
         q = g.num_qubits
         self.vertex = pack_masks((_vertex_mask(i, g) for i in range(g.num_vertices)), q)
-        _, xs, zs = zip(*(_edge_masks(p, r, g) for p, r in g.edges)) if q else ((), (), ())
+        xs, zs = zip(*(_edge_masks(p, r, g) for p, r in g.edges)) if q else ((), ())
         self.edge_x, self.edge_z = pack_masks(xs, q), pack_masks(zs, q)
         self.lookup = np.full((g.num_vertices, g.num_vertices), -1, dtype=np.intp)
         ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
@@ -268,33 +250,24 @@ def ose_transform_terms(
     return merge_images(ClassifiedTerms.of(terms).by_kind, images, g.num_qubits, constant, eps)
 
 
-@dataclass(frozen=True)
-class StabilizerSet:
-    stabilizers: Tuple[PauliTerm, ...]
-
-    def __len__(self) -> int:
-        return len(self.stabilizers)
-
-
-def loop_stabilizers(g: InteractionGraph) -> StabilizerSet:
+def loop_stabilizers(g: InteractionGraph) -> PauliOperatorSum:
     """One stabilizer per independent cycle: i^p times the edge-operator
-    product around each fundamental cycle of a breadth-first spanning forest.
+    product around each fundamental cycle of a breadth-first spanning forest,
+    in the order of the non-tree edges that close the cycles.  Each product
+    must come out as a real +/-1 times a Pauli string.
     """
     parent: Dict[int, Optional[int]] = {}
-    order: Dict[int, int] = {}
     tree_edges = set()
     for start in range(g.num_vertices):
         if start in parent:
             continue
         parent[start] = None
-        order[start] = 0
         queue = deque([start])
         while queue:
             v = queue.popleft()
             for w in g.neighbors[v]:
                 if w not in parent:
                     parent[w] = v
-                    order[w] = order[v] + 1
                     tree_edges.add((min(v, w), max(v, w)))
                     queue.append(w)
 
@@ -304,7 +277,7 @@ def loop_stabilizers(g: InteractionGraph) -> StabilizerSet:
             path.append(parent[path[-1]])
         return path
 
-    stabs = []
+    cycles = []
     for u, v in g.edges:
         if (u, v) in tree_edges:
             continue
@@ -312,18 +285,29 @@ def loop_stabilizers(g: InteractionGraph) -> StabilizerSet:
         anc = {x: i for i, x in enumerate(pu)}
         for j, x in enumerate(pv):
             if x in anc:
-                cycle = pu[: anc[x] + 1] + pv[:j][::-1]
+                # [u, ..., common ancestor, ..., v]; edge (v, u) closes it
+                cycles.append(pu[: anc[x] + 1] + pv[:j][::-1])
                 break
-        # cycle = [u, ..., common ancestor, ..., v]; close it with edge (v, u)
-        p = len(cycle)
-        term = PauliTerm.identity(g.num_qubits, 1j ** p)
-        for t in range(p):
-            term = multiply(term, edge_operator(cycle[t], cycle[(t + 1) % p], g))
-        c = term.coefficient
-        if abs(abs(c) - 1.0) > 1e-12 or abs(c.imag) > 1e-12:
-            raise AlgebraViolationError(f"loop product has coefficient {c}")
-        stabs.append(PauliTerm(c.real, term.x, term.z, g.num_qubits))
-    return StabilizerSet(tuple(stabs))
+
+    # the edges (c[s], c[s+1 mod p]) around each cycle, multiplied in one
+    # batch per step over the cycles that have that many edges
+    steps = [list(zip(c, c[1:] + c[:1])) for c in cycles]
+    t, words = _Tables(g), num_words(g.num_qubits)
+    rows = (
+        np.zeros((len(cycles), words), np.uint64),
+        np.zeros((len(cycles), words), np.uint64),
+        np.array([1j ** len(c) for c in cycles], dtype=complex),
+    )
+    for step in range(max(map(len, cycles), default=0)):
+        live = [k for k, edges in enumerate(steps) if step < len(edges)]
+        ax, az, ac = t.a(*np.array([steps[k][step] for k in live]).T)
+        x, z, c = product(tuple(r[live] for r in rows), (ax[:, 0], az[:, 0], ac[:, 0]))
+        rows[0][live], rows[1][live], rows[2][live] = x, z, c
+    x, z, c = rows
+    bad = (np.abs(np.abs(c) - 1.0) > 1e-12) | (np.abs(c.imag) > 1e-12)
+    if bad.any():
+        raise AlgebraViolationError(f"loop product has coefficient {c[bad][0]}")
+    return PauliOperatorSum(x, z, c.real.astype(complex), g.num_qubits)
 
 
 def add_parity_ancilla(
@@ -336,20 +320,3 @@ def add_parity_ancilla(
     s = g.num_vertices
     g2 = InteractionGraph.from_edges(s + 1, list(g.edges) + [(k, s)])
     return g2, ose_transform_terms([ClassifiedTerm(Kind.PAIR_CREATION, (k, s), 1.0)], g2)
-
-
-def symplectic_rank(terms: Iterable[PauliTerm]) -> int:
-    """GF(2) rank of the (x|z) vectors of the given Pauli terms."""
-    basis: Dict[int, int] = {}  # leading-bit position -> reduced vector
-    rank = 0
-    for t in terms:
-        row = (t.x << t.num_qubits) | t.z
-        while row:
-            lead = row.bit_length()
-            if lead in basis:
-                row ^= basis[lead]
-            else:
-                basis[lead] = row
-                rank += 1
-                break
-    return rank

@@ -16,15 +16,14 @@ from fermap.metrics import probe_scaling
 from fermap.molecules import molecule_bounds, published_bounds
 from fermap.oracle import sector_spectra_match
 from fermap.ortho import orthonormal_integrals
-from fermap.pauli import multiply
+from fermap.pauli import commute, product
 from fermap.sampling import random_connected_graph_edges, random_spatial_hamiltonian
 from fermap.superfast import (
     InteractionGraph,
+    _Tables,
     build_interaction_graph,
-    edge_operator,
     loop_stabilizers,
     ose_transform_terms,
-    vertex_operator,
 )
 
 ONE_D_SIZES = (2, 4, 6, 8, 10)
@@ -122,6 +121,12 @@ def test_criterion_4_spectral_equivalence():
     )
 
 
+def stabilizer_checks(g, x, z):
+    """Whether each loop stabilizer (row) commutes with each (x, z) row (column)."""
+    s = loop_stabilizers(g)
+    return commute((s.x[:, None], s.z[:, None]), (x, z))
+
+
 def test_criterion_5_operator_algebra():
     rng = np.random.default_rng(2024)
     checked_graphs = 0
@@ -132,24 +137,23 @@ def test_criterion_5_operator_algebra():
         edges = sorted(random_connected_graph_edges(n, max_extra_edges=4, rng=rng))[:12]
         # n isolated vertices more put every edge in the blocked spin-up sector
         g = InteractionGraph.from_edges(2 * n, edges)
-        bs = [vertex_operator(i, g) for i in range(n)]
-        for i, bi in enumerate(bs):
-            sq = multiply(bi, bi)
-            ok &= sq.x == sq.z == 0 and sq.coefficient == 1.0
-            ok &= all(bi.commutes_with(bj) for bj in bs[i + 1 :])
-        for p, q in g.edges:
-            a = edge_operator(p, q, g)
-            sq = multiply(a, a)
-            ok &= sq.x == sq.z == 0 and sq.coefficient == 1.0
-            rev = edge_operator(q, p, g)
-            ok &= rev.coefficient == -a.coefficient and rev.x == a.x and rev.z == a.z
-            for i, bi in enumerate(bs):
-                expected_anticommute = i in (p, q)
-                ok &= a.commutes_with(bi) != expected_anticommute
-        for e1 in g.edges:
-            for e2 in g.edges:
-                a1, a2 = edge_operator(*e1, g), edge_operator(*e2, g)
-                ok &= a1.commutes_with(a2) != (len(set(e1) & set(e2)) == 1)
+        # B_i and A_pq square to 1; B's commute; A_pq anticommutes with B_i
+        # exactly when i is an end of pq, and with A_rs exactly when the two
+        # edges share one end; A_qp = -A_pq
+        t = _Tables(g)
+        ends = np.array(g.edges)
+        b = (np.zeros_like(t.vertex), t.vertex, np.ones(len(t.vertex)))
+        a = t.a(*ends.T)
+        for x, z, c in (b, a):
+            sx, sz, sc = product((x, z, c), (x, z, c))
+            ok &= not sx.any() and not sz.any() and (sc == 1.0).all()
+        rx, rz, rc = t.a(*ends[:, ::-1].T)
+        ok &= (rx == a[0]).all() and (rz == a[1]).all() and (rc == -a[2]).all()
+        incident = (ends[:, :, None] == np.arange(g.num_vertices)).any(axis=1)
+        shared = (ends[:, None, :, None] == ends[None, :, None, :]).any(axis=3).sum(axis=2)
+        ok &= commute((b[0][:, None], b[1][:, None]), b[:2]).all()
+        ok &= (commute(a, (b[0][None], b[1][None])) == ~incident).all()
+        ok &= (commute(a, (a[0][:, 0], a[1][:, 0])) == (shared != 1)).all()
         # stabilizers commute with every Hamiltonian-term image on the graph
         pairs = (Kind.EXCITATION, Kind.PAIR_CREATION)
         terms = [ClassifiedTerm(kind, e, 1.0) for e in g.edges for kind in pairs]
@@ -158,11 +162,11 @@ def test_criterion_5_operator_algebra():
             if len({p, q, r, s}) == 4 and (min(p, r), max(p, r)) not in g.edge_index:
                 terms.append(ClassifiedTerm(Kind.DOUBLE_EXCITATION, (p, s, r, q), 1.0))
         # one term per call, so no image string is merged away
-        images = [t for x in terms for t in ose_transform_terms([x], g).terms]
-        for s in loop_stabilizers(g).stabilizers:
-            for t in images:
-                ok &= s.commutes_with(t)
-                stab_checks += 1
+        images = [ose_transform_terms([x], g) for x in terms]
+        checks = stabilizer_checks(g, np.concatenate([h.x for h in images]),
+                                   np.concatenate([h.z for h in images]))
+        ok &= checks.all()
+        stab_checks += checks.size
         checked_graphs += 1
     # lattice runs with Q <= 12
     lattice_cases = 0
@@ -174,10 +178,9 @@ def test_criterion_5_operator_algebra():
         terms = classify_spatial(h1, eri, cutoff=1e-7)
         g = build_interaction_graph(terms, 2 * side)
         h = ose_transform_terms(terms, g, constant=const, eps=1e-7)
-        for s in loop_stabilizers(g).stabilizers:
-            for t in h.terms:
-                ok &= s.commutes_with(t)
-                stab_checks += 1
+        checks = stabilizer_checks(g, h.x, h.z)
+        ok &= checks.all()
+        stab_checks += checks.size
         lattice_cases += 1
     emit(
         5,

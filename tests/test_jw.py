@@ -47,8 +47,7 @@ def test_jw_output_is_hermitian():
     op = jw_transform_terms(classify(h), h.num_modes, h.constant)
     mat = dense_matrix(op)
     assert np.allclose(mat, mat.conj().T, atol=1e-12)
-    for t in op.terms:
-        assert abs(t.coefficient.imag) < 1e-12
+    assert np.abs(op.coefficients.imag).max() < 1e-12
     # an imaginary coefficient on a self-adjoint term is caught after the merge
     with pytest.raises(NonHermitianError):
         jw_transform_terms([ClassifiedTerm(Kind.NUMBER, (0,), 0.5j)], 2)
@@ -58,10 +57,10 @@ def test_jw_eps_drops_small_terms():
     h = random_spatial_hamiltonian(2, 31)
     terms = classify(h)
     full = jw_transform_terms(terms, h.num_modes, h.constant, eps=0.0)
-    coeffs = sorted(abs(t.coefficient) for t in full.terms if t.weight() > 0)
+    coeffs = np.sort(np.abs(full.coefficients[full.weights() > 0]))
     thresh = coeffs[len(coeffs) // 2]
     pruned = jw_transform_terms(terms, h.num_modes, h.constant, eps=thresh * 1.0000001)
-    assert all(abs(t.coefficient) >= thresh or t.weight() == 0 for t in pruned.terms)
+    assert ((np.abs(pruned.coefficients) >= thresh) | (pruned.weights() == 0)).all()
     assert len(pruned) < len(full)
 
 
@@ -69,6 +68,8 @@ def test_eps_zero_keeps_no_zero_coefficients():
     # a_0^ a_2 + h.c.: the XY and YX strings cancel exactly and must not be
     # kept, or counted, at eps = 0
     op = jw_transform_terms([ClassifiedTerm(Kind.EXCITATION, (0, 2), 0.5)], 3, eps=0.0)
-    assert str(op) == "(+0.25+0j) X0 Z1 X2 + (+0.25+0j) Y0 Z1 Y2"
+    # X0 Z1 X2 and Y0 Z1 Y2
+    assert op.x[:, 0].tolist() == [0b101, 0b101] and op.z[:, 0].tolist() == [0b010, 0b111]
+    assert op.coefficients.tolist() == [0.25, 0.25]
     rep = report(op, "hop")
     assert (rep.term_count, rep.total_weight) == (2, 6)

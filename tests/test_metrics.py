@@ -10,16 +10,13 @@ from fermap.metrics import (
     qubit_bounds,
     report,
 )
-from fermap.pauli import PauliOperatorSum, PauliTerm
+from fermap.pauli import PauliOperatorSum, pack_masks
 
 
 def sample_sum():
-    terms = [
-        PauliTerm.identity(3, 2.0),
-        PauliTerm.from_factors(-1.5, {0: "X", 1: "Z"}, 3),
-        PauliTerm.from_factors(0.5, {0: "Y", 1: "Y", 2: "Y"}, 3),
-    ]
-    return PauliOperatorSum.from_terms(terms, 3)
+    # 2 I - 1.5 X0 Z1 + 0.5 Y0 Y1 Y2
+    x, z = pack_masks([0, 0b001, 0b111], 3), pack_masks([0, 0b010, 0b111], 3)
+    return PauliOperatorSum(x, z, np.array([2.0, -1.5, 0.5], complex), 3)
 
 
 def test_report_fields():

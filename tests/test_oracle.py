@@ -6,16 +6,14 @@ import pytest
 from fermap.fermion import from_spatial_integrals
 from fermap.oracle import (
     SizeError,
-    apply_sum_to_vector,
     code_basis,
     codespace_projector,
     dense_matrix,
-    dense_term,
     fermion_dense,
     fock_ladder_operators,
     sector_spectra_match,
 )
-from fermap.pauli import PauliOperatorSum, PauliTerm
+from fermap.pauli import PauliOperatorSum, pack_masks
 from fermap.superfast import InteractionGraph, loop_stabilizers
 from fermap.sampling import random_spatial_hamiltonian
 
@@ -53,22 +51,10 @@ def test_fermion_dense_number_operator():
     assert np.allclose(np.sort(np.diag(mat).real), [0.25, 0.75, 0.75, 1.25])
 
 
-def test_apply_sum_matches_dense_action():
-    rng = np.random.default_rng(2)
-    terms = [
-        PauliTerm.from_factors(0.7, {0: "X", 1: "Z"}, 3),
-        PauliTerm.from_factors(-1.2j, {2: "Y"}, 3),
-        PauliTerm.identity(3, 0.3),
-    ]
-    s = PauliOperatorSum.from_terms(terms, 3)
-    vec = rng.normal(size=8) + 1j * rng.normal(size=8)
-    assert np.allclose(apply_sum_to_vector(s, vec), dense_matrix(s) @ vec, atol=1e-12)
-
-
 def test_codespace_projector_is_projector_with_correct_rank():
     g = InteractionGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     stabs = loop_stabilizers(g)
-    proj = codespace_projector(stabs, g.num_qubits)
+    proj = codespace_projector(stabs)
     assert np.allclose(proj @ proj, proj, atol=1e-12)
     assert np.allclose(proj, proj.conj().T, atol=1e-12)
     assert np.trace(proj).real == pytest.approx(2 ** (g.num_qubits - len(stabs)))
@@ -76,15 +62,17 @@ def test_codespace_projector_is_projector_with_correct_rank():
     assert basis.shape == (2**g.num_qubits, 2 ** (g.num_qubits - len(stabs)))
     assert np.allclose(basis.conj().T @ basis, np.eye(basis.shape[1]), atol=1e-9)
     # every stabilizer acts as +1 on the basis
-    for s in stabs.stabilizers:
-        assert np.allclose(dense_term(s) @ basis, basis, atol=1e-9)
+    for k in range(len(stabs)):
+        rows = slice(k, k + 1)
+        s = PauliOperatorSum(stabs.x[rows], stabs.z[rows], stabs.coefficients[rows], g.num_qubits)
+        assert np.allclose(dense_matrix(s) @ basis, basis, atol=1e-9)
 
 
 def test_tree_graph_has_trivial_code_space():
     g = InteractionGraph.from_edges(4, [(0, 1), (1, 2), (1, 3)])
     stabs = loop_stabilizers(g)
     assert len(stabs) == 0
-    proj = codespace_projector(stabs, g.num_qubits)
+    proj = codespace_projector(stabs)
     assert np.allclose(proj, np.eye(2**g.num_qubits))
 
 
@@ -96,3 +84,5 @@ def test_sector_spectra_match_zero_for_exact_hamiltonian():
 def test_size_guard():
     with pytest.raises(SizeError):
         fock_ladder_operators(40)
+    with pytest.raises(SizeError):
+        dense_matrix(PauliOperatorSum(pack_masks([1], 13), pack_masks([0], 13), np.ones(1, complex), 13))

@@ -1,4 +1,4 @@
-"""Pauli algebra: symplectic representation against dense matrices."""
+"""Pauli algebra: packed symplectic rows against dense matrices."""
 
 import random
 
@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermap.oracle import dense_matrix, dense_term
+from fermap.oracle import dense_matrix
 from fermap.pauli import (
     DimensionMismatchError,
     PauliOperatorSum,
-    PauliTerm,
     coefficient_l1_norm,
-    multiply,
+    commute,
+    pack_masks,
     product,
     simplify,
 )
@@ -24,112 +24,144 @@ PAULI_MATS = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+LETTERS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+BITS = {letter: bits for bits, letter in LETTERS.items()}
+
+# one-qubit products P Q = phase * R
+SINGLE_PRODUCT = {
+    ("X", "Y"): (1j, "Z"),
+    ("Y", "X"): (-1j, "Z"),
+    ("Y", "Z"): (1j, "X"),
+    ("Z", "Y"): (-1j, "X"),
+    ("Z", "X"): (1j, "Y"),
+    ("X", "Z"): (-1j, "Y"),
+}
 
 
-def kron_term(t: PauliTerm) -> np.ndarray:
-    # basis index bit q corresponds to qubit q (little-endian)
-    out = np.array([[t.coefficient]], dtype=complex)
-    factors = t.factors
-    for q in range(t.num_qubits):
-        out = np.kron(PAULI_MATS[factors.get(q, "I")], out)
+def letter(x: int, z: int, q: int) -> str:
+    return LETTERS[(x >> q) & 1, (z >> q) & 1]
+
+
+def letter_product(a: str, b: str):
+    if a == b:
+        return 1, "I"
+    if "I" in (a, b):
+        return 1, a if b == "I" else b
+    return SINGLE_PRODUCT[a, b]
+
+
+def string_product(a, b, q):
+    """(x, z, c) of a*b for integer masks, taken qubit by qubit."""
+    (ax, az, ac), (bx, bz, bc) = a, b
+    phase, x, z = 1, 0, 0
+    for k in range(q):
+        p, r = letter_product(letter(ax, az, k), letter(bx, bz, k))
+        phase *= p
+        x |= BITS[r][0] << k
+        z |= BITS[r][1] << k
+    return x, z, ac * bc * phase
+
+
+def kron_term(x: int, z: int, c: complex, q: int) -> np.ndarray:
+    # basis index bit k corresponds to qubit k (little-endian)
+    out = np.array([[c]], dtype=complex)
+    for k in range(q):
+        out = np.kron(PAULI_MATS[letter(x, z, k)], out)
     return out
 
 
+def to_int(words: np.ndarray) -> int:
+    return int.from_bytes(words.astype("<u8").tobytes(), "little")
+
+
+def pauli_sum(terms, q) -> PauliOperatorSum:
+    """A sum from (x, z, c) integer-mask terms."""
+    xs, zs, cs = zip(*terms) if terms else ((), (), ())
+    return PauliOperatorSum(pack_masks(xs, q), pack_masks(zs, q), np.array(cs, complex), q)
+
+
+def rows_of(s: PauliOperatorSum):
+    return [(to_int(x), to_int(z), c) for x, z, c in zip(s.x, s.z, s.coefficients)]
+
+
 @st.composite
-def pauli_terms(draw, max_qubits=3):
-    n = draw(st.integers(1, max_qubits))
-    factors = {
-        q: draw(st.sampled_from("XYZ"))
-        for q in range(n)
-        if draw(st.booleans())
-    }
-    coeff = complex(
-        draw(st.floats(-2, 2, allow_nan=False)), draw(st.floats(-2, 2, allow_nan=False))
-    )
-    return PauliTerm.from_factors(coeff, factors, n), n
+def pauli_strings(draw, q, coefficient=True):
+    x, z = (draw(st.integers(0, 2**q - 1)) for _ in range(2))
+    if not coefficient:
+        return x, z, 1.0
+    parts = st.floats(-2, 2, allow_nan=False)
+    return x, z, complex(draw(parts), draw(parts))
 
 
-@given(pauli_terms())
+@given(st.data())
 @settings(max_examples=150, deadline=None)
-def test_dense_term_matches_independent_kron(term_n):
-    term, _ = term_n
-    assert np.allclose(dense_term(term), kron_term(term), atol=1e-12)
+def test_dense_matrix_matches_independent_kron(data):
+    q = data.draw(st.integers(1, 3))
+    terms = data.draw(st.lists(pauli_strings(q), max_size=3))
+    expected = sum((kron_term(*t, q) for t in terms), np.zeros((2**q, 2**q)))
+    assert np.allclose(dense_matrix(pauli_sum(terms, q)), expected, atol=1e-12)
 
 
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_multiply_matches_dense_product(data):
-    n = data.draw(st.integers(1, 3))
-    def draw_term():
-        factors = {
-            q: data.draw(st.sampled_from("XYZ")) for q in range(n) if data.draw(st.booleans())
-        }
-        c = complex(data.draw(st.floats(-2, 2)), data.draw(st.floats(-2, 2)))
-        return PauliTerm.from_factors(c, factors, n)
-    a, b = draw_term(), draw_term()
-    assert np.allclose(dense_term(multiply(a, b)), kron_term(a) @ kron_term(b), atol=1e-12)
+    q = data.draw(st.integers(1, 3))
+    a, b = (data.draw(pauli_strings(q)) for _ in range(2))
+    sa, sb = pauli_sum([a], q), pauli_sum([b], q)
+    x, z, c = product((sa.x, sa.z, sa.coefficients), (sb.x, sb.z, sb.coefficients))
+    got = dense_matrix(PauliOperatorSum(x, z, c, q))
+    assert np.allclose(got, kron_term(*a, q) @ kron_term(*b, q), atol=1e-12)
 
 
 @given(st.data())
 @settings(max_examples=150, deadline=None)
-def test_commutes_with_matches_dense_commutator(data):
-    n = data.draw(st.integers(1, 3))
-    def draw_term():
-        factors = {
-            q: data.draw(st.sampled_from("XYZ")) for q in range(n) if data.draw(st.booleans())
-        }
-        return PauliTerm.from_factors(1.0, factors, n)
-    a, b = draw_term(), draw_term()
-    comm = kron_term(a) @ kron_term(b) - kron_term(b) @ kron_term(a)
-    assert a.commutes_with(b) == bool(np.allclose(comm, 0, atol=1e-12))
+def test_commute_matches_dense_commutator(data):
+    q = data.draw(st.integers(1, 3))
+    a, b = (data.draw(pauli_strings(q, coefficient=False)) for _ in range(2))
+    ka, kb = kron_term(*a, q), kron_term(*b, q)
+    sa, sb = pauli_sum([a], q), pauli_sum([b], q)
+    assert commute((sa.x, sa.z), (sb.x, sb.z)).tolist() == [np.allclose(ka @ kb, kb @ ka)]
 
 
 def test_identity_and_weight():
-    ident = PauliTerm.identity(3, 2.5)
-    assert ident.weight() == 0
-    t = PauliTerm.from_factors(1.0, {0: "X", 2: "Z"}, 3)
-    assert t.weight() == 2
-    assert t.factors == {0: "X", 2: "Z"}
+    # 2.5 I and X0 Z2
+    assert pauli_sum([(0, 0, 2.5), (0b001, 0b100, 1.0)], 3).weights().tolist() == [0, 2]
 
 
 def test_multiply_self_inverse_up_to_coefficient():
-    t = PauliTerm.from_factors(1.0, {0: "X", 1: "Y", 2: "Z"}, 3)
-    sq = multiply(t, t)
-    assert sq.weight() == 0
-    assert sq.coefficient == pytest.approx(1.0)
+    s = pauli_sum([(0b011, 0b110, 1.0)], 3)  # X0 Y1 Z2
+    x, z, c = product((s.x, s.z, s.coefficients), (s.x, s.z, s.coefficients))
+    assert not x.any() and not z.any() and c.tolist() == [1.0]
 
 
 def test_simplify_merges_and_drops():
-    a = PauliTerm.from_factors(0.5, {0: "X"}, 2)
-    b = PauliTerm.from_factors(0.5, {0: "X"}, 2)
-    c = PauliTerm.from_factors(1e-15, {1: "Z"}, 2)
-    s = simplify(PauliOperatorSum.from_terms([a, b, c], 2), eps=1e-12)
-    assert len(s) == 1
-    assert s.terms[0].coefficient == pytest.approx(1.0)
+    s = simplify(pauli_sum([(1, 0, 0.5), (1, 0, 0.5), (0, 2, 1e-15)], 2), eps=1e-12)
+    assert rows_of(s) == [(1, 0, pytest.approx(1.0))]
 
 
 def test_simplify_cancellation_to_zero_operator():
-    a = PauliTerm.from_factors(0.75, {0: "Z"}, 1)
-    b = PauliTerm.from_factors(-0.75, {0: "Z"}, 1)
-    s = simplify(PauliOperatorSum.from_terms([a, b], 1))
-    assert len(s) == 0
-    assert s.weights().sum() == 0
-    assert len(simplify(PauliOperatorSum.from_terms([a, b], 1), eps=0.0)) == 0
+    s = pauli_sum([(0, 1, 0.75), (0, 1, -0.75)], 1)
+    assert len(simplify(s)) == 0
+    assert simplify(s).weights().sum() == 0
+    assert len(simplify(s, eps=0.0)) == 0
 
 
 def test_l1_norm_with_and_without_identity():
-    s = PauliOperatorSum.from_terms(
-        [PauliTerm.identity(2, 3.0), PauliTerm.from_factors(-4.0, {0: "Z"}, 2)], 2
-    )
+    s = pauli_sum([(0, 0, 3.0), (0, 1, -4.0)], 2)
     assert coefficient_l1_norm(s) == pytest.approx(7.0)
     assert coefficient_l1_norm(s, include_identity=False) == pytest.approx(4.0)
 
 
 def test_dimension_mismatch_raises():
-    a = PauliTerm.from_factors(1.0, {0: "X"}, 2)
-    b = PauliTerm.from_factors(1.0, {0: "X"}, 3)
-    with pytest.raises((DimensionMismatchError, ValueError)):
-        multiply(a, b)
+    with pytest.raises(DimensionMismatchError):
+        PauliOperatorSum(pack_masks([1], 65), pack_masks([0], 65), np.ones(1, complex), 3)
+
+
+@pytest.mark.parametrize("q, mask", [(3, 0b1000), (5, 1 << 63), (64, 1 << 64), (3, -1)])
+def test_pack_masks_rejects_bits_outside_the_register(q, mask):
+    with pytest.raises(ValueError):
+        pack_masks([0, mask], q)
+    assert pack_masks([(1 << q) - 1], q).sum() > 0
 
 
 # widths on both sides of the 64-bit word boundaries, so the phase and the
@@ -145,29 +177,30 @@ def test_packed_product_and_merge_match_scalar_algebra(data):
     parts = st.sampled_from((-1.5, -1.0, 0.0, 1.0, 2.0))
 
     def term(x, z):
-        return PauliTerm(complex(data.draw(parts), data.draw(parts)), x, z, q)
+        return x, z, complex(data.draw(parts), data.draw(parts))
 
     def string():
         return bits.getrandbits(q), bits.getrandbits(q)
 
     pairs = [(term(*string()), term(*string())) for _ in range(data.draw(st.integers(1, 6)))]
-    a, b = (PauliOperatorSum.from_terms(side, q) for side in zip(*pairs))
+    a, b = (pauli_sum(side, q) for side in zip(*pairs))
     rows = product((a.x, a.z, a.coefficients), (b.x, b.z, b.coefficients))
     got = PauliOperatorSum.from_packed([rows], q)
-    assert got.terms == tuple(multiply(a, b) for a, b in pairs)
+    assert rows_of(got) == [string_product(a, b, q) for a, b in pairs]
 
     # merge repeated strings, some differing in one bit, against a dictionary
     x, z = string()
     flip = 1 << data.draw(st.integers(0, q - 1))
     pool = st.sampled_from([(x, z), (x ^ flip, z), (x, z ^ flip), string()])
     terms = [term(*data.draw(pool)) for _ in range(data.draw(st.integers(0, 12)))]
-    merged = simplify(PauliOperatorSum.from_terms(terms, q))
+    merged = simplify(pauli_sum(terms, q))
     expected = {}
-    for t in terms:
-        expected[t.x, t.z] = expected.get((t.x, t.z), 0) + t.coefficient
+    for tx, tz, c in terms:
+        expected[tx, tz] = expected.get((tx, tz), 0) + c
     expected = {key: c for key, c in expected.items() if abs(c) >= 1e-12}
-    assert {(t.x, t.z): t.coefficient for t in merged.terms} == pytest.approx(expected)
+    assert {(tx, tz): c for tx, tz, c in rows_of(merged)} == pytest.approx(expected)
     if q <= 12:
-        dense = sum((kron_term(t) for t in terms), np.zeros((2**q, 2**q)))
+        dense = sum((kron_term(*t, q) for t in terms), np.zeros((2**q, 2**q)))
         assert np.allclose(dense_matrix(merged), dense)
-        assert np.allclose(dense_matrix(got), sum(kron_term(a) @ kron_term(b) for a, b in pairs))
+        products = (kron_term(*a, q) @ kron_term(*b, q) for a, b in pairs)
+        assert np.allclose(dense_matrix(got), sum(products))

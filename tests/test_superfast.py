@@ -6,17 +6,16 @@ import pytest
 
 from fermap.fermion import ClassifiedTerm, Kind, blocked_modes
 from fermap.oracle import codespace_projector, sector_spectra_match
-from fermap.pauli import NonHermitianError, PauliTerm, multiply
+from fermap.pauli import NonHermitianError, commute, product
 from fermap.sampling import random_connected_graph_edges, random_spatial_hamiltonian
 from fermap.superfast import (
     InteractionGraph,
+    MissingEdgeError,
+    _Tables,
     add_parity_ancilla,
-    edge_operator,
     loop_stabilizers,
     ose_transform_terms,
     pair_partition,
-    symplectic_rank,
-    vertex_operator,
 )
 
 
@@ -30,42 +29,46 @@ def random_graphs(count, seed=0):
     return out
 
 
-def anticommutes(a: PauliTerm, b: PauliTerm) -> bool:
-    return not a.commutes_with(b)
+def symplectic_rank(x: np.ndarray, z: np.ndarray) -> int:
+    """GF(2) rank of the packed (x|z) rows, by elimination on the words."""
+    rows = np.concatenate([x, z], axis=1)
+    rank = 0
+    for word in range(rows.shape[1]):
+        for bit in range(64):
+            has = (rows[rank:, word] >> np.uint64(bit)) & np.uint64(1) == 1
+            if not has.any():
+                continue
+            pivot, *others = rank + np.flatnonzero(has)
+            rows[others] ^= rows[pivot]
+            rows[[rank, pivot]] = rows[[pivot, rank]]
+            rank += 1
+    return rank
+
+
+def squares_to_identity(x, z, c) -> bool:
+    sx, sz, sc = product((x, z, c), (x, z, c))
+    return not sx.any() and not sz.any() and (sc == 1.0).all()
 
 
 @pytest.mark.parametrize("g", random_graphs(50), ids=lambda g: f"V{g.num_vertices}E{g.num_qubits}")
 def test_operator_algebra_relations(g):
-    # exact symplectic checks of the defining relations
-    ident = PauliTerm.identity(g.num_qubits, 1.0)
-    bs = [vertex_operator(i, g) for i in range(g.num_vertices)]
-    for i, bi in enumerate(bs):
-        sq = multiply(bi, bi)
-        assert sq.x == sq.z == 0 and sq.coefficient == 1.0
-        for bj in bs[i + 1 :]:
-            assert bi.commutes_with(bj)
-    for p, q in g.edges:
-        a = edge_operator(p, q, g)
-        sq = multiply(a, a)
-        assert sq.x == sq.z == 0 and sq.coefficient == 1.0
-        # antisymmetry in the vertex order
-        rev = edge_operator(q, p, g)
-        assert rev.x == a.x and rev.z == a.z and rev.coefficient == -a.coefficient
-        for i, bi in enumerate(bs):
-            if i in (p, q):
-                assert anticommutes(a, bi)
-            else:
-                assert a.commutes_with(bi)
-    for e1 in g.edges:
-        for e2 in g.edges:
-            a1 = edge_operator(*e1, g)
-            a2 = edge_operator(*e2, g)
-            shared = len(set(e1) & set(e2))
-            if shared == 1:
-                assert anticommutes(a1, a2)
-            else:
-                assert a1.commutes_with(a2)
-    assert ident.commutes_with(ident)
+    # exact symplectic checks of the defining relations on the packed B_i, A_pq
+    t = _Tables(g)
+    b = (np.zeros_like(t.vertex), t.vertex, np.ones(len(t.vertex)))
+    a = (t.edge_x, t.edge_z, np.ones(len(t.edge_x)))
+    assert squares_to_identity(*b) and squares_to_identity(*a)
+    assert commute((b[0][:, None], b[1][:, None]), b[:2]).all()
+    ends = np.array(g.edges).reshape(-1, 2)
+    p, q = ends.T
+    # antisymmetry in the vertex order
+    for (x, z, c), sign in ((t.a(p, q), 1.0), (t.a(q, p), -1.0)):
+        assert (x[:, 0] == a[0]).all() and (z[:, 0] == a[1]).all() and (c == sign).all()
+    # A_pq anticommutes with B_i exactly when i is an end of pq
+    incident = (ends[:, :, None] == np.arange(g.num_vertices)).any(axis=1)
+    assert (commute((a[0][:, None], a[1][:, None]), b[:2]) == ~incident).all()
+    # two edge operators anticommute exactly when their edges share one end
+    shared = (ends[:, None, :, None] == ends[None, :, None, :]).any(axis=3).sum(axis=2)
+    assert (commute((a[0][:, None], a[1][:, None]), a[:2]) == (shared != 1)).all()
 
 
 @pytest.mark.parametrize("g", random_graphs(50, seed=99), ids=lambda g: f"V{g.num_vertices}E{g.num_qubits}")
@@ -73,22 +76,19 @@ def test_loop_stabilizers_commute_with_all_operators(g):
     stabs = loop_stabilizers(g)
     expected_cycles = g.num_qubits - g.num_vertices + len(g.connected_components())
     assert len(stabs) == expected_cycles
-    ops = [vertex_operator(i, g) for i in range(g.num_vertices)] + [
-        edge_operator(p, q, g) for p, q in g.edges
-    ]
-    for s in stabs.stabilizers:
-        sq = multiply(s, s)
-        assert sq.x == sq.z == 0 and sq.coefficient == 1.0
-        for op in ops:
-            assert s.commutes_with(op)
+    t = _Tables(g)
+    ops_x = np.concatenate([np.zeros_like(t.vertex), t.edge_x])
+    ops_z = np.concatenate([t.vertex, t.edge_z])
+    assert squares_to_identity(stabs.x, stabs.z, stabs.coefficients)
+    assert commute((stabs.x[:, None], stabs.z[:, None]), (ops_x, ops_z)).all()
 
 
 def test_codespace_dimension_matches_cycle_count():
     g = InteractionGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     stabs = loop_stabilizers(g)
-    proj = codespace_projector(stabs, g.num_qubits)
+    proj = codespace_projector(stabs)
     assert np.trace(proj).real == pytest.approx(2 ** (g.num_qubits - len(stabs)))
-    assert symplectic_rank(stabs.stabilizers) == len(stabs)
+    assert symplectic_rank(stabs.x, stabs.z) == len(stabs)
 
 
 def test_pair_partition_spin_sectors():
@@ -125,11 +125,9 @@ def test_add_parity_ancilla_extends_graph():
 
 
 def test_missing_edge_raises():
-    from fermap.superfast import MissingEdgeError
-
     g = InteractionGraph.from_edges(3, [(0, 1)])
     with pytest.raises(MissingEdgeError):
-        edge_operator(0, 2, g)
+        ose_transform_terms([ClassifiedTerm(Kind.EXCITATION, (0, 2), 1.0)], g)
 
 
 def test_non_hermitian_terms_raise():
