@@ -20,8 +20,6 @@ from .fermion import (
     ClassifiedTerms,
     FermionHamiltonian,
     Kind,
-    apply_cutoff,
-    classify,
     classify_spatial,
     from_spatial_integrals,
 )

@@ -1,9 +1,15 @@
-"""Second-quantized Hamiltonians over spin orbitals and their term classification.
+"""Second-quantized Hamiltonians from spin-restricted spatial integrals and
+their term classification.
 
-The two-body tensor follows the physicist ordering: ``h[p,q,r,s]`` multiplies
-``a_p^ a_q^ a_r a_s`` (daggers on the first two).  Ingestion from spatial
-integrals takes the chemist-convention ERI tensor ``(ij|kl)`` and expands spin
-with Kronecker deltas, so ``h[p,q,r,s] = (1/2) (ps|qr)`` for compatible spins.
+A Hamiltonian is held as its spatial integrals only: the one-body matrix
+``h_ij`` and the chemist-ordered ERI ``(ij|kl)``, pair-packed
+(``fermap.eri``).  Its spin-orbital form is the spin sum
+
+    c + sum_s sum_ij h_ij a_is^ a_js
+      + 1/2 sum_st sum_ijkl (ij|kl) a_is^ a_kt^ a_lt a_js
+
+over the blocked modes of ``blocked_modes``; ``classify_spatial`` expands it
+entry by entry into canonical self-adjoint terms, with no spin-orbital tensor.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from typing import Dict, Iterable, Iterator, Tuple
 
 import numpy as np
 
-from .eri import orbit_keys, pack_eri, packed_indices, packed_length, unpack_eri
+from .eri import orbit_keys, pack_eri, packed_indices, packed_length
 
 SYMMETRY_ATOL = 1e-10
 #: Two-body entries canonicalised at a time, which bounds the temporaries.
@@ -54,7 +60,7 @@ class ClassifiedTerms:
     coefficient vector ``[n]`` for every kind that has terms, in ``Kind``
     order.  Rows follow ``ClassifiedTerm``'s index semantics.  Iteration
     yields ``ClassifiedTerm``s ordered by kind name, then by the order of the
-    rows (lexicographic indices for ``classify``'s output)."""
+    rows (lexicographic indices for ``classify_spatial``'s output)."""
 
     def __init__(self, by_kind: Dict[Kind, Tuple[np.ndarray, np.ndarray]]):
         self.by_kind = {k: by_kind[k] for k in Kind if k in by_kind and len(by_kind[k][1])}
@@ -86,26 +92,20 @@ class ClassifiedTerms:
                 yield ClassifiedTerm(kind, tuple(row), c)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FermionHamiltonian:
-    constant: float
-    one_body: np.ndarray
-    two_body: np.ndarray
-    num_modes: int
+    """A spin-restricted Hamiltonian held as its spatial integrals: the
+    one-body matrix ``one_body[i, j]`` (``[m, m]``), the pair-packed
+    chemist-ordered ERI ``(ij|kl)`` (``fermap.eri``) and a constant.  Its
+    ``2m`` modes follow ``blocked_modes``."""
 
-    def validate(self, atol: float = SYMMETRY_ATOL) -> None:
-        m = self.num_modes
-        if self.one_body.shape != (m, m):
-            raise ValueError("one_body shape mismatch")
-        if self.two_body.shape != (m, m, m, m):
-            raise ValueError("two_body shape mismatch")
-        if np.abs(self.one_body - self.one_body.T).max() > atol:
-            raise ValueError("one_body must be symmetric")
-        h2 = self.two_body
-        if np.abs(h2 - h2.transpose(1, 0, 3, 2)).max() > atol:
-            raise ValueError("two_body must satisfy h_pqrs = h_qpsr")
-        if np.abs(h2 - h2.transpose(3, 2, 1, 0)).max() > atol:
-            raise ValueError("two_body must satisfy h_pqrs = h_srqp")
+    one_body: np.ndarray
+    eri: np.ndarray
+    constant: float
+
+    @property
+    def num_modes(self) -> int:
+        return 2 * self.one_body.shape[0]
 
 
 def blocked_modes(num_modes: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -117,25 +117,26 @@ def blocked_modes(num_modes: int) -> Tuple[np.ndarray, np.ndarray]:
     return np.arange(num_modes) - m * spin, spin
 
 
-def _check_eri_symmetry(eri: np.ndarray, m: int) -> None:
-    if eri.shape != (m,) * 4:
-        raise ValueError(f"dense ERI tensor must have shape {(m,) * 4}")
-    for perm in [(1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)]:
-        if np.abs(eri - eri.transpose(perm)).max(initial=0.0) > SYMMETRY_ATOL:
-            raise ValueError("ERI tensor must have 8-fold permutational symmetry")
-
-
-def _packed_eri(eri_chemist: np.ndarray, m: int) -> np.ndarray:
-    """The pair-packed ERI of ``m`` orbitals (``fermap.eri``).  A dense
-    ``[m, m, m, m]`` tensor is checked for 8-fold symmetry, since packing
-    keeps one slot per orbit, and packed; a packed one is returned as it is."""
+def _checked_integrals(h1_spatial, eri_chemist) -> Tuple[np.ndarray, np.ndarray]:
+    """The one-body matrix, checked to be square and symmetric, and the
+    pair-packed ERI of its ``m`` orbitals.  A dense ``[m, m, m, m]`` ERI is
+    checked for 8-fold symmetry, since packing keeps one slot per orbit, and
+    packed; a packed one must have ``packed_length(m)`` entries."""
+    h1 = np.asarray(h1_spatial, dtype=float)
+    m = len(h1) if h1.ndim else 0
+    if h1.shape != (m, m) or np.abs(h1 - h1.T).max(initial=0.0) > SYMMETRY_ATOL:
+        raise ValueError("spatial one-body matrix must be square and symmetric")
     eri = np.asarray(eri_chemist, dtype=float)
     if eri.ndim == 4:
-        _check_eri_symmetry(eri, m)
-        return pack_eri(eri)
+        if eri.shape != (m,) * 4:
+            raise ValueError(f"dense ERI tensor must have shape {(m,) * 4}")
+        for perm in [(1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)]:
+            if np.abs(eri - eri.transpose(perm)).max(initial=0.0) > SYMMETRY_ATOL:
+                raise ValueError("ERI tensor must have 8-fold permutational symmetry")
+        return h1, pack_eri(eri)
     if eri.shape != (packed_length(m),):
         raise ValueError(f"a packed ERI of {m} orbitals has {packed_length(m)} entries")
-    return eri
+    return h1, eri
 
 
 def from_spatial_integrals(
@@ -143,38 +144,11 @@ def from_spatial_integrals(
     eri_chemist: np.ndarray,
     constant: float = 0.0,
 ) -> FermionHamiltonian:
-    """Expand spatial-orbital integrals to a spin-orbital Hamiltonian.
-
-    ``eri_chemist`` holds the chemist-notation integrals (ij|kl), either
-    dense, ``eri_chemist[i,j,k,l]``, or pair-packed (``fermap.eri``).
-    """
-    h1 = np.asarray(h1_spatial, dtype=float)
-    eri = np.asarray(eri_chemist, dtype=float)
-    m = h1.shape[0]
-    if np.abs(h1 - h1.T).max() > SYMMETRY_ATOL:
-        raise ValueError("spatial one-body matrix must be symmetric")
-    if eri.ndim == 4:
-        _check_eri_symmetry(eri, m)
-    else:
-        eri = unpack_eri(eri, m)
-    M = 2 * m
-    orb, spins = blocked_modes(M)
-    same = spins[:, None] == spins[None, :]
-
-    one_body = h1[np.ix_(orb, orb)] * same
-    # h[p,q,r,s] = 0.5 * (ps|qr) * d(sp_p,sp_s) * d(sp_q,sp_r)
-    two_body = 0.5 * eri[np.ix_(orb, orb, orb, orb)].transpose(0, 2, 3, 1)
-    two_body *= same[:, None, None, :] * same[None, :, :, None]
-    return FermionHamiltonian(float(constant), one_body, two_body, M)
-
-
-def apply_cutoff(h: FermionHamiltonian, eps: float) -> FermionHamiltonian:
-    """Zero every tensor entry with magnitude below eps."""
-    if eps < 0:
-        raise ValueError("eps must be non-negative")
-    one = np.where(np.abs(h.one_body) >= eps, h.one_body, 0.0)
-    two = np.where(np.abs(h.two_body) >= eps, h.two_body, 0.0)
-    return FermionHamiltonian(h.constant, one, two, h.num_modes)
+    """The Hamiltonian of checked spatial integrals.  ``eri_chemist`` holds
+    the chemist-notation integrals (ij|kl), either dense,
+    ``eri_chemist[i,j,k,l]``, or pair-packed (``fermap.eri``); it is stored
+    packed."""
+    return FermionHamiltonian(*_checked_integrals(h1_spatial, eri_chemist), float(constant))
 
 
 def _summed(parts: list, num_modes: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -214,10 +188,11 @@ def _two_body_rows(p, q, r, s, v) -> Dict[Kind, Tuple[np.ndarray, np.ndarray]]:
 
 
 def _canonical_terms(one, two, num_modes: int) -> ClassifiedTerms:
-    """Sum signed tensor entries into canonical terms.
+    """Sum signed spin-orbital entries into canonical terms.
 
-    ``one = (p, q, v)`` holds one-body entries h[p,q] and ``two = (p, q, r, s,
-    v)`` two-body entries h[p,q,r,s], as parallel arrays.  Each term's
+    ``one = (p, q, v)`` holds one-body entries h[p,q], each the coefficient of
+    a_p^ a_q, and ``two = (p, q, r, s, v)`` two-body entries h[p,q,r,s], each
+    the coefficient of a_p^ a_q^ a_r a_s, as parallel arrays.  Each term's
     coefficient sums its entries' contributions in input order.
     """
     p, q, v = one
@@ -231,36 +206,27 @@ def _canonical_terms(one, two, num_modes: int) -> ClassifiedTerms:
     return ClassifiedTerms({kind: _summed(parts, num_modes) for kind, parts in raw.items()})
 
 
-def classify(h: FermionHamiltonian, cutoff: float = 0.0) -> ClassifiedTerms:
-    """Assign every tensor entry with |value| >= cutoff to a canonical term."""
-    if cutoff < 0:
-        raise ValueError("cutoff must be non-negative")
-    floor = max(cutoff, 1e-300)
-    one, two = np.nonzero(np.abs(h.one_body) >= floor), np.nonzero(np.abs(h.two_body) >= floor)
-    one_body, two_body = h.one_body[one].astype(float), h.two_body[two].astype(float)
-    return _canonical_terms((*one, one_body), (*two, two_body), h.num_modes)
-
-
 def classify_spatial(
     h1_spatial: np.ndarray,
     eri_chemist: np.ndarray,
     cutoff: float = 0.0,
 ) -> ClassifiedTerms:
-    """Classify directly from spatial integrals without materializing the
-    spin-orbital tensors.  ``eri_chemist`` is pair-packed (``fermap.eri``) or
+    """Classify spatial integrals into canonical terms, expanding each
+    integral over its spins without materializing spin-orbital tensors.
+    The inputs are checked as by ``from_spatial_integrals``: ``h1_spatial``
+    must be symmetric, and ``eri_chemist`` is pair-packed (``fermap.eri``) or
     dense; a dense one must be 8-fold symmetric and is packed first, so both
     forms classify alike.
 
-    The cutoff is applied to the spin-orbital tensor entries, so it is
-    equivalent to ``classify(apply_cutoff(from_spatial_integrals(...),
-    cutoff), 0)``.  Since the two-body entry is half the chemist integral,
-    a two-body integral survives when ``|(ij|kl)| / 2 >= cutoff``.
+    The cutoff is applied to the spin-orbital entries: a one-body integral
+    survives when ``|h_ij| >= cutoff`` and, since each two-body entry is
+    half the chemist integral, a two-body integral when
+    ``|(ij|kl)| / 2 >= cutoff``.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be non-negative")
-    h1 = np.asarray(h1_spatial, dtype=float)
+    h1, eri = _checked_integrals(h1_spatial, eri_chemist)
     m = h1.shape[0]
-    eri = _packed_eri(eri_chemist, m)
     orbital, spin = blocked_modes(2 * m)
     mode = np.empty((m, 2), dtype=np.intp)
     mode[orbital, spin] = np.arange(2 * m)

@@ -48,10 +48,11 @@ def map_integrals(
     h1: np.ndarray, eri: np.ndarray, cutoff: float, mappings: Sequence[str] = ("jw", "ose"),
     constant: float = 0.0, label: str = "",
 ) -> Dict[str, ResourceReport]:
-    """The mapping stage every caller runs on spatial integrals: classify at
-    ``cutoff``, map with each requested mapping (JW first), merge like terms
-    at ``eps = cutoff`` and report.  ``constant`` becomes an identity term of
-    both operators; a report's label is its mapping name plus ``label``.
+    """The mapping stage every caller runs on spatial integrals: check and
+    classify them at ``cutoff`` (``classify_spatial``), map with each
+    requested mapping (JW first), merge like terms at ``eps = cutoff`` and
+    report.  ``constant`` becomes an identity term of both operators; a
+    report's label is its mapping name plus ``label``.
     """
     terms = classify_spatial(h1, eri, cutoff=cutoff)
     num_modes = 2 * h1.shape[0]

@@ -11,7 +11,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .fermion import ClassifiedTerm, FermionHamiltonian, Kind, classify
+from .eri import unpack_eri
+from .fermion import ClassifiedTerm, FermionHamiltonian, Kind, blocked_modes, classify_spatial
 from .jw import jw_transform_terms
 from .pauli import PauliOperatorSum, commute
 from .superfast import (
@@ -80,16 +81,26 @@ def fock_ladder_operators(num_modes: int) -> List[np.ndarray]:
 
 
 def fermion_dense(h: FermionHamiltonian) -> np.ndarray:
-    """Dense Fock-space matrix of a fermionic Hamiltonian (small M only)."""
+    """Dense Fock-space matrix of a Hamiltonian (small m only), summed over
+    spins straight from its spatial integrals:
+    c + sum_s sum_ij h_ij a_is^ a_js + 1/2 sum_st sum_ijkl (ij|kl) a_is^ a_kt^ a_lt a_js,
+    with mode ``mode[i, s]`` of orbital i and spin s from ``blocked_modes``."""
     M = h.num_modes
+    m = M // 2
     a = fock_ladder_operators(M)
     adag = [op.conj().T for op in a]
-    dim = 2**M
-    out = h.constant * np.eye(dim, dtype=complex)
-    for p, q in np.argwhere(np.abs(h.one_body) > 0):
-        out += h.one_body[p, q] * (adag[p] @ a[q])
-    for p, q, r, s in np.argwhere(np.abs(h.two_body) > 0):
-        out += h.two_body[p, q, r, s] * (adag[p] @ adag[q] @ a[r] @ a[s])
+    orbital, spin = blocked_modes(M)
+    mode = np.empty((m, 2), dtype=np.intp)
+    mode[orbital, spin] = np.arange(M)
+    eri = unpack_eri(h.eri, m)
+    out = h.constant * np.eye(2**M, dtype=complex)
+    for s in range(2):
+        for i, j in np.argwhere(h.one_body != 0):
+            out += h.one_body[i, j] * (adag[mode[i, s]] @ a[mode[j, s]])
+        for t in range(2):
+            for i, j, k, l in np.argwhere(eri != 0):
+                p, q, r, u = mode[i, s], mode[k, t], mode[l, t], mode[j, s]
+                out += 0.5 * eri[i, j, k, l] * (adag[p] @ adag[q] @ a[r] @ a[u])
     return out
 
 
@@ -137,36 +148,15 @@ def classified_dense(
 
 def codespace_projector(stabs: PauliOperatorSum) -> np.ndarray:
     """Projector onto the joint +1 eigenspace of the loop stabilizers, one
-    Pauli row each."""
+    Pauli row each: the product of every (1 + S) / 2, where right-multiplying
+    by a Pauli row S permutes and signs the columns."""
     _check_size(stabs.num_qubits)
     if not commute((stabs.x[:, None], stabs.z[:, None]), (stabs.x, stabs.z)).all():
         raise RuntimeError("stabilizers do not commute; upstream bug")
-    dim = 2**stabs.num_qubits
-    out = np.eye(dim, dtype=complex)
-    eye = np.eye(dim, dtype=complex)
-    for rows, cols, entries in _row_actions(stabs):
-        stabilizer = np.zeros((dim, dim), dtype=complex)
-        stabilizer[rows, cols] = entries
-        out = out @ (eye + stabilizer) / 2.0
+    out = np.eye(2**stabs.num_qubits, dtype=complex)
+    for rows, _, entries in _row_actions(stabs):
+        out = (out + out[:, rows] * entries) / 2.0
     return out
-
-
-def code_basis(projector: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Orthonormal basis (columns) of the range of an orthogonal projector,
-    by pivoted Gram-Schmidt on the projector columns."""
-    rank = int(round(projector.trace().real))
-    cols = []
-    remaining = projector.copy()
-    for _ in range(rank):
-        norms = np.linalg.norm(remaining, axis=0)
-        j = int(np.argmax(norms))
-        v = remaining[:, j] / norms[j]
-        cols.append(v)
-        remaining -= np.outer(v, v.conj() @ remaining)
-    basis = np.array(cols).T
-    if cols and np.abs(basis.conj().T @ basis - np.eye(rank)).max() > tol:
-        raise RuntimeError("projector basis failed to orthonormalize")
-    return basis
 
 
 # --- spectral comparison -----------------------------------------------------
@@ -178,16 +168,8 @@ def _component_even_indices(components: List[List[int]], num_modes: int) -> np.n
     idx = np.arange(2**num_modes, dtype=np.int64)
     keep = np.ones(idx.shape, dtype=bool)
     for comp in components:
-        mask = 0
-        for v in comp:
-            mask |= 1 << v
-        masked = idx & mask
-        parity = np.zeros(idx.shape, dtype=np.int64)
-        while mask:
-            parity ^= masked & 1
-            masked >>= 1
-            mask >>= 1
-        keep &= parity == 0
+        mask = sum(1 << v for v in comp)
+        keep &= (np.bitwise_count(idx & mask) & 1) == 0
     return idx[keep]
 
 
@@ -205,7 +187,7 @@ def sector_spectra_match(
     component; the encoded matrix is restricted to the joint +1 eigenspace of
     the loop stabilizers.
     """
-    terms = classify(h, cutoff)
+    terms = classify_spatial(h.one_body, h.eri, cutoff)
     g = build_interaction_graph(terms, h.num_modes)
     if parity_ancilla_mode is not None:
         g = add_parity_ancilla(g, parity_ancilla_mode)[0]
@@ -214,8 +196,8 @@ def sector_spectra_match(
     _check_size(g.num_qubits)
 
     ose = ose_transform_terms(terms, g, h.constant, eps)
-    proj = codespace_projector(loop_stabilizers(g))
-    basis = code_basis(proj)
+    weights, vectors = np.linalg.eigh(codespace_projector(loop_stabilizers(g)))
+    basis = vectors[:, weights > 0.5]
     h_ose = dense_matrix(ose)
     h_code = basis.conj().T @ h_ose @ basis
     evals_ose = np.linalg.eigvalsh(h_code)

@@ -36,6 +36,8 @@ def random_spatial_integrals(
 def random_spatial_hamiltonian(
     num_orbitals: int, seed: int, scale: float = 1.0
 ) -> FermionHamiltonian:
+    """``random_spatial_integrals`` and a constant, drawn in that order from
+    a generator seeded with ``seed``; the ERI is stored packed."""
     rng = np.random.default_rng(seed)
     h1, eri = random_spatial_integrals(num_orbitals, rng, scale)
     constant = float(rng.uniform(-scale, scale))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fermap.fermion import ClassifiedTerm, Kind, classify
+from fermap.fermion import ClassifiedTerm, Kind, classify_spatial
 from fermap.jw import jw_ladder, jw_transform_terms
 from fermap.metrics import report
 from fermap.oracle import dense_matrix, fermion_dense, fock_ladder_operators
@@ -38,13 +38,13 @@ def test_jw_ladders_satisfy_anticommutation():
 @pytest.mark.parametrize("seed", range(5))
 def test_jw_transform_matches_dense_hamiltonian(seed):
     h = random_spatial_hamiltonian(2, seed)
-    qubit_h = jw_transform_terms(classify(h), h.num_modes, h.constant)
+    qubit_h = jw_transform_terms(classify_spatial(h.one_body, h.eri), h.num_modes, h.constant)
     assert np.allclose(dense_matrix(qubit_h), fermion_dense(h), atol=1e-10)
 
 
 def test_jw_output_is_hermitian():
     h = random_spatial_hamiltonian(2, 23)
-    op = jw_transform_terms(classify(h), h.num_modes, h.constant)
+    op = jw_transform_terms(classify_spatial(h.one_body, h.eri), h.num_modes, h.constant)
     mat = dense_matrix(op)
     assert np.allclose(mat, mat.conj().T, atol=1e-12)
     assert np.abs(op.coefficients.imag).max() < 1e-12
@@ -55,7 +55,7 @@ def test_jw_output_is_hermitian():
 
 def test_jw_eps_drops_small_terms():
     h = random_spatial_hamiltonian(2, 31)
-    terms = classify(h)
+    terms = classify_spatial(h.one_body, h.eri)
     full = jw_transform_terms(terms, h.num_modes, h.constant, eps=0.0)
     coeffs = np.sort(np.abs(full.coefficients[full.weights() > 0]))
     thresh = coeffs[len(coeffs) // 2]

@@ -1,11 +1,14 @@
-"""Resource reports, analytic qubit bounds, and the complete-graph probe."""
+"""The mapping stage, resource reports, analytic qubit bounds, and the
+complete-graph probe."""
 
 import numpy as np
 import pytest
 
+from fermap.eri import packed_length
 from fermap.metrics import (
     complete_graph_probe,
     lattice_scaling,
+    map_integrals,
     probe_scaling,
     qubit_bounds,
     report,
@@ -29,6 +32,15 @@ def test_report_fields():
     assert r.average_weight == pytest.approx(5 / 3)
     assert r.l1_norm == pytest.approx(4.0)
     assert r.l1_norm_no_identity == pytest.approx(2.0)
+
+
+def test_map_integrals_rejects_an_asymmetric_one_body_matrix():
+    # [[0, 1], [0, 0]] is not a Hermitian a_0^ a_1; it must not be mapped as half of one
+    eri = np.zeros(packed_length(2))
+    with pytest.raises(ValueError, match="symmetric"):
+        map_integrals(np.array([[0.0, 1.0], [0.0, 0.0]]), eri, cutoff=0.0, mappings=("jw",))
+    reports = map_integrals(np.array([[0.0, 1.0], [1.0, 0.0]]), eri, cutoff=0.0, mappings=("jw",))
+    assert reports["jw"].term_count == 4
 
 
 def test_qubit_bounds_examples():

@@ -6,7 +6,6 @@ import pytest
 from fermap.fermion import from_spatial_integrals
 from fermap.oracle import (
     SizeError,
-    code_basis,
     codespace_projector,
     dense_matrix,
     fermion_dense,
@@ -52,20 +51,24 @@ def test_fermion_dense_number_operator():
 
 
 def test_codespace_projector_is_projector_with_correct_rank():
-    g = InteractionGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    stabs = loop_stabilizers(g)
-    proj = codespace_projector(stabs)
-    assert np.allclose(proj @ proj, proj, atol=1e-12)
-    assert np.allclose(proj, proj.conj().T, atol=1e-12)
-    assert np.trace(proj).real == pytest.approx(2 ** (g.num_qubits - len(stabs)))
-    basis = code_basis(proj)
-    assert basis.shape == (2**g.num_qubits, 2 ** (g.num_qubits - len(stabs)))
-    assert np.allclose(basis.conj().T @ basis, np.eye(basis.shape[1]), atol=1e-9)
-    # every stabilizer acts as +1 on the basis
-    for k in range(len(stabs)):
-        rows = slice(k, k + 1)
-        s = PauliOperatorSum(stabs.x[rows], stabs.z[rows], stabs.coefficients[rows], g.num_qubits)
-        assert np.allclose(dense_matrix(s) @ basis, basis, atol=1e-9)
+    # the 4-cycle's stabilizer is real; K4's three have imaginary entries
+    k4 = [(p, q) for q in range(4) for p in range(q)]
+    for edges in ([(0, 1), (1, 2), (2, 3), (3, 0)], k4):
+        g = InteractionGraph.from_edges(4, edges)
+        stabs = loop_stabilizers(g)
+        proj = codespace_projector(stabs)
+        assert np.allclose(proj @ proj, proj, atol=1e-12)
+        assert np.allclose(proj, proj.conj().T, atol=1e-12)
+        assert np.trace(proj).real == pytest.approx(2 ** (g.num_qubits - len(stabs)))
+        weights, vectors = np.linalg.eigh(proj)
+        basis = vectors[:, weights > 0.5]
+        assert basis.shape == (2**g.num_qubits, 2 ** (g.num_qubits - len(stabs)))
+        assert np.allclose(basis.conj().T @ basis, np.eye(basis.shape[1]), atol=1e-9)
+        # every stabilizer acts as +1 on the basis
+        for k in range(len(stabs)):
+            row = slice(k, k + 1)
+            s = PauliOperatorSum(stabs.x[row], stabs.z[row], stabs.coefficients[row], g.num_qubits)
+            assert np.allclose(dense_matrix(s) @ basis, basis, atol=1e-9)
 
 
 def test_tree_graph_has_trivial_code_space():

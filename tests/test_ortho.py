@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fermap.eri import unpack_eri
-from fermap.fermion import classify, from_spatial_integrals
+from fermap.fermion import classify_spatial
 from fermap.jw import jw_transform_terms
 from fermap.lattice import LatticeSpec, lattice_integrals
 from fermap.oracle import dense_matrix
@@ -91,8 +91,7 @@ def test_spectrum_invariant_under_orthogonalization_choice(side):
     spectra = []
     for factory in (symmetric_orthogonalizer, canonical_orthogonalizer):
         h1, eri, c = rotate_integrals(raw, factory(raw.overlap))
-        h = from_spatial_integrals(h1, eri, c)
-        mat = dense_matrix(jw_transform_terms(classify(h), h.num_modes, h.constant))
+        mat = dense_matrix(jw_transform_terms(classify_spatial(h1, eri), 2 * side, c))
         spectra.append(np.sort(np.linalg.eigvalsh(mat)))
     assert np.allclose(spectra[0], spectra[1], atol=1e-8)
 
