@@ -83,19 +83,21 @@ def orbit_keys(i, j, k, l, m: int) -> np.ndarray:
 
 
 def pack_eri(dense: np.ndarray) -> np.ndarray:
-    """The packed form of an ``[m, m, m, m]`` tensor: the slot (ij|kl) with
-    i <= j, k <= l and pair(ij) <= pair(kl) of each orbit."""
+    """The packed form of an ``[m, m, m, m]`` tensor: of each orbit, the value
+    at its lexicographically first slot, (ij|kl) or (kl|ij) with i <= j and
+    k <= l.  That is the slot an integral file writes, so a tensor that is
+    symmetric only to rounding packs to the values its file holds."""
     dense = np.asarray(dense, dtype=float)
     m = dense.shape[0]
     first, second = pair_orbitals(m)
-    rows = first * m + second
+    rows = first * m + second  # flat keys i m + j order the pairs lexicographically
     pairs = dense.reshape(m * m, m * m)[np.ix_(rows, rows)]
-    return pairs.T[np.tri(len(rows), dtype=bool)]
+    return np.where(rows <= rows[:, None], pairs.T, pairs)[np.tri(len(rows), dtype=bool)]
 
 
 def unpack_eri(packed: np.ndarray, m: int) -> np.ndarray:
     """The dense, exactly 8-fold symmetric ``[m, m, m, m]`` tensor, for
-    callers that need one (the dense oracles, integral files)."""
+    callers that need one (the dense oracle)."""
     packed = np.asarray(packed, dtype=float)
     if packed.shape != (packed_length(m),):
         raise ValueError(f"a packed ERI of {m} orbitals has {packed_length(m)} entries")

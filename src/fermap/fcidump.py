@@ -3,19 +3,22 @@
 Layout: a namelist-ish header carrying the orbital and electron counts,
 followed by one record per line, ``value i j k l`` with 1-based indices in
 the chemist convention (ij|kl).  ``i j 0 0`` records populate the one-body
-matrix, ``0 0 0 0`` the scalar constant.  Reading reconstructs the full
-8-fold-symmetric two-body tensor and the symmetric one-body matrix.
+matrix, ``0 0 0 0`` the scalar constant.  Reading places each record at the
+one slot of its symmetry orbit: two-body records fill the pair-packed ERI
+(``fermap.eri``), one-body records a triangle of the symmetric one-body
+matrix.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Iterator, List, Tuple
+from dataclasses import dataclass
+from typing import Iterator, Tuple
 
 import numpy as np
 
-from .eri import orbit_keys, packed_indices
+from .eri import orbit_keys, packed_indices, packed_length, pair_table, tri_index, triangular
+from .fermion import SYMMETRY_ATOL, from_spatial_integrals
 
 
 class FcidumpParseError(ValueError):
@@ -28,21 +31,25 @@ class FcidumpSymmetryError(ValueError):
 
 @dataclass
 class IntegralFile:
-    """In-memory image of an integral file (spatial orbitals)."""
+    """In-memory image of an integral file (spatial orbitals).  The integrals
+    go through ``from_spatial_integrals``'s input check: ``one_body`` must be
+    symmetric, and ``eri`` is pair-packed, or dense and 8-fold symmetric (then
+    packed)."""
 
     num_orbitals: int
     num_electrons: int
     one_body: np.ndarray
-    eri: np.ndarray  # chemist convention (ij|kl)
+    eri: np.ndarray  # chemist convention (ij|kl), pair-packed
     constant: float = 0.0
     ms2: int = 0
 
     def __post_init__(self):
-        m = self.num_orbitals
-        if self.one_body.shape != (m, m):
-            raise ValueError("one-body matrix shape mismatch")
-        if self.eri.shape != (m, m, m, m):
-            raise ValueError("two-body tensor shape mismatch")
+        h = from_spatial_integrals(self.one_body, self.eri, self.constant)
+        if h.num_modes != 2 * self.num_orbitals:
+            raise ValueError(
+                f"integrals of {h.num_modes // 2} orbitals in a file of {self.num_orbitals}"
+            )
+        self.one_body, self.eri = h.one_body, h.eri
 
 
 _HEADER_INT = {
@@ -50,17 +57,6 @@ _HEADER_INT = {
     "NELEC": "num_electrons",
     "MS2": "ms2",
 }
-
-_ERI_SYMMETRY = (
-    lambda i, j, k, l: (i, j, k, l),
-    lambda i, j, k, l: (j, i, k, l),
-    lambda i, j, k, l: (i, j, l, k),
-    lambda i, j, k, l: (j, i, l, k),
-    lambda i, j, k, l: (k, l, i, j),
-    lambda i, j, k, l: (l, k, i, j),
-    lambda i, j, k, l: (k, l, j, i),
-    lambda i, j, k, l: (l, k, j, i),
-)
 
 
 def _parse_header(lines: Iterator[Tuple[int, str]]) -> Tuple[dict, int]:
@@ -106,29 +102,7 @@ def _parse_header(lines: Iterator[Tuple[int, str]]) -> Tuple[dict, int]:
     raise FcidumpParseError("header never terminated with '&END' or '/'")
 
 
-def _assign(
-    target: np.ndarray,
-    slots: List[Tuple[int, ...]],
-    value: float,
-    lineno: int,
-    filled: set,
-    atol: float,
-) -> None:
-    canonical = min(slots)
-    if canonical in filled:
-        existing = float(target[slots[0]])
-        if abs(existing - value) > atol:
-            raise FcidumpSymmetryError(
-                f"line {lineno}: duplicate record conflicts with earlier value "
-                f"{existing!r} (new {value!r})"
-            )
-        return
-    filled.add(canonical)
-    for s in slots:
-        target[s] = value
-
-
-def loads(text: str, duplicate_atol: float = 1e-10) -> IntegralFile:
+def loads(text: str) -> IntegralFile:
     lines = iter(enumerate(text.splitlines(), start=1))
     fields, header_end = _parse_header(lines)
     if "num_orbitals" not in fields:
@@ -139,13 +113,7 @@ def loads(text: str, duplicate_atol: float = 1e-10) -> IntegralFile:
     if m < 0:
         raise FcidumpParseError("NORB must be non-negative")
 
-    h1 = np.zeros((m, m))
-    eri = np.zeros((m, m, m, m))
-    constant = 0.0
-    filled_one: set = set()
-    filled_two: set = set()
-    constant_seen = False
-
+    records = []  # (value, lineno, i, j, k, l) in file order
     for lineno, line in lines:
         text_line = line.strip()
         if not text_line:
@@ -165,35 +133,43 @@ def loads(text: str, duplicate_atol: float = 1e-10) -> IntegralFile:
                 raise FcidumpParseError(
                     f"line {lineno}: orbital index {idx} outside 0..{m}"
                 )
-        if i == j == k == l == 0:
-            if constant_seen and abs(constant - value) > duplicate_atol:
-                raise FcidumpSymmetryError(
-                    f"line {lineno}: conflicting constant records"
-                )
-            constant = value
-            constant_seen = True
-        elif k == 0 and l == 0:
-            if i == 0 or j == 0:
+        if k == 0 and l == 0:
+            if (i == 0) != (j == 0):  # 0 0 0 0 is the constant
                 raise FcidumpParseError(
                     f"line {lineno}: one-body record needs both i and j nonzero"
                 )
-            a, b = i - 1, j - 1
-            _assign(h1, [(a, b), (b, a)], value, lineno, filled_one, duplicate_atol)
         elif 0 in (i, j, k, l):
             raise FcidumpParseError(
                 f"line {lineno}: two-body record with a zero index"
             )
-        else:
-            a, b, c, d = i - 1, j - 1, k - 1, l - 1
-            slots = [sym(a, b, c, d) for sym in _ERI_SYMMETRY]
-            _assign(eri, slots, value, lineno, filled_two, duplicate_atol)
+        records.append((value, lineno, i, j, k, l))
 
+    # every record has one slot: tri_index(pair(ij), pair(kl)) of the packed
+    # ERI, then the constant, then tri_index(i, j) of the one-body triangle
+    records = np.array(records, dtype=float).reshape(-1, 6)
+    i, j, k, l = records[:, 2:].astype(np.int64).T - 1
+    ij = tri_index(i, j)
+    length = packed_length(m)
+    slots = np.select([i < 0, k < 0], [length, length + 1 + ij], tri_index(ij, tri_index(k, l)))
+    order = np.argsort(slots, kind="stable")
+    slots, values, linenos = slots[order], records[order, 0], records[order, 1]
+    first = np.diff(slots, prepend=-1) != 0
+    earlier = values[first][np.cumsum(first) - 1]  # the first value at each record's slot
+    conflicts = np.flatnonzero(np.abs(values - earlier) > SYMMETRY_ATOL)
+    if len(conflicts):
+        c = conflicts[np.argmin(linenos[conflicts])]
+        raise FcidumpSymmetryError(
+            f"line {int(linenos[c])}: duplicate record conflicts with earlier value "
+            f"{float(earlier[c])!r} (new {float(values[c])!r})"
+        )
+    placed = np.zeros(length + 1 + int(triangular(m)))
+    placed[slots[first]] = values[first]
     return IntegralFile(
         num_orbitals=m,
         num_electrons=fields["num_electrons"],
-        one_body=h1,
-        eri=eri,
-        constant=constant,
+        one_body=placed[length + 1 :][pair_table(m)],
+        eri=placed[:length],
+        constant=float(placed[length]),
         ms2=fields["ms2"],
     )
 
@@ -203,10 +179,11 @@ def load(path) -> IntegralFile:
         return loads(f.read())
 
 
-def dumps(data: IntegralFile, threshold: float = 0.0) -> str:
-    """Serialize; only the canonical representative of each symmetry orbit is
-    written.  Entries with magnitude <= ``threshold`` are skipped (the
-    constant is always written)."""
+def dumps(data: IntegralFile) -> str:
+    """Serialize; each symmetry orbit is written once, at its
+    lexicographically first slot, in that order, then the one-body triangle
+    and the constant.  Records that are exactly 0 are skipped (the constant is
+    always written)."""
     m = data.num_orbitals
     out = [
         f"&FCI NORB={m},NELEC={data.num_electrons},MS2={data.ms2},",
@@ -217,21 +194,22 @@ def dumps(data: IntegralFile, threshold: float = 0.0) -> str:
     def fmt(value: float, i: int, j: int, k: int, l: int) -> str:
         return f" {value: .16e} {i:4d} {j:4d} {k:4d} {l:4d}"
 
-    # each orbit is written at its lexicographically first slot, in that order
-    first = np.sort(orbit_keys(*packed_indices(m), m).min(axis=1))
-    values = data.eri.reshape(-1)[first]
-    kept = np.abs(values) > threshold
-    slots = np.stack(np.unravel_index(first[kept], (m,) * 4), axis=1) + 1
+    first = orbit_keys(*packed_indices(m), m).min(axis=1)
+    order = np.argsort(first)
+    values = data.eri[order]
+    kept = values != 0
+    # the base-m digits of a flat m^4 index are its 0-based (i, j, k, l)
+    slots = first[order][kept, None] // m ** np.arange(3, -1, -1) % m + 1
     out.extend(fmt(v, *slot) for v, slot in zip(values[kept].tolist(), slots.tolist()))
     for i in range(m):
         for j in range(i + 1):
             v = float(data.one_body[i, j])
-            if abs(v) > threshold:
+            if v != 0:
                 out.append(fmt(v, i + 1, j + 1, 0, 0))
     out.append(fmt(data.constant, 0, 0, 0, 0))
     return "\n".join(out) + "\n"
 
 
-def dump(data: IntegralFile, path, threshold: float = 0.0) -> None:
+def dump(data: IntegralFile, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        f.write(dumps(data, threshold))
+        f.write(dumps(data))

@@ -43,17 +43,3 @@ def random_spatial_hamiltonian(
     constant = float(rng.uniform(-scale, scale))
     return from_spatial_integrals(h1, eri, constant)
 
-
-def random_connected_graph_edges(
-    num_vertices: int, max_extra_edges: int, rng: np.random.Generator
-):
-    """Edge set of a random connected graph: a random spanning tree plus up
-    to ``max_extra_edges`` additional distinct edges."""
-    edges = set()
-    for v in range(1, num_vertices):
-        edges.add((int(rng.integers(0, v)), v))
-    extra = int(rng.integers(0, max_extra_edges + 1))
-    for _ in range(extra):
-        p, q = rng.choice(num_vertices, size=2, replace=False)
-        edges.add((int(min(p, q)), int(max(p, q))))
-    return edges

@@ -17,7 +17,7 @@ from fermap.molecules import molecule_bounds, published_bounds
 from fermap.oracle import sector_spectra_match
 from fermap.ortho import orthonormal_integrals
 from fermap.pauli import commute, product
-from fermap.sampling import random_connected_graph_edges, random_spatial_hamiltonian
+from fermap.sampling import random_spatial_hamiltonian
 from fermap.superfast import (
     InteractionGraph,
     _Tables,
@@ -25,6 +25,7 @@ from fermap.superfast import (
     loop_stabilizers,
     ose_transform_terms,
 )
+from test_superfast import random_connected_graph_edges
 
 ONE_D_SIZES = (2, 4, 6, 8, 10)
 

@@ -9,7 +9,6 @@ import pytest
 
 from fermap.bench import run_cell
 from fermap.cli import main
-from fermap.eri import unpack_eri
 from fermap.fcidump import IntegralFile, dump
 from fermap.lattice import LatticeSpec
 from fermap.ortho import orthonormal_integrals
@@ -81,15 +80,16 @@ def test_transform_of_a_dumped_cell_matches_the_sweep(dim, side, exponent, tmp_p
     # both run the same mapping stage; the file has no constant, as sweep rows leave it out
     h1, eri, _ = orthonormal_integrals(LatticeSpec(dim, side, exponent))
     path = tmp_path / "cell.fcidump"
-    dump(IntegralFile(len(h1), len(h1), h1, unpack_eri(eri, len(h1)), constant=0.0), path)
+    dump(IntegralFile(len(h1), len(h1), h1, eri, constant=0.0), path)
     code, out = run_cli(["transform", str(path), "--cutoff", "1e-7"], capsys)
     assert code == 0
     row = run_cell(dim, side, exponent, cutoff=1e-7)
     for mapped, report in zip(json.loads(out), (row.jw_report, row.bksf_report), strict=True):
-        for field in ("qubits", "term_count", "total_weight", "max_weight"):
+        # the file holds the integrals bitwise, so even the L1 norms agree exactly
+        for field in (
+            "qubits", "term_count", "total_weight", "max_weight", "l1_norm", "l1_norm_no_identity",
+        ):
             assert mapped[field] == getattr(report, field), field
-        for field in ("l1_norm", "l1_norm_no_identity"):
-            assert mapped[field] == pytest.approx(getattr(report, field), rel=1e-12, abs=0)
 
 
 def test_bounds_listing(capsys):

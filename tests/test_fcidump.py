@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fermap.eri import packed_length, unpack_eri
 from fermap.fcidump import (
     FcidumpParseError,
     FcidumpSymmetryError,
@@ -12,31 +13,24 @@ from fermap.fcidump import (
     load,
     loads,
 )
+from fermap.sampling import random_spatial_hamiltonian
 
 
 def random_integral_file(m, seed):
-    rng = np.random.default_rng(seed)
-    h = rng.normal(size=(m, m))
-    h = 0.5 * (h + h.T)
-    eri = rng.normal(size=(m,) * 4)
-    sym = np.zeros_like(eri)
-    for perm in [
-        (0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2),
-        (2, 3, 0, 1), (3, 2, 0, 1), (2, 3, 1, 0), (3, 2, 1, 0),
-    ]:
-        sym += eri.transpose(perm)
-    return IntegralFile(m, m, h, sym / 8.0, constant=rng.normal(), ms2=0)
+    h = random_spatial_hamiltonian(m, seed)
+    return IntegralFile(m, m, h.one_body, h.eri, h.constant)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_round_trip(m):
+    # .16e writes 17 significant digits, so every value reads back bitwise
     orig = random_integral_file(m, m)
     back = loads(dumps(orig))
     assert back.num_orbitals == m
     assert back.num_electrons == m
-    assert np.allclose(back.one_body, orig.one_body, atol=1e-12)
-    assert np.allclose(back.eri, orig.eri, atol=1e-12)
-    assert back.constant == pytest.approx(orig.constant, abs=1e-12)
+    assert np.array_equal(back.one_body, orig.one_body)
+    assert np.array_equal(back.eri, orig.eri)
+    assert back.constant == orig.constant
 
 
 def test_round_trip_via_file(tmp_path):
@@ -44,7 +38,7 @@ def test_round_trip_via_file(tmp_path):
     path = tmp_path / "h.fcidump"
     dump(orig, path)
     back = load(path)
-    assert np.allclose(back.eri, orig.eri, atol=1e-12)
+    assert np.array_equal(back.eri, orig.eri)
 
 
 def test_constant_only_file():
@@ -65,8 +59,10 @@ def test_one_body_record_fills_both_symmetric_slots():
 def test_eri_record_fills_full_orbit():
     text = "&FCI NORB=2,NELEC=2,\n&END\n 0.25 1 1 2 2\n"
     data = loads(text)
-    assert data.eri[0, 0, 1, 1] == pytest.approx(0.25)
-    assert data.eri[1, 1, 0, 0] == pytest.approx(0.25)
+    assert data.eri.shape == (packed_length(2),)
+    eri = unpack_eri(data.eri, 2)
+    assert eri[0, 0, 1, 1] == pytest.approx(0.25)
+    assert eri[1, 1, 0, 0] == pytest.approx(0.25)
 
 
 def test_fortran_d_exponent_accepted():
@@ -80,14 +76,24 @@ def test_slash_header_terminator():
 
 
 def test_conflicting_duplicate_raises_symmetry_error():
-    text = "&FCI NORB=2,NELEC=2,\n&END\n 0.5 1 2 0 0\n 0.6 2 1 0 0\n"
-    with pytest.raises(FcidumpSymmetryError):
-        loads(text)
+    for records in (
+        " 0.5 1 2 0 0\n 0.6 2 1 0 0\n",
+        " 0.5 1 2 3 4\n 0.6 2 1 4 3\n",
+        " 0.5 0 0 0 0\n 0.6 0 0 0 0\n",
+        # the first conflict in the file is named, not the first slot's
+        " 0.5 1 2 0 0\n 0.6 2 1 0 0\n 0.5 1 2 3 4\n 0.6 2 1 4 3\n",
+    ):
+        with pytest.raises(FcidumpSymmetryError, match="^line 4: "):
+            loads("&FCI NORB=4,NELEC=2,\n&END\n" + records)
 
 
 def test_consistent_duplicate_accepted():
     text = "&FCI NORB=2,NELEC=2,\n&END\n 0.5 1 2 0 0\n 0.5 2 1 0 0\n"
     assert loads(text).one_body[0, 1] == pytest.approx(0.5)
+    text = "&FCI NORB=4,NELEC=2,\n&END\n 0.5 1 2 3 4\n 0.5 2 1 4 3\n"
+    eri = unpack_eri(loads(text).eri, 4)
+    assert eri[0, 1, 2, 3] == eri[3, 2, 1, 0] == 0.5
+    assert np.count_nonzero(eri) == 8
 
 
 def test_parse_errors_carry_line_numbers():
@@ -101,22 +107,28 @@ def test_parse_errors_carry_line_numbers():
         loads("&FCI NORB=1,NELEC=1,\n&END\n 1.0 5 1 0 0\n")  # index out of range
 
 
-def test_dumps_threshold_prunes_entries():
-    data = random_integral_file(2, 3)
-    full_lines = dumps(data).count("\n")
-    pruned_lines = dumps(data, threshold=1.0).count("\n")
-    assert pruned_lines < full_lines
-
-
 def test_shape_validation():
-    with pytest.raises(ValueError):
-        IntegralFile(2, 2, np.zeros((3, 3)), np.zeros((2,) * 4))
+    asymmetric_eri = np.zeros((2,) * 4)
+    asymmetric_eri[0, 0, 0, 1] = 1.0
+    for m, h1, eri in (
+        (2, np.zeros((3, 3)), np.zeros((2,) * 4)),
+        (2, np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2,) * 4)),
+        (2, np.zeros((2, 2)), asymmetric_eri),
+        (2, np.zeros((2, 2)), np.zeros(packed_length(2) + 1)),
+        (3, np.zeros((2, 2)), np.zeros(packed_length(2))),
+    ):
+        with pytest.raises(ValueError):
+            IntegralFile(m, m, h1, eri)
+    data = IntegralFile(2, 2, np.eye(2), unpack_eri(np.arange(packed_length(2)), 2))
+    assert np.array_equal(data.eri, np.arange(packed_length(2)))
 
 
-def reference_dumps(data, threshold):
+def reference_dumps(data):
     """The file text from a scan over all m^4 slots that writes each symmetry
-    orbit once, at the first slot that reaches it."""
+    orbit once, at the first slot that reaches it; records that are exactly
+    0 are left out."""
     m = data.num_orbitals
+    eri = unpack_eri(data.eri, m)
     symmetry = (
         lambda i, j, k, l: (i, j, k, l), lambda i, j, k, l: (j, i, k, l),
         lambda i, j, k, l: (i, j, l, k), lambda i, j, k, l: (j, i, l, k),
@@ -133,19 +145,21 @@ def reference_dumps(data, threshold):
         key = min(sym(*slot) for sym in symmetry)
         if key not in seen:
             seen.add(key)
-            if abs(float(data.eri[slot])) > threshold:
-                lines.append(fmt(float(data.eri[slot]), *(x + 1 for x in slot)))
+            if eri[slot] != 0:
+                lines.append(fmt(float(eri[slot]), *(x + 1 for x in slot)))
     for i in range(m):
         for j in range(i + 1):
-            if abs(float(data.one_body[i, j])) > threshold:
+            if data.one_body[i, j] != 0:
                 lines.append(fmt(float(data.one_body[i, j]), i + 1, j + 1, 0, 0))
     lines.append(fmt(data.constant, 0, 0, 0, 0))
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("threshold", [0.0, 0.05])
+@pytest.mark.parametrize("zeroed", [0.0, 0.05])
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
-def test_dumps_matches_a_full_scan(m, threshold):
+def test_dumps_matches_a_full_scan(m, zeroed):
+    # integrals under ``zeroed`` in magnitude are set to 0, so their records are left out
     data = random_integral_file(m, 10 + m)
-    data.eri[np.abs(data.eri) < 0.02] = 0.0  # some records fall under either threshold
-    assert dumps(data, threshold) == reference_dumps(data, threshold)
+    data.eri[np.abs(data.eri) < zeroed] = 0.0
+    data.one_body[np.abs(data.one_body) < zeroed] = 0.0
+    assert dumps(data) == reference_dumps(data)

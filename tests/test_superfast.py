@@ -7,7 +7,7 @@ import pytest
 from fermap.fermion import ClassifiedTerm, Kind, blocked_modes
 from fermap.oracle import codespace_projector, sector_spectra_match
 from fermap.pauli import NonHermitianError, commute, product
-from fermap.sampling import random_connected_graph_edges, random_spatial_hamiltonian
+from fermap.sampling import random_spatial_hamiltonian
 from fermap.superfast import (
     InteractionGraph,
     MissingEdgeError,
@@ -17,6 +17,19 @@ from fermap.superfast import (
     ose_transform_terms,
     pair_partition,
 )
+
+
+def random_connected_graph_edges(num_vertices, max_extra_edges, rng):
+    """Edge set of a random connected graph: a random spanning tree plus up
+    to ``max_extra_edges`` additional distinct edges."""
+    edges = set()
+    for v in range(1, num_vertices):
+        edges.add((int(rng.integers(0, v)), v))
+    extra = int(rng.integers(0, max_extra_edges + 1))
+    for _ in range(extra):
+        p, q = rng.choice(num_vertices, size=2, replace=False)
+        edges.add((int(min(p, q)), int(max(p, q))))
+    return edges
 
 
 def random_graphs(count, seed=0):
