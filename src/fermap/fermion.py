@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Tuple
+from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
@@ -64,23 +64,6 @@ class ClassifiedTerms:
 
     def __init__(self, by_kind: Dict[Kind, Tuple[np.ndarray, np.ndarray]]):
         self.by_kind = {k: by_kind[k] for k in Kind if k in by_kind and len(by_kind[k][1])}
-
-    @classmethod
-    def of(cls, terms: Iterable[ClassifiedTerm]) -> "ClassifiedTerms":
-        """Group terms by kind, keeping their order within each kind; a
-        ``ClassifiedTerms`` comes back as it is."""
-        if isinstance(terms, ClassifiedTerms):
-            return terms
-        grouped: Dict[Kind, list] = {}
-        for t in terms:
-            grouped.setdefault(t.kind, []).append(t)
-        return cls({
-            kind: (
-                np.array([t.indices for t in members], dtype=np.intp),
-                np.array([t.coefficient for t in members]),
-            )
-            for kind, members in grouped.items()
-        })
 
     def __len__(self) -> int:
         return sum(len(c) for _, c in self.by_kind.values())

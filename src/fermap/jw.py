@@ -11,19 +11,20 @@ strings), and multiplied row-wise.
 from __future__ import annotations
 
 from functools import partial
-from typing import Iterable, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .fermion import ClassifiedTerm, ClassifiedTerms, Kind
-from .pauli import Packed, PauliOperatorSum, half_one_minus, merge_images, outer, pack_masks
+from .fermion import ClassifiedTerms, Kind
+from .pauli import Packed, PauliOperatorSum, half_one_minus, merge_images, outer, set_bits
 
 
 def _register_tables(num_modes: int) -> Tuple[np.ndarray, np.ndarray]:
     """``bits[j]`` is the mask of qubit j and ``prefix[j]`` that of qubits
     0..j-1 (the Z string of a_j), both as words."""
-    bits = [1 << j for j in range(num_modes)]
-    return pack_masks(bits, num_modes), pack_masks((b - 1 for b in bits), num_modes)
+    modes = np.arange(num_modes)
+    bits = set_bits(modes, modes, num_modes, num_modes)
+    return bits, set_bits(*np.tril_indices(num_modes, -1), num_modes, num_modes)
 
 
 def _ladders(modes: np.ndarray, dagger: bool, tables) -> Packed:
@@ -72,7 +73,7 @@ def jw_ladder(j: int, dagger: bool, num_modes: int) -> PauliOperatorSum:
 
 
 def jw_transform_terms(
-    terms: Iterable[ClassifiedTerm],
+    terms: ClassifiedTerms,
     num_modes: int,
     constant: float = 0.0,
     eps: float = 1e-12,
@@ -82,4 +83,4 @@ def jw_transform_terms(
     Raises NonHermitianError when a merged coefficient has |imag| > eps.
     """
     images = partial(_kind_images, tables=_register_tables(num_modes))
-    return merge_images(ClassifiedTerms.of(terms).by_kind, images, num_modes, constant, eps)
+    return merge_images(terms.by_kind, images, num_modes, constant, eps)

@@ -125,7 +125,10 @@ def probe_scaling(
 ) -> Tuple[List[Dict[str, int]], Dict[str, float]]:
     """Run the complete-graph probe over several sizes and fit (a) a linear
     model to the encoded max weight (R^2 of the fit) and (b) the log-log
-    slope of each mapping's total weight against the mode count."""
+    slope of each mapping's total weight against the mode count.  A fit
+    needs at least two distinct mode counts; fewer raise ValueError."""
+    if len(set(mode_counts)) < 2:
+        raise ValueError(f"a scaling fit needs two distinct mode counts, got {list(mode_counts)}")
     samples = [complete_graph_probe(m) for m in mode_counts]
     ms = np.array([s["num_modes"] for s in samples], dtype=float)
     maxw = np.array([s["max_weight"] for s in samples], dtype=float)

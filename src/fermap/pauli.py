@@ -39,18 +39,14 @@ def num_words(num_qubits: int) -> int:
     return max(1, -(-num_qubits // 64))
 
 
-def pack_masks(masks: Iterable[int], num_qubits: int) -> np.ndarray:
-    """Python-integer masks as a uint64 word array ``[n, num_words(num_qubits)]``.
-
-    Raises ValueError for a mask that is negative or has a bit at or above
-    ``num_qubits``.
-    """
-    masks = tuple(masks)
-    if any(m >> num_qubits for m in masks):
-        raise ValueError(f"mask with a bit outside qubits 0..{num_qubits - 1}")
-    words = num_words(num_qubits)
-    raw = b"".join(m.to_bytes(8 * words, "little") for m in masks)
-    return np.frombuffer(raw, dtype="<u8").reshape(-1, words).astype(np.uint64)
+def set_bits(rows, bits, num_rows: int, num_qubits: int) -> np.ndarray:
+    """Words ``[num_rows, num_words(num_qubits)]`` with bit ``bits[k]`` set in
+    row ``rows[k]`` and every other bit clear; each bit must be below
+    ``num_qubits``."""
+    out = np.zeros((num_rows, num_words(num_qubits)), dtype=np.uint64)
+    bits = np.asarray(bits, dtype=np.uint64)
+    np.bitwise_or.at(out, (rows, bits // np.uint64(64)), np.uint64(1) << bits % np.uint64(64))
+    return out
 
 
 def _popcount(words: np.ndarray) -> np.ndarray:

@@ -1,21 +1,24 @@
-"""Superfast encoding: interaction graph, edge/vertex operators, term mapping,
-loop stabilizers, and the odd-parity ancilla construction.
+"""Superfast encoding: the interaction graph with its edge/vertex operator
+tables, term mapping, loop stabilizers, and the odd-parity ancilla
+construction.
 
-Qubits are identified with graph edges.  A vertex operator B_i is a product of
-Z on every edge incident to i; an edge operator A_pq (p < q) is X on edge
-{p,q} dressed with Z factors on neighboring edges, and A_qp = -A_pq.
+Qubits are identified with graph edges: qubit e is row e of the sorted edge
+array.  A vertex operator B_i is a product of Z on every edge incident to i;
+an edge operator A_pq (p < q) is X on edge {p,q} dressed with Z factors on
+neighboring edges, and A_qp = -A_pq.  One ``[n, n]`` edge lookup is the
+graph's only adjacency: the packed tables and the breadth-first spanning
+forest are both read from it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import partial
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .fermion import ClassifiedTerm, ClassifiedTerms, Kind, blocked_modes
+from .fermion import ClassifiedTerms, Kind, blocked_modes
 from .pauli import (
     Packed,
     PauliOperatorSum,
@@ -23,8 +26,8 @@ from .pauli import (
     merge_images,
     num_words,
     outer,
-    pack_masks,
     product,
+    set_bits,
     z_rows,
 )
 
@@ -37,60 +40,76 @@ class AlgebraViolationError(RuntimeError):
     """Raised when a loop stabilizer fails its exactness checks."""
 
 
-@dataclass(frozen=True)
 class InteractionGraph:
-    num_vertices: int
-    edges: Tuple[Tuple[int, int], ...]  # canonical (p, q) with p < q, sorted
-    edge_index: Dict[Tuple[int, int], int]
-    neighbors: Tuple[Tuple[int, ...], ...]
+    """A graph on ``num_vertices`` modes and its packed operator tables.
 
-    @classmethod
-    def from_edges(
-        cls, num_vertices: int, edges: Iterable[Tuple[int, int]]
-    ) -> "InteractionGraph":
-        canon = set()
-        for p, q in edges:
-            if p == q:
-                raise ValueError("self-loops are not allowed")
-            if not (0 <= p < num_vertices and 0 <= q < num_vertices):
-                raise ValueError("edge endpoint out of range")
-            canon.add((min(p, q), max(p, q)))
-        ordered = tuple(sorted(canon))
-        index = {e: i for i, e in enumerate(ordered)}
-        nbrs: List[List[int]] = [[] for _ in range(num_vertices)]
-        for p, q in ordered:
-            nbrs[p].append(q)
-            nbrs[q].append(p)
-        return cls(num_vertices, ordered, index, tuple(tuple(sorted(n)) for n in nbrs))
+    ``edges`` is the ``[Q, 2]`` array of distinct edges (p, q), p < q, sorted;
+    ``lookup[p, q] = lookup[q, p]`` is the index of edge {p,q}, or -1 where
+    there is none.  ``vertex[i]`` holds the Z words of B_i, and ``edge_x[e]``,
+    ``edge_z[e]`` those of A_pq for edge e = (p, q).
+    """
 
-    @property
-    def num_qubits(self) -> int:
-        return len(self.edges)
+    def __init__(self, num_vertices: int, edges):
+        ends = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+        if (ends[:, 0] == ends[:, 1]).any():
+            raise ValueError("self-loops are not allowed")
+        if ((ends < 0) | (ends >= num_vertices)).any():
+            raise ValueError("edge endpoint out of range")
+        self.num_vertices = num_vertices
+        self.edges = np.unique(np.sort(ends, axis=1), axis=0)
+        self.num_qubits = q = len(self.edges)
+        p, r = self.edges.T
+        e = np.arange(q)
+        self.lookup = np.full((num_vertices, num_vertices), -1, dtype=np.intp)
+        self.lookup[p, r] = self.lookup[r, p] = e
+        # B_i: Z on every edge incident to i
+        self.vertex = set_bits(self.edges.ravel(), np.repeat(e, 2), num_vertices, q)
+        # A_pr: X on edge e; Z on the edges (p, l) with l < r and (r, s) with s < p
+        self.edge_x = set_bits(e, e, q, q)
+        at_p, at_r, vertices = self.lookup[p], self.lookup[r], np.arange(num_vertices)
+        low_p = (at_p >= 0) & (vertices < r[:, None])
+        low_r = (at_r >= 0) & (vertices < p[:, None])
+        rows = np.concatenate([np.nonzero(low_p)[0], np.nonzero(low_r)[0]])
+        self.edge_z = set_bits(rows, np.concatenate([at_p[low_p], at_r[low_r]]), q, q)
 
-    def qubit_of(self, p: int, q: int) -> int:
-        try:
-            return self.edge_index[(min(p, q), max(p, q))]
-        except KeyError:
-            raise MissingEdgeError(f"no edge between modes {p} and {q}") from None
+    def a(self, p: np.ndarray, q: np.ndarray) -> Packed:
+        """A_pq for every pair: one row per term."""
+        e = self.lookup[p, q]
+        if (e < 0).any():
+            k = int(np.argmax(e < 0))
+            raise MissingEdgeError(f"no edge between modes {p[k]} and {q[k]}")
+        c = np.where(p > q, -1.0, 1.0)[:, None]  # A_qp = -A_pq
+        return self.edge_x[e][:, None], self.edge_z[e][:, None], c
 
-    def connected_components(self) -> List[List[int]]:
-        seen = [False] * self.num_vertices
-        comps = []
+    def b(self, vertices: Sequence[np.ndarray], c) -> Packed:
+        """c[r] B_v for every v in ``vertices[r]``: len(vertices) rows per term."""
+        return z_rows(np.stack([self.vertex[v] for v in vertices], axis=1), c)
+
+    def spanning_forest(self) -> np.ndarray:
+        """Parent of every vertex in a breadth-first spanning forest, -1 at the
+        roots.  Each tree is rooted at its lowest vertex, and every vertex
+        visits its neighbours in ascending order."""
+        parent = np.full(self.num_vertices, -1, dtype=np.intp)
+        seen = np.zeros(self.num_vertices, dtype=bool)
         for start in range(self.num_vertices):
             if seen[start]:
                 continue
-            comp = []
-            queue = deque([start])
             seen[start] = True
+            queue = deque([start])
             while queue:
                 v = queue.popleft()
-                comp.append(v)
-                for w in self.neighbors[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        queue.append(w)
-            comps.append(sorted(comp))
-        return comps
+                new = np.flatnonzero((self.lookup[v] >= 0) & ~seen)
+                seen[new], parent[new] = True, v
+                queue.extend(new.tolist())
+        return parent
+
+    def connected_components(self) -> List[List[int]]:
+        """Vertex lists of the components, each sorted, ordered by lowest vertex."""
+        parent = self.spanning_forest()
+        root = np.arange(self.num_vertices)
+        while (parent[root] >= 0).any():
+            root = np.where(parent[root] >= 0, parent[root], root)
+        return [np.flatnonzero(root == r).tolist() for r in np.flatnonzero(parent < 0)]
 
 
 def pair_partition(
@@ -113,7 +132,7 @@ def pair_partition(
     return first, second, np.where(cross[:, 0], -1.0, 1.0)
 
 
-def build_interaction_graph(terms: Iterable[ClassifiedTerm], num_modes: int) -> InteractionGraph:
+def build_interaction_graph(terms: ClassifiedTerms, num_modes: int) -> InteractionGraph:
     """Edge set = union of the edges each term's encoded image requires.
 
     Spins follow the blocked mode convention (``fermion.blocked_modes``).
@@ -121,68 +140,19 @@ def build_interaction_graph(terms: Iterable[ClassifiedTerm], num_modes: int) -> 
     """
     spins = blocked_modes(num_modes)[1]
     pairs = [np.empty((0, 2), dtype=np.intp)]
-    for kind, (idx, _) in ClassifiedTerms.of(terms).by_kind.items():
+    for kind, (idx, _) in terms.by_kind.items():
         if kind is Kind.EXCITATION or kind is Kind.PAIR_CREATION:
             pairs.append(idx)
         elif kind is Kind.NUMBER_EXCITATION:
             pairs.append(idx[:, [0, 2]])
         elif kind is Kind.DOUBLE_EXCITATION:
             pairs.extend(pair_partition(idx, spins)[:2])
-    required = np.unique(np.sort(np.concatenate(pairs), axis=1), axis=0)
-    return InteractionGraph.from_edges(num_modes, required.tolist())
+    return InteractionGraph(num_modes, np.concatenate(pairs))
 
 
-def _vertex_mask(i: int, g: InteractionGraph) -> int:
-    """B_i: Z on every edge qubit incident to vertex i."""
-    z = 0
-    for j in g.neighbors[i]:
-        z |= 1 << g.qubit_of(i, j)
-    return z
-
-
-def _edge_masks(p: int, q: int, g: InteractionGraph) -> Tuple[int, int]:
-    """A_pq for an edge p < q: X on edge {p,q}, Z on the edges from p to its
-    neighbours below q and from q to its neighbours below p."""
-    z = 0
-    for l in g.neighbors[p]:
-        if l < q:
-            z |= 1 << g.qubit_of(l, p)
-    for s in g.neighbors[q]:
-        if s < p:
-            z |= 1 << g.qubit_of(s, q)
-    return 1 << g.qubit_of(p, q), z
-
-
-class _Tables:
-    """Packed B_i and A_pq (p < q) of one graph, plus a vertex-pair lookup of
-    edge indices (-1 where there is no edge)."""
-
-    def __init__(self, g: InteractionGraph):
-        q = g.num_qubits
-        self.vertex = pack_masks((_vertex_mask(i, g) for i in range(g.num_vertices)), q)
-        xs, zs = zip(*(_edge_masks(p, r, g) for p, r in g.edges)) if q else ((), ())
-        self.edge_x, self.edge_z = pack_masks(xs, q), pack_masks(zs, q)
-        self.lookup = np.full((g.num_vertices, g.num_vertices), -1, dtype=np.intp)
-        ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
-        self.lookup[ends[:, 0], ends[:, 1]] = self.lookup[ends[:, 1], ends[:, 0]] = np.arange(q)
-
-    def a(self, p: np.ndarray, q: np.ndarray) -> Packed:
-        """A_pq for every pair: one row per term."""
-        e = self.lookup[p, q]
-        if (e < 0).any():
-            k = int(np.argmax(e < 0))
-            raise MissingEdgeError(f"no edge between modes {p[k]} and {q[k]}")
-        c = np.where(p > q, -1.0, 1.0)[:, None]  # A_qp = -A_pq
-        return self.edge_x[e][:, None], self.edge_z[e][:, None], c
-
-    def b(self, vertices: Sequence[np.ndarray], c) -> Packed:
-        """c[r] B_v for every v in ``vertices[r]``: len(vertices) rows per term."""
-        return z_rows(np.stack([self.vertex[v] for v in vertices], axis=1), c)
-
-
-def _hops(t: _Tables, i: np.ndarray, j: np.ndarray) -> Packed:
+def _hops(g: InteractionGraph, i: np.ndarray, j: np.ndarray) -> Packed:
     """a_i^ a_j + a_j^ a_i  ->  -i (A_ij B_j + B_i A_ij) / 2, with B_i A_ij = -A_ij B_i."""
-    return outer(t.a(i, j), t.b([j, i], (-0.5j, 0.5j)))
+    return outer(g.a(i, j), g.b([j, i], (-0.5j, 0.5j)))
 
 
 # B-subset signs for the double-excitation expansion, keyed by the subset of
@@ -201,40 +171,40 @@ _DOUBLE_B_SUBSETS = (
 )
 
 
-def _double_excitations(t: _Tables, idx: np.ndarray, spins: np.ndarray) -> Packed:
+def _double_excitations(g: InteractionGraph, idx: np.ndarray, spins: np.ndarray) -> Packed:
     """a_i^ a_j^ a_k a_l + h.c. from two same-spin edge operators and eight B-subsets."""
     first, second, pair_sign = pair_partition(idx, spins)
-    aa = outer(t.a(first[:, 0], first[:, 1]), t.a(second[:, 0], second[:, 1]))
+    aa = outer(g.a(first[:, 0], first[:, 1]), g.a(second[:, 0], second[:, 1]))
     # the B_v commute and carry no X, so each subset's product is one Z mask
     subsets, signs = zip(*_DOUBLE_B_SUBSETS)
-    b = t.vertex[idx]
+    b = g.vertex[idx]
     z = np.stack([np.bitwise_xor.reduce(b[:, list(sub)], axis=1) for sub in subsets], axis=1)
     c = np.outer(pair_sign / 8.0, signs)
     return outer(aa, z_rows(z, c))
 
 
-def _kind_images(kind: Kind, idx: np.ndarray, t: _Tables, spins: np.ndarray) -> Packed:
+def _kind_images(kind: Kind, idx: np.ndarray, g: InteractionGraph, spins: np.ndarray) -> Packed:
     """Images of the unit-coefficient terms of one kind, grouped per term."""
     cols = idx.T
     if kind is Kind.NUMBER:
-        return half_one_minus(t.vertex[cols[0]])
+        return half_one_minus(g.vertex[cols[0]])
     if kind is Kind.COULOMB_EXCHANGE:
-        return outer(half_one_minus(t.vertex[cols[0]]), half_one_minus(t.vertex[cols[1]]))
+        return outer(half_one_minus(g.vertex[cols[0]]), half_one_minus(g.vertex[cols[1]]))
     if kind is Kind.EXCITATION:
-        return _hops(t, cols[0], cols[1])
+        return _hops(g, cols[0], cols[1])
     if kind is Kind.NUMBER_EXCITATION:
-        return outer(_hops(t, cols[0], cols[2]), half_one_minus(t.vertex[cols[1]]))
+        return outer(_hops(g, cols[0], cols[2]), half_one_minus(g.vertex[cols[1]]))
     if kind is Kind.DOUBLE_EXCITATION:
-        return _double_excitations(t, idx, spins)
+        return _double_excitations(g, idx, spins)
     if kind is Kind.PAIR_CREATION:
         # a_i^ a_j^ + a_j a_i -> i (A_ij B_i + A_ij B_j) / 2; sign fixed against
         # a dense Majorana-product oracle
-        return outer(t.a(cols[0], cols[1]), t.b([cols[0], cols[1]], (0.5j, 0.5j)))
+        return outer(g.a(cols[0], cols[1]), g.b([cols[0], cols[1]], (0.5j, 0.5j)))
     raise ValueError(f"unhandled kind {kind}")
 
 
 def ose_transform_terms(
-    terms: Iterable[ClassifiedTerm],
+    terms: ClassifiedTerms,
     g: InteractionGraph,
     constant: float = 0.0,
     eps: float = 1e-12,
@@ -246,8 +216,8 @@ def ose_transform_terms(
     terms are merged and |c| < eps dropped; raises NonHermitianError when a
     merged coefficient has |imag| > eps.
     """
-    images = partial(_kind_images, t=_Tables(g), spins=blocked_modes(g.num_vertices)[1])
-    return merge_images(ClassifiedTerms.of(terms).by_kind, images, g.num_qubits, constant, eps)
+    images = partial(_kind_images, g=g, spins=blocked_modes(g.num_vertices)[1])
+    return merge_images(terms.by_kind, images, g.num_qubits, constant, eps)
 
 
 def loop_stabilizers(g: InteractionGraph) -> PauliOperatorSum:
@@ -256,43 +226,29 @@ def loop_stabilizers(g: InteractionGraph) -> PauliOperatorSum:
     in the order of the non-tree edges that close the cycles.  Each product
     must come out as a real +/-1 times a Pauli string.
     """
-    parent: Dict[int, Optional[int]] = {}
-    tree_edges = set()
-    for start in range(g.num_vertices):
-        if start in parent:
-            continue
-        parent[start] = None
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in g.neighbors[v]:
-                if w not in parent:
-                    parent[w] = v
-                    tree_edges.add((min(v, w), max(v, w)))
-                    queue.append(w)
+    parent = g.spanning_forest()
+    p, q = g.edges.T
+    closing = (parent[p] != q) & (parent[q] != p)
+    up = parent.tolist()
 
-    def path_to_root(v: int) -> List[int]:
-        path = [v]
-        while parent[path[-1]] is not None:
-            path.append(parent[path[-1]])
+    def path_to_root(w: int) -> List[int]:
+        path = [w]
+        while up[path[-1]] >= 0:
+            path.append(up[path[-1]])
         return path
 
     cycles = []
-    for u, v in g.edges:
-        if (u, v) in tree_edges:
-            continue
+    for u, v in g.edges[closing].tolist():
         pu, pv = path_to_root(u), path_to_root(v)
         anc = {x: i for i, x in enumerate(pu)}
-        for j, x in enumerate(pv):
-            if x in anc:
-                # [u, ..., common ancestor, ..., v]; edge (v, u) closes it
-                cycles.append(pu[: anc[x] + 1] + pv[:j][::-1])
-                break
+        j = next(j for j, x in enumerate(pv) if x in anc)
+        # [u, ..., common ancestor, ..., v]; edge (v, u) closes it
+        cycles.append(pu[: anc[pv[j]] + 1] + pv[:j][::-1])
 
     # the edges (c[s], c[s+1 mod p]) around each cycle, multiplied in one
     # batch per step over the cycles that have that many edges
     steps = [list(zip(c, c[1:] + c[:1])) for c in cycles]
-    t, words = _Tables(g), num_words(g.num_qubits)
+    words = num_words(g.num_qubits)
     rows = (
         np.zeros((len(cycles), words), np.uint64),
         np.zeros((len(cycles), words), np.uint64),
@@ -300,7 +256,7 @@ def loop_stabilizers(g: InteractionGraph) -> PauliOperatorSum:
     )
     for step in range(max(map(len, cycles), default=0)):
         live = [k for k, edges in enumerate(steps) if step < len(edges)]
-        ax, az, ac = t.a(*np.array([steps[k][step] for k in live]).T)
+        ax, az, ac = g.a(*np.array([steps[k][step] for k in live]).T)
         x, z, c = product(tuple(r[live] for r in rows), (ax[:, 0], az[:, 0], ac[:, 0]))
         rows[0][live], rows[1][live], rows[2][live] = x, z, c
     x, z, c = rows
@@ -318,5 +274,6 @@ def add_parity_ancilla(
     if not 0 <= k < g.num_vertices:
         raise ValueError(f"vertex {k} out of range")
     s = g.num_vertices
-    g2 = InteractionGraph.from_edges(s + 1, list(g.edges) + [(k, s)])
-    return g2, ose_transform_terms([ClassifiedTerm(Kind.PAIR_CREATION, (k, s), 1.0)], g2)
+    g2 = InteractionGraph(s + 1, np.vstack([g.edges, [[k, s]]]))
+    pair = ClassifiedTerms({Kind.PAIR_CREATION: (np.array([[k, s]]), np.ones(1))})
+    return g2, ose_transform_terms(pair, g2)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fermap.bench import run_cell
-from fermap.fermion import ClassifiedTerm, Kind, classify_spatial, from_spatial_integrals
+from fermap.fermion import ClassifiedTerms, Kind, classify_spatial, from_spatial_integrals
 from fermap.lattice import LatticeSpec
 from fermap.metrics import probe_scaling
 from fermap.molecules import molecule_bounds, published_bounds
@@ -20,7 +20,6 @@ from fermap.pauli import commute, product
 from fermap.sampling import random_spatial_hamiltonian
 from fermap.superfast import (
     InteractionGraph,
-    _Tables,
     build_interaction_graph,
     loop_stabilizers,
     ose_transform_terms,
@@ -137,18 +136,17 @@ def test_criterion_5_operator_algebra():
         n = int(rng.integers(3, 9))
         edges = sorted(random_connected_graph_edges(n, max_extra_edges=4, rng=rng))[:12]
         # n isolated vertices more put every edge in the blocked spin-up sector
-        g = InteractionGraph.from_edges(2 * n, edges)
+        g = InteractionGraph(2 * n, edges)
         # B_i and A_pq square to 1; B's commute; A_pq anticommutes with B_i
         # exactly when i is an end of pq, and with A_rs exactly when the two
         # edges share one end; A_qp = -A_pq
-        t = _Tables(g)
-        ends = np.array(g.edges)
-        b = (np.zeros_like(t.vertex), t.vertex, np.ones(len(t.vertex)))
-        a = t.a(*ends.T)
+        ends = g.edges
+        b = (np.zeros_like(g.vertex), g.vertex, np.ones(len(g.vertex)))
+        a = g.a(*ends.T)
         for x, z, c in (b, a):
             sx, sz, sc = product((x, z, c), (x, z, c))
             ok &= not sx.any() and not sz.any() and (sc == 1.0).all()
-        rx, rz, rc = t.a(*ends[:, ::-1].T)
+        rx, rz, rc = g.a(*ends[:, ::-1].T)
         ok &= (rx == a[0]).all() and (rz == a[1]).all() and (rc == -a[2]).all()
         incident = (ends[:, :, None] == np.arange(g.num_vertices)).any(axis=1)
         shared = (ends[:, None, :, None] == ends[None, :, None, :]).any(axis=3).sum(axis=2)
@@ -157,13 +155,14 @@ def test_criterion_5_operator_algebra():
         ok &= (commute(a, (a[0][:, 0], a[1][:, 0])) == (shared != 1)).all()
         # stabilizers commute with every Hamiltonian-term image on the graph
         pairs = (Kind.EXCITATION, Kind.PAIR_CREATION)
-        terms = [ClassifiedTerm(kind, e, 1.0) for e in g.edges for kind in pairs]
+        terms = [(kind, e) for e in g.edges.tolist() for kind in pairs]
         if len(edges) >= 2:
             (p, q), (r, s) = edges[0], edges[1]
-            if len({p, q, r, s}) == 4 and (min(p, r), max(p, r)) not in g.edge_index:
-                terms.append(ClassifiedTerm(Kind.DOUBLE_EXCITATION, (p, s, r, q), 1.0))
+            if len({p, q, r, s}) == 4 and g.lookup[p, r] < 0:
+                terms.append((Kind.DOUBLE_EXCITATION, [p, s, r, q]))
         # one term per call, so no image string is merged away
-        images = [ose_transform_terms([x], g) for x in terms]
+        images = [ose_transform_terms(ClassifiedTerms({k: (np.array([e]), np.ones(1))}), g)
+                  for k, e in terms]
         checks = stabilizer_checks(g, np.concatenate([h.x for h in images]),
                                    np.concatenate([h.z for h in images]))
         ok &= checks.all()

@@ -6,7 +6,6 @@ import pytest
 
 from fermap.eri import pack_eri, packed_length
 from fermap.fermion import (
-    ClassifiedTerms,
     Kind,
     blocked_modes,
     classify_spatial,
@@ -92,6 +91,8 @@ def test_classify_general_tensors_match_fermion_dense(seed, cutoff):
     h1, eri = general_integrals(seed)
     terms = classify_spatial(h1, eri, cutoff)
     assert {t.kind for t in terms} == set(Kind) - {Kind.PAIR_CREATION}
+    assert list(terms.by_kind) == [k for k in Kind if k is not Kind.PAIR_CREATION]  # Kind order
+    assert len(list(terms)) == len(terms)
     i, j, k, l = terms.by_kind[Kind.DOUBLE_EXCITATION][0].T
     assert ((i < j) & (l < k) & (i < l)).all()  # (i, j, k, l) < its h.c. (l, k, j, i)
     # the spin sum of the integrals that pass the cutoff
@@ -121,16 +122,6 @@ def test_classification_does_not_depend_on_the_block_size(monkeypatch):
     whole = list(classify_spatial(h1, eri))  # 324 two-body entries: one block, or 47 of 7
     monkeypatch.setattr("fermap.fermion._BLOCK", 7)
     assert list(classify_spatial(h1, eri)) == whole  # every sum still adds in input order
-
-
-def test_classified_terms_round_trip_through_terms():
-    terms = classify_spatial(*general_integrals(0))
-    back = ClassifiedTerms.of(list(terms))
-    assert len(back) == len(terms) and list(back) == list(terms)
-    assert list(back.by_kind) == list(terms.by_kind) == [k for k in Kind if k in terms.by_kind]
-    for kind, (indices, coefficients) in terms.by_kind.items():
-        assert np.array_equal(back.by_kind[kind][0], indices)
-        assert np.array_equal(back.by_kind[kind][1], coefficients)
 
 
 def test_number_and_coulomb_classification():

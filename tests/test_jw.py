@@ -3,12 +3,21 @@
 import numpy as np
 import pytest
 
-from fermap.fermion import ClassifiedTerm, Kind, classify_spatial
-from fermap.jw import jw_ladder, jw_transform_terms
+from fermap.fermion import ClassifiedTerms, Kind, classify_spatial
+from fermap.jw import _register_tables, jw_ladder, jw_transform_terms
 from fermap.metrics import report
 from fermap.oracle import dense_matrix, fermion_dense, fock_ladder_operators
 from fermap.pauli import NonHermitianError
 from fermap.sampling import random_spatial_hamiltonian
+from test_pauli import pack_masks
+
+
+@pytest.mark.parametrize("num_modes", [1, 2, 63, 64, 65, 130])
+def test_register_tables_match_integer_masks(num_modes):
+    # a_j's X bit and Z string, across one, two and three words
+    bits, prefix = _register_tables(num_modes)
+    assert np.array_equal(bits, pack_masks([1 << j for j in range(num_modes)], num_modes))
+    assert np.array_equal(prefix, pack_masks([(1 << j) - 1 for j in range(num_modes)], num_modes))
 
 
 @pytest.mark.parametrize("num_modes", [1, 2, 4])
@@ -50,7 +59,7 @@ def test_jw_output_is_hermitian():
     assert np.abs(op.coefficients.imag).max() < 1e-12
     # an imaginary coefficient on a self-adjoint term is caught after the merge
     with pytest.raises(NonHermitianError):
-        jw_transform_terms([ClassifiedTerm(Kind.NUMBER, (0,), 0.5j)], 2)
+        jw_transform_terms(ClassifiedTerms({Kind.NUMBER: (np.array([[0]]), np.array([0.5j]))}), 2)
 
 
 def test_jw_eps_drops_small_terms():
@@ -67,7 +76,8 @@ def test_jw_eps_drops_small_terms():
 def test_eps_zero_keeps_no_zero_coefficients():
     # a_0^ a_2 + h.c.: the XY and YX strings cancel exactly and must not be
     # kept, or counted, at eps = 0
-    op = jw_transform_terms([ClassifiedTerm(Kind.EXCITATION, (0, 2), 0.5)], 3, eps=0.0)
+    hop = ClassifiedTerms({Kind.EXCITATION: (np.array([[0, 2]]), np.array([0.5]))})
+    op = jw_transform_terms(hop, 3, eps=0.0)
     # X0 Z1 X2 and Y0 Z1 Y2
     assert op.x[:, 0].tolist() == [0b101, 0b101] and op.z[:, 0].tolist() == [0b010, 0b111]
     assert op.coefficients.tolist() == [0.25, 0.25]

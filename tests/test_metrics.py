@@ -13,7 +13,8 @@ from fermap.metrics import (
     qubit_bounds,
     report,
 )
-from fermap.pauli import PauliOperatorSum, pack_masks
+from fermap.pauli import PauliOperatorSum
+from test_pauli import pack_masks
 
 
 def sample_sum():
@@ -81,6 +82,9 @@ def test_probe_rejects_bad_sizes():
         complete_graph_probe(5)
     with pytest.raises(ValueError):
         complete_graph_probe(2)
+    for modes in ([4], [6, 6, 6]):  # a fit through one point: refused before any probe runs
+        with pytest.raises(ValueError, match="two distinct"):
+            probe_scaling(modes)
 
 
 def test_probe_scaling_fit_quality():

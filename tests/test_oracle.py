@@ -12,9 +12,10 @@ from fermap.oracle import (
     fock_ladder_operators,
     sector_spectra_match,
 )
-from fermap.pauli import PauliOperatorSum, pack_masks
+from fermap.pauli import PauliOperatorSum
 from fermap.superfast import InteractionGraph, loop_stabilizers
 from fermap.sampling import random_spatial_hamiltonian
+from test_pauli import pack_masks
 
 
 def test_fock_ladders_canonical_anticommutation():
@@ -54,7 +55,7 @@ def test_codespace_projector_is_projector_with_correct_rank():
     # the 4-cycle's stabilizer is real; K4's three have imaginary entries
     k4 = [(p, q) for q in range(4) for p in range(q)]
     for edges in ([(0, 1), (1, 2), (2, 3), (3, 0)], k4):
-        g = InteractionGraph.from_edges(4, edges)
+        g = InteractionGraph(4, edges)
         stabs = loop_stabilizers(g)
         proj = codespace_projector(stabs)
         assert np.allclose(proj @ proj, proj, atol=1e-12)
@@ -72,7 +73,7 @@ def test_codespace_projector_is_projector_with_correct_rank():
 
 
 def test_tree_graph_has_trivial_code_space():
-    g = InteractionGraph.from_edges(4, [(0, 1), (1, 2), (1, 3)])
+    g = InteractionGraph(4, [(0, 1), (1, 2), (1, 3)])
     stabs = loop_stabilizers(g)
     assert len(stabs) == 0
     proj = codespace_projector(stabs)

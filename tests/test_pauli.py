@@ -13,7 +13,7 @@ from fermap.pauli import (
     PauliOperatorSum,
     coefficient_l1_norm,
     commute,
-    pack_masks,
+    num_words,
     product,
     simplify,
 )
@@ -26,6 +26,17 @@ PAULI_MATS = {
 }
 LETTERS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 BITS = {letter: bits for bits, letter in LETTERS.items()}
+
+
+def pack_masks(masks, num_qubits: int) -> np.ndarray:
+    """Python-integer masks as uint64 words ``[n, num_words(num_qubits)]``; a
+    negative mask or a bit at or above ``num_qubits`` raises ValueError."""
+    masks = tuple(masks)
+    if any(m >> num_qubits for m in masks):
+        raise ValueError(f"mask with a bit outside qubits 0..{num_qubits - 1}")
+    words = num_words(num_qubits)
+    raw = b"".join(m.to_bytes(8 * words, "little") for m in masks)
+    return np.frombuffer(raw, dtype="<u8").reshape(-1, words).astype(np.uint64)
 
 # one-qubit products P Q = phase * R
 SINGLE_PRODUCT = {

@@ -4,19 +4,19 @@ stabilizers."""
 import numpy as np
 import pytest
 
-from fermap.fermion import ClassifiedTerm, Kind, blocked_modes
+from fermap.fermion import ClassifiedTerms, Kind, blocked_modes
 from fermap.oracle import codespace_projector, sector_spectra_match
 from fermap.pauli import NonHermitianError, commute, product
 from fermap.sampling import random_spatial_hamiltonian
 from fermap.superfast import (
     InteractionGraph,
     MissingEdgeError,
-    _Tables,
     add_parity_ancilla,
     loop_stabilizers,
     ose_transform_terms,
     pair_partition,
 )
+from test_pauli import pack_masks
 
 
 def random_connected_graph_edges(num_vertices, max_extra_edges, rng):
@@ -38,8 +38,32 @@ def random_graphs(count, seed=0):
     for _ in range(count):
         n = int(rng.integers(2, 9))
         edges = sorted(random_connected_graph_edges(n, max_extra_edges=4, rng=rng))
-        out.append(InteractionGraph.from_edges(n, edges[:12]))
+        out.append(InteractionGraph(n, edges[:12]))
     return out
+
+
+def complete_graphs(m, copies, isolated=0):
+    """``copies`` disjoint copies of K_m, then ``isolated`` lone vertices."""
+    k = [(p, q) for q in range(m) for p in range(q)]
+    edges = [(p + c * m, q + c * m) for c in range(copies) for p, q in k]
+    return InteractionGraph(copies * m + isolated, edges)
+
+
+# several words per mask: 2 x K12 has 132 edge qubits, 3 x K8 84
+MULTI_WORD = [complete_graphs(12, 2, isolated=1), complete_graphs(8, 3)]
+
+
+def reference_masks(g):
+    """B_i, and A_pr's X and Z parts, as packed Python-integer masks: B_i sums
+    the edges at i, A_pr's Z the edges (p, l) with l < r and (r, s) with s < p."""
+    edges = g.edges.tolist()
+
+    def at(end, below):  # the edges at ``end`` whose other end is below ``below``
+        return sum(1 << k for k, e in enumerate(edges) if end in e and sum(e) - end < below)
+
+    vertex = [at(i, g.num_vertices) for i in range(g.num_vertices)]
+    edge_x, edge_z = [1 << k for k in range(len(edges))], [at(p, r) + at(r, p) for p, r in edges]
+    return [pack_masks(m, g.num_qubits) for m in (vertex, edge_x, edge_z)]
 
 
 def symplectic_rank(x: np.ndarray, z: np.ndarray) -> int:
@@ -63,18 +87,37 @@ def squares_to_identity(x, z, c) -> bool:
     return not sx.any() and not sz.any() and (sc == 1.0).all()
 
 
-@pytest.mark.parametrize("g", random_graphs(50), ids=lambda g: f"V{g.num_vertices}E{g.num_qubits}")
+def graph_id(g):
+    return f"V{g.num_vertices}E{g.num_qubits}"
+
+
+@pytest.mark.parametrize("g", random_graphs(50) + MULTI_WORD, ids=graph_id)
+def test_tables_match_integer_masks(g):
+    for table, reference in zip((g.vertex, g.edge_x, g.edge_z), reference_masks(g)):
+        assert np.array_equal(table, reference)
+
+
+def test_graph_canonicalizes_and_validates_edges():
+    g = InteractionGraph(4, [(2, 3), (0, 1), (1, 3), (0, 2), (3, 1)])
+    assert g.edges.tolist() == [[0, 1], [0, 2], [1, 3], [2, 3]] and g.lookup[3, 2] == 3
+    assert g.spanning_forest().tolist() == [-1, 0, 0, 1]  # 1 is dequeued before 2
+    assert [len(c) for c in MULTI_WORD[0].connected_components()] == [12, 12, 1]
+    for bad in ([(1, 1)], [(0, 4)], [(-1, 2)]):
+        with pytest.raises(ValueError):
+            InteractionGraph(4, bad)
+
+
+@pytest.mark.parametrize("g", random_graphs(50) + MULTI_WORD, ids=graph_id)
 def test_operator_algebra_relations(g):
     # exact symplectic checks of the defining relations on the packed B_i, A_pq
-    t = _Tables(g)
-    b = (np.zeros_like(t.vertex), t.vertex, np.ones(len(t.vertex)))
-    a = (t.edge_x, t.edge_z, np.ones(len(t.edge_x)))
+    b = (np.zeros_like(g.vertex), g.vertex, np.ones(len(g.vertex)))
+    a = (g.edge_x, g.edge_z, np.ones(len(g.edge_x)))
     assert squares_to_identity(*b) and squares_to_identity(*a)
     assert commute((b[0][:, None], b[1][:, None]), b[:2]).all()
-    ends = np.array(g.edges).reshape(-1, 2)
+    ends = g.edges
     p, q = ends.T
     # antisymmetry in the vertex order
-    for (x, z, c), sign in ((t.a(p, q), 1.0), (t.a(q, p), -1.0)):
+    for (x, z, c), sign in ((g.a(p, q), 1.0), (g.a(q, p), -1.0)):
         assert (x[:, 0] == a[0]).all() and (z[:, 0] == a[1]).all() and (c == sign).all()
     # A_pq anticommutes with B_i exactly when i is an end of pq
     incident = (ends[:, :, None] == np.arange(g.num_vertices)).any(axis=1)
@@ -84,20 +127,19 @@ def test_operator_algebra_relations(g):
     assert (commute((a[0][:, None], a[1][:, None]), a[:2]) == (shared != 1)).all()
 
 
-@pytest.mark.parametrize("g", random_graphs(50, seed=99), ids=lambda g: f"V{g.num_vertices}E{g.num_qubits}")
+@pytest.mark.parametrize("g", random_graphs(50, seed=99) + MULTI_WORD, ids=graph_id)
 def test_loop_stabilizers_commute_with_all_operators(g):
     stabs = loop_stabilizers(g)
     expected_cycles = g.num_qubits - g.num_vertices + len(g.connected_components())
     assert len(stabs) == expected_cycles
-    t = _Tables(g)
-    ops_x = np.concatenate([np.zeros_like(t.vertex), t.edge_x])
-    ops_z = np.concatenate([t.vertex, t.edge_z])
+    ops_x = np.concatenate([np.zeros_like(g.vertex), g.edge_x])
+    ops_z = np.concatenate([g.vertex, g.edge_z])
     assert squares_to_identity(stabs.x, stabs.z, stabs.coefficients)
     assert commute((stabs.x[:, None], stabs.z[:, None]), (ops_x, ops_z)).all()
 
 
 def test_codespace_dimension_matches_cycle_count():
-    g = InteractionGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    g = InteractionGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     stabs = loop_stabilizers(g)
     proj = codespace_projector(stabs)
     assert np.trace(proj).real == pytest.approx(2 ** (g.num_qubits - len(stabs)))
@@ -130,20 +172,21 @@ def test_parity_ancilla_spectra():
 
 
 def test_add_parity_ancilla_extends_graph():
-    g = InteractionGraph.from_edges(3, [(0, 1), (1, 2)])
+    g = InteractionGraph(3, [(0, 1), (1, 2)])
     g2, pair = add_parity_ancilla(g, 1)
     assert g2.num_vertices == 4
-    assert (1, 3) in g2.edge_index
+    assert g2.lookup[1, 3] == 2
     assert pair.num_qubits == g2.num_qubits
 
 
 def test_missing_edge_raises():
-    g = InteractionGraph.from_edges(3, [(0, 1)])
+    g = InteractionGraph(3, [(0, 1)])
+    hop = ClassifiedTerms({Kind.EXCITATION: (np.array([[0, 2]]), np.ones(1))})
     with pytest.raises(MissingEdgeError):
-        ose_transform_terms([ClassifiedTerm(Kind.EXCITATION, (0, 2), 1.0)], g)
+        ose_transform_terms(hop, g)
 
 
 def test_non_hermitian_terms_raise():
-    g = InteractionGraph.from_edges(2, [(0, 1)])
+    g = InteractionGraph(2, [(0, 1)])
     with pytest.raises(NonHermitianError):
-        ose_transform_terms([ClassifiedTerm(Kind.NUMBER, (0,), 0.5j)], g)
+        ose_transform_terms(ClassifiedTerms({Kind.NUMBER: (np.array([[0]]), np.array([0.5j]))}), g)
