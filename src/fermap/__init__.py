@@ -22,11 +22,12 @@ from .fermion import (
     Kind,
     classify_spatial,
     from_spatial_integrals,
+    map_terms,
 )
 from .fcidump import IntegralFile
-from .jw import jw_ladder, jw_transform_terms
+from .jw import jw_transform_terms
 from .lattice import LatticeSpec, RawIntegrals, boys_f0, build_lattice, compute_integrals
-from .metrics import ResourceReport, lattice_scaling, map_integrals, qubit_bounds, report
+from .metrics import ResourceReport, map_integrals, qubit_bounds, report
 from .ortho import (
     canonical_orthogonalizer,
     orthonormal_integrals,

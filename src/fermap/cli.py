@@ -262,7 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"fermap: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

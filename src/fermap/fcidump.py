@@ -208,8 +208,3 @@ def dumps(data: IntegralFile) -> str:
                 out.append(fmt(v, i + 1, j + 1, 0, 0))
     out.append(fmt(data.constant, 0, 0, 0, 0))
     return "\n".join(out) + "\n"
-
-
-def dump(data: IntegralFile, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(dumps(data))

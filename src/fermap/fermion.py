@@ -10,17 +10,20 @@ A Hamiltonian is held as its spatial integrals only: the one-body matrix
 
 over the blocked modes of ``blocked_modes``; ``classify_spatial`` expands it
 entry by entry into canonical self-adjoint terms, with no spin-orbital tensor.
+``map_terms`` maps those terms to qubits under any encoding that says how it
+writes n_j, a hop and a double excitation.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterator, Tuple
+from typing import Callable, Dict, Iterator, Tuple
 
 import numpy as np
 
 from .eri import orbit_keys, pack_eri, packed_indices, packed_length
+from .pauli import NonHermitianError, Packed, PauliOperatorSum, half_one_minus, outer, simplify
 
 SYMMETRY_ATOL = 1e-10
 #: Two-body entries canonicalised at a time, which bounds the temporaries.
@@ -33,7 +36,6 @@ class Kind(enum.Enum):
     EXCITATION = "excitation"
     NUMBER_EXCITATION = "number_excitation"
     DOUBLE_EXCITATION = "double_excitation"
-    PAIR_CREATION = "pair_creation"
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,6 @@ class ClassifiedTerm:
       NUMBER_EXCITATION (i,j,k):  g * n_j (a_i^ a_k + a_k^ a_i)    (i < k)
       DOUBLE_EXCITATION (i,j,k,l): g * (a_i^ a_j^ a_k a_l + h.c.)  (i<j, l<k,
                                    tuple lexicographically minimal vs its h.c.)
-      PAIR_CREATION (i, j):       g * (a_i^ a_j^ + a_j a_i)        (i < j)
     """
 
     kind: Kind
@@ -230,3 +231,53 @@ def classify_spatial(
     q, r = (np.broadcast_to(mode[x][:, None, :], shape).ravel() for x in (k, l))
     two = (p, q, r, s, np.repeat(0.5 * values, 4))
     return _canonical_terms(one, two, 2 * m)
+
+
+def map_terms(
+    terms: ClassifiedTerms,
+    z: np.ndarray,
+    hop: Callable[[np.ndarray, np.ndarray], Packed],
+    double: Callable[[np.ndarray], Packed],
+    num_qubits: int,
+    constant: complex,
+    eps: float,
+) -> PauliOperatorSum:
+    """Map classified terms to qubits under one encoding, given by three parts:
+    ``z[j]``, the Z words of n_j = (1 - Z)/2; ``hop(i, k)``, the images of
+    a_i^ a_k + h.c.; and ``double(idx)``, those of each DOUBLE_EXCITATION
+    row ``idx`` -- all grouped per term.  Each kind's unit images are scaled
+    by its coefficients, rows that are exactly 0 are dropped, ``constant``
+    times the identity is added, like terms are merged and |c| < eps cut.  A
+    Pauli sum is Hermitian exactly when its merged coefficients are real, so
+    any |imag| above eps raises NonHermitianError.
+    """
+
+    def images(kind: Kind, idx: np.ndarray) -> Packed:
+        cols = idx.T
+        if kind is Kind.NUMBER:
+            return half_one_minus(z[cols[0]])
+        if kind is Kind.COULOMB_EXCHANGE:
+            return outer(half_one_minus(z[cols[0]]), half_one_minus(z[cols[1]]))
+        if kind is Kind.EXCITATION:
+            return hop(cols[0], cols[1])
+        if kind is Kind.NUMBER_EXCITATION:
+            return outer(hop(cols[0], cols[2]), half_one_minus(z[cols[1]]))
+        if kind is Kind.DOUBLE_EXCITATION:
+            return double(idx)
+        raise ValueError(f"unhandled kind {kind}")
+
+    def batches():  # a generator: each kind's unmasked rows are freed before the next kind's
+        for kind, (indices, coefficients) in terms.by_kind.items():
+            x, zw, c = images(kind, indices)
+            c = (c * coefficients[:, None]).ravel()
+            nonzero = c != 0  # e.g. JW's c + conj(c) of an imaginary product
+            if not nonzero.all():  # the superfast images have no zero rows: no copy
+                x, zw = (a.reshape(len(c), -1).compress(nonzero, axis=0) for a in (x, zw))
+                c = c[nonzero]
+            yield x, zw, c
+
+    merged = simplify(PauliOperatorSum.from_packed(batches(), num_qubits, constant), eps)
+    worst = float(np.abs(merged.coefficients.imag).max(initial=0.0))
+    if worst > eps:
+        raise NonHermitianError(f"coefficient with |imag| = {worst:.3e} > {eps:.3e}")
+    return merged

@@ -1,11 +1,12 @@
-"""Jordan-Wigner mapping of ladder operators and classified Hamiltonians.
+"""Jordan-Wigner mapping of classified Hamiltonians.
 
 Convention: ``a_j^ = (X_j - iY_j)/2 * Z_{j-1} ... Z_0`` (the Z string sits on
 indices below j).
 
-Every term kind is mapped in one batch: the ladder images of all its terms are
-read from a per-register table of single bits and one of prefix masks (the Z
-strings), and multiplied row-wise.
+The encoding's three parts for ``fermion.map_terms``: n_j's Z word is qubit
+j's bit, and a hop or a double excitation is the row-wise product of its
+ladder images, each read from a per-register table of single bits and one of
+prefix masks (the Z strings), plus its adjoint.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .fermion import ClassifiedTerms, Kind
-from .pauli import Packed, PauliOperatorSum, half_one_minus, merge_images, outer, set_bits
+from .fermion import ClassifiedTerms, map_terms
+from .pauli import Packed, PauliOperatorSum, outer, set_bits
 
 
 def _register_tables(num_modes: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -35,41 +36,15 @@ def _ladders(modes: np.ndarray, dagger: bool, tables) -> Packed:
     return np.stack([b, b], axis=1), np.stack([p, p | b], axis=1), np.tile(c, (len(modes), 1))
 
 
-def _plus_adjoint(ladders, tables) -> Packed:
-    """Product of the ladder operators plus its adjoint: conjugated coefficients."""
-    half = _ladders(*ladders[0], tables)
-    for modes, dagger in ladders[1:]:
-        half = outer(half, _ladders(modes, dagger, tables))
-    x, z, c = half
+def _plus_adjoint(tables, *modes: np.ndarray) -> Packed:
+    """a_{m_0}^ ... a_{m_h-1}^ a_{m_h} ... a_{m_2h-1} plus its adjoint for every
+    row of the mode columns: the first half is created, the second half
+    annihilated, and the adjoint conjugates the coefficients."""
+    rows = _ladders(modes[0], True, tables)
+    for r, m in enumerate(modes[1:], 1):
+        rows = outer(rows, _ladders(m, r < len(modes) // 2, tables))
+    x, z, c = rows
     return x, z, c + c.conj()
-
-
-def _kind_images(kind: Kind, idx: np.ndarray, tables) -> Packed:
-    """Images of the unit-coefficient terms of one kind, grouped per term."""
-    cols, bits = idx.T, tables[0]  # n_j = (1 - Z_j) / 2
-    if kind is Kind.NUMBER:
-        return half_one_minus(bits[cols[0]])
-    if kind is Kind.COULOMB_EXCHANGE:
-        return outer(half_one_minus(bits[cols[0]]), half_one_minus(bits[cols[1]]))
-    if kind is Kind.EXCITATION:
-        return _plus_adjoint([(cols[0], True), (cols[1], False)], tables)
-    if kind is Kind.NUMBER_EXCITATION:
-        hop = _plus_adjoint([(cols[0], True), (cols[2], False)], tables)
-        return outer(half_one_minus(bits[cols[1]]), hop)
-    if kind is Kind.DOUBLE_EXCITATION:
-        i, j, k, l = cols
-        return _plus_adjoint([(i, True), (j, True), (k, False), (l, False)], tables)
-    if kind is Kind.PAIR_CREATION:
-        return _plus_adjoint([(cols[0], True), (cols[1], True)], tables)
-    raise ValueError(f"unhandled kind {kind}")
-
-
-def jw_ladder(j: int, dagger: bool, num_modes: int) -> PauliOperatorSum:
-    """Pauli image of a_j (or a_j^ when dagger) on num_modes qubits."""
-    if not 0 <= j < num_modes:
-        raise IndexError(f"mode {j} out of range for {num_modes} modes")
-    rows = _ladders(np.array([j]), dagger, _register_tables(num_modes))
-    return PauliOperatorSum.from_packed([rows], num_modes)
 
 
 def jw_transform_terms(
@@ -82,5 +57,6 @@ def jw_transform_terms(
 
     Raises NonHermitianError when a merged coefficient has |imag| > eps.
     """
-    images = partial(_kind_images, tables=_register_tables(num_modes))
-    return merge_images(terms.by_kind, images, num_modes, constant, eps)
+    tables = _register_tables(num_modes)
+    images = partial(_plus_adjoint, tables)
+    return map_terms(terms, tables[0], images, lambda idx: images(*idx.T), num_modes, constant, eps)

@@ -83,20 +83,6 @@ def qubit_bounds(
     return q_l, q_u, q_jw
 
 
-def lattice_scaling(dimension: int, n: int) -> Tuple[int, int]:
-    """Predicted (Q_JW, Q_encoded) for a tight-basis nearest-neighbor lattice
-    of side n."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if dimension == 1:
-        return 2 * n, 2 * (n - 1)
-    if dimension == 2:
-        return 2 * n * n, 4 * (n * n - n)
-    if dimension == 3:
-        return 2 * n**3, 6 * (n**3 - n**2)
-    raise ValueError("dimension must be 1, 2 or 3")
-
-
 def complete_graph_probe(num_modes: int) -> Dict[str, int]:
     """Observed qubit-Hamiltonian weights for a synthetic all-ones fermionic
     Hamiltonian whose interaction graph is complete in each spin sector.

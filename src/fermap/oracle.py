@@ -7,12 +7,12 @@ independent of the bit-level Pauli algebra where it serves as an oracle.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 from .eri import unpack_eri
-from .fermion import ClassifiedTerm, FermionHamiltonian, Kind, blocked_modes, classify_spatial
+from .fermion import ClassifiedTerms, FermionHamiltonian, Kind, blocked_modes, classify_spatial
 from .jw import jw_transform_terms
 from .pauli import PauliOperatorSum, commute
 from .superfast import (
@@ -104,42 +104,31 @@ def fermion_dense(h: FermionHamiltonian) -> np.ndarray:
     return out
 
 
-def classified_dense(
-    terms: Sequence[ClassifiedTerm], num_modes: int, constant: float = 0.0
-) -> np.ndarray:
+def classified_dense(terms: ClassifiedTerms, num_modes: int, constant: float = 0.0) -> np.ndarray:
     """Rebuild classified terms into a dense Fock-space matrix."""
-    M = num_modes
-    a = fock_ladder_operators(M)
+    a = fock_ladder_operators(num_modes)
     adag = [op.conj().T for op in a]
-    n = [adag[j] @ a[j] for j in range(M)]
-    dim = 2**M
-    out = constant * np.eye(dim, dtype=complex)
-    for t in terms:
-        g = t.coefficient
-        if t.kind is Kind.NUMBER:
-            (i,) = t.indices
-            out += g * n[i]
-        elif t.kind is Kind.COULOMB_EXCHANGE:
-            i, j = t.indices
-            out += g * (n[i] @ n[j])
-        elif t.kind is Kind.EXCITATION:
-            i, j = t.indices
-            half = adag[i] @ a[j]
-            out += g * (half + half.conj().T)
-        elif t.kind is Kind.NUMBER_EXCITATION:
-            i, j, k = t.indices
-            half = adag[i] @ a[k]
-            out += g * (n[j] @ (half + half.conj().T))
-        elif t.kind is Kind.DOUBLE_EXCITATION:
-            i, j, k, l = t.indices
-            half = adag[i] @ adag[j] @ a[k] @ a[l]
-            out += g * (half + half.conj().T)
-        elif t.kind is Kind.PAIR_CREATION:
-            i, j = t.indices
-            half = adag[i] @ adag[j]
-            out += g * (half + half.conj().T)
-        else:
-            raise ValueError(f"unhandled kind {t.kind}")
+    n = [adag[j] @ a[j] for j in range(num_modes)]
+    out = constant * np.eye(2**num_modes, dtype=complex)
+    for kind, (indices, coefficients) in terms.by_kind.items():
+        for idx, g in zip(indices.tolist(), coefficients.tolist()):
+            if kind is Kind.NUMBER:
+                out += g * n[idx[0]]
+            elif kind is Kind.COULOMB_EXCHANGE:
+                out += g * (n[idx[0]] @ n[idx[1]])
+            elif kind is Kind.EXCITATION:
+                half = adag[idx[0]] @ a[idx[1]]
+                out += g * (half + half.conj().T)
+            elif kind is Kind.NUMBER_EXCITATION:
+                i, j, k = idx
+                half = adag[i] @ a[k]
+                out += g * (n[j] @ (half + half.conj().T))
+            elif kind is Kind.DOUBLE_EXCITATION:
+                i, j, k, l = idx
+                half = adag[i] @ adag[j] @ a[k] @ a[l]
+                out += g * (half + half.conj().T)
+            else:
+                raise ValueError(f"unhandled kind {kind}")
     return out
 
 
@@ -190,7 +179,7 @@ def sector_spectra_match(
     terms = classify_spatial(h.one_body, h.eri, cutoff)
     g = build_interaction_graph(terms, h.num_modes)
     if parity_ancilla_mode is not None:
-        g = add_parity_ancilla(g, parity_ancilla_mode)[0]
+        g = add_parity_ancilla(g, parity_ancilla_mode)
     num_modes = g.num_vertices  # includes the ancilla when requested
     _check_size(num_modes)
     _check_size(g.num_qubits)

@@ -156,31 +156,6 @@ def simplify(s: PauliOperatorSum, eps: float = 1e-12) -> PauliOperatorSum:
     return PauliOperatorSum(s.x[rows], s.z[rows], merged[kept], s.num_qubits)
 
 
-def merge_images(grouped, kind_images, num_qubits: int, constant: complex, eps: float):
-    """Scale each kind's packed unit images ``kind_images(kind, indices)`` by
-    the coefficients in ``grouped[kind]``, drop the rows that are exactly 0,
-    add ``constant`` times the identity, merge and cut at eps.  A Pauli sum is
-    Hermitian exactly when its merged coefficients are real, so any |imag|
-    above eps raises NonHermitianError.
-    """
-
-    def batches():  # a generator: each kind's unmasked rows are freed before the next kind's
-        for kind, (indices, coefficients) in grouped.items():
-            x, z, c = kind_images(kind, indices)
-            c = (c * coefficients[:, None]).ravel()
-            nonzero = c != 0  # e.g. JW's c + conj(c) of an imaginary product
-            if not nonzero.all():  # the superfast images have no zero rows: no copy
-                x, z = (a.reshape(len(c), -1).compress(nonzero, axis=0) for a in (x, z))
-                c = c[nonzero]
-            yield x, z, c
-
-    merged = simplify(PauliOperatorSum.from_packed(batches(), num_qubits, constant), eps)
-    worst = float(np.abs(merged.coefficients.imag).max(initial=0.0))
-    if worst > eps:
-        raise NonHermitianError(f"coefficient with |imag| = {worst:.3e} > {eps:.3e}")
-    return merged
-
-
 def coefficient_l1_norm(s: PauliOperatorSum, include_identity: bool = True) -> float:
     magnitudes = np.abs(s.coefficients)
     if not include_identity:

@@ -1,6 +1,5 @@
 """Superfast encoding: the interaction graph with its edge/vertex operator
-tables, term mapping, loop stabilizers, and the odd-parity ancilla
-construction.
+tables, term mapping, loop stabilizers, and the odd-parity ancilla vertex.
 
 Qubits are identified with graph edges: qubit e is row e of the sorted edge
 array.  A vertex operator B_i is a product of Z on every edge incident to i;
@@ -8,28 +7,22 @@ an edge operator A_pq (p < q) is X on edge {p,q} dressed with Z factors on
 neighboring edges, and A_qp = -A_pq.  One ``[n, n]`` edge lookup is the
 graph's only adjacency: the packed tables and the breadth-first spanning
 forest are both read from it.
+
+The encoding's three parts for ``fermion.map_terms``: n_j's Z word is B_j, a
+hop is an edge operator times two vertex operators, and a double excitation
+two edge operators times eight products of vertex operators.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from .fermion import ClassifiedTerms, Kind, blocked_modes
-from .pauli import (
-    Packed,
-    PauliOperatorSum,
-    half_one_minus,
-    merge_images,
-    num_words,
-    outer,
-    product,
-    set_bits,
-    z_rows,
-)
+from .fermion import ClassifiedTerms, Kind, blocked_modes, map_terms
+from .pauli import Packed, PauliOperatorSum, num_words, outer, product, set_bits, z_rows
 
 
 class MissingEdgeError(KeyError):
@@ -56,7 +49,10 @@ class InteractionGraph:
         if ((ends < 0) | (ends >= num_vertices)).any():
             raise ValueError("edge endpoint out of range")
         self.num_vertices = num_vertices
-        self.edges = np.unique(np.sort(ends, axis=1), axis=0)
+        # distinct (min, max) pairs in row-major order: the sorted unique rows
+        adjacent = np.zeros((num_vertices, num_vertices), dtype=bool)
+        adjacent[ends.min(axis=1), ends.max(axis=1)] = True
+        self.edges = np.argwhere(adjacent)
         self.num_qubits = q = len(self.edges)
         p, r = self.edges.T
         e = np.arange(q)
@@ -80,10 +76,6 @@ class InteractionGraph:
             raise MissingEdgeError(f"no edge between modes {p[k]} and {q[k]}")
         c = np.where(p > q, -1.0, 1.0)[:, None]  # A_qp = -A_pq
         return self.edge_x[e][:, None], self.edge_z[e][:, None], c
-
-    def b(self, vertices: Sequence[np.ndarray], c) -> Packed:
-        """c[r] B_v for every v in ``vertices[r]``: len(vertices) rows per term."""
-        return z_rows(np.stack([self.vertex[v] for v in vertices], axis=1), c)
 
     def spanning_forest(self) -> np.ndarray:
         """Parent of every vertex in a breadth-first spanning forest, -1 at the
@@ -141,7 +133,7 @@ def build_interaction_graph(terms: ClassifiedTerms, num_modes: int) -> Interacti
     spins = blocked_modes(num_modes)[1]
     pairs = [np.empty((0, 2), dtype=np.intp)]
     for kind, (idx, _) in terms.by_kind.items():
-        if kind is Kind.EXCITATION or kind is Kind.PAIR_CREATION:
+        if kind is Kind.EXCITATION:
             pairs.append(idx)
         elif kind is Kind.NUMBER_EXCITATION:
             pairs.append(idx[:, [0, 2]])
@@ -152,7 +144,7 @@ def build_interaction_graph(terms: ClassifiedTerms, num_modes: int) -> Interacti
 
 def _hops(g: InteractionGraph, i: np.ndarray, j: np.ndarray) -> Packed:
     """a_i^ a_j + a_j^ a_i  ->  -i (A_ij B_j + B_i A_ij) / 2, with B_i A_ij = -A_ij B_i."""
-    return outer(g.a(i, j), g.b([j, i], (-0.5j, 0.5j)))
+    return outer(g.a(i, j), z_rows(np.stack([g.vertex[j], g.vertex[i]], axis=1), (-0.5j, 0.5j)))
 
 
 # B-subset signs for the double-excitation expansion, keyed by the subset of
@@ -183,26 +175,6 @@ def _double_excitations(g: InteractionGraph, idx: np.ndarray, spins: np.ndarray)
     return outer(aa, z_rows(z, c))
 
 
-def _kind_images(kind: Kind, idx: np.ndarray, g: InteractionGraph, spins: np.ndarray) -> Packed:
-    """Images of the unit-coefficient terms of one kind, grouped per term."""
-    cols = idx.T
-    if kind is Kind.NUMBER:
-        return half_one_minus(g.vertex[cols[0]])
-    if kind is Kind.COULOMB_EXCHANGE:
-        return outer(half_one_minus(g.vertex[cols[0]]), half_one_minus(g.vertex[cols[1]]))
-    if kind is Kind.EXCITATION:
-        return _hops(g, cols[0], cols[1])
-    if kind is Kind.NUMBER_EXCITATION:
-        return outer(_hops(g, cols[0], cols[2]), half_one_minus(g.vertex[cols[1]]))
-    if kind is Kind.DOUBLE_EXCITATION:
-        return _double_excitations(g, idx, spins)
-    if kind is Kind.PAIR_CREATION:
-        # a_i^ a_j^ + a_j a_i -> i (A_ij B_i + A_ij B_j) / 2; sign fixed against
-        # a dense Majorana-product oracle
-        return outer(g.a(cols[0], cols[1]), g.b([cols[0], cols[1]], (0.5j, 0.5j)))
-    raise ValueError(f"unhandled kind {kind}")
-
-
 def ose_transform_terms(
     terms: ClassifiedTerms,
     g: InteractionGraph,
@@ -216,8 +188,8 @@ def ose_transform_terms(
     terms are merged and |c| < eps dropped; raises NonHermitianError when a
     merged coefficient has |imag| > eps.
     """
-    images = partial(_kind_images, g=g, spins=blocked_modes(g.num_vertices)[1])
-    return merge_images(terms.by_kind, images, g.num_qubits, constant, eps)
+    double = partial(_double_excitations, g, spins=blocked_modes(g.num_vertices)[1])
+    return map_terms(terms, g.vertex, partial(_hops, g), double, g.num_qubits, constant, eps)
 
 
 def loop_stabilizers(g: InteractionGraph) -> PauliOperatorSum:
@@ -266,14 +238,9 @@ def loop_stabilizers(g: InteractionGraph) -> PauliOperatorSum:
     return PauliOperatorSum(x, z, c.real.astype(complex), g.num_qubits)
 
 
-def add_parity_ancilla(
-    g: InteractionGraph, k: int
-) -> Tuple[InteractionGraph, PauliOperatorSum]:
-    """Append an ancilla vertex s with edge {k, s}; return the enlarged graph
-    and the pair-creation image a_k^ a_s^ + a_s a_k on it."""
+def add_parity_ancilla(g: InteractionGraph, k: int) -> InteractionGraph:
+    """The graph with an ancilla vertex s appended and the edge {k, s}."""
     if not 0 <= k < g.num_vertices:
         raise ValueError(f"vertex {k} out of range")
     s = g.num_vertices
-    g2 = InteractionGraph(s + 1, np.vstack([g.edges, [[k, s]]]))
-    pair = ClassifiedTerms({Kind.PAIR_CREATION: (np.array([[k, s]]), np.ones(1))})
-    return g2, ose_transform_terms(pair, g2)
+    return InteractionGraph(s + 1, np.vstack([g.edges, [[k, s]]]))

@@ -9,7 +9,7 @@ import pytest
 
 from fermap.bench import run_cell
 from fermap.cli import main
-from fermap.fcidump import IntegralFile, dump
+from fermap.fcidump import IntegralFile, dumps
 from fermap.lattice import LatticeSpec
 from fermap.ortho import orthonormal_integrals
 from fermap.sampling import random_spatial_integrals
@@ -53,7 +53,7 @@ def test_transform_json(tmp_path, capsys):
     eri[0, 0, 0, 0] = eri[1, 1, 1, 1] = 0.6
     eri[0, 0, 1, 1] = eri[1, 1, 0, 0] = 0.3
     path = tmp_path / "h2.fcidump"
-    dump(IntegralFile(2, 2, h, eri, constant=0.7), path)
+    path.write_text(dumps(IntegralFile(2, 2, h, eri, constant=0.7)))
     code, out = run_cli(["transform", str(path), "--cutoff", "0"], capsys)
     assert code == 0
     reports = {r["label"]: r for r in json.loads(out)}
@@ -64,15 +64,15 @@ def test_transform_json(tmp_path, capsys):
 def test_transform_constant_and_negative_cutoff(tmp_path, capsys):
     h1, eri = random_spatial_integrals(4, np.random.default_rng(1))
     path = tmp_path / "random.fcidump"
-    dump(IntegralFile(4, 4, h1, eri, constant=0.7), path)
+    path.write_text(dumps(IntegralFile(4, 4, h1, eri, constant=0.7)))
     code, out = run_cli(["transform", str(path)], capsys)
     assert code == 0
     # both carry the constant in the same identity coefficient, l1_norm - l1_norm_no_identity;
     # on two orbitals they would not, as a single-edge component has B_i B_j = 1
     jw, ose = (r["l1_norm"] - r["l1_norm_no_identity"] for r in json.loads(out))
     assert ose == pytest.approx(jw, rel=1e-12)
-    with pytest.raises(ValueError, match="non-negative"):
-        main(["transform", str(path), "--cutoff", "-1"])
+    assert main(["transform", str(path), "--cutoff", "-1"]) == 2
+    assert "non-negative" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("dim,side,exponent", [(1, 4, 1.00), (2, 2, 3.00)])
@@ -80,7 +80,7 @@ def test_transform_of_a_dumped_cell_matches_the_sweep(dim, side, exponent, tmp_p
     # both run the same mapping stage; the file has no constant, as sweep rows leave it out
     h1, eri, _ = orthonormal_integrals(LatticeSpec(dim, side, exponent))
     path = tmp_path / "cell.fcidump"
-    dump(IntegralFile(len(h1), len(h1), h1, eri, constant=0.0), path)
+    path.write_text(dumps(IntegralFile(len(h1), len(h1), h1, eri, constant=0.0)))
     code, out = run_cli(["transform", str(path), "--cutoff", "1e-7"], capsys)
     assert code == 0
     row = run_cell(dim, side, exponent, cutoff=1e-7)
@@ -133,3 +133,20 @@ def test_probe_subcommand(capsys):
 def test_unknown_command_exits():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["probe", "--modes", "4"], "two distinct mode counts"),
+        (["transform", "missing.fcidump"], "No such file"),
+    ],
+)
+def test_bad_input_prints_one_error_line(argv, message, tmp_path, monkeypatch, capsys):
+    # a ValueError or OSError from a stage is one message and exit 2, as argparse's own errors
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("fermap: error: ") and message in captured.err
+    assert captured.err.count("\n") == 1

@@ -17,7 +17,7 @@ from fermap.sampling import random_spatial_hamiltonian, random_spatial_integrals
 
 def general_integrals(seed, m=3):
     """Random symmetric h1 and packed ERI of m orbitals, with about half of
-    the ERI orbits zero; every term kind but pair creation still appears, so
+    the ERI orbits zero; every term kind still appears, so
     every sign branch of the classification sees nonzero entries."""
     rng = np.random.default_rng(seed)
     packed = rng.normal(scale=2.0, size=packed_length(m)) * (rng.random(packed_length(m)) < 0.5)
@@ -90,8 +90,8 @@ def test_classify_is_hermitian_decomposition():
 def test_classify_general_tensors_match_fermion_dense(seed, cutoff):
     h1, eri = general_integrals(seed)
     terms = classify_spatial(h1, eri, cutoff)
-    assert {t.kind for t in terms} == set(Kind) - {Kind.PAIR_CREATION}
-    assert list(terms.by_kind) == [k for k in Kind if k is not Kind.PAIR_CREATION]  # Kind order
+    assert {t.kind for t in terms} == set(Kind)
+    assert list(terms.by_kind) == list(Kind)  # Kind order
     assert len(list(terms)) == len(terms)
     i, j, k, l = terms.by_kind[Kind.DOUBLE_EXCITATION][0].T
     assert ((i < j) & (l < k) & (i < l)).all()  # (i, j, k, l) < its h.c. (l, k, j, i)

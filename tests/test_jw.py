@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from fermap.fermion import ClassifiedTerms, Kind, classify_spatial
-from fermap.jw import _register_tables, jw_ladder, jw_transform_terms
+from fermap.jw import _ladders, _register_tables, jw_transform_terms
 from fermap.metrics import report
 from fermap.oracle import dense_matrix, fermion_dense, fock_ladder_operators
-from fermap.pauli import NonHermitianError
+from fermap.pauli import NonHermitianError, PauliOperatorSum
 from fermap.sampling import random_spatial_hamiltonian
 from test_pauli import pack_masks
 
@@ -20,22 +20,29 @@ def test_register_tables_match_integer_masks(num_modes):
     assert np.array_equal(prefix, pack_masks([(1 << j) - 1 for j in range(num_modes)], num_modes))
 
 
+def ladder(j, dagger, num_modes):
+    """The Pauli image of a_j (or a_j^) on num_modes qubits, from the
+    production tables."""
+    rows = _ladders(np.array([j]), dagger, _register_tables(num_modes))
+    return PauliOperatorSum.from_packed([rows], num_modes)
+
+
 @pytest.mark.parametrize("num_modes", [1, 2, 4])
 def test_jw_ladders_equal_fock_ladders(num_modes):
     # the mapped annihilation operators must be exactly the Fock-space
     # annihilation matrices in the same bit convention
     ladders = fock_ladder_operators(num_modes)
     for j in range(num_modes):
-        a_j = dense_matrix(jw_ladder(j, dagger=False, num_modes=num_modes))
+        a_j = dense_matrix(ladder(j, False, num_modes))
         assert np.allclose(a_j, ladders[j], atol=1e-12)
-        adag = dense_matrix(jw_ladder(j, dagger=True, num_modes=num_modes))
+        adag = dense_matrix(ladder(j, True, num_modes))
         assert np.allclose(adag, ladders[j].conj().T, atol=1e-12)
 
 
 def test_jw_ladders_satisfy_anticommutation():
     n = 3
     ident = np.eye(2**n)
-    mats = [dense_matrix(jw_ladder(j, False, n)) for j in range(n)]
+    mats = [dense_matrix(ladder(j, False, n)) for j in range(n)]
     for i in range(n):
         for j in range(n):
             anti = mats[i] @ mats[j].conj().T + mats[j].conj().T @ mats[i]

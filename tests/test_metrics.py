@@ -7,7 +7,6 @@ import pytest
 from fermap.eri import packed_length
 from fermap.metrics import (
     complete_graph_probe,
-    lattice_scaling,
     map_integrals,
     probe_scaling,
     qubit_bounds,
@@ -53,16 +52,6 @@ def test_qubit_bounds_examples():
     assert qubit_bounds([2, 2], 4) == (4, 12, 8)
     with pytest.raises(ValueError):
         qubit_bounds([1, 1], 3)
-
-
-def test_lattice_scaling_formulas():
-    assert lattice_scaling(1, 5) == (10, 8)
-    assert lattice_scaling(2, 3) == (18, 24)
-    assert lattice_scaling(3, 2) == (16, 24)
-    with pytest.raises(ValueError):
-        lattice_scaling(4, 2)
-    with pytest.raises(ValueError):
-        lattice_scaling(1, 1)
 
 
 def test_probe_qubits_match_complete_graph_count():

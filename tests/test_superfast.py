@@ -107,6 +107,19 @@ def test_graph_canonicalizes_and_validates_edges():
             InteractionGraph(4, bad)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_graph_edges_are_the_sorted_unique_pairs(seed):
+    # repeated and reversed pairs, sometimes none, over up to 40 vertices
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 41))
+    ends = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))
+    ends = ends[ends[:, 0] != ends[:, 1]]
+    ends = np.concatenate([ends, ends[: len(ends) // 3, ::-1]])
+    edges = InteractionGraph(n, ends).edges
+    expected = np.unique(np.sort(ends, axis=1), axis=0).reshape(-1, 2)
+    assert edges.dtype == np.intp and np.array_equal(edges, expected)
+
+
 @pytest.mark.parametrize("g", random_graphs(50) + MULTI_WORD, ids=graph_id)
 def test_operator_algebra_relations(g):
     # exact symplectic checks of the defining relations on the packed B_i, A_pq
@@ -173,10 +186,9 @@ def test_parity_ancilla_spectra():
 
 def test_add_parity_ancilla_extends_graph():
     g = InteractionGraph(3, [(0, 1), (1, 2)])
-    g2, pair = add_parity_ancilla(g, 1)
+    g2 = add_parity_ancilla(g, 1)
     assert g2.num_vertices == 4
     assert g2.lookup[1, 3] == 2
-    assert pair.num_qubits == g2.num_qubits
 
 
 def test_missing_edge_raises():
