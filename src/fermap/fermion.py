@@ -247,9 +247,12 @@ def map_terms(
     a_i^ a_k + h.c.; and ``double(idx)``, those of each DOUBLE_EXCITATION
     row ``idx`` -- all grouped per term.  Each kind's unit images are scaled
     by its coefficients, rows that are exactly 0 are dropped, ``constant``
-    times the identity is added, like terms are merged and |c| < eps cut.  A
-    Pauli sum is Hermitian exactly when its merged coefficients are real, so
-    any |imag| above eps raises NonHermitianError.
+    times the identity is added, like terms are merged and |c| < eps cut
+    (``simplify``: rows come out in row-key order, each string's coefficients
+    are summed in input order, and a key shared by two distinct strings makes
+    it retry from another seed, a bounded number of times).  A Pauli sum is
+    Hermitian exactly when its merged coefficients are real, so any |imag|
+    above eps raises NonHermitianError.
     """
 
     def images(kind: Kind, idx: np.ndarray) -> Packed:

@@ -41,7 +41,7 @@ def report(s: PauliOperatorSum, label: str) -> ResourceReport:
         average_weight=total / count if count else 0.0,
         max_weight=int(weights.max()) if count else 0,
         l1_norm=coefficient_l1_norm(s, include_identity=True),
-        l1_norm_no_identity=coefficient_l1_norm(s, include_identity=False),
+        l1_norm_no_identity=coefficient_l1_norm(s, include_identity=False, weights=weights),
     )
 
 

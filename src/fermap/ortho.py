@@ -77,12 +77,16 @@ def rotate_integrals(
     raw: RawIntegrals, ortho: Orthogonalizer
 ) -> Tuple[np.ndarray, np.ndarray, float]:
     """Rotated (one_body, packed eri, constant); the overlap becomes the
-    identity.  The packed ERI has ``ortho.matrix.shape[1]`` orbitals."""
+    identity and one_body is exactly symmetric.  The packed ERI has
+    ``ortho.matrix.shape[1]`` orbitals."""
     x = ortho.matrix
     m, k = x.shape
     if m != raw.num_orbitals:
         raise ValueError("orthogonalizer dimension mismatch")
     h1 = x.T @ raw.core @ x
+    # the product is symmetric only to rounding; keep the lower triangle, as an
+    # FCIDUMP file does, so a dumped cell maps to the same coefficients
+    h1 = np.tril(h1) + np.tril(h1, -1).T
     # two half-transforms, a block of pair rows at a time: each unpacks its
     # rows to m x m matrices and rotates them.  The first stores its result
     # transposed, row kl holding (pq|kl) for every pair pq; the second

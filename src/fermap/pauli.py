@@ -8,21 +8,41 @@ two bit masks (x, z): bit q of ``x`` marks an X component on qubit q, bit q of
 words on the last axis (Aaronson & Gottesman's symplectic tableau, word-packed
 as in Stim); a batch of terms is a tuple of packed rows ``(x, z, c)``, and a
 ``PauliOperatorSum`` holds one such batch over a fixed register.  Products are
-computed exactly, with the +/-1, +/-i phase folded into the coefficient.
+computed exactly, with the +/-1, +/-i phase folded into the coefficient, and
+``simplify`` merges like terms by a hashed row key that it checks exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
 _I_POW_ARRAY = np.array((1, 1j, -1, -1j), dtype=complex)
 
+#: The row key's start state on each merge attempt; ``simplify`` gives up after the last.
+_KEY_SEEDS = np.array(
+    [0x9E3779B97F4A7C15, 0xD1B54A32D192ED03, 0x8CB92BA72F3D8DD7, 0xF39CC0605CEDC835],
+    dtype=np.uint64,
+)
+MERGE_ATTEMPTS = len(_KEY_SEEDS)
+#: The splitmix64 finalizer: (shift, multiplier) twice, then a last shift.
+_MIX_STEPS = (
+    (np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
+    (np.uint64(27), np.uint64(0x94D049BB133111EB)),
+)
+_MIX_LAST_SHIFT = np.uint64(31)
+#: Rows keyed at a time.
+_KEY_BLOCK = 8192
+
 
 class DimensionMismatchError(ValueError):
     """Raised when operands act on different qubit counts."""
+
+
+class KeyCollisionError(RuntimeError):
+    """Raised when every merge attempt gives two distinct Pauli strings one key."""
 
 
 class NonHermitianError(ValueError):
@@ -102,7 +122,11 @@ def half_one_minus(z: np.ndarray) -> Packed:
 
 @dataclass(frozen=True, eq=False)
 class PauliOperatorSum:
-    """A qubit operator as packed Pauli rows over a fixed register."""
+    """A qubit operator as packed Pauli rows over a fixed register.
+
+    Rows may repeat a string until ``simplify`` merges them; a merged sum has
+    one row per string, in the order of the merge's row keys, not of the words.
+    """
 
     x: np.ndarray  # uint64 [n_terms, num_words(num_qubits)]
     z: np.ndarray
@@ -136,28 +160,76 @@ class PauliOperatorSum:
         return len(self.coefficients)
 
 
+def _row_keys(x: np.ndarray, z: np.ndarray, attempt: int) -> np.ndarray:
+    """A 64-bit key per row: starting from attempt's seed, each of the row's
+    words, x then z, is XORed into the state and mixed by the splitmix64
+    finalizer (Steele, Lea & Flood, OOPSLA 2014), a block of rows at a time
+    so that the block's words stay in cache across the folds."""
+    keys = np.empty(len(x), dtype=np.uint64)
+    buffer = np.empty(min(len(x), _KEY_BLOCK), dtype=np.uint64)
+    for start in range(0, len(x), _KEY_BLOCK):
+        block = slice(start, start + _KEY_BLOCK)
+        state = keys[block]
+        shifted = buffer[: len(state)]
+        state.fill(_KEY_SEEDS[attempt])
+        for word in (*x[block].T, *z[block].T):
+            state ^= word
+            for shift, multiplier in _MIX_STEPS:
+                np.right_shift(state, shift, out=shifted)
+                state ^= shifted
+                state *= multiplier
+            np.right_shift(state, _MIX_LAST_SHIFT, out=shifted)
+            state ^= shifted
+    return keys
+
+
 def simplify(s: PauliOperatorSum, eps: float = 1e-12) -> PauliOperatorSum:
     """Merge like terms and drop coefficients that are 0 or below eps in magnitude.
 
-    A stable lexsort on the (x, z) words groups like rows, so the output is
-    ordered by the words and the same on every run.
+    Rows are grouped by a 64-bit key of their words (``_row_keys``) and one
+    argsort; the output is in key order, the same on every run.  Keys are
+    checked exactly: rows that share a key must share their words, and if two
+    do not, the merge starts again from the next seed, raising
+    KeyCollisionError after ``MERGE_ATTEMPTS`` attempts, so two distinct
+    strings are never merged.  Each group's coefficients are summed in input
+    order, so the sums do not depend on the key, the sort or a retry.
     """
     if eps < 0:
         raise ValueError("eps must be non-negative")
-    keys = np.concatenate([s.x, s.z], axis=1)
-    order = np.lexsort(keys.T[::-1])
-    keys = keys[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    for attempt in range(MERGE_ATTEMPTS):
+        keys = _row_keys(s.x, s.z, attempt)
+        order = np.argsort(keys)
+        keys = keys[order]
+        x, z = np.take(s.x, order, axis=0), np.take(s.z, order, axis=0)
+        first = np.empty(len(order), dtype=bool)  # where a row's key differs from the last row's
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        # a word that differs from the last row's where the key does not is a collision
+        if not any(np.greater(w[1:] != w[:-1], first[1:, None]).any() for w in (x, z)):
+            break
+    else:
+        raise KeyCollisionError(
+            f"each of {MERGE_ATTEMPTS} key seeds gave two distinct strings one key"
+        )
+    group = np.empty(len(order), dtype=np.intp)
+    group[order] = np.add.accumulate(first, dtype=np.intp) - 1
     starts = np.flatnonzero(first)
-    merged = np.add.reduceat(s.coefficients[order], starts)
-    kept = (np.abs(merged) >= eps) & (merged != 0)
-    rows = order[starts[kept]]
-    return PauliOperatorSum(s.x[rows], s.z[rows], merged[kept], s.num_qubits)
+    merged = np.empty(len(starts), dtype=complex)
+    merged.real = np.bincount(group, s.coefficients.real, len(starts))
+    merged.imag = np.bincount(group, s.coefficients.imag, len(starts))
+    kept = np.abs(merged) >= eps if eps else merged != 0  # |c| >= eps > 0 implies c != 0
+    rows = starts[kept]
+    x, z = np.take(x, rows, axis=0), np.take(z, rows, axis=0)
+    return PauliOperatorSum(x, z, merged[kept], s.num_qubits)
 
 
-def coefficient_l1_norm(s: PauliOperatorSum, include_identity: bool = True) -> float:
+def coefficient_l1_norm(
+    s: PauliOperatorSum, include_identity: bool = True, weights: Optional[np.ndarray] = None
+) -> float:
+    """Sum of |c| over the rows, or over the non-identity rows only; pass
+    ``weights`` when ``s.weights()`` is already at hand.  The magnitudes are
+    summed in sorted order, so the norm does not depend on the row order."""
     magnitudes = np.abs(s.coefficients)
     if not include_identity:
-        magnitudes = magnitudes[s.weights() > 0]
-    return float(magnitudes.sum())
+        magnitudes = magnitudes[(s.weights() if weights is None else weights) > 0]
+    return float(np.sort(magnitudes).sum())

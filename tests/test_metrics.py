@@ -34,6 +34,22 @@ def test_report_fields():
     assert r.l1_norm_no_identity == pytest.approx(2.0)
 
 
+def test_report_does_not_depend_on_the_row_order():
+    # a merge may return its rows in any order; the report must not see it
+    rng = np.random.default_rng(7)
+    n, q = 3000, 130
+    x, z = (rng.integers(0, 2**63, (n, 3), dtype=np.uint64) & np.uint64(0x3FF) for _ in range(2))
+    x[:5], z[:5] = 0, 0  # identity rows count in one norm only
+    c = rng.normal(size=n) * 10.0 ** rng.integers(-8, 3, n)
+    s = PauliOperatorSum(x, z, c.astype(complex), q)
+    expected = report(s, "cell")
+    perms = [rng.permutation(n) for _ in range(4)]
+    # a plain sum of the permuted magnitudes moves in its last digits
+    assert len({float(np.abs(c[p]).sum()) for p in perms}) > 1
+    for p in perms:
+        assert report(PauliOperatorSum(x[p], z[p], s.coefficients[p], q), "cell") == expected
+
+
 def test_map_integrals_rejects_an_asymmetric_one_body_matrix():
     # [[0, 1], [0, 0]] is not a Hermitian a_0^ a_1; it must not be mapped as half of one
     eri = np.zeros(packed_length(2))

@@ -118,6 +118,7 @@ def test_rotate_integrals_matches_einsum(truncate):
     expected = np.einsum("pi,qj,rk,sl,pqrs->ijkl", x, x, x, x, dense, optimize=True)
     np.testing.assert_allclose(unpack_eri(eri, k), expected, rtol=0, atol=1e-14)
     np.testing.assert_allclose(h1, x.T @ raw.core @ x, rtol=0, atol=1e-14)
+    assert np.array_equal(h1, h1.T)  # bitwise, as an FCIDUMP file's triangle reads back
     assert constant == raw.nuclear_repulsion
 
 

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fermap import pauli
+from fermap.bench import run_cell
 from fermap.oracle import dense_matrix
 from fermap.pauli import (
     DimensionMismatchError,
+    KeyCollisionError,
     PauliOperatorSum,
     coefficient_l1_norm,
     commute,
@@ -199,19 +202,90 @@ def test_packed_product_and_merge_match_scalar_algebra(data):
     got = PauliOperatorSum.from_packed([rows], q)
     assert rows_of(got) == [string_product(a, b, q) for a, b in pairs]
 
-    # merge repeated strings, some differing in one bit, against a dictionary
+    # merge repeated strings against a dictionary summed left to right: some
+    # differ in one bit, and from 64 qubits on some only in bit 63 of two of
+    # the 2W words, or have sparse high bits, as strings a weak key confused
     x, z = string()
     flip = 1 << data.draw(st.integers(0, q - 1))
-    pool = st.sampled_from([(x, z), (x ^ flip, z), (x, z ^ flip), string()])
-    terms = [term(*data.draw(pool)) for _ in range(data.draw(st.integers(0, 12)))]
+    pool = [(x, z), (x ^ flip, z), (x, z ^ flip), string()]
+    if q >= 64:
+        tops = [(side, 1 << bit) for side in (0, 1) for bit in range(63, q, 64)]
+        flips = data.draw(st.lists(st.sampled_from(tops), min_size=2, max_size=2, unique=True))
+        masks = [x, z]
+        for side, bit in flips:
+            masks[side] ^= bit
+        high_bits = {*range(q - 3, q), *(b for b in (62, 63, 126, 127) if b < q)}
+        high = st.sampled_from(sorted(high_bits))
+
+        def sparse():
+            return (1 << data.draw(high)) | (1 << data.draw(high)), 1 << data.draw(high)
+
+        pool += [tuple(masks), sparse(), sparse(), sparse()]
+    values = st.floats(-2, 2, allow_nan=False)
+    terms = [
+        (*data.draw(st.sampled_from(pool)), complex(data.draw(values), data.draw(values)))
+        for _ in range(data.draw(st.integers(0, 12)))
+    ]
     merged = simplify(pauli_sum(terms, q))
     expected = {}
     for tx, tz, c in terms:
         expected[tx, tz] = expected.get((tx, tz), 0) + c
     expected = {key: c for key, c in expected.items() if abs(c) >= 1e-12}
-    assert {(tx, tz): c for tx, tz, c in rows_of(merged)} == pytest.approx(expected)
+    assert {(tx, tz): c for tx, tz, c in rows_of(merged)} == expected  # bitwise
     if q <= 12:
         dense = sum((kron_term(*t, q) for t in terms), np.zeros((2**q, 2**q)))
         assert np.allclose(dense_matrix(merged), dense)
         products = (kron_term(*a, q) @ kron_term(*b, q) for a, b in pairs)
         assert np.allclose(dense_matrix(got), sum(products))
+
+
+def repeated_strings(seed: int, q: int = 130, n: int = 400):
+    """A sum of n rows drawn from 60 strings with 1 to 3 set bits, so most
+    strings repeat; coefficients are dyadic, so they sum exactly in any order."""
+    rng = np.random.default_rng(seed)
+    def mask():
+        return sum(1 << int(b) for b in rng.choice(q, size=rng.integers(1, 4), replace=False))
+
+    strings = [(mask(), mask()) for _ in range(60)]
+    picks = rng.integers(0, len(strings), n)
+    c = rng.choice([-1.5, -1.0, 0.5, 1.0, 2.0], n) + 1j * rng.choice([0.0, 0.25, -0.5], n)
+    return pauli_sum([(*strings[k], v) for k, v in zip(picks, c)], q)
+
+
+def test_merge_output_does_not_depend_on_the_input_order():
+    s = repeated_strings(1)
+    merged = rows_of(simplify(s))
+    assert 0 < len(merged) < len(s)
+    rng = np.random.default_rng(2)
+    for p in (rng.permutation(len(s)) for _ in range(3)):
+        permuted = PauliOperatorSum(s.x[p], s.z[p], s.coefficients[p], s.num_qubits)
+        assert rows_of(simplify(permuted)) == merged
+
+
+def colliding_keys(monkeypatch, collide):
+    """Replace the row keys with one shared key on the attempts ``collide``
+    picks; the attempts made are returned."""
+    keys, attempts = pauli._row_keys, []
+
+    def patched(x, z, attempt):
+        attempts.append(attempt)
+        return np.zeros(len(x), np.uint64) if collide(attempt) else keys(x, z, attempt)
+
+    monkeypatch.setattr(pauli, "_row_keys", patched)
+    return attempts
+
+
+def test_merge_retries_after_a_key_collision(monkeypatch):
+    s = pauli_sum([(t[0], t[1], t[2] * 0.3) for t in rows_of(repeated_strings(3))], 130)
+    expected = {(x, z): c for x, z, c in rows_of(simplify(s))}
+    attempts = colliding_keys(monkeypatch, lambda attempt: attempt == 0)
+    assert {(x, z): c for x, z, c in rows_of(simplify(s))} == expected  # bitwise
+    assert attempts == [0, 1]
+
+
+def test_merge_gives_up_after_its_attempts(monkeypatch):
+    attempts = colliding_keys(monkeypatch, lambda attempt: True)
+    with pytest.raises(KeyCollisionError):
+        simplify(repeated_strings(4))
+    assert attempts == list(range(pauli.MERGE_ATTEMPTS))
+    assert run_cell(1, 4, 1.0).error.startswith("KeyCollisionError")
