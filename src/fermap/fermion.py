@@ -255,16 +255,19 @@ def map_terms(
     above eps raises NonHermitianError.
     """
 
+    def number(j: np.ndarray) -> Packed:
+        return half_one_minus(z.take(j, axis=0))
+
     def images(kind: Kind, idx: np.ndarray) -> Packed:
         cols = idx.T
         if kind is Kind.NUMBER:
-            return half_one_minus(z[cols[0]])
+            return number(cols[0])
         if kind is Kind.COULOMB_EXCHANGE:
-            return outer(half_one_minus(z[cols[0]]), half_one_minus(z[cols[1]]))
+            return outer(number(cols[0]), number(cols[1]))
         if kind is Kind.EXCITATION:
             return hop(cols[0], cols[1])
         if kind is Kind.NUMBER_EXCITATION:
-            return outer(hop(cols[0], cols[2]), half_one_minus(z[cols[1]]))
+            return outer(hop(cols[0], cols[2]), number(cols[1]))
         if kind is Kind.DOUBLE_EXCITATION:
             return double(idx)
         raise ValueError(f"unhandled kind {kind}")

@@ -128,20 +128,21 @@ def compute_integrals(centers: np.ndarray, alpha: float) -> RawIntegrals:
     # It depends on the centers only through kab and the two pair midpoints,
     # so F0 is evaluated once per pair of distinct midpoints, and the packed
     # ERI is filled a block of packed rows at a time: row b = pair(kl) holds
-    # (ij|kl) for pair(ij) <= b
+    # pref kab[ij] kab[kl] F0 for pair(ij) <= b
     first, second = pair_orbitals(m)
     kab = np.exp(-0.5 * alpha * r2[first, second])
     points, which = np.unique(midpoints[first, second], axis=0, return_inverse=True)
     sq = np.sum(points * points, axis=1)
     pq2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (points @ points.T), 0.0)
-    boys = boys_f0(alpha * pq2)
+    # symmetric by construction, so a block's F0 can be gathered row-major
+    boys = boys_f0(alpha * (np.tril(pq2) + np.tril(pq2, -1).T))
     eri_pref = norm2**2 * 2.0 * np.pi**2.5 / (p * p * np.sqrt(2.0 * p))
+    pref_kab = eri_pref * kab
     eri = np.empty(packed_length(m))
     for start in range(0, len(kab), _ERI_BLOCK):
-        rows = np.arange(start, min(start + _ERI_BLOCK, len(kab)))
-        cols = slice(0, rows[-1] + 1)
-        boys_block = boys[np.ix_(which[cols], which[rows])].T
-        block = eri_pref * kab[None, cols] * kab[rows, None] * boys_block
+        stop = min(start + _ERI_BLOCK, len(kab))
+        block = np.take(np.take(boys, which[start:stop], axis=0), which[:stop], axis=1)
+        block *= np.multiply.outer(kab[start:stop], pref_kab[:stop])
         block[block < _ERI_FLOOR] = 0.0
         put_rows(eri, start, block)
 

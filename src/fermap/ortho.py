@@ -11,7 +11,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .eri import packed_length, pair_orbitals, pair_table, put_rows, tri_index, triangular
+from .eri import get_rows, packed_length, pair_orbitals, pair_table, put_rows, triangular
 from .lattice import LatticeSpec, RawIntegrals, lattice_integrals
 
 
@@ -63,14 +63,29 @@ def canonical_orthogonalizer(overlap: np.ndarray, tau: float = 1e-8) -> Orthogon
 
 def _congruence(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
     """X^T M X for n symmetric m x m matrices M laid out as ``mats[p, b, q]
-    = M_b[p, q]``, as the pairs i <= l of each result in pair order, ``[K,
-    n]``.  Two flat GEMMs, X^T [M_0 ... M_n-1] and then that times X, with
-    no transposed copy in between."""
+    = M_b[p, q]``, as one row per matrix of the pairs i <= l of its result in
+    pair order, ``[n, K]``.  Two flat GEMMs, X^T [M_0 ... M_n-1] and then
+    that times X, with no transposed copy in between."""
     m, n, _ = mats.shape
     k = x.shape[1]
     rotated = ((x.T @ mats.reshape(m, n * m)).reshape(k * n, m) @ x).reshape(k, n, k)
     first, second = pair_orbitals(k)
-    return rotated[first, :, second]
+    return rotated.transpose(1, 0, 2)[:, first, second]
+
+
+def _unpack_pairs(packed: np.ndarray, full: np.ndarray) -> None:
+    """Fill ``full`` with the symmetric P x P pair matrix of a packed ERI:
+    copy its packed rows a block at a time, then mirror each block's entries
+    into the rows above it, tile by tile."""
+    size, block = len(full), _ROTATE_BLOCK
+    upper = ~np.tri(min(block, size), dtype=bool)
+    for start in range(0, size, block):
+        stop = min(start + block, size)
+        get_rows(packed, start, full[start:stop])
+        for col in range(0, start, block):
+            full[col : col + block, start:stop] = full[start:stop, col : col + block].T
+        tile = full[start:stop, start:stop]
+        np.copyto(tile, tile.T, where=upper[: stop - start, : stop - start])
 
 
 def rotate_integrals(
@@ -87,27 +102,29 @@ def rotate_integrals(
     # the product is symmetric only to rounding; keep the lower triangle, as an
     # FCIDUMP file does, so a dumped cell maps to the same coefficients
     h1 = np.tril(h1) + np.tril(h1, -1).T
-    # two half-transforms, a block of pair rows at a time: each unpacks its
-    # rows to m x m matrices and rotates them.  The first stores its result
-    # transposed, row kl holding (pq|kl) for every pair pq; the second
-    # rotates those rows and packs them straight into the output
-    table = pair_table(m)[:, None, :]
-    half = np.empty((triangular(k), triangular(m)))
-    for start in range(0, half.shape[1], _ROTATE_BLOCK):
-        rows = np.arange(start, min(start + _ROTATE_BLOCK, half.shape[1]))
-        mats = raw.eri[tri_index(rows[:, None], table)]
-        half[:, start : start + len(rows)] = _congruence(mats, x)
-    # row kl keeps (ij|kl) for pair(ij) <= pair(kl), so j <= l: a block whose
-    # last row has l = top - 1 needs only the first top columns of x
+    # both half-transforms work in one symmetric P x P pair matrix, full[a, b]
+    # = (ij|kl) for a = pair(ij), b = pair(kl), and read each block of pair
+    # rows as m x m matrices through one table of fixed offsets
+    size, kept = triangular(m), triangular(k)
+    full = np.empty((size, size))
+    _unpack_pairs(raw.eri, full)
+    offsets = np.arange(_ROTATE_BLOCK)[:, None] * size + pair_table(m)[:, None, :]
+    # the first half rotates pq in each row kl and writes the row back in
+    # place: full[kl, ij] = (ij|kl), rotated ij < kept
+    for start in range(0, size, _ROTATE_BLOCK):
+        rows = full[start : start + _ROTATE_BLOCK]
+        rows[:, :kept] = _congruence(np.take(rows, offsets[:, : len(rows)]), x)
+    # the second half rotates kl in a copy of each block of columns ij and
+    # packs straight into the output.  Row ij keeps (ij|kl) for pair(kl) <=
+    # pair(ij), so l <= j: a block whose last row has j = top - 1 needs only
+    # the first top columns of x
     _, second = pair_orbitals(k)
-    # flat position of each unpacked entry [p, b, q] within a block of rows
-    offsets = np.arange(_ROTATE_BLOCK)[:, None] * half.shape[1] + table
     eri = np.empty(packed_length(k))
-    for start in range(0, len(half), _ROTATE_BLOCK):
-        rows = half[start : start + _ROTATE_BLOCK]
-        top = second[start + len(rows) - 1] + 1
-        mats = np.take(rows, offsets[:, : len(rows)])
-        put_rows(eri, start, _congruence(mats, x[:, :top]).T)
+    for start in range(0, kept, _ROTATE_BLOCK):
+        stop = min(start + _ROTATE_BLOCK, kept)
+        mats = np.take(full[:, start:stop].T.copy(), offsets[:, : stop - start])
+        top = second[stop - 1] + 1
+        put_rows(eri, start, _congruence(mats, x[:, :top]))
     return h1, eri, raw.nuclear_repulsion
 
 

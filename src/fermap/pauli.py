@@ -70,6 +70,9 @@ def set_bits(rows, bits, num_rows: int, num_qubits: int) -> np.ndarray:
 
 
 def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits per row, as int64; one word needs no sum over the words."""
+    if words.shape[-1] == 1:
+        return np.bitwise_count(words[..., 0]).astype(np.int64)
     return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
 
 

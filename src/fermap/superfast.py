@@ -75,7 +75,7 @@ class InteractionGraph:
             k = int(np.argmax(e < 0))
             raise MissingEdgeError(f"no edge between modes {p[k]} and {q[k]}")
         c = np.where(p > q, -1.0, 1.0)[:, None]  # A_qp = -A_pq
-        return self.edge_x[e][:, None], self.edge_z[e][:, None], c
+        return self.edge_x.take(e, axis=0)[:, None], self.edge_z.take(e, axis=0)[:, None], c
 
     def spanning_forest(self) -> np.ndarray:
         """Parent of every vertex in a breadth-first spanning forest, -1 at the
@@ -144,7 +144,7 @@ def build_interaction_graph(terms: ClassifiedTerms, num_modes: int) -> Interacti
 
 def _hops(g: InteractionGraph, i: np.ndarray, j: np.ndarray) -> Packed:
     """a_i^ a_j + a_j^ a_i  ->  -i (A_ij B_j + B_i A_ij) / 2, with B_i A_ij = -A_ij B_i."""
-    return outer(g.a(i, j), z_rows(np.stack([g.vertex[j], g.vertex[i]], axis=1), (-0.5j, 0.5j)))
+    return outer(g.a(i, j), z_rows(g.vertex.take(np.stack([j, i], axis=1), axis=0), (-0.5j, 0.5j)))
 
 
 # B-subset signs for the double-excitation expansion, keyed by the subset of
@@ -169,7 +169,7 @@ def _double_excitations(g: InteractionGraph, idx: np.ndarray, spins: np.ndarray)
     aa = outer(g.a(first[:, 0], first[:, 1]), g.a(second[:, 0], second[:, 1]))
     # the B_v commute and carry no X, so each subset's product is one Z mask
     subsets, signs = zip(*_DOUBLE_B_SUBSETS)
-    b = g.vertex[idx]
+    b = g.vertex.take(idx, axis=0)
     z = np.stack([np.bitwise_xor.reduce(b[:, list(sub)], axis=1) for sub in subsets], axis=1)
     c = np.outer(pair_sign / 8.0, signs)
     return outer(aa, z_rows(z, c))

@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate
 from scipy.special import erf
 
-from fermap.eri import pack_eri, unpack_eri
+from fermap.eri import pack_eri, packed_indices, unpack_eri
 from fermap.lattice import (
     ANGSTROM_TO_BOHR,
     GeometryError,
@@ -224,6 +224,28 @@ def test_eri_below_the_floor_is_stored_as_zero():
     assert 0.0 < dense[0, 0, 0, 1] < 1e-200
     floored = pack_eri(np.where(dense < 1e-200, 0.0, dense))
     np.testing.assert_allclose(compute_integrals(centers, 8.75).eri, floored, rtol=1e-14, atol=0)
+
+
+def test_eri_is_bitwise_the_per_entry_formula():
+    # on a grid of even integer centers every distance and pair midpoint is
+    # exact in floating point, so each packed entry (ij|kl) must equal
+    # ((pref kab[ij]) kab[kl]) F0 to the bit, floored at 1e-200.  378 pair
+    # rows: more than one assembly block and a partial last one
+    grid = np.meshgrid(*[np.arange(3.0)] * 3, indexing="ij")
+    centers = 2.0 * np.stack(grid, axis=-1).reshape(-1, 3)
+    alpha = 41.7
+    i, j, k, l = packed_indices(len(centers))
+    kab_ij, kab_kl = (
+        np.exp(-0.5 * alpha * np.sum((centers[a] - centers[b]) ** 2, axis=1))
+        for a, b in ((i, j), (k, l))
+    )
+    pq = 0.5 * (centers[i] + centers[j]) - 0.5 * (centers[k] + centers[l])
+    p = 2.0 * alpha
+    pref = ((2.0 * alpha / np.pi) ** 1.5) ** 2 * 2.0 * np.pi**2.5 / (p * p * np.sqrt(2.0 * p))
+    expected = pref * kab_ij * kab_kl * boys_f0(alpha * np.sum(pq * pq, axis=1))
+    assert ((0.0 < expected) & (expected < 1e-200)).any() and (expected > 1e-200).any()
+    expected[expected < 1e-200] = 0.0
+    assert np.array_equal(compute_integrals(centers, alpha).eri, expected)
 
 
 def test_integrals_peak_memory_is_bounded_by_the_eri():

@@ -103,9 +103,19 @@ def test_rotate_integrals_dimension_check():
         rotate_integrals(raw, bad)
 
 
-@pytest.mark.parametrize("truncate", [False, True])
-def test_rotate_integrals_matches_einsum(truncate):
-    raw = lattice_integrals(LatticeSpec(2, 3, 1.0))
+@pytest.mark.parametrize(
+    "spec, truncate",
+    [
+        (LatticeSpec(1, 1, 1.0), False),  # m = 1: one pair
+        (LatticeSpec(2, 3, 1.0), False),
+        (LatticeSpec(2, 3, 1.0), True),
+        # 378 pairs: several blocks of 64 pair rows and a partial last one
+        (LatticeSpec(3, 3, 3.0), False),
+        (LatticeSpec(3, 3, 1.0), True),
+    ],
+)
+def test_rotate_integrals_matches_einsum(spec, truncate):
+    raw = lattice_integrals(spec)
     if truncate:  # keep the overlap eigenvalues above the median: k < m
         ortho = canonical_orthogonalizer(raw.overlap, tau=np.median(np.linalg.eigvalsh(raw.overlap)))
         assert ortho.matrix.shape[1] < raw.num_orbitals
@@ -132,9 +142,10 @@ def test_rotation_does_not_depend_on_the_block_size(monkeypatch):
 
 
 def test_rotation_peak_memory_is_bounded_by_the_eri():
-    # the packed output takes about m^4 bytes, the transposed half-transform
-    # about 2 m^4 and the blocks are bounded; the packed input exists before
-    # tracing starts.  One dense m^4 float64 temporary alone breaks the bound
+    # the packed output takes about m^4 bytes, the full pair matrix both
+    # halves work in about 2 m^4 and the blocks are bounded; the packed input
+    # exists before tracing starts.  One dense m^4 float64 temporary alone
+    # breaks the bound
     m = 27
     raw = lattice_integrals(LatticeSpec(3, 3, 8.75))
     ortho = symmetric_orthogonalizer(raw.overlap)
