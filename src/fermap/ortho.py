@@ -2,6 +2,14 @@
 
 Symmetric: X = U s^{-1/2} U^T (the inverse square root of the overlap);
 canonical: X = U s^{-1/2} with optional truncation of small eigenvalues.
+
+The ERI is rotated in one symmetric P x P matrix of pair integrals, P =
+m (m + 1) / 2: the packed ERI is unpacked into it once, the first half-
+transform rotates the pair ij of every row in place, the matrix is
+transposed in place, and the second half rotates the pair kl of each row
+straight into the packed output.  Both halves read each block of pair rows
+as m x m matrices through one table of fixed offsets and rotate them with
+two flat GEMMs.
 """
 
 from __future__ import annotations
@@ -15,9 +23,10 @@ from .eri import get_rows, packed_length, pair_orbitals, pair_table, put_rows, t
 from .lattice import LatticeSpec, RawIntegrals, lattice_integrals
 
 
-#: Pair rows rotated per step of a half-transform.  Each step makes two
-#: GEMM calls; fewer, larger calls keep the rotation fast when several
-#: processes share the cores with multithreaded BLAS.
+#: Pair rows rotated per step of a half-transform, and the side of the tiles
+#: the pair matrix is mirrored and transposed in.  Each step makes two GEMM
+#: calls; fewer, larger calls keep the rotation fast when several processes
+#: share the cores with multithreaded BLAS.
 _ROTATE_BLOCK = 64
 
 
@@ -88,6 +97,24 @@ def _unpack_pairs(packed: np.ndarray, full: np.ndarray) -> None:
         np.copyto(tile, tile.T, where=upper[: stop - start, : stop - start])
 
 
+def _transpose_pairs(full: np.ndarray, kept: int) -> None:
+    """Transpose ``full[:, :kept]`` in place into ``full[:kept]``, tile by
+    tile: swap the tiles of the leading kept x kept square, then copy the
+    rows below it into the columns to its right."""
+    size, block = len(full), _ROTATE_BLOCK
+    for start in range(0, kept, block):
+        rows = slice(start, min(start + block, kept))
+        for col in range(0, start, block):
+            cols = slice(col, col + block)
+            upper = full[cols, rows].copy()
+            full[cols, rows] = full[rows, cols].T
+            full[rows, cols] = upper.T
+        full[rows, rows] = full[rows, rows].T.copy()
+    for start in range(kept, size, block):
+        rows = slice(start, min(start + block, size))
+        full[:kept, rows] = full[rows, :kept].T
+
+
 def rotate_integrals(
     raw: RawIntegrals, ortho: Orthogonalizer
 ) -> Tuple[np.ndarray, np.ndarray, float]:
@@ -102,9 +129,8 @@ def rotate_integrals(
     # the product is symmetric only to rounding; keep the lower triangle, as an
     # FCIDUMP file does, so a dumped cell maps to the same coefficients
     h1 = np.tril(h1) + np.tril(h1, -1).T
-    # both half-transforms work in one symmetric P x P pair matrix, full[a, b]
-    # = (ij|kl) for a = pair(ij), b = pair(kl), and read each block of pair
-    # rows as m x m matrices through one table of fixed offsets
+    # full[a, b] = (ij|kl) for a = pair(ij), b = pair(kl); offsets[p, r, q]
+    # is the flat position of pair(p, q) in row r of a block of rows
     size, kept = triangular(m), triangular(k)
     full = np.empty((size, size))
     _unpack_pairs(raw.eri, full)
@@ -114,16 +140,17 @@ def rotate_integrals(
     for start in range(0, size, _ROTATE_BLOCK):
         rows = full[start : start + _ROTATE_BLOCK]
         rows[:, :kept] = _congruence(np.take(rows, offsets[:, : len(rows)]), x)
-    # the second half rotates kl in a copy of each block of columns ij and
-    # packs straight into the output.  Row ij keeps (ij|kl) for pair(kl) <=
+    # the second half rotates kl in each row ij of the transpose and packs
+    # straight into the output.  Row ij keeps (ij|kl) for pair(kl) <=
     # pair(ij), so l <= j: a block whose last row has j = top - 1 needs only
     # the first top columns of x
+    _transpose_pairs(full, kept)
     _, second = pair_orbitals(k)
     eri = np.empty(packed_length(k))
     for start in range(0, kept, _ROTATE_BLOCK):
-        stop = min(start + _ROTATE_BLOCK, kept)
-        mats = np.take(full[:, start:stop].T.copy(), offsets[:, : stop - start])
-        top = second[stop - 1] + 1
+        rows = full[start : min(start + _ROTATE_BLOCK, kept)]
+        top = second[start + len(rows) - 1] + 1
+        mats = np.take(rows, offsets[:, : len(rows)])
         put_rows(eri, start, _congruence(mats, x[:, :top]))
     return h1, eri, raw.nuclear_repulsion
 
