@@ -16,7 +16,11 @@ from scipy.special import erf
 from .eri import packed_length, pair_orbitals, put_rows
 
 ANGSTROM_TO_BOHR = 1.8897259886
-_ERI_BLOCK = 256  # packed ERI rows assembled per step
+#: Packed ERI rows assembled per step.  Each step holds three [block, P]
+#: temporaries; at 256 rows they were 16 MB on the 125-orbital lattice, were
+#: kept by the allocator between cells, and raised a 3-cell sweep's peak RSS
+#: by 27 MB.
+_ERI_BLOCK = 64
 #: ERIs below this, some 190 orders under any cutoff, are stored as 0.  As
 #: subnormal numbers, and through the subnormal products they form, they
 #: made the rotation's matrix products 1.7x slower on the 125-orbital lattice.
