@@ -106,12 +106,12 @@ def test_rotate_integrals_dimension_check():
 @pytest.mark.parametrize(
     "spec, truncate",
     [
-        (LatticeSpec(1, 1, 1.0), False),  # m = 1: one pair
-        (LatticeSpec(2, 3, 1.0), False),
-        (LatticeSpec(2, 3, 1.0), True),
+        pytest.param(LatticeSpec(1, 1, 1.0), False, id="m1"),  # one pair
+        pytest.param(LatticeSpec(2, 3, 1.0), False, id="False"),
+        pytest.param(LatticeSpec(2, 3, 1.0), True, id="True"),
         # 378 pairs: several blocks of 64 pair rows and a partial last one
-        (LatticeSpec(3, 3, 3.0), False),
-        (LatticeSpec(3, 3, 1.0), True),
+        pytest.param(LatticeSpec(3, 3, 3.0), False, id="3d-False"),
+        pytest.param(LatticeSpec(3, 3, 1.0), True, id="3d-True"),
     ],
 )
 def test_rotate_integrals_matches_einsum(spec, truncate):
