@@ -17,9 +17,9 @@ from .eri import packed_length, pair_orbitals, put_rows
 
 ANGSTROM_TO_BOHR = 1.8897259886
 #: Packed ERI rows assembled per step.  Each step holds three [block, P]
-#: temporaries; at 256 rows they were 16 MB on the 125-orbital lattice, were
-#: kept by the allocator between cells, and raised a 3-cell sweep's peak RSS
-#: by 27 MB.
+#: temporaries, 4 MB each on the 125-orbital lattice; 16 MB ones (256 rows)
+#: stayed on the heap between cells and raised a 3-cell sweep's peak RSS by
+#: 27 MB.
 _ERI_BLOCK = 64
 #: ERIs below this, some 190 orders under any cutoff, are stored as 0.  As
 #: subnormal numbers, and through the subnormal products they form, they
