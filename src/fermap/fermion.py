@@ -233,10 +233,20 @@ def classify_spatial(
     return _canonical_terms(one, two, 2 * m)
 
 
+def _distinct(*modes: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The mode columns, checked to differ in every row: the images of a hop
+    and of a double excitation read their phases as if every mode were its
+    own qubit or edge, which a repeated mode is not."""
+    for b, later in enumerate(modes):
+        if any((earlier == later).any() for earlier in modes[:b]):
+            raise ValueError("a hop or double excitation repeats a mode")
+    return modes
+
+
 def map_terms(
     terms: ClassifiedTerms,
     z: np.ndarray,
-    hop: Callable[[np.ndarray, np.ndarray], Packed],
+    hop: Callable[[np.ndarray, np.ndarray], Tuple[Packed, Tuple[np.ndarray, ...]]],
     double: Callable[[np.ndarray], Packed],
     num_qubits: int,
     constant: complex,
@@ -244,9 +254,12 @@ def map_terms(
 ) -> PauliOperatorSum:
     """Map classified terms to qubits under one encoding, given by three parts:
     ``z[j]``, the Z words of n_j = (1 - Z)/2; ``hop(i, k)``, the images of
-    a_i^ a_k + h.c.; and ``double(idx)``, those of each DOUBLE_EXCITATION
-    row ``idx`` -- all grouped per term.  Each kind's unit images are scaled
-    by its coefficients, rows that are exactly 0 are dropped, ``constant``
+    a_i^ a_k + h.c. and the qubits of their X bits (n_j multiplies them
+    through ``outer``'s bit rule); and ``double(idx)``, those of each
+    DOUBLE_EXCITATION row ``idx`` -- all grouped per term.  A hop's or a
+    double excitation's modes must differ (ValueError otherwise).  Each
+    kind's unit images are scaled by its coefficients, rows that are
+    exactly 0 are dropped, ``constant``
     times the identity is added, like terms are merged and |c| < eps cut
     (``simplify``: rows come out in row-key order, each string's coefficients
     are summed in input order, and a key shared by two distinct strings makes
@@ -265,10 +278,12 @@ def map_terms(
         if kind is Kind.COULOMB_EXCHANGE:
             return outer(number(cols[0]), number(cols[1]))
         if kind is Kind.EXCITATION:
-            return hop(cols[0], cols[1])
+            return hop(*_distinct(cols[0], cols[1]))[0]
         if kind is Kind.NUMBER_EXCITATION:
-            return outer(hop(cols[0], cols[2]), number(cols[1]))
+            rows, x_qubits = hop(*_distinct(cols[0], cols[2]))
+            return outer(rows, number(cols[1]), x_qubits)
         if kind is Kind.DOUBLE_EXCITATION:
+            _distinct(*cols)
             return double(idx)
         raise ValueError(f"unhandled kind {kind}")
 

@@ -4,20 +4,27 @@ Convention: ``a_j^ = (X_j - iY_j)/2 * Z_{j-1} ... Z_0`` (the Z string sits on
 indices below j).
 
 The encoding's three parts for ``fermion.map_terms``: n_j's Z word is qubit
-j's bit, and a hop or a double excitation is the row-wise product of its
-ladder images, each read from a per-register table of single bits and one of
-prefix masks (the Z strings), plus its adjoint.
+j's bit, and a hop or a double excitation is the product of its ladder
+images plus its adjoint.  Its words come from a per-register table of single
+bits and one of prefix masks (the Z strings): X on the modes, Z on the XOR of
+the modes' Z strings and of each mode whose ladder row is the Y one.  Its
+coefficients depend only on the modes' relative order and those Y choices,
+so ``pauli.product`` runs once per process over every ordering of 2 and of 4
+modes, and each term reads its row of that table by the rank code of its
+modes.  Only the rows whose strings carry an even number of Y are built; the
+adjoint cancels the others exactly.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial, reduce
+from itertools import combinations, compress, permutations
 from typing import Tuple
 
 import numpy as np
 
 from .fermion import ClassifiedTerms, map_terms
-from .pauli import Packed, PauliOperatorSum, outer, set_bits
+from .pauli import Packed, PauliOperatorSum, product, set_bits
 
 
 def _register_tables(num_modes: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -36,15 +43,64 @@ def _ladders(modes: np.ndarray, dagger: bool, tables) -> Packed:
     return np.stack([b, b], axis=1), np.stack([p, p | b], axis=1), np.tile(c, (len(modes), 1))
 
 
-def _plus_adjoint(tables, *modes: np.ndarray) -> Packed:
+def _rank_code(modes) -> np.ndarray:
+    """The relative order of distinct modes in every row: bit k is set where
+    the k-th mode pair (a, b), a < b, in ``itertools.combinations`` order has
+    ``m_a > m_b``."""
+    code = np.zeros(len(modes[0]), dtype=np.intp)
+    for k, (a, b) in enumerate(combinations(range(len(modes)), 2)):
+        code |= (modes[a] > modes[b]).astype(np.intp) << k
+    return code
+
+
+def _even_y(num_factors: int) -> np.ndarray:
+    """Y choices ``[rows, num_factors]`` of the product rows whose strings
+    carry an even number of Y, in the product's row order (factor 0
+    slowest).  Mode m_r's qubit is Y where choice r differs from the parity
+    of the modes above m_r, whose Z strings cover it, so over distinct
+    modes a string's Y count has the parity of its choices plus the number
+    of mode pairs, whatever the modes' order."""
+    rows = np.arange(1 << num_factors)[:, None] >> np.arange(num_factors)[::-1] & 1
+    return rows[(rows.sum(axis=1) + num_factors * (num_factors - 1) // 2) % 2 == 0].astype(bool)
+
+
+@cache
+def _coefficient_table(num_factors: int) -> np.ndarray:
+    """``c + conj(c)`` of every even-Y row of a ladder product, by the rank
+    code of its modes.  The coefficient depends only on the relative order
+    of the distinct modes and on which factors are Y, so ``product`` runs
+    once over every ordering of ``num_factors`` modes; each odd-Y row comes
+    out exactly 0 and is left out."""
+    orderings = np.array(list(permutations(range(num_factors))), dtype=np.intp)
+    tables, rows = _register_tables(num_factors), None
+    for r, modes in enumerate(orderings.T):
+        shape = [len(orderings)] + [1] * num_factors
+        shape[r + 1] = 2  # factor r's two rows on its own axis, as nested outer products
+        x, z, c = _ladders(modes, r < num_factors // 2, tables)
+        factor = x.reshape(*shape, -1), z.reshape(*shape, -1), c.reshape(shape)
+        rows = factor if rows is None else product(rows, factor)
+    c = rows[2].reshape(len(orderings), -1)
+    even = _even_y(num_factors) @ (1 << np.arange(num_factors)[::-1])
+    table = np.zeros((1 << num_factors * (num_factors - 1) // 2, len(even)), complex)
+    table[_rank_code(orderings.T)] = (c + c.conj())[:, even]
+    return table
+
+
+def _plus_adjoint(tables, *modes: np.ndarray) -> Tuple[Packed, Tuple[np.ndarray, ...]]:
     """a_{m_0}^ ... a_{m_h-1}^ a_{m_h} ... a_{m_2h-1} plus its adjoint for every
-    row of the mode columns: the first half is created, the second half
-    annihilated, and the adjoint conjugates the coefficients."""
-    rows = _ladders(modes[0], True, tables)
-    for r, m in enumerate(modes[1:], 1):
-        rows = outer(rows, _ladders(m, r < len(modes) // 2, tables))
-    x, z, c = rows
-    return x, z, c + c.conj()
+    row of the mode columns, whose modes must be distinct: the first half is
+    created, the second half annihilated.  Returns the rows whose strings
+    carry an even number of Y (the others are 0) and the qubits of their X
+    bits, the modes: every row has X on the modes and the Z strings of all
+    the ladders, plus Z on each mode whose ladder row is the Y one.
+    """
+    bits, prefix = tables
+    ladder_bits = [bits.take(m, axis=0) for m in modes]
+    strings = reduce(np.bitwise_xor, [prefix.take(m, axis=0) for m in modes])
+    ys = _even_y(len(modes))
+    z = np.stack([reduce(np.bitwise_xor, compress(ladder_bits, y), strings) for y in ys], axis=1)
+    x = np.broadcast_to(reduce(np.bitwise_xor, ladder_bits)[:, None], z.shape)
+    return (x, z, _coefficient_table(len(modes))[_rank_code(modes)]), modes
 
 
 def jw_transform_terms(
@@ -58,5 +114,9 @@ def jw_transform_terms(
     Raises NonHermitianError when a merged coefficient has |imag| > eps.
     """
     tables = _register_tables(num_modes)
-    images = partial(_plus_adjoint, tables)
-    return map_terms(terms, tables[0], images, lambda idx: images(*idx.T), num_modes, constant, eps)
+    hop = partial(_plus_adjoint, tables)
+
+    def double(idx: np.ndarray) -> Packed:
+        return hop(*idx.T)[0]
+
+    return map_terms(terms, tables[0], hop, double, num_modes, constant, eps)

@@ -10,12 +10,16 @@ as in Stim); a batch of terms is a tuple of packed rows ``(x, z, c)``, and a
 ``PauliOperatorSum`` holds one such batch over a fixed register.  Products are
 computed exactly, with the +/-1, +/-i phase folded into the coefficient, and
 ``simplify`` merges like terms by a hashed row key that it checks exactly.
+``product`` takes the phase from bit counts over whole rows; ``outer``, which
+builds the mappings' term images, is told where its factors have X bits (a
+JW ladder or an edge operator has one, a Z-only row none) and reads the
+phase from the Z bits at those qubits alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,6 +39,9 @@ _MIX_STEPS = (
 _MIX_LAST_SHIFT = np.uint64(31)
 #: Rows keyed at a time.
 _KEY_BLOCK = 8192
+#: Widest rows whose bit counts ``_popcount`` adds column by column; the two
+#: ways cost the same at about 20 words, and at 63 the columns take twice as long.
+_COLUMN_WORDS = 16
 
 
 class DimensionMismatchError(ValueError):
@@ -70,10 +77,16 @@ def set_bits(rows, bits, num_rows: int, num_qubits: int) -> np.ndarray:
 
 
 def _popcount(words: np.ndarray) -> np.ndarray:
-    """Set bits per row, as int64; one word needs no sum over the words."""
-    if words.shape[-1] == 1:
-        return np.bitwise_count(words[..., 0]).astype(np.int64)
-    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+    """Set bits per row, as int64.  Up to ``_COLUMN_WORDS`` words the counts
+    are added a word column at a time: a sum over a short last axis pays a
+    fixed cost per row, several times the additions at 2-4 words."""
+    counts = np.bitwise_count(words)
+    if counts.shape[-1] > _COLUMN_WORDS:
+        return counts.sum(axis=-1, dtype=np.int64)
+    total = counts[..., 0].astype(np.int64)
+    for w in range(1, counts.shape[-1]):
+        total += counts[..., w]
+    return total
 
 
 def product(a: Packed, b: Packed) -> Packed:
@@ -101,21 +114,53 @@ def commute(a: Packed, b: Packed) -> np.ndarray:
     return (_popcount(a[0] & b[1]) + _popcount(a[1] & b[0])) % 2 == 0
 
 
-def outer(a: Packed, b: Packed) -> Packed:
+def _bits(words: np.ndarray, qubits: np.ndarray) -> np.ndarray:
+    """Bit ``qubits[g]`` of every mask in group g, as int8: ``words`` is
+    ``[n, R, words]`` and ``qubits`` ``[n]``."""
+    if words.shape[-1] == 1:
+        bit = words[..., 0] >> (qubits & 63).astype(np.uint64)[:, None] & np.uint64(1)
+        return bit.astype(np.int8)
+    # the little-endian byte that holds the bit: byte-sized temporaries, no per-row index
+    octets = np.ascontiguousarray(words).astype("<u8", copy=False).view(np.uint8)
+    byte = octets[np.arange(len(qubits)), :, qubits >> 3]
+    byte >>= (qubits & 7).astype(np.uint8)[:, None]
+    byte &= 1
+    return byte.view(np.int8)
+
+
+def outer(
+    a: Packed, b: Packed, a_x: Sequence[np.ndarray] = (), b_x: Sequence[np.ndarray] = ()
+) -> Packed:
     """Per-group outer product: ``a`` has R rows and ``b`` T rows per group
-    (axis 1); the result has the R*T products ``a[r] * b[t]`` per group."""
+    (axis 1); the result has the R*T products ``a[r] * b[t]`` per group, equal
+    to ``product``'s.
+
+    Every row of group g of ``a`` has its X bits on exactly the qubits
+    ``a_x[k][g]`` and every row of ``b`` on ``b_x[k][g]``, all distinct, so
+    each of ``product``'s bit counts reduces to bits at those qubits (the
+    phase rule of Aaronson & Gottesman): an X of ``a`` at e adds
+    ``bz[e] * (2 az[e] - 1)`` and an X of ``b`` at e adds
+    ``az[e] * (2 bz[e] + 1)``, mod 4.  A Z-only factor has no X qubits.
+    """
     (ax, az, ac), (bx, bz, bc) = a, b
-    x, z, c = product(
-        (ax[:, :, None], az[:, :, None], ac[:, :, None]),
-        (bx[:, None], bz[:, None], bc[:, None]),
-    )
+    phase = np.zeros((len(ax), 1, 1), dtype=np.int8)
+    for q in a_x:
+        phase = phase + _bits(bz, q)[:, None] * (2 * _bits(az, q)[:, :, None] - 1)
+    for q in b_x:
+        phase = phase + _bits(az, q)[:, :, None] * (2 * _bits(bz, q)[:, None] + 1)
+    z = az[:, :, None] ^ bz[:, None]
+    # with no X in b, every product row keeps a's X words: a view when R == 1
+    x = ax[:, :, None] ^ bx[:, None] if len(b_x) else np.broadcast_to(ax[:, :, None], z.shape)
+    c = ac[:, :, None] * bc[:, None] * _I_POW_ARRAY[phase & 3]
     n, words = x.shape[0], x.shape[-1]
     return x.reshape(n, -1, words), z.reshape(n, -1, words), c.reshape(n, -1)
 
 
 def z_rows(z: np.ndarray, c) -> Packed:
-    """Z-only rows: masks ``[n, R, words]``, coefficients broadcast to ``[n, R]``."""
-    return np.zeros_like(z), z, np.broadcast_to(np.asarray(c, dtype=complex), z.shape[:2])
+    """Z-only rows: masks ``[n, R, words]``, coefficients broadcast to ``[n, R]``;
+    the X words are a read-only broadcast zero."""
+    c = np.broadcast_to(np.asarray(c, dtype=complex), z.shape[:2])
+    return np.broadcast_to(np.uint64(0), z.shape), z, c
 
 
 def half_one_minus(z: np.ndarray) -> Packed:
@@ -148,12 +193,22 @@ class PauliOperatorSum:
         cls, batches: Iterable[Packed], num_qubits: int, constant: complex = 0.0
     ) -> "PauliOperatorSum":
         """One sum from packed batches of any leading shape, after an identity
-        row carrying ``constant`` when it is nonzero."""
+        row carrying ``constant`` when it is nonzero.  Each batch is copied
+        once, into its rows of the sum, so a broadcast batch is never
+        materialized on its own."""
         words, n = num_words(num_qubits), 1 if constant else 0
         rows = [(np.zeros((n, words), np.uint64),) * 2 + (np.full(n, constant, dtype=complex),)]
-        rows += [(x.reshape(-1, words), z.reshape(-1, words), c.reshape(-1)) for x, z, c in batches]
-        x, z, c = (np.concatenate(col) for col in zip(*rows))
-        return cls(x, z, c, num_qubits)
+        rows += batches
+        total = sum(c.size for _, _, c in rows)
+        x, z = (np.empty((total, words), np.uint64) for _ in range(2))
+        out = x, z, np.empty(total, complex)
+        start = 0
+        for batch in rows:
+            stop = start + batch[2].size
+            for part, column in zip(batch, out):
+                np.copyto(column[start:stop].reshape(part.shape), part)
+            start = stop
+        return cls(*out, num_qubits)
 
     def weights(self) -> np.ndarray:
         """Non-identity factor count of every row."""

@@ -10,13 +10,15 @@ forest are both read from it.
 
 The encoding's three parts for ``fermion.map_terms``: n_j's Z word is B_j, a
 hop is an edge operator times two vertex operators, and a double excitation
-two edge operators times eight products of vertex operators.
+two edge operators times eight products of vertex operators.  Each product is
+a ``pauli.outer`` told the edges of the edge operators' X bits, so its phases
+are the Z bits at those edges, not bit counts over whole rows.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from functools import partial
+from functools import partial, reduce
 from typing import List, Tuple
 
 import numpy as np
@@ -142,9 +144,12 @@ def build_interaction_graph(terms: ClassifiedTerms, num_modes: int) -> Interacti
     return InteractionGraph(num_modes, np.concatenate(pairs))
 
 
-def _hops(g: InteractionGraph, i: np.ndarray, j: np.ndarray) -> Packed:
-    """a_i^ a_j + a_j^ a_i  ->  -i (A_ij B_j + B_i A_ij) / 2, with B_i A_ij = -A_ij B_i."""
-    return outer(g.a(i, j), z_rows(g.vertex.take(np.stack([j, i], axis=1), axis=0), (-0.5j, 0.5j)))
+def _hops(g: InteractionGraph, i: np.ndarray, j: np.ndarray) -> Tuple[Packed, Tuple[np.ndarray]]:
+    """a_i^ a_j + a_j^ a_i  ->  -i (A_ij B_j + B_i A_ij) / 2, with B_i A_ij = -A_ij B_i,
+    and the qubit of its X bit, edge ij."""
+    a, e = g.a(i, j), g.lookup[i, j]
+    b = z_rows(g.vertex.take(np.stack([j, i], axis=1), axis=0), (-0.5j, 0.5j))
+    return outer(a, b, (e,)), (e,)
 
 
 # B-subset signs for the double-excitation expansion, keyed by the subset of
@@ -166,13 +171,15 @@ _DOUBLE_B_SUBSETS = (
 def _double_excitations(g: InteractionGraph, idx: np.ndarray, spins: np.ndarray) -> Packed:
     """a_i^ a_j^ a_k a_l + h.c. from two same-spin edge operators and eight B-subsets."""
     first, second, pair_sign = pair_partition(idx, spins)
-    aa = outer(g.a(first[:, 0], first[:, 1]), g.a(second[:, 0], second[:, 1]))
+    e1, e2 = g.lookup[first[:, 0], first[:, 1]], g.lookup[second[:, 0], second[:, 1]]
+    aa = outer(g.a(*first.T), g.a(*second.T), (e1,), (e2,))
     # the B_v commute and carry no X, so each subset's product is one Z mask
     subsets, signs = zip(*_DOUBLE_B_SUBSETS)
-    b = g.vertex.take(idx, axis=0)
-    z = np.stack([np.bitwise_xor.reduce(b[:, list(sub)], axis=1) for sub in subsets], axis=1)
+    b = [g.vertex.take(modes, axis=0) for modes in idx.T]
+    none = np.zeros_like(b[0])
+    z = np.stack([reduce(np.bitwise_xor, [b[r] for r in sub], none) for sub in subsets], axis=1)
     c = np.outer(pair_sign / 8.0, signs)
-    return outer(aa, z_rows(z, c))
+    return outer(aa, z_rows(z, c), (e1, e2))
 
 
 def ose_transform_terms(

@@ -17,7 +17,9 @@ from fermap.pauli import (
     coefficient_l1_norm,
     commute,
     num_words,
+    outer,
     product,
+    set_bits,
     simplify,
 )
 
@@ -135,6 +137,51 @@ def test_commute_matches_dense_commutator(data):
     ka, kb = kron_term(*a, q), kron_term(*b, q)
     sa, sb = pauli_sum([a], q), pauli_sum([b], q)
     assert commute((sa.x, sa.z), (sb.x, sb.z)).tolist() == [np.allclose(ka @ kb, kb @ ka)]
+
+
+def outer_by_product(a, b):
+    """The per-group outer product through ``product``, whose phase counts
+    bits over whole rows: the reference for ``outer``."""
+    (ax, az, ac), (bx, bz, bc) = a, b
+    x, z, c = product(
+        (ax[:, :, None], az[:, :, None], ac[:, :, None]), (bx[:, None], bz[:, None], bc[:, None])
+    )
+    n, words = x.shape[0], x.shape[-1]
+    return x.reshape(n, -1, words), z.reshape(n, -1, words), c.reshape(n, -1)
+
+
+@pytest.mark.parametrize("q", [5, 64, 65, 130])
+@pytest.mark.parametrize("a_count, b_count", [(0, 0), (1, 0), (2, 0), (1, 1), (2, 2), (0, 1)])
+def test_outer_reads_the_phase_at_the_x_qubits(q, a_count, b_count):
+    # every row of a group has X on the same distinct qubits, and any Z bits,
+    # the X qubits included, so each phase term's bits are exercised
+    rng = np.random.default_rng([q, a_count, b_count])
+    n, words = 60, num_words(q)
+    qubits = np.stack([rng.choice(q, a_count + b_count, replace=False) for _ in range(n)])
+
+    def side(count, at):
+        x = set_bits(np.repeat(np.arange(n), at.shape[1]), at.ravel(), n, q)
+        z = rng.integers(0, 1 << 63, size=(n, count, words), dtype=np.uint64) << np.uint64(1)
+        z |= rng.integers(0, 2, size=(n, count, words), dtype=np.uint64)
+        c = rng.normal(size=(n, count)) + 1j * rng.normal(size=(n, count))
+        return np.repeat(x[:, None], count, axis=1), z, c
+
+    a_at, b_at = qubits[:, :a_count], qubits[:, a_count:]
+    a, b = side(3, a_at), side(4, b_at)
+    got, expected = outer(a, b, tuple(a_at.T), tuple(b_at.T)), outer_by_product(a, b)
+    for g, e in zip(got, expected):
+        assert g.shape == e.shape and np.array_equal(g, e)
+
+
+@pytest.mark.parametrize("words", [1, 2, 4, 16, 17, 25, 63])
+def test_popcount_counts_every_word(words):
+    # both sides of the width where the counts stop being added column by column
+    rng = np.random.default_rng(words)
+    masks = rng.integers(0, 1 << 63, size=(30, words), dtype=np.uint64) << np.uint64(1)
+    masks |= rng.integers(0, 2, size=(30, words), dtype=np.uint64)
+    counts = pauli._popcount(masks)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == [to_int(row).bit_count() for row in masks]
 
 
 def test_identity_and_weight():
