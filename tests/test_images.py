@@ -74,13 +74,12 @@ def reference_rows(kind, idx, coefficients, z_words, hop, double):
 
 def merged_input(monkeypatch, transform):
     """The rows ``map_terms`` hands to the merge when ``transform`` runs."""
-    seen = []
+    seen, simplify = [], fermion.simplify
 
     def spy(s, eps):
         seen.append(s)
         return simplify(s, eps)
 
-    simplify = fermion.simplify
     monkeypatch.setattr(fermion, "simplify", spy)
     transform()
     return seen[0]
