@@ -276,12 +276,12 @@ def map_terms(
         if kind is Kind.NUMBER:
             return number(cols[0])
         if kind is Kind.COULOMB_EXCHANGE:
-            return outer(number(cols[0]), number(cols[1]))
+            return outer(number(cols[0]), number(cols[1]), (), ())
         if kind is Kind.EXCITATION:
             return hop(*_distinct(cols[0], cols[1]))[0]
         if kind is Kind.NUMBER_EXCITATION:
             rows, x_qubits = hop(*_distinct(cols[0], cols[2]))
-            return outer(rows, number(cols[1]), x_qubits)
+            return outer(rows, number(cols[1]), x_qubits, ())
         if kind is Kind.DOUBLE_EXCITATION:
             _distinct(*cols)
             return double(idx)

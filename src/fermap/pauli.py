@@ -115,35 +115,35 @@ def commute(a: Packed, b: Packed) -> np.ndarray:
 
 
 def _bits(words: np.ndarray, qubits: np.ndarray) -> np.ndarray:
-    """Bit ``qubits[g]`` of every mask in group g, as int8: ``words`` is
-    ``[n, R, words]`` and ``qubits`` ``[n]``."""
-    if words.shape[-1] == 1:
-        bit = words[..., 0] >> (qubits & 63).astype(np.uint64)[:, None] & np.uint64(1)
-        return bit.astype(np.int8)
-    # the little-endian byte that holds the bit: byte-sized temporaries, no per-row index
-    octets = np.ascontiguousarray(words).astype("<u8", copy=False).view(np.uint8)
-    byte = octets[np.arange(len(qubits)), :, qubits >> 3]
-    byte >>= (qubits & 7).astype(np.uint8)[:, None]
-    byte &= 1
-    return byte.view(np.int8)
+    """Bit ``qubits[g]`` of every mask in group g, as int64 0 or 1: ``words``
+    is ``[n, R, words]`` and ``qubits`` ``[n]``.  The bits and the phases
+    built from them stay in 64-bit types: int8 arithmetic would map about
+    0.3 MB more of numpy's code into every process, for loops that nothing
+    else in a run uses."""
+    word = words[np.arange(len(qubits)), :, qubits >> 6]
+    word >>= (qubits & 63).astype(np.uint64)[:, None]
+    word &= np.uint64(1)
+    return word.view(np.int64)
 
 
-def outer(
-    a: Packed, b: Packed, a_x: Sequence[np.ndarray] = (), b_x: Sequence[np.ndarray] = ()
-) -> Packed:
+def outer(a: Packed, b: Packed, a_x: Sequence[np.ndarray], b_x: Sequence[np.ndarray]) -> Packed:
     """Per-group outer product: ``a`` has R rows and ``b`` T rows per group
     (axis 1); the result has the R*T products ``a[r] * b[t]`` per group, equal
     to ``product``'s.
 
     Every row of group g of ``a`` has its X bits on exactly the qubits
-    ``a_x[k][g]`` and every row of ``b`` on ``b_x[k][g]``, all distinct, so
-    each of ``product``'s bit counts reduces to bits at those qubits (the
-    phase rule of Aaronson & Gottesman): an X of ``a`` at e adds
-    ``bz[e] * (2 az[e] - 1)`` and an X of ``b`` at e adds
-    ``az[e] * (2 bz[e] + 1)``, mod 4.  A Z-only factor has no X qubits.
+    ``a_x[k][g]`` and every row of ``b`` on ``b_x[k][g]``; pass ``()`` for a
+    Z-only factor.  Each of ``product``'s bit counts then reduces to bits at
+    those qubits (the phase rule of Aaronson & Gottesman): an X of ``a`` at e
+    adds ``bz[e] * (2 az[e] - 1)`` and an X of ``b`` at e adds
+    ``az[e] * (2 bz[e] + 1)``, mod 4.  The qubits must all differ: a qubit
+    listed twice, or an X bit left out, gives a wrong phase and no error.
+    The mappings' factors meet this because a hop's or a double excitation's
+    modes differ (``fermion._distinct``), so its JW qubits do, and so do its
+    edges: two edge operators on pairs of four distinct modes never share one.
     """
     (ax, az, ac), (bx, bz, bc) = a, b
-    phase = np.zeros((len(ax), 1, 1), dtype=np.int8)
+    phase = np.zeros((len(ax), 1, 1), dtype=np.int64)
     for q in a_x:
         phase = phase + _bits(bz, q)[:, None] * (2 * _bits(az, q)[:, :, None] - 1)
     for q in b_x:

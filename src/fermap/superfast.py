@@ -70,14 +70,15 @@ class InteractionGraph:
         rows = np.concatenate([np.nonzero(low_p)[0], np.nonzero(low_r)[0]])
         self.edge_z = set_bits(rows, np.concatenate([at_p[low_p], at_r[low_r]]), q, q)
 
-    def a(self, p: np.ndarray, q: np.ndarray) -> Packed:
-        """A_pq for every pair: one row per term."""
+    def a(self, p: np.ndarray, q: np.ndarray) -> Tuple[Packed, np.ndarray]:
+        """A_pq for every pair, one row per term, and the index of its edge,
+        the qubit of its X bit."""
         e = self.lookup[p, q]
         if (e < 0).any():
             k = int(np.argmax(e < 0))
             raise MissingEdgeError(f"no edge between modes {p[k]} and {q[k]}")
         c = np.where(p > q, -1.0, 1.0)[:, None]  # A_qp = -A_pq
-        return self.edge_x.take(e, axis=0)[:, None], self.edge_z.take(e, axis=0)[:, None], c
+        return (self.edge_x.take(e, axis=0)[:, None], self.edge_z.take(e, axis=0)[:, None], c), e
 
     def spanning_forest(self) -> np.ndarray:
         """Parent of every vertex in a breadth-first spanning forest, -1 at the
@@ -147,9 +148,9 @@ def build_interaction_graph(terms: ClassifiedTerms, num_modes: int) -> Interacti
 def _hops(g: InteractionGraph, i: np.ndarray, j: np.ndarray) -> Tuple[Packed, Tuple[np.ndarray]]:
     """a_i^ a_j + a_j^ a_i  ->  -i (A_ij B_j + B_i A_ij) / 2, with B_i A_ij = -A_ij B_i,
     and the qubit of its X bit, edge ij."""
-    a, e = g.a(i, j), g.lookup[i, j]
+    a, e = g.a(i, j)
     b = z_rows(g.vertex.take(np.stack([j, i], axis=1), axis=0), (-0.5j, 0.5j))
-    return outer(a, b, (e,)), (e,)
+    return outer(a, b, (e,), ()), (e,)
 
 
 # B-subset signs for the double-excitation expansion, keyed by the subset of
@@ -171,15 +172,15 @@ _DOUBLE_B_SUBSETS = (
 def _double_excitations(g: InteractionGraph, idx: np.ndarray, spins: np.ndarray) -> Packed:
     """a_i^ a_j^ a_k a_l + h.c. from two same-spin edge operators and eight B-subsets."""
     first, second, pair_sign = pair_partition(idx, spins)
-    e1, e2 = g.lookup[first[:, 0], first[:, 1]], g.lookup[second[:, 0], second[:, 1]]
-    aa = outer(g.a(*first.T), g.a(*second.T), (e1,), (e2,))
+    (a1, e1), (a2, e2) = g.a(*first.T), g.a(*second.T)
+    aa = outer(a1, a2, (e1,), (e2,))
     # the B_v commute and carry no X, so each subset's product is one Z mask
     subsets, signs = zip(*_DOUBLE_B_SUBSETS)
     b = [g.vertex.take(modes, axis=0) for modes in idx.T]
     none = np.zeros_like(b[0])
     z = np.stack([reduce(np.bitwise_xor, [b[r] for r in sub], none) for sub in subsets], axis=1)
     c = np.outer(pair_sign / 8.0, signs)
-    return outer(aa, z_rows(z, c), (e1, e2))
+    return outer(aa, z_rows(z, c), (e1, e2), ())
 
 
 def ose_transform_terms(
@@ -235,7 +236,7 @@ def loop_stabilizers(g: InteractionGraph) -> PauliOperatorSum:
     )
     for step in range(max(map(len, cycles), default=0)):
         live = [k for k, edges in enumerate(steps) if step < len(edges)]
-        ax, az, ac = g.a(*np.array([steps[k][step] for k in live]).T)
+        (ax, az, ac), _ = g.a(*np.array([steps[k][step] for k in live]).T)
         x, z, c = product(tuple(r[live] for r in rows), (ax[:, 0], az[:, 0], ac[:, 0]))
         rows[0][live], rows[1][live], rows[2][live] = x, z, c
     x, z, c = rows

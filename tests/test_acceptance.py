@@ -142,11 +142,11 @@ def test_criterion_5_operator_algebra():
         # edges share one end; A_qp = -A_pq
         ends = g.edges
         b = (np.zeros_like(g.vertex), g.vertex, np.ones(len(g.vertex)))
-        a = g.a(*ends.T)
+        a = g.a(*ends.T)[0]
         for x, z, c in (b, a):
             sx, sz, sc = product((x, z, c), (x, z, c))
             ok &= not sx.any() and not sz.any() and (sc == 1.0).all()
-        rx, rz, rc = g.a(*ends[:, ::-1].T)
+        rx, rz, rc = g.a(*ends[:, ::-1].T)[0]
         ok &= (rx == a[0]).all() and (rz == a[1]).all() and (rc == -a[2]).all()
         incident = (ends[:, :, None] == np.arange(g.num_vertices)).any(axis=1)
         shared = (ends[:, None, :, None] == ends[None, :, None, :]).any(axis=3).sum(axis=2)

@@ -40,12 +40,12 @@ def jw_plus_adjoint(tables, *modes):
 
 def ose_hop(g, i, j):
     b = z_rows(g.vertex.take(np.stack([j, i], axis=1), axis=0), (-0.5j, 0.5j))
-    return outer_by_product(g.a(i, j), b)
+    return outer_by_product(g.a(i, j)[0], b)
 
 
 def ose_double(g, idx):
     first, second, pair_sign = pair_partition(idx, blocked_modes(g.num_vertices)[1])
-    aa = outer_by_product(g.a(*first.T), g.a(*second.T))
+    aa = outer_by_product(g.a(*first.T)[0], g.a(*second.T)[0])
     subsets, signs = zip(*_DOUBLE_B_SUBSETS)
     b = g.vertex.take(idx, axis=0)
     z = np.stack([np.bitwise_xor.reduce(b[:, list(sub)], axis=1) for sub in subsets], axis=1)

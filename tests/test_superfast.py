@@ -130,7 +130,7 @@ def test_operator_algebra_relations(g):
     ends = g.edges
     p, q = ends.T
     # antisymmetry in the vertex order
-    for (x, z, c), sign in ((g.a(p, q), 1.0), (g.a(q, p), -1.0)):
+    for (x, z, c), sign in ((g.a(p, q)[0], 1.0), (g.a(q, p)[0], -1.0)):
         assert (x[:, 0] == a[0]).all() and (z[:, 0] == a[1]).all() and (c == sign).all()
     # A_pq anticommutes with B_i exactly when i is an end of pq
     incident = (ends[:, :, None] == np.arange(g.num_vertices)).any(axis=1)
