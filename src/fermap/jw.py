@@ -46,10 +46,11 @@ def _ladders(modes: np.ndarray, dagger: bool, tables) -> Packed:
 def _rank_code(modes) -> np.ndarray:
     """The relative order of distinct modes in every row: bit k is set where
     the k-th mode pair (a, b), a < b, in ``itertools.combinations`` order has
-    ``m_a > m_b``."""
+    ``m_a > m_b``.  Bits are set with ``+``: a signed ``|`` would call a numpy
+    loop that nothing else in a run calls (see ``pauli._bits``)."""
     code = np.zeros(len(modes[0]), dtype=np.intp)
     for k, (a, b) in enumerate(combinations(range(len(modes)), 2)):
-        code |= (modes[a] > modes[b]).astype(np.intp) << k
+        code += (modes[a] > modes[b]).astype(np.intp) << k
     return code
 
 
@@ -60,7 +61,7 @@ def _even_y(num_factors: int) -> np.ndarray:
     of the modes above m_r, whose Z strings cover it, so over distinct
     modes a string's Y count has the parity of its choices plus the number
     of mode pairs, whatever the modes' order."""
-    rows = np.arange(1 << num_factors)[:, None] >> np.arange(num_factors)[::-1] & 1
+    rows = (np.arange(1 << num_factors)[:, None] >> np.arange(num_factors)[::-1]) % 2
     return rows[(rows.sum(axis=1) + num_factors * (num_factors - 1) // 2) % 2 == 0].astype(bool)
 
 

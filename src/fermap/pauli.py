@@ -116,12 +116,15 @@ def commute(a: Packed, b: Packed) -> np.ndarray:
 
 def _bits(words: np.ndarray, qubits: np.ndarray) -> np.ndarray:
     """Bit ``qubits[g]`` of every mask in group g, as int64 0 or 1: ``words``
-    is ``[n, R, words]`` and ``qubits`` ``[n]``.  The bits and the phases
-    built from them stay in 64-bit types: int8 arithmetic would map about
-    0.3 MB more of numpy's code into every process, for loops that nothing
-    else in a run uses."""
+    is ``[n, R, words]`` and ``qubits`` ``[n]``.
+
+    The bits and the phases built from them use only numpy loops that a run
+    calls anyway: int64 arithmetic, and ``%`` rather than ``&`` on signed
+    integers.  Each loop that nothing else calls maps up to 64 KB more of
+    numpy's code into every process (int8 arithmetic here cost about 0.3 MB),
+    and peak RSS counts it."""
     word = words[np.arange(len(qubits)), :, qubits >> 6]
-    word >>= (qubits & 63).astype(np.uint64)[:, None]
+    word >>= (qubits % 64).astype(np.uint64)[:, None]
     word &= np.uint64(1)
     return word.view(np.int64)
 
@@ -151,7 +154,7 @@ def outer(a: Packed, b: Packed, a_x: Sequence[np.ndarray], b_x: Sequence[np.ndar
     z = az[:, :, None] ^ bz[:, None]
     # with no X in b, every product row keeps a's X words: a view when R == 1
     x = ax[:, :, None] ^ bx[:, None] if len(b_x) else np.broadcast_to(ax[:, :, None], z.shape)
-    c = ac[:, :, None] * bc[:, None] * _I_POW_ARRAY[phase & 3]
+    c = ac[:, :, None] * bc[:, None] * _I_POW_ARRAY[phase % 4]
     n, words = x.shape[0], x.shape[-1]
     return x.reshape(n, -1, words), z.reshape(n, -1, words), c.reshape(n, -1)
 
