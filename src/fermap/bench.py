@@ -60,6 +60,8 @@ class SweepConfig:
             raise ValueError("dimension must be 1, 2 or 3")
         if not self.sizes or any(n < 1 for n in self.sizes):
             raise ValueError("sizes must be positive")
+        if not self.exponents:
+            raise ValueError("exponents must be non-empty")
         if self.cutoff < 0:
             raise ValueError("cutoff must be non-negative")
         if self.rotation not in ("aos", "aoc"):

@@ -171,6 +171,8 @@ def cmd_verify(args) -> int:
         ok = dev < args.tolerance
         failures += not ok
         lines.append(f"random 2-orbital seed {seed + args.seed}: deviation {dev:.3e} {'ok' if ok else 'FAIL'}")
+    if not lines:
+        raise ValueError("verify selected no check: give --dim and --exponents, or --random N")
     lines.append(f"verify: {'PASS' if failures == 0 else f'{failures} FAILURES'}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0 if failures == 0 else 1

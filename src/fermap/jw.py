@@ -9,10 +9,10 @@ images plus its adjoint.  Its words come from a per-register table of single
 bits and one of prefix masks (the Z strings): X on the modes, Z on the XOR of
 the modes' Z strings and of each mode whose ladder row is the Y one.  Its
 coefficients depend only on the modes' relative order and those Y choices,
-so ``pauli.product`` runs once per process over every ordering of 2 and of 4
-modes, and each term reads its row of that table by the rank code of its
-modes.  Only the rows whose strings carry an even number of Y are built; the
-adjoint cancels the others exactly.
+so a chain of ``pauli.outer`` runs once per process over every ordering of 2
+and of 4 modes, and each term reads its row of that table by the rank code
+of its modes.  Only the rows whose strings carry an even number of Y are
+built; the adjoint cancels the others exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Tuple
 import numpy as np
 
 from .fermion import ClassifiedTerms, map_terms
-from .pauli import Packed, PauliOperatorSum, product, set_bits
+from .pauli import Packed, PauliOperatorSum, outer, set_bits
 
 
 def _register_tables(num_modes: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -69,21 +69,20 @@ def _even_y(num_factors: int) -> np.ndarray:
 def _coefficient_table(num_factors: int) -> np.ndarray:
     """``c + conj(c)`` of every even-Y row of a ladder product, by the rank
     code of its modes.  The coefficient depends only on the relative order
-    of the distinct modes and on which factors are Y, so ``product`` runs
+    of the distinct modes and on which factors are Y, so the product runs
     once over every ordering of ``num_factors`` modes; each odd-Y row comes
-    out exactly 0 and is left out."""
+    out exactly 0 and is left out.  Ladder r has its X bit on its own mode,
+    and the product of the ladders before it on theirs."""
     orderings = np.array(list(permutations(range(num_factors))), dtype=np.intp)
-    tables, rows = _register_tables(num_factors), None
-    for r, modes in enumerate(orderings.T):
-        shape = [len(orderings)] + [1] * num_factors
-        shape[r + 1] = 2  # factor r's two rows on its own axis, as nested outer products
-        x, z, c = _ladders(modes, r < num_factors // 2, tables)
-        factor = x.reshape(*shape, -1), z.reshape(*shape, -1), c.reshape(shape)
-        rows = factor if rows is None else product(rows, factor)
-    c = rows[2].reshape(len(orderings), -1)
+    tables, modes = _register_tables(num_factors), tuple(orderings.T)
+    ladders = [_ladders(m, r < num_factors // 2, tables) for r, m in enumerate(modes)]
+    rows = ladders[0]
+    for r in range(1, num_factors):
+        rows = outer(rows, ladders[r], modes[:r], (modes[r],))
+    c = rows[2]
     even = _even_y(num_factors) @ (1 << np.arange(num_factors)[::-1])
     table = np.zeros((1 << num_factors * (num_factors - 1) // 2, len(even)), complex)
-    table[_rank_code(orderings.T)] = (c + c.conj())[:, even]
+    table[_rank_code(modes)] = (c + c.conj())[:, even]
     return table
 
 

@@ -10,10 +10,10 @@ as in Stim); a batch of terms is a tuple of packed rows ``(x, z, c)``, and a
 ``PauliOperatorSum`` holds one such batch over a fixed register.  Products are
 computed exactly, with the +/-1, +/-i phase folded into the coefficient, and
 ``simplify`` merges like terms by a hashed row key that it checks exactly.
-``product`` takes the phase from bit counts over whole rows; ``outer``, which
-builds the mappings' term images, is told where its factors have X bits (a
-JW ladder or an edge operator has one, a Z-only row none) and reads the
-phase from the Z bits at those qubits alone.
+``outer`` is the one product.  Every factor the library multiplies (a JW
+ladder, an edge operator, a Z-only row) has at most one X bit, so a product
+of them has its X bits on qubits the caller knows; ``outer`` is told those
+qubits and reads the phase from the Z bits at them alone.
 """
 
 from __future__ import annotations
@@ -39,9 +39,6 @@ _MIX_STEPS = (
 _MIX_LAST_SHIFT = np.uint64(31)
 #: Rows keyed at a time.
 _KEY_BLOCK = 8192
-#: Widest rows whose bit counts ``_popcount`` adds column by column; the two
-#: ways cost the same at about 20 words, and at 63 the columns take twice as long.
-_COLUMN_WORDS = 16
 
 
 class DimensionMismatchError(ValueError):
@@ -77,34 +74,14 @@ def set_bits(rows, bits, num_rows: int, num_qubits: int) -> np.ndarray:
 
 
 def _popcount(words: np.ndarray) -> np.ndarray:
-    """Set bits per row, as int64.  Up to ``_COLUMN_WORDS`` words the counts
-    are added a word column at a time: a sum over a short last axis pays a
-    fixed cost per row, several times the additions at 2-4 words."""
+    """Set bits per row, as int64, added a word column at a time: a sum over
+    a short last axis pays a fixed cost per row, several times the additions
+    at 2-4 words."""
     counts = np.bitwise_count(words)
-    if counts.shape[-1] > _COLUMN_WORDS:
-        return counts.sum(axis=-1, dtype=np.int64)
     total = counts[..., 0].astype(np.int64)
     for w in range(1, counts.shape[-1]):
         total += counts[..., w]
     return total
-
-
-def product(a: Packed, b: Packed) -> Packed:
-    """Row-wise product of two packed batches, broadcasting as numpy does.
-
-    With each term written as ``c * i**|x&z| * X^x Z^z``, commuting the Z part
-    of ``a`` through the X part of ``b`` contributes ``(-1)**|az & bx|`` and the
-    Y bookkeeping an exact power of i; each bit count is summed across the
-    words of a row before the phase is taken mod 4.
-    """
-    ax, az, ac = a
-    bx, bz, bc = b
-    x = ax ^ bx
-    z = az ^ bz
-    phase = (
-        _popcount(ax & az) + _popcount(bx & bz) - _popcount(x & z) + 2 * _popcount(az & bx)
-    ) % 4
-    return x, z, ac * bc * _I_POW_ARRAY[phase]
 
 
 def commute(a: Packed, b: Packed) -> np.ndarray:
@@ -131,19 +108,24 @@ def _bits(words: np.ndarray, qubits: np.ndarray) -> np.ndarray:
 
 def outer(a: Packed, b: Packed, a_x: Sequence[np.ndarray], b_x: Sequence[np.ndarray]) -> Packed:
     """Per-group outer product: ``a`` has R rows and ``b`` T rows per group
-    (axis 1); the result has the R*T products ``a[r] * b[t]`` per group, equal
-    to ``product``'s.
+    (axis 1); the result has the R*T products ``a[r] * b[t]`` per group, r
+    slowest.
 
     Every row of group g of ``a`` has its X bits on exactly the qubits
     ``a_x[k][g]`` and every row of ``b`` on ``b_x[k][g]``; pass ``()`` for a
-    Z-only factor.  Each of ``product``'s bit counts then reduces to bits at
-    those qubits (the phase rule of Aaronson & Gottesman): an X of ``a`` at e
-    adds ``bz[e] * (2 az[e] - 1)`` and an X of ``b`` at e adds
-    ``az[e] * (2 bz[e] + 1)``, mod 4.  The qubits must all differ: a qubit
+    Z-only factor.  With each row written as ``c * i**|x&z| * X^x Z^z``, a
+    product's power of i is ``|ax&az| + |bx&bz| - |x&z| + 2|az&bx|`` mod 4:
+    the factors' Y counts less the product's, and a sign for each Z of ``a``
+    moved past an X of ``b``.  Every count is zero away from the X qubits,
+    so the phase is a sum over them (the phase rule of Aaronson & Gottesman):
+    an X of ``a`` at e adds ``bz[e] * (2 az[e] - 1)`` and an X of ``b`` at e
+    adds ``az[e] * (2 bz[e] + 1)``.  The qubits must all differ: a qubit
     listed twice, or an X bit left out, gives a wrong phase and no error.
-    The mappings' factors meet this because a hop's or a double excitation's
-    modes differ (``fermion._distinct``), so its JW qubits do, and so do its
-    edges: two edge operators on pairs of four distinct modes never share one.
+    The library's factors meet this.  A hop's or a double excitation's modes
+    differ (``fermion._distinct``), so its JW qubits do, and so do its
+    edges: two edge operators on pairs of four distinct modes never share
+    one.  A JW table multiplies ladders on distinct modes, and a loop
+    stabilizer the edge operators around a cycle, whose edges differ.
     """
     (ax, az, ac), (bx, bz, bc) = a, b
     phase = np.zeros((len(ax), 1, 1), dtype=np.int64)

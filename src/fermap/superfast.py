@@ -10,8 +10,9 @@ forest are both read from it.
 
 The encoding's three parts for ``fermion.map_terms``: n_j's Z word is B_j, a
 hop is an edge operator times two vertex operators, and a double excitation
-two edge operators times eight products of vertex operators.  Each product is
-a ``pauli.outer`` told the edges of the edge operators' X bits, so its phases
+two edge operators times eight products of vertex operators.  Each product,
+and each step of a loop stabilizer's product around its cycle, is a
+``pauli.outer`` told the edges of the edge operators' X bits, so its phases
 are the Z bits at those edges, not bit counts over whole rows.
 """
 
@@ -24,7 +25,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .fermion import ClassifiedTerms, Kind, blocked_modes, map_terms
-from .pauli import Packed, PauliOperatorSum, num_words, outer, product, set_bits, z_rows
+from .pauli import Packed, PauliOperatorSum, num_words, outer, set_bits, z_rows
 
 
 class MissingEdgeError(KeyError):
@@ -226,20 +227,20 @@ def loop_stabilizers(g: InteractionGraph) -> PauliOperatorSum:
         cycles.append(pu[: anc[pv[j]] + 1] + pv[:j][::-1])
 
     # the edges (c[s], c[s+1 mod p]) around each cycle, multiplied in one
-    # batch per step over the cycles that have that many edges
-    steps = [list(zip(c, c[1:] + c[:1])) for c in cycles]
-    words = num_words(g.num_qubits)
-    rows = (
-        np.zeros((len(cycles), words), np.uint64),
-        np.zeros((len(cycles), words), np.uint64),
-        np.array([1j ** len(c) for c in cycles], dtype=complex),
-    )
-    for step in range(max(map(len, cycles), default=0)):
-        live = [k for k, edges in enumerate(steps) if step < len(edges)]
-        (ax, az, ac), _ = g.a(*np.array([steps[k][step] for k in live]).T)
-        x, z, c = product(tuple(r[live] for r in rows), (ax[:, 0], az[:, 0], ac[:, 0]))
-        rows[0][live], rows[1][live], rows[2][live] = x, z, c
-    x, z, c = rows
+    # batch per cycle length: the running product has X bits on the cycle's
+    # earlier edges, which differ from each other and from the next
+    x = np.zeros((len(cycles), num_words(g.num_qubits)), np.uint64)
+    z, c = np.zeros_like(x), np.zeros(len(cycles), complex)
+    by_length = {}
+    for k, cycle in enumerate(cycles):
+        by_length.setdefault(len(cycle), []).append(k)
+    for length, live in by_length.items():
+        ends = np.array([cycles[k] for k in live])
+        rows, edges = z_rows(np.zeros((len(live), 1, x.shape[1]), np.uint64), 1j**length), ()
+        for u, v in zip(ends.T, np.roll(ends, -1, axis=1).T):
+            a, e = g.a(u, v)
+            rows, edges = outer(rows, a, edges, (e,)), edges + (e,)
+        x[live], z[live], c[live] = (r[:, 0] for r in rows)
     bad = (np.abs(np.abs(c) - 1.0) > 1e-12) | (np.abs(c.imag) > 1e-12)
     if bad.any():
         raise AlgebraViolationError(f"loop product has coefficient {c[bad][0]}")

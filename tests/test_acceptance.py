@@ -16,7 +16,7 @@ from fermap.metrics import probe_scaling
 from fermap.molecules import molecule_bounds, published_bounds
 from fermap.oracle import sector_spectra_match
 from fermap.ortho import orthonormal_integrals
-from fermap.pauli import commute, product
+from fermap.pauli import commute
 from fermap.sampling import random_spatial_hamiltonian
 from fermap.superfast import (
     InteractionGraph,
@@ -24,6 +24,7 @@ from fermap.superfast import (
     loop_stabilizers,
     ose_transform_terms,
 )
+from test_pauli import product
 from test_superfast import random_connected_graph_edges
 
 ONE_D_SIZES = (2, 4, 6, 8, 10)

@@ -46,6 +46,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         small_config(sizes=())
     with pytest.raises(ValueError):
+        small_config(exponents=())
+    with pytest.raises(ValueError):
         small_config(rotation="qr")
     with pytest.raises(ValueError):
         small_config(mappings=("bravyi",))

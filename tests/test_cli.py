@@ -140,6 +140,11 @@ def test_unknown_command_exits():
     [
         (["probe", "--modes", "4"], "two distinct mode counts"),
         (["transform", "missing.fcidump"], "No such file"),
+        # verify without a lattice or a random check, and a grid without exponents
+        (["verify"], "no check"),
+        (["verify", "--dim", "1", "--exponents", ""], "no check"),
+        (["sweep", "--exponents", ""], "exponents must be non-empty"),
+        (["compare", "--exponents", ""], "exponents must be non-empty"),
     ],
 )
 def test_bad_input_prints_one_error_line(argv, message, tmp_path, monkeypatch, capsys):

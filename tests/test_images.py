@@ -8,7 +8,14 @@ import pytest
 
 from fermap import fermion
 from fermap.fermion import ClassifiedTerms, Kind, blocked_modes
-from fermap.jw import _ladders, _register_tables, jw_transform_terms
+from fermap.jw import (
+    _coefficient_table,
+    _even_y,
+    _ladders,
+    _rank_code,
+    _register_tables,
+    jw_transform_terms,
+)
 from fermap.pauli import _popcount
 from fermap.superfast import (
     _DOUBLE_B_SUBSETS,
@@ -144,6 +151,18 @@ def test_superfast_images_equal_the_product_chain(monkeypatch, kind, name):
         lambda idx: ose_double(g, idx),
     )
     assert_rows_equal(got, expected)
+
+
+@pytest.mark.parametrize("num_factors", [2, 4])
+def test_jw_coefficient_table_equals_the_product_chain(num_factors):
+    # every ordering of the modes 0..num_factors-1, each at its rank code
+    orders = np.array(list(permutations(range(num_factors))))
+    c = jw_plus_adjoint(_register_tables(num_factors), *orders.T)[2]
+    even = _even_y(num_factors) @ (1 << np.arange(num_factors)[::-1])
+    table = _coefficient_table(num_factors)
+    expected = np.zeros_like(table)
+    expected[_rank_code(orders.T)] = c[:, even]
+    assert table.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("num_factors", [2, 4])

@@ -4,19 +4,22 @@ stabilizers."""
 import numpy as np
 import pytest
 
-from fermap.fermion import ClassifiedTerms, Kind, blocked_modes
+from fermap.fermion import ClassifiedTerms, Kind, blocked_modes, classify_spatial
+from fermap.lattice import LatticeSpec
 from fermap.oracle import codespace_projector, sector_spectra_match
-from fermap.pauli import NonHermitianError, commute, product
+from fermap.ortho import orthonormal_integrals
+from fermap.pauli import NonHermitianError, commute, num_words
 from fermap.sampling import random_spatial_hamiltonian
 from fermap.superfast import (
     InteractionGraph,
     MissingEdgeError,
     add_parity_ancilla,
+    build_interaction_graph,
     loop_stabilizers,
     ose_transform_terms,
     pair_partition,
 )
-from test_pauli import pack_masks
+from test_pauli import pack_masks, product
 
 
 def random_connected_graph_edges(num_vertices, max_extra_edges, rng):
@@ -149,6 +152,61 @@ def test_loop_stabilizers_commute_with_all_operators(g):
     ops_z = np.concatenate([g.vertex, g.edge_z])
     assert squares_to_identity(stabs.x, stabs.z, stabs.coefficients)
     assert commute((stabs.x[:, None], stabs.z[:, None]), (ops_x, ops_z)).all()
+
+
+def stabilizers_by_product(g):
+    """The loop stabilizers through ``product``, one cycle at a time: i^p times
+    the edge operators around the cycle that each non-tree edge closes in the
+    spanning forest, from one end up to the lowest common ancestor and down
+    to the other end."""
+    parent = g.spanning_forest().tolist()
+
+    def to_root(w):
+        path = [w]
+        while parent[path[-1]] >= 0:
+            path.append(parent[path[-1]])
+        return path
+
+    words = num_words(g.num_qubits)
+    rows = [(np.zeros((0, words), np.uint64), np.zeros((0, words), np.uint64), np.zeros(0, complex))]
+    for u, v in g.edges.tolist():
+        if parent[u] == v or parent[v] == u:
+            continue
+        pu, pv = to_root(u), to_root(v)
+        top = next(w for w in pu if w in pv)
+        cycle = pu[: pu.index(top) + 1] + pv[: pv.index(top)][::-1]
+        x, z = np.zeros((2, 1, words), np.uint64)
+        c = np.array([1j ** len(cycle)])
+        for p, q in zip(cycle, cycle[1:] + cycle[:1]):
+            (ax, az, ac), _ = g.a(np.array([p]), np.array([q]))
+            x, z, c = product((x, z, c), (ax[:, 0], az[:, 0], ac[:, 0]))
+        rows.append((x, z, c))
+    x, z, c = (np.concatenate(r) for r in zip(*rows))
+    assert not c.imag.any()
+    return x, z, c.real.astype(complex)
+
+
+def assert_stabilizers_equal_the_product_chain(g):
+    stabs = loop_stabilizers(g)
+    for got, expected in zip((stabs.x, stabs.z, stabs.coefficients), stabilizers_by_product(g)):
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("ancilla", [False, True])
+@pytest.mark.parametrize("g", random_graphs(30, seed=7) + MULTI_WORD, ids=graph_id)
+def test_loop_stabilizers_equal_the_product_chain(g, ancilla):
+    # the ancilla's edge closes no cycle, but moves the qubits of the edges sorted after it
+    assert_stabilizers_equal_the_product_chain(add_parity_ancilla(g, 0) if ancilla else g)
+
+
+@pytest.mark.parametrize(
+    "dim, side, exponent", [(1, 10, 1.0), (2, 4, 1.0), (3, 2, 1.0), (3, 4, 8.75)]
+)
+def test_lattice_loop_stabilizers_equal_the_product_chain(dim, side, exponent):
+    # bundled-table cells: 90, 240, 56 and 288 edge qubits, up to five words
+    h1, eri, _ = orthonormal_integrals(LatticeSpec(dim, side, exponent), "aos")
+    g = build_interaction_graph(classify_spatial(h1, eri, cutoff=1e-7), 2 * len(h1))
+    assert_stabilizers_equal_the_product_chain(g)
 
 
 def test_codespace_dimension_matches_cycle_count():
