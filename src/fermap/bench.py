@@ -30,11 +30,6 @@ CSV_COLUMNS = ("Dimension", "Basis", "Size", "JW_Qbts", "BKSF_Qbts", "JW_TWt", "
 
 DATA_DIR_ENV = "FERMAP_DATA_DIR"
 
-#: (dimension, basis label) keys of the bundled reference tables.
-REFERENCE_TABLES: Tuple[Tuple[int, str], ...] = tuple(
-    (dim, basis) for dim in (1, 2, 3) for basis in ("8.75", "7.00", "5.00", "3.00", "1.00")
-)
-
 
 def basis_label(exponent: float) -> str:
     """Canonical two-decimal label used by the reference tables."""
@@ -216,32 +211,6 @@ def data_dir() -> Path:
     return Path(__file__).resolve().parent / "data"
 
 
-def reference_table_path(dimension: int, basis: str, base: Optional[Path] = None) -> Path:
-    root = base if base is not None else data_dir()
-    return root / "reference" / f"dim{dimension}_basis{basis}.csv"
-
-
-def load_reference_table(
-    dimension: int, basis: str, path: Optional[Path] = None
-) -> List[ReferenceRow]:
-    target = Path(path) if path is not None else reference_table_path(dimension, basis)
-    rows = []
-    with open(target, newline="", encoding="utf-8") as f:
-        for record in csv.DictReader(f):
-            rows.append(
-                ReferenceRow(
-                    dimension=dimension,
-                    basis=basis,
-                    size=int(record["Size"]),
-                    jw_qubits=int(record["JW_Qbts"]),
-                    bksf_qubits=int(record["BKSF_Qbts"]),
-                    jw_total_weight=int(record["JW_TWt"]),
-                    bksf_total_weight=int(record["BKSF_TWt"]),
-                )
-            )
-    return rows
-
-
 @dataclass(frozen=True)
 class KnownDiscrepancy:
     """A reference-table cell that our output is known to differ from: the
@@ -263,10 +232,10 @@ _COLUMN_FIELDS = {
 }
 
 
-def load_known(base: Optional[Path] = None) -> List[KnownDiscrepancy]:
+def load_known() -> List[KnownDiscrepancy]:
     """The known discrepancies in ``reference/known.csv`` under the data
-    directory (or ``base``); none when the file does not exist."""
-    path = (base if base is not None else data_dir()) / "reference" / "known.csv"
+    directory; none when the file does not exist."""
+    path = data_dir() / "reference" / "known.csv"
     if not path.exists():
         return []
     with open(path, newline="", encoding="utf-8") as f:
@@ -282,14 +251,26 @@ def load_known(base: Optional[Path] = None) -> List[KnownDiscrepancy]:
         ]
 
 
-def load_reference(
-    dimension: int, bases: Optional[Sequence[str]] = None, base: Optional[Path] = None
-) -> List[ReferenceRow]:
-    if bases is None:
-        bases = [b for d, b in REFERENCE_TABLES if d == dimension]
+def load_reference(dimension: int, bases: Sequence[str]) -> List[ReferenceRow]:
+    """The reference rows of one dimension's tables for the given basis
+    labels, each read from ``reference/dim<d>_basis<label>.csv`` under the
+    data directory."""
     rows: List[ReferenceRow] = []
-    for b in bases:
-        rows.extend(load_reference_table(dimension, b, reference_table_path(dimension, b, base)))
+    for basis in bases:
+        path = data_dir() / "reference" / f"dim{dimension}_basis{basis}.csv"
+        with open(path, newline="", encoding="utf-8") as f:
+            rows.extend(
+                ReferenceRow(
+                    dimension=dimension,
+                    basis=basis,
+                    size=int(record["Size"]),
+                    jw_qubits=int(record["JW_Qbts"]),
+                    bksf_qubits=int(record["BKSF_Qbts"]),
+                    jw_total_weight=int(record["JW_TWt"]),
+                    bksf_total_weight=int(record["BKSF_TWt"]),
+                )
+                for record in csv.DictReader(f)
+            )
     return rows
 
 

@@ -79,7 +79,7 @@ def _add_sweep_args(p: argparse.ArgumentParser) -> None:
 
 
 def _sweep_config(args) -> SweepConfig:
-    sides = _int_list(args.sizes if args.sizes else DEFAULT_SIDES[args.dim])
+    sides = _int_list(DEFAULT_SIDES[args.dim] if args.sizes is None else args.sizes)
     return SweepConfig(
         dimension=args.dim,
         sizes=tuple(sides),
@@ -149,7 +149,7 @@ def cmd_verify(args) -> int:
     failures = 0
     lines = []
     if args.dim is not None:
-        sides = _int_list(args.sizes if args.sizes else "2")
+        sides = _int_list("2" if args.sizes is None else args.sizes)
         for exponent in _float_list(args.exponents):
             for side in sides:
                 spec = LatticeSpec(args.dim, side, exponent, args.spacing)
@@ -182,9 +182,8 @@ def cmd_compare(args) -> int:
     cfg = _sweep_config(args)
     rows = run_sweep(cfg)
     bases = [basis_label(e) for e in cfg.exponents]
-    base = Path(args.reference) if args.reference else None
-    reference = load_reference(cfg.dimension, bases, base=base)
-    diff = compare_reference(rows, reference, weight_rtol=args.weight_tol, known=load_known(base))
+    reference = load_reference(cfg.dimension, bases)
+    diff = compare_reference(rows, reference, weight_rtol=args.weight_tol, known=load_known())
     _emit(diff_report_text(diff), args.out)
     return 0 if diff.passed else 1
 
@@ -249,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="diff a sweep against the bundled reference tables")
     _add_sweep_args(p)
-    p.add_argument("--reference", type=str, default=None, help="alternate data directory")
     p.add_argument("--weight-tol", type=float, default=0.10)
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_compare)

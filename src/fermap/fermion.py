@@ -258,9 +258,8 @@ def map_terms(
     through ``outer``'s bit rule); and ``double(idx)``, those of each
     DOUBLE_EXCITATION row ``idx`` -- all grouped per term.  A hop's or a
     double excitation's modes must differ (ValueError otherwise).  Each
-    kind's unit images are scaled by its coefficients, rows that are exactly
-    0 are dropped, ``constant`` times the identity is added, like terms are
-    merged and |c| < eps cut
+    kind's unit images are scaled by its coefficients, ``constant`` times the
+    identity is added, like terms are merged and zero sums and |c| < eps cut
     (``simplify``: rows come out in row-key order, each string's coefficients
     are summed in input order, and a key shared by two distinct strings makes
     it retry from another seed, a bounded number of times).  A Pauli sum is
@@ -287,15 +286,10 @@ def map_terms(
             return double(idx)
         raise ValueError(f"unhandled kind {kind}")
 
-    def batches():  # a generator: each kind's unmasked rows are freed before the next kind's
+    def batches():  # a generator: each kind's images are freed before the next kind's
         for kind, (indices, coefficients) in terms.by_kind.items():
             x, zw, c = images(kind, indices)
-            c = (c * coefficients[:, None]).ravel()
-            nonzero = c != 0  # no unit image row is 0, only a zero or underflowing coefficient,
-            if not nonzero.all():  # so the usual case copies nothing
-                x, zw = (a.reshape(len(c), -1).compress(nonzero, axis=0) for a in (x, zw))
-                c = c[nonzero]
-            yield x, zw, c
+            yield x, zw, c * coefficients[:, None]
 
     merged = simplify(PauliOperatorSum.from_packed(batches(), num_qubits, constant), eps)
     worst = float(np.abs(merged.coefficients.imag).max(initial=0.0))

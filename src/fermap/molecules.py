@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .bench import data_dir
 from .metrics import qubit_bounds
@@ -55,13 +54,8 @@ class Geometry:
     coordinates: Tuple[Tuple[float, float, float], ...]  # Angstrom
 
 
-def geometry_path(name: str, base: Optional[Path] = None) -> Path:
-    root = base if base is not None else data_dir()
-    return root / "geometries" / f"{name.lower()}.xyz"
-
-
-def load_geometry(name: str, base: Optional[Path] = None) -> Geometry:
-    path = geometry_path(name, base)
+def load_geometry(name: str) -> Geometry:
+    path = data_dir() / "geometries" / f"{name.lower()}.xyz"
     lines = path.read_text(encoding="utf-8").splitlines()
     count = int(lines[0].strip())
     symbols: List[str] = []
@@ -79,9 +73,9 @@ def minimal_orbitals_per_atom(geometry: Geometry) -> List[int]:
     return [MINIMAL_BASIS_ORBITALS[s] for s in geometry.symbols]
 
 
-def molecule_bounds(name: str, base: Optional[Path] = None) -> Tuple[int, int, int]:
+def molecule_bounds(name: str) -> Tuple[int, int, int]:
     """(Q_L, Q_U, Q_JW) for a bundled molecule in a minimal basis."""
-    geometry = load_geometry(name, base)
+    geometry = load_geometry(name)
     per_atom = minimal_orbitals_per_atom(geometry)
     return qubit_bounds(per_atom, sum(per_atom))
 
@@ -94,7 +88,7 @@ class PublishedBounds:
     q_jw: int
 
 
-def published_bounds(base: Optional[Path] = None) -> List[PublishedBounds]:
+def published_bounds() -> List[PublishedBounds]:
     """The reported bounds table bundled alongside the lattice references.
 
     Note: the reported Q_L column does not follow the within-atom edge-count
@@ -102,9 +96,8 @@ def published_bounds(base: Optional[Path] = None) -> List[PublishedBounds]:
     example); the comparison tooling reports those rows with deltas instead
     of asserting equality.
     """
-    root = base if base is not None else data_dir()
     rows = []
-    with open(root / "reference" / "molecular_bounds.csv", newline="", encoding="utf-8") as f:
+    with open(data_dir() / "reference" / "molecular_bounds.csv", newline="", encoding="utf-8") as f:
         for record in csv.DictReader(f):
             rows.append(
                 PublishedBounds(

@@ -23,6 +23,8 @@ from .superfast import (
 )
 
 DENSE_QUBIT_LIMIT = 12
+#: Both mapped operators of ``sector_spectra_match`` drop merged |c| below this.
+MERGE_EPS = 1e-12
 
 
 class SizeError(ValueError):
@@ -166,7 +168,6 @@ def sector_spectra_match(
     h: FermionHamiltonian,
     cutoff: float = 0.0,
     parity_ancilla_mode: Optional[int] = None,
-    eps: float = 1e-12,
 ) -> float:
     """Max deviation between the JW spectrum on the physical parity sectors
     and the superfast-encoding spectrum on its code space.
@@ -184,14 +185,14 @@ def sector_spectra_match(
     _check_size(num_modes)
     _check_size(g.num_qubits)
 
-    ose = ose_transform_terms(terms, g, h.constant, eps)
+    ose = ose_transform_terms(terms, g, h.constant, MERGE_EPS)
     weights, vectors = np.linalg.eigh(codespace_projector(loop_stabilizers(g)))
     basis = vectors[:, weights > 0.5]
     h_ose = dense_matrix(ose)
     h_code = basis.conj().T @ h_ose @ basis
     evals_ose = np.linalg.eigvalsh(h_code)
 
-    jw = jw_transform_terms(terms, num_modes, h.constant, eps)
+    jw = jw_transform_terms(terms, num_modes, h.constant, MERGE_EPS)
     h_jw = dense_matrix(jw)
     sel = _component_even_indices(g.connected_components(), num_modes)
     h_sector = h_jw[np.ix_(sel, sel)]

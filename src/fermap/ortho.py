@@ -1,7 +1,7 @@
 """Orthogonalization of the single-particle basis and integral rotation.
 
 Symmetric: X = U s^{-1/2} U^T (the inverse square root of the overlap);
-canonical: X = U s^{-1/2} with optional truncation of small eigenvalues.
+canonical: X = U s^{-1/2} over the eigenvalues above a fixed threshold.
 
 The ERI is rotated in one symmetric P x P matrix of pair integrals, P =
 m (m + 1) / 2: the packed ERI is unpacked into it once, the first half-
@@ -14,7 +14,6 @@ two flat GEMMs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -29,6 +28,11 @@ from .lattice import LatticeSpec, RawIntegrals, lattice_integrals
 #: share the cores with multithreaded BLAS.
 _ROTATE_BLOCK = 64
 
+#: The symmetric orthogonalizer refuses an overlap eigenvalue at or below
+#: this; the canonical one keeps the eigenvalues at or above its threshold.
+EIGENVALUE_FLOOR = 1e-10
+TRUNCATION_TAU = 1e-8
+
 
 class NearLinearDependenceError(ValueError):
     """Overlap eigenvalue too small for the symmetric inverse square root;
@@ -39,35 +43,27 @@ class EmptyBasisError(ValueError):
     """Truncation removed every overlap eigenvalue."""
 
 
-@dataclass(frozen=True)
-class Orthogonalizer:
-    matrix: np.ndarray  # m x k, X^T S X = identity
-    kind: str  # "symmetric" | "canonical"
-    dropped_eigenvalues: Tuple[float, ...] = ()
-
-
-def symmetric_orthogonalizer(
-    overlap: np.ndarray, eigenvalue_floor: float = 1e-10
-) -> Orthogonalizer:
+def symmetric_orthogonalizer(overlap: np.ndarray) -> np.ndarray:
+    """X = S^{-1/2}, the m x m orthogonalizer closest to the original basis;
+    NearLinearDependenceError when an overlap eigenvalue is at or below
+    ``EIGENVALUE_FLOOR``."""
     s, u = np.linalg.eigh(np.asarray(overlap, dtype=float))
-    if s.size == 0 or s.min() <= eigenvalue_floor:
+    if s.size == 0 or s.min() <= EIGENVALUE_FLOOR:
         raise NearLinearDependenceError(
             f"smallest overlap eigenvalue {s.min() if s.size else 'n/a'} below "
-            f"{eigenvalue_floor}; use canonical_orthogonalizer with truncation"
+            f"{EIGENVALUE_FLOOR}; use canonical_orthogonalizer with truncation"
         )
-    x = u @ np.diag(1.0 / np.sqrt(s)) @ u.T
-    return Orthogonalizer(x, "symmetric")
+    return u @ np.diag(1.0 / np.sqrt(s)) @ u.T
 
 
-def canonical_orthogonalizer(overlap: np.ndarray, tau: float = 1e-8) -> Orthogonalizer:
-    if tau < 0:
-        raise ValueError("tau must be non-negative")
+def canonical_orthogonalizer(overlap: np.ndarray) -> np.ndarray:
+    """X = U s^{-1/2} over the overlap eigenvalues s >= ``TRUNCATION_TAU``,
+    an m x k matrix with k <= m; EmptyBasisError when none is kept."""
     s, u = np.linalg.eigh(np.asarray(overlap, dtype=float))
-    keep = s >= max(tau, 1e-300)
+    keep = s >= TRUNCATION_TAU
     if not np.any(keep):
         raise EmptyBasisError("all overlap eigenvalues fall below the threshold")
-    x = u[:, keep] @ np.diag(1.0 / np.sqrt(s[keep]))
-    return Orthogonalizer(x, "canonical", tuple(float(v) for v in s[~keep]))
+    return u[:, keep] @ np.diag(1.0 / np.sqrt(s[keep]))
 
 
 def _congruence(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -115,13 +111,10 @@ def _transpose_pairs(full: np.ndarray, kept: int) -> None:
         full[:kept, rows] = full[rows, :kept].T
 
 
-def rotate_integrals(
-    raw: RawIntegrals, ortho: Orthogonalizer
-) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Rotated (one_body, packed eri, constant); the overlap becomes the
-    identity and one_body is exactly symmetric.  The packed ERI has
-    ``ortho.matrix.shape[1]`` orbitals."""
-    x = ortho.matrix
+def rotate_integrals(raw: RawIntegrals, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, float]:
+    """Rotated (one_body, packed eri, constant) in the basis of the columns
+    of the m x k orthogonalizer ``x``; the overlap becomes the identity and
+    one_body is exactly symmetric.  The packed ERI has k orbitals."""
     m, k = x.shape
     if m != raw.num_orbitals:
         raise ValueError("orthogonalizer dimension mismatch")
@@ -163,7 +156,7 @@ def orthonormal_integrals(
     The raw ERI, as large as the rotated one, is freed before this returns."""
     raw = lattice_integrals(spec)
     if rotation == "aos":
-        ortho = symmetric_orthogonalizer(raw.overlap)
+        x = symmetric_orthogonalizer(raw.overlap)
     else:
-        ortho = canonical_orthogonalizer(raw.overlap)
-    return rotate_integrals(raw, ortho)
+        x = canonical_orthogonalizer(raw.overlap)
+    return rotate_integrals(raw, x)

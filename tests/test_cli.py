@@ -3,11 +3,12 @@
 import csv
 import io
 import json
+import shutil
 
 import numpy as np
 import pytest
 
-from fermap.bench import run_cell
+from fermap.bench import DATA_DIR_ENV, data_dir, run_cell
 from fermap.cli import main
 from fermap.fcidump import IntegralFile, dumps
 from fermap.lattice import LatticeSpec
@@ -124,6 +125,27 @@ def test_compare_subcommand(capsys):
     assert "PASS" in out
 
 
+def test_compare_reads_the_tables_of_the_data_directory_variable(tmp_path, monkeypatch, capsys):
+    # a copy of the bundled data with the JW total weight of d1 a8.75 n2 changed
+    monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+    copy = tmp_path / "data"
+    shutil.copytree(data_dir(), copy)
+    table = copy / "reference" / "dim1_basis8.75.csv"
+    rows = list(csv.DictReader(io.StringIO(table.read_text(encoding="utf-8"))))
+    assert rows[0]["Size"] == "2"
+    rows[0]["JW_TWt"] = str(2 * int(rows[0]["JW_TWt"]))
+    with open(table, "w", newline="", encoding="utf-8") as f:
+        writer = csv.DictWriter(f, list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    argv = ["compare", "--dim", "1", "--sizes", "2", "--exponents", "8.75"]
+    code, out = run_cli(argv, capsys)
+    assert code == 0 and "overall: PASS" in out
+    monkeypatch.setenv(DATA_DIR_ENV, str(copy))
+    code, out = run_cli(argv, capsys)
+    assert code == 1 and "overall: FAIL" in out
+
+
 def test_probe_subcommand(capsys):
     code, out = run_cli(["probe", "--modes", "4,6,8"], capsys)
     assert code == 0
@@ -145,6 +167,10 @@ def test_unknown_command_exits():
         (["verify", "--dim", "1", "--exponents", ""], "no check"),
         (["sweep", "--exponents", ""], "exponents must be non-empty"),
         (["compare", "--exponents", ""], "exponents must be non-empty"),
+        # an empty --sizes is an empty grid, not the default sides
+        (["sweep", "--dim", "1", "--sizes", "", "--exponents", "8.75"], "sizes must be positive"),
+        (["verify", "--dim", "1", "--sizes", "", "--exponents", "8.75"], "no check"),
+        (["compare", "--dim", "1", "--sizes", "", "--exponents", "8.75"], "sizes must be positive"),
     ],
 )
 def test_bad_input_prints_one_error_line(argv, message, tmp_path, monkeypatch, capsys):

@@ -30,7 +30,7 @@ def random_spd(n, seed, cond=10.0):
 @pytest.mark.parametrize("n", [1, 2, 4, 7])
 def test_symmetric_orthogonalizer_metric_identity(n):
     s = random_spd(n, n)
-    x = symmetric_orthogonalizer(s).matrix
+    x = symmetric_orthogonalizer(s)
     assert np.allclose(x.T @ s @ x, np.eye(n), atol=1e-9)
     assert np.allclose(x, x.T, atol=1e-9)
 
@@ -38,7 +38,7 @@ def test_symmetric_orthogonalizer_metric_identity(n):
 @pytest.mark.parametrize("n", [2, 4, 7])
 def test_canonical_orthogonalizer_metric_identity(n):
     s = random_spd(n, 50 + n)
-    x = canonical_orthogonalizer(s).matrix
+    x = canonical_orthogonalizer(s)
     assert np.allclose(x.T @ s @ x, np.eye(x.shape[1]), atol=1e-9)
 
 
@@ -46,7 +46,7 @@ def test_symmetric_orthogonalizer_is_closest_to_original_basis():
     # among X' = X O (O orthogonal), the symmetric choice minimizes
     # tr[(X - I)^T S (X - I)], i.e. the total displacement of the orbitals
     s = random_spd(5, 3)
-    x = symmetric_orthogonalizer(s).matrix
+    x = symmetric_orthogonalizer(s)
 
     def displacement(mat):
         d = mat - np.eye(5)
@@ -61,9 +61,9 @@ def test_symmetric_orthogonalizer_is_closest_to_original_basis():
 
 def test_canonical_truncation_drops_small_eigenvalues():
     s = np.diag([1.0, 0.5, 1e-12])
-    ortho = canonical_orthogonalizer(s, tau=1e-8)
-    assert ortho.matrix.shape == (3, 2)
-    assert len(ortho.dropped_eigenvalues) == 1
+    x = canonical_orthogonalizer(s)
+    assert x.shape == (3, 2)
+    assert np.allclose(x.T @ s @ x, np.eye(2))
 
 
 def test_near_linear_dependence_raises():
@@ -74,12 +74,12 @@ def test_near_linear_dependence_raises():
 
 def test_all_dropped_raises():
     with pytest.raises(EmptyBasisError):
-        canonical_orthogonalizer(np.diag([1e-12, 1e-13]), tau=1e-8)
+        canonical_orthogonalizer(np.diag([1e-12, 1e-13]))
 
 
 def test_rotated_overlap_becomes_identity():
     raw = lattice_integrals(LatticeSpec(1, 3, 3.0))
-    x = symmetric_orthogonalizer(raw.overlap).matrix
+    x = symmetric_orthogonalizer(raw.overlap)
     assert np.allclose(x.T @ raw.overlap @ x, np.eye(3), atol=1e-9)
 
 
@@ -116,13 +116,11 @@ def test_rotate_integrals_dimension_check():
 )
 def test_rotate_integrals_matches_einsum(spec, truncate):
     raw = lattice_integrals(spec)
-    if truncate:  # keep the overlap eigenvalues above the median: k < m
-        ortho = canonical_orthogonalizer(raw.overlap, tau=np.median(np.linalg.eigvalsh(raw.overlap)))
-        assert ortho.matrix.shape[1] < raw.num_orbitals
+    if truncate:  # keep the columns of the larger half of the overlap eigenvalues: k < m
+        x = canonical_orthogonalizer(raw.overlap)[:, raw.num_orbitals // 2 :]
     else:
-        ortho = symmetric_orthogonalizer(raw.overlap)
-    x = ortho.matrix
-    h1, eri, constant = rotate_integrals(raw, ortho)
+        x = symmetric_orthogonalizer(raw.overlap)
+    h1, eri, constant = rotate_integrals(raw, x)
     k = x.shape[1]
     dense = unpack_eri(raw.eri, raw.num_orbitals)
     expected = np.einsum("pi,qj,rk,sl,pqrs->ijkl", x, x, x, x, dense, optimize=True)
@@ -134,11 +132,10 @@ def test_rotate_integrals_matches_einsum(spec, truncate):
 
 def test_rotation_does_not_depend_on_the_block_size(monkeypatch):
     raw = lattice_integrals(LatticeSpec(2, 3, 1.0))
-    tau = np.median(np.linalg.eigvalsh(raw.overlap))  # truncated, so k < m
-    ortho = canonical_orthogonalizer(raw.overlap, tau=tau)
-    _, whole, _ = rotate_integrals(raw, ortho)
+    x = canonical_orthogonalizer(raw.overlap)[:, raw.num_orbitals // 2 :]  # truncated: k < m
+    _, whole, _ = rotate_integrals(raw, x)
     monkeypatch.setattr("fermap.ortho._ROTATE_BLOCK", 7)  # 45 pair rows, 7 at a time
-    np.testing.assert_allclose(rotate_integrals(raw, ortho)[1], whole, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(rotate_integrals(raw, x)[1], whole, rtol=0, atol=1e-15)
 
 
 def test_rotation_peak_memory_is_bounded_by_the_eri():
@@ -148,10 +145,10 @@ def test_rotation_peak_memory_is_bounded_by_the_eri():
     # breaks the bound
     m = 27
     raw = lattice_integrals(LatticeSpec(3, 3, 8.75))
-    ortho = symmetric_orthogonalizer(raw.overlap)
+    x = symmetric_orthogonalizer(raw.overlap)
     tracemalloc.start()
     try:
-        rotate_integrals(raw, ortho)
+        rotate_integrals(raw, x)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
