@@ -8,10 +8,10 @@ internally, lattice spacing specified in Angstrom.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .eri import packed_length, pair_orbitals, put_rows
 
@@ -25,6 +25,11 @@ _ERI_BLOCK = 64
 #: subnormal numbers, and through the subnormal products they form, they
 #: made the rotation's matrix products 1.7x slower on the 125-orbital lattice.
 _ERI_FLOOR = 1e-200
+#: erf(sqrt(t)) rounds to 1.0 from here on: erfc(6) is 2e-17.
+_ERF_ONE = 36.0
+#: math.erf elementwise; numpy has no erf, and importing scipy.special for
+#: one took 0.26-0.28 s of a fresh process.
+_erf = np.frompyfunc(math.erf, 1, 1)
 
 
 class GeometryError(ValueError):
@@ -85,18 +90,20 @@ def build_lattice(spec: LatticeSpec) -> np.ndarray:
 def boys_f0(t) -> np.ndarray:
     """F0(t) = integral of exp(-t u^2) over u in [0, 1].
 
-    Closed form sqrt(pi/(4t)) * erf(sqrt(t)) with a series for tiny t;
-    accurate to ~1e-14 across [0, 1e4].
+    Closed form sqrt(pi/(4t)) * erf(sqrt(t)), with erf(sqrt(t)) = 1 for t >=
+    36 and a series for tiny t; accurate to ~1e-14 across [0, 1e4].
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("boys_f0 requires t >= 0")
     out = np.empty_like(t)
-    small = t < 1e-13
+    small, large = t < 1e-13, t >= _ERF_ONE
     ts = t[small]
     out[small] = 1.0 - ts / 3.0 + ts * ts / 10.0
-    tb = t[~small]
-    out[~small] = 0.5 * np.sqrt(np.pi / tb) * erf(np.sqrt(tb))
+    out[large] = 0.5 * np.sqrt(np.pi / t[large])
+    middle = ~(small | large)
+    tm = t[middle]
+    out[middle] = 0.5 * np.sqrt(np.pi / tm) * _erf(np.sqrt(tm)).astype(float)
     return out if out.ndim else float(out)
 
 

@@ -14,6 +14,8 @@ from fermap.oracle import dense_matrix
 from fermap.ortho import (
     EmptyBasisError,
     NearLinearDependenceError,
+    _rotate_screened,
+    _schwarz_screen,
     canonical_orthogonalizer,
     rotate_integrals,
     symmetric_orthogonalizer,
@@ -103,6 +105,17 @@ def test_rotate_integrals_dimension_check():
         rotate_integrals(raw, bad)
 
 
+def _orthogonalizer(raw, truncate):
+    if truncate:  # keep the columns of the larger half of the overlap eigenvalues: k < m
+        return canonical_orthogonalizer(raw.overlap)[:, raw.num_orbitals // 2 :]
+    return symmetric_orthogonalizer(raw.overlap)
+
+
+def _einsum_rotation(raw, x):
+    dense = unpack_eri(raw.eri, raw.num_orbitals)
+    return np.einsum("pi,qj,rk,sl,pqrs->ijkl", x, x, x, x, dense, optimize=True)
+
+
 @pytest.mark.parametrize(
     "spec, truncate",
     [
@@ -116,15 +129,11 @@ def test_rotate_integrals_dimension_check():
 )
 def test_rotate_integrals_matches_einsum(spec, truncate):
     raw = lattice_integrals(spec)
-    if truncate:  # keep the columns of the larger half of the overlap eigenvalues: k < m
-        x = canonical_orthogonalizer(raw.overlap)[:, raw.num_orbitals // 2 :]
-    else:
-        x = symmetric_orthogonalizer(raw.overlap)
+    x = _orthogonalizer(raw, truncate)
+    assert not _schwarz_screen(raw.eri, x).applies  # these cells check the dense path
     h1, eri, constant = rotate_integrals(raw, x)
     k = x.shape[1]
-    dense = unpack_eri(raw.eri, raw.num_orbitals)
-    expected = np.einsum("pi,qj,rk,sl,pqrs->ijkl", x, x, x, x, dense, optimize=True)
-    np.testing.assert_allclose(unpack_eri(eri, k), expected, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(unpack_eri(eri, k), _einsum_rotation(raw, x), rtol=0, atol=1e-14)
     np.testing.assert_allclose(h1, x.T @ raw.core @ x, rtol=0, atol=1e-14)
     assert np.array_equal(h1, h1.T)  # bitwise, as an FCIDUMP file's triangle reads back
     assert constant == raw.nuclear_repulsion
@@ -138,13 +147,44 @@ def test_rotation_does_not_depend_on_the_block_size(monkeypatch):
     np.testing.assert_allclose(rotate_integrals(raw, x)[1], whole, rtol=0, atol=1e-15)
 
 
-def test_rotation_peak_memory_is_bounded_by_the_eri():
-    # the packed output takes about m^4 bytes, the full pair matrix both
-    # halves work in about 2 m^4 and the blocks are bounded; the packed input
-    # exists before tracing starts.  One dense m^4 float64 temporary alone
-    # breaks the bound
-    m = 27
+@pytest.mark.parametrize("truncate", [False, True])
+def test_screened_rotation_matches_einsum_within_its_bound(truncate):
+    # m = 27 with tight orbitals: the screen keeps 81 of 378 AO pairs.  The
+    # canonical orbitals are delocalized, so the truncated case keeps every
+    # MO pair and its bound, 1.1e-12, sends it to the dense path; the
+    # screened path is called directly to check it all the same
     raw = lattice_integrals(LatticeSpec(3, 3, 8.75))
+    x = _orthogonalizer(raw, truncate)
+    screen = _schwarz_screen(raw.eri, x)
+    eri = _rotate_screened(raw.eri, screen)
+    deviation = np.abs(unpack_eri(eri, x.shape[1]) - _einsum_rotation(raw, x)).max()
+    assert deviation <= 1e-12
+    assert screen.bound >= deviation
+    if not truncate:  # the path rule picks it, and rotate_integrals returns it
+        assert screen.applies
+        assert np.array_equal(rotate_integrals(raw, x)[1], eri)
+
+
+@pytest.mark.parametrize(
+    "spec, screened",
+    [
+        pytest.param(LatticeSpec(3, 4, 8.75), True, id="d3-s4-a8.75"),
+        pytest.param(LatticeSpec(3, 3, 8.75), True, id="d3-s3-a8.75"),
+        # bound over the budget: 2.5e-10, 1.9e-9 and 1.9e-9
+        pytest.param(LatticeSpec(2, 4, 1.0), False, id="d2-s4-a1.00"),
+        pytest.param(LatticeSpec(3, 4, 3.0), False, id="d3-s4-a3.00"),
+        pytest.param(LatticeSpec(3, 3, 3.0), False, id="d3-s3-a3.00"),
+        # bound 2.7e-13, within the budget, but 20 of 36 AO pairs kept
+        pytest.param(LatticeSpec(3, 2, 8.75), False, id="d3-s2-a8.75"),
+    ],
+)
+def test_the_path_rule_screens_only_local_cells(spec, screened):
+    raw = lattice_integrals(spec)
+    assert _schwarz_screen(raw.eri, symmetric_orthogonalizer(raw.overlap)).applies == screened
+
+
+def _rotation_peak(spec):
+    raw = lattice_integrals(spec)
     x = symmetric_orthogonalizer(raw.overlap)
     tracemalloc.start()
     try:
@@ -152,5 +192,23 @@ def test_rotation_peak_memory_is_bounded_by_the_eri():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert raw.num_orbitals == m
+    return raw.num_orbitals, peak
+
+
+def test_rotation_peak_memory_is_bounded_by_the_eri():
+    # dense path: the packed output takes about m^4 bytes, the full pair
+    # matrix both halves work in about 2 m^4 and the blocks are bounded; the
+    # packed input exists before tracing starts.  One dense m^4 float64
+    # temporary alone breaks the bound
+    m, peak = _rotation_peak(LatticeSpec(3, 3, 3.0))
+    assert m == 27
     assert peak <= 1.0 * m**4 * 8
+
+
+def test_screened_rotation_peak_memory_is_bounded_by_the_output():
+    # screened path, m = 64: the packed output, about m^4 bytes, and blocks
+    # of the kept pairs; the P x P pair matrix alone, about 2.1 m^4 bytes,
+    # breaks the bound
+    m, peak = _rotation_peak(LatticeSpec(3, 4, 8.75))
+    assert m == 64
+    assert peak <= 0.2 * m**4 * 8
