@@ -51,12 +51,13 @@ class SweepConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.dimension not in (1, 2, 3):
-            raise ValueError("dimension must be 1, 2 or 3")
-        if not self.sizes or any(n < 1 for n in self.sizes):
+        if not self.sizes:
             raise ValueError("sizes must be positive")
         if not self.exponents:
             raise ValueError("exponents must be non-empty")
+        for exponent in self.exponents:
+            for size in self.sizes:
+                LatticeSpec(self.dimension, size, exponent, self.spacing)
         if self.cutoff < 0:
             raise ValueError("cutoff must be non-negative")
         if self.rotation not in ("aos", "aoc"):
@@ -138,7 +139,8 @@ def run_sweep(cfg: SweepConfig) -> List[SweepRow]:
         for size in cfg.sizes
     ]
     if cfg.jobs > 1 and len(keys) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        # a forked pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(keys))) as pool:
             futures = [pool.submit(_run_cell_args, k) for k in keys]
             return [_result_or_error_row(f, k) for f, k in zip(futures, keys)]
     return [run_cell(*k) for k in keys]

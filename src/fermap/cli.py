@@ -264,7 +264,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"fermap: error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,8 +23,10 @@ def triangular(n) -> np.ndarray:
 
 
 def packed_length(m: int) -> int:
-    """Entries of the packed ERI of m orbitals: P (P + 1) / 2."""
-    return int(triangular(triangular(m)))
+    """Entries of the packed ERI of m orbitals: P (P + 1) / 2, in Python ints,
+    which do not wrap (int64 would from m = 77 936 on)."""
+    pairs = int(m) * (int(m) + 1) // 2
+    return pairs * (pairs + 1) // 2
 
 
 def pair_orbitals(m: int) -> Tuple[np.ndarray, np.ndarray]:

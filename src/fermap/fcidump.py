@@ -1,19 +1,20 @@
 """Plain-text integral files in the FCIDUMP style.
 
-Layout: a namelist-ish header carrying the orbital and electron counts,
-followed by one record per line, ``value i j k l`` with 1-based indices in
-the chemist convention (ij|kl).  ``i j 0 0`` records populate the one-body
-matrix, ``0 0 0 0`` the scalar constant.  Reading places each record at the
-one slot of its symmetry orbit: two-body records fill the pair-packed ERI
-(``fermap.eri``), one-body records a triangle of the symmetric one-body
-matrix.
+Layout: a namelist header carrying the orbital and electron counts, read as
+one block from the ``&`` that opens the first non-blank line to the first
+``&END`` or ``/``; then, from the next line on, one record per line,
+``value i j k l`` with 1-based indices in the chemist convention (ij|kl).
+``i j 0 0`` records populate the one-body matrix, ``0 0 0 0`` the scalar
+constant.  Reading places each record at the one slot of its symmetry orbit:
+two-body records fill the pair-packed ERI (``fermap.eri``), one-body records
+a triangle of the symmetric one-body matrix.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -59,52 +60,37 @@ _HEADER_INT = {
 }
 
 
-def _parse_header(lines: Iterator[Tuple[int, str]]) -> Tuple[dict, int]:
-    """Consume header lines up to ``&END`` (or ``/``); return fields and the
-    line number where the records begin."""
+def _line_of(text: str, offset: int) -> int:
+    """1-based number of the line that holds ``text[offset]``."""
+    return len(text[: offset + 1].splitlines())
+
+
+def _parse_header(text: str) -> Tuple[dict, int]:
+    """Fields of the header block, from the ``&`` that opens the first
+    non-blank line to the first ``&END`` or ``/``, and the number of the line
+    that ends it."""
+    header = re.match(r"\s*&(.*?)(?:&END|/)", text, re.IGNORECASE | re.DOTALL)
+    if header is None:
+        first = text.lstrip()
+        if first and not first.startswith("&"):
+            lineno, got = _line_of(text, len(text) - len(first)), first.splitlines()[0].strip()
+            raise FcidumpParseError(f"line {lineno}: expected header start '&...', got {got!r}")
+        raise FcidumpParseError("header never terminated with '&END' or '/'")
     fields = {"ms2": 0}
-    saw_start = False
-    for lineno, line in lines:
-        text = line.strip()
-        if not text:
-            continue
-        if not saw_start:
-            if not text.upper().startswith("&"):
-                raise FcidumpParseError(
-                    f"line {lineno}: expected header start '&...', got {text!r}"
-                )
-            saw_start = True
-            text = text[text.index("&") + 1 :]
-            # drop the namelist name (e.g. "FCI") if present
-            parts = text.split(None, 1)
-            if parts and "=" not in parts[0]:
-                text = parts[1] if len(parts) > 1 else ""
-        body = text
-        done = False
-        for stop in ("&END", "/"):
-            idx = body.upper().find(stop)
-            if idx >= 0:
-                body = body[:idx]
-                done = True
-                break
-        for assign in re.finditer(r"([A-Za-z0-9_]+)\s*=\s*([^=]*?)(?=(?:,?\s*[A-Za-z0-9_]+\s*=)|$)", body):
-            key = assign.group(1).upper()
-            if key in _HEADER_INT:
-                raw = assign.group(2).strip().rstrip(",").strip()
-                try:
-                    fields[_HEADER_INT[key]] = int(raw)
-                except ValueError as exc:
-                    raise FcidumpParseError(
-                        f"line {lineno}: {key} must be an integer, got {raw!r}"
-                    ) from exc
-        if done:
-            return fields, lineno
-    raise FcidumpParseError("header never terminated with '&END' or '/'")
+    for assign in re.finditer(r"([A-Za-z0-9_]+)\s*=\s*([^=]*?)(?=(?:,?\s*[A-Za-z0-9_]+\s*=)|$)", header.group(1), re.M):
+        key = assign.group(1).upper()
+        if key in _HEADER_INT:
+            raw = assign.group(2).strip().rstrip(",").strip()
+            try:
+                fields[_HEADER_INT[key]] = int(raw)
+            except ValueError as exc:
+                lineno = _line_of(text, header.start(1) + assign.start())
+                raise FcidumpParseError(f"line {lineno}: {key} must be an integer, got {raw!r}") from exc
+    return fields, _line_of(text, header.end() - 1)
 
 
 def loads(text: str) -> IntegralFile:
-    lines = iter(enumerate(text.splitlines(), start=1))
-    fields, header_end = _parse_header(lines)
+    fields, header_end = _parse_header(text)
     if "num_orbitals" not in fields:
         raise FcidumpParseError("header is missing NORB")
     if "num_electrons" not in fields:
@@ -114,7 +100,7 @@ def loads(text: str) -> IntegralFile:
         raise FcidumpParseError("NORB must be non-negative")
 
     records = []  # (value, lineno, i, j, k, l) in file order
-    for lineno, line in lines:
+    for lineno, line in enumerate(text.splitlines()[header_end:], start=header_end + 1):
         text_line = line.strip()
         if not text_line:
             continue
@@ -150,6 +136,8 @@ def loads(text: str) -> IntegralFile:
     i, j, k, l = records[:, 2:].astype(np.int64).T - 1
     ij = tri_index(i, j)
     length = packed_length(m)
+    # sized before the int64 slots, which a NORB too large to allocate would overflow
+    placed = np.zeros(length + 1 + int(triangular(m)))
     slots = np.select([i < 0, k < 0], [length, length + 1 + ij], tri_index(ij, tri_index(k, l)))
     order = np.argsort(slots, kind="stable")
     slots, values, linenos = slots[order], records[order, 0], records[order, 1]
@@ -162,7 +150,6 @@ def loads(text: str) -> IntegralFile:
             f"line {int(linenos[c])}: duplicate record conflicts with earlier value "
             f"{float(earlier[c])!r} (new {float(values[c])!r})"
         )
-    placed = np.zeros(length + 1 + int(triangular(m)))
     placed[slots[first]] = values[first]
     return IntegralFile(
         num_orbitals=m,
@@ -185,26 +172,21 @@ def dumps(data: IntegralFile) -> str:
     and the constant.  Records that are exactly 0 are skipped (the constant is
     always written)."""
     m = data.num_orbitals
-    out = [
-        f"&FCI NORB={m},NELEC={data.num_electrons},MS2={data.ms2},",
-        " ISYM=1,",
-        "&END",
-    ]
-
-    def fmt(value: float, i: int, j: int, k: int, l: int) -> str:
-        return f" {value: .16e} {i:4d} {j:4d} {k:4d} {l:4d}"
-
-    first = orbit_keys(*packed_indices(m), m).min(axis=1)
+    nonzero = np.flatnonzero(data.eri)
+    first = orbit_keys(*packed_indices(m, nonzero), m).min(axis=1)
     order = np.argsort(first)
-    values = data.eri[order]
-    kept = values != 0
+    i, j = np.tril_indices(m)
+    tri = np.flatnonzero(data.one_body[i, j])
+    values = [data.eri[nonzero[order]], data.one_body[i[tri], j[tri]], [data.constant]]
     # the base-m digits of a flat m^4 index are its 0-based (i, j, k, l)
-    slots = first[order][kept, None] // m ** np.arange(3, -1, -1) % m + 1
-    out.extend(fmt(v, *slot) for v, slot in zip(values[kept].tolist(), slots.tolist()))
-    for i in range(m):
-        for j in range(i + 1):
-            v = float(data.one_body[i, j])
-            if v != 0:
-                out.append(fmt(v, i + 1, j + 1, 0, 0))
-    out.append(fmt(data.constant, 0, 0, 0, 0))
+    slots = [
+        first[order, None] // m ** np.arange(3, -1, -1) % m + 1,
+        np.stack([i[tri] + 1, j[tri] + 1, 0 * tri, 0 * tri], axis=1),
+        [[0, 0, 0, 0]],
+    ]
+    out = [f"&FCI NORB={m},NELEC={data.num_electrons},MS2={data.ms2},", " ISYM=1,", "&END"]
+    out.extend(
+        f" {v: .16e} {a:4d} {b:4d} {c:4d} {d:4d}"
+        for v, (a, b, c, d) in zip(np.concatenate(values).tolist(), np.concatenate(slots).tolist())
+    )
     return "\n".join(out) + "\n"

@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +89,33 @@ def test_run_sweep_parallel_matches_serial():
     assert serial == parallel
 
 
+def test_run_sweep_starts_no_more_workers_than_cells(monkeypatch):
+    # a forked pool starts all max_workers processes at the first submit
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", InProcessPool)
+    rows = run_sweep(small_config(sizes=(2, 4), jobs=64))
+    assert asked == [2]
+    assert rows_to_csv(rows) == rows_to_csv(run_sweep(small_config(sizes=(2, 4))))
+    run_sweep(small_config(sizes=(2, 4, 6), jobs=2))
+    assert asked == [2, 2]
+
+
 def test_run_sweep_survives_a_dead_worker(monkeypatch):
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("the patched cell reaches the workers only when they are forked")
@@ -112,9 +140,10 @@ SEED_OUTPUTS = json.loads(
 SMALL_CELLS = [(1, side, e) for side in (2, 4, 6, 8, 10) for e in (8.75, 7.0, 5.0, 3.0, 1.0)] + [
     (dim, 2, e) for dim in (2, 3) for e in (8.75, 7.0, 5.0, 3.0, 1.0)
 ]
+SIDE_4_CELLS = [(2, 4, 1.0), (3, 4, 8.75)]  # the dense-2d and sparse-3d benchmark cells
 
 
-@pytest.mark.parametrize("dimension,side,exponent", SMALL_CELLS)
+@pytest.mark.parametrize("dimension,side,exponent", SMALL_CELLS + SIDE_4_CELLS)
 def test_run_cell_matches_seed_outputs(dimension, side, exponent):
     row = run_cell(dimension, side, exponent, cutoff=1e-7)
     key = f"d{dimension} a{basis_label(exponent)} n{side ** dimension}"

@@ -3,7 +3,12 @@
 import csv
 import io
 import json
+import os
+import resource
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,6 +130,19 @@ def test_compare_subcommand(capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--dim", "2", "--sizes", "4"],
+        ["compare", "--dim", "3", "--sizes", "4", "--exponents", "7.00,5.00,3.00"],
+    ],
+)
+def test_compare_passes_on_the_side_4_rows(argv, capsys):
+    # with the seed-output test's d3 a8.75 cell, every side-4 row but the --full cell, d3 a1.00
+    code, out = run_cli(argv, capsys)
+    assert code == 0 and "overall: PASS" in out
+
+
 def test_compare_reads_the_tables_of_the_data_directory_variable(tmp_path, monkeypatch, capsys):
     # a copy of the bundled data with the JW total weight of d1 a8.75 n2 changed
     monkeypatch.delenv(DATA_DIR_ENV, raising=False)
@@ -171,6 +189,9 @@ def test_unknown_command_exits():
         (["sweep", "--dim", "1", "--sizes", "", "--exponents", "8.75"], "sizes must be positive"),
         (["verify", "--dim", "1", "--sizes", "", "--exponents", "8.75"], "no check"),
         (["compare", "--dim", "1", "--sizes", "", "--exponents", "8.75"], "sizes must be positive"),
+        # every cell of a grid is a valid lattice before any cell runs
+        (["sweep", "--dim", "1", "--sizes", "2", "--exponents", "-1"], "exponent must be positive"),
+        (["sweep", "--dim", "1", "--sizes", "2", "--spacing", "0"], "spacing must be positive"),
     ],
 )
 def test_bad_input_prints_one_error_line(argv, message, tmp_path, monkeypatch, capsys):
@@ -181,3 +202,26 @@ def test_bad_input_prints_one_error_line(argv, message, tmp_path, monkeypatch, c
     assert captured.out == ""
     assert captured.err.startswith("fermap: error: ") and message in captured.err
     assert captured.err.count("\n") == 1
+
+
+def test_an_input_too_large_to_allocate_is_one_error_line(tmp_path):
+    # NORB=2000 sizes a 14.6 TiB packed ERI; under a 3 GiB address-space limit
+    # the allocation fails whatever the kernel's overcommit policy
+    path = tmp_path / "large.fcidump"
+    path.write_text("&FCI NORB=2000,NELEC=2,\n&END\n 1.0 1 1 0 0\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]),
+        "OPENBLAS_NUM_THREADS": "1",
+    }
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    out = subprocess.run(
+        [sys.executable, "-m", "fermap.cli", "transform", str(path)],
+        env=env, capture_output=True, text=True, preexec_fn=limit_address_space,
+    )
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("fermap: error: Unable to allocate") and out.stderr.count("\n") == 1

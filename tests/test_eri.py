@@ -49,6 +49,12 @@ def test_layout_is_the_lower_pair_triangle():
     assert np.array_equal(pack_eri(dense), orbit_keys(i, j, k, l, m).min(axis=1))
 
 
+def test_packed_length_does_not_wrap():
+    # int64 arithmetic wrapped from m = 77 936 on
+    assert packed_length(77936) == 4611833364311808636
+    assert packed_length(100000) == 12500250003750025000
+
+
 def test_packed_pairs_inverts_tri_index_at_scale():
     # pairs of a 125-orbital basis: positions up to 3.1e7 stress the float square root
     b = np.arange(7875)

@@ -106,6 +106,13 @@ def test_parse_errors_carry_line_numbers():
         loads("&FCI NORB=1,NELEC=1,\n&END\n 1.0 5 1 0 0\n")  # index out of range
 
 
+def test_a_norb_beyond_any_array_is_a_value_error():
+    # 12 500 250 003 750 025 000 packed slots: more than an int64 slot index
+    # holds, so int64 slot arithmetic would raise OverflowError
+    with pytest.raises(ValueError):
+        loads("&FCI NORB=100000,NELEC=2,\n&END\n 1.0 1 1 0 0\n")
+
+
 def test_shape_validation():
     asymmetric_eri = np.zeros((2,) * 4)
     asymmetric_eri[0, 0, 0, 1] = 1.0
