@@ -13,14 +13,18 @@ package as CSV files; ``compare_reference`` diffs sweep output against them
 from __future__ import annotations
 
 import csv
+import ctypes
 import io
 import json
 import os
+from contextlib import contextmanager
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .lattice import LatticeSpec
 from .metrics import ResourceReport, map_integrals
@@ -129,6 +133,37 @@ def _run_cell_args(args) -> SweepRow:
     return run_cell(*args)
 
 
+def _openblas(name: str):
+    """The function ``name`` of the OpenBLAS that numpy bundles, or None when
+    numpy bundles none or that one lacks it."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*")):
+        try:
+            function = getattr(ctypes.CDLL(str(path)), name, None)
+        except OSError:
+            continue
+        if function is not None:
+            return function
+    return None
+
+
+@contextmanager
+def _blas_threads(threads: int):
+    """Run the block with the bundled OpenBLAS at ``threads`` threads, then
+    restore the count; do nothing when numpy bundles no such OpenBLAS.
+    Forked workers inherit the count.  Setting it in a worker instead starts
+    a BLAS thread there, which made the small reference cells 1.4x slower."""
+    get, set_to = (_openblas(f"scipy_openblas_{op}_num_threads64_") for op in ("get", "set"))
+    if get is None or set_to is None:
+        yield
+        return
+    was = get()
+    set_to(threads)
+    try:
+        yield
+    finally:
+        set_to(was)
+
+
 def run_sweep(cfg: SweepConfig) -> List[SweepRow]:
     """Run every (size, exponent) cell; rows come back in table order
     (exponents as configured, sizes ascending within each), regardless of the
@@ -139,8 +174,12 @@ def run_sweep(cfg: SweepConfig) -> List[SweepRow]:
         for size in cfg.sizes
     ]
     if cfg.jobs > 1 and len(keys) > 1:
-        # a forked pool starts all its workers at the first submit
-        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(keys))) as pool:
+        # a forked pool starts all its workers at the first submit, and each
+        # inherits the BLAS thread count: one thread per core in every worker
+        # would oversubscribe the cores
+        workers = min(cfg.jobs, len(keys))
+        threads = max(1, (os.cpu_count() or 1) // workers)
+        with _blas_threads(threads), ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_cell_args, k) for k in keys]
             return [_result_or_error_row(f, k) for f, k in zip(futures, keys)]
     return [run_cell(*k) for k in keys]

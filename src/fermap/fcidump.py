@@ -137,7 +137,11 @@ def loads(text: str) -> IntegralFile:
     ij = tri_index(i, j)
     length = packed_length(m)
     # sized before the int64 slots, which a NORB too large to allocate would overflow
-    placed = np.zeros(length + 1 + int(triangular(m)))
+    size = length + 1 + int(triangular(m))
+    try:
+        placed = np.zeros(size)
+    except (MemoryError, ValueError):  # ValueError: "Maximum allowed dimension exceeded"
+        raise FcidumpParseError(f"Unable to allocate {size} float64 slots for NORB={m}") from None
     slots = np.select([i < 0, k < 0], [length, length + 1 + ij], tri_index(ij, tri_index(k, l)))
     order = np.argsort(slots, kind="stable")
     slots, values, linenos = slots[order], records[order, 0], records[order, 1]

@@ -9,7 +9,9 @@ A Hamiltonian is held as its spatial integrals only: the one-body matrix
       + 1/2 sum_st sum_ijkl (ij|kl) a_is^ a_kt^ a_lt a_js
 
 over the blocked modes of ``blocked_modes``; ``classify_spatial`` expands it
-entry by entry into canonical self-adjoint terms, with no spin-orbital tensor.
+entry by entry into canonical self-adjoint terms, with no spin-orbital tensor
+and no temporary the size of the packed ERI: it scans the packed entries a
+block at a time for those that pass the cutoff.
 ``map_terms`` maps those terms to qubits under any encoding that says how it
 writes n_j, a hop and a double excitation.
 """
@@ -28,6 +30,9 @@ from .pauli import NonHermitianError, Packed, PauliOperatorSum, half_one_minus, 
 SYMMETRY_ATOL = 1e-10
 #: Two-body entries canonicalised at a time, which bounds the temporaries.
 _BLOCK = 1 << 15
+#: Packed ERI entries scanned for survivors at a time: the scan's temporaries
+#: take 9 bytes an entry, 2.4 MB, not a copy of the packed array.
+_SCAN_BLOCK = 1 << 18
 
 
 class Kind(enum.Enum):
@@ -190,6 +195,18 @@ def _canonical_terms(one, two, num_modes: int) -> ClassifiedTerms:
     return ClassifiedTerms({kind: _summed(parts, num_modes) for kind, parts in raw.items()})
 
 
+def _at_least(values: np.ndarray, threshold: float) -> np.ndarray:
+    """The positions where ``|values| >= threshold``, ascending, scanned a
+    block at a time."""
+    return np.concatenate(
+        [np.empty(0, dtype=np.intp)]
+        + [
+            start + np.flatnonzero(np.abs(values[start : start + _SCAN_BLOCK]) >= threshold)
+            for start in range(0, len(values), _SCAN_BLOCK)
+        ]
+    )
+
+
 def classify_spatial(
     h1_spatial: np.ndarray,
     eri_chemist: np.ndarray,
@@ -221,7 +238,7 @@ def classify_spatial(
     one = (mode[i].ravel(), mode[j].ravel(), np.repeat(h1[i, j], 2))
     # every packed entry that passes stands for its distinct symmetric copies,
     # taken in lexicographic (i, j, k, l) order as a dense scan would find them
-    (kept,) = np.nonzero(np.abs(eri) >= 2.0 * floor)
+    kept = _at_least(eri, 2.0 * floor)
     keys, first = np.unique(orbit_keys(*packed_indices(m, kept), m), return_index=True)
     values = eri[kept[first // 8]]
     i, j, k, l = np.unravel_index(keys, (m,) * 4)

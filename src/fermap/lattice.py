@@ -4,16 +4,25 @@ Gaussian orbital per atom.
 All closed forms are the standard s-Gaussian results (Gaussian product
 theorem plus the Boys function F0); energies in Hartree, lengths in Bohr
 internally, lattice spacing specified in Angstrom.
+
+Every integral depends on the centers through the orbital pairs' Gaussian
+product factors and midpoints, so F0 is evaluated once per distinct
+midpoint and center (nuclear attraction) or pair of distinct midpoints
+(ERIs).  ``RawIntegrals`` keeps the ERIs in that factored form, of O(m^2)
+size on a lattice; its callers build from it only what they use: the packed
+ERI (``packed_eri``), the integrals over a set of AO pairs (``pair_block``)
+or the Schwarz factors (``schwarz_factors``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
-from .eri import packed_length, pair_orbitals, put_rows
+from .eri import packed_length, pair_orbitals, pair_table, put_rows
 
 ANGSTROM_TO_BOHR = 1.8897259886
 #: Packed ERI rows assembled per step.  Each step holds three [block, P]
@@ -62,18 +71,60 @@ class LatticeSpec:
 
 @dataclass
 class RawIntegrals:
-    """Spatial-orbital integrals: overlap, core (T+V), chemist-ordered ERIs
-    (ij|kl) in the pair-packed form of ``fermap.eri``, and the nuclear
-    repulsion constant."""
+    """Spatial-orbital integrals: overlap, core (T+V), the nuclear repulsion
+    constant, and the chemist-ordered ERIs (ij|kl) in their Gaussian-product
+    factored form.  For AO pairs a = pair(ij) <= b = pair(kl) (``fermap.eri``)
+
+        (ij|kl) = boys[midpoint[b], midpoint[a]] * (kab[b] * (eri_pref * kab[a])),
+
+    stored as 0 below ``_ERI_FLOOR``: ``kab`` per pair, the index of each
+    pair's midpoint among the distinct midpoints, and the exactly symmetric
+    F0 table over those.  Every method gives those values to the bit."""
 
     overlap: np.ndarray
     core: np.ndarray
-    eri: np.ndarray
     nuclear_repulsion: float
+    kab: np.ndarray
+    midpoint: np.ndarray
+    boys: np.ndarray
+    eri_pref: float
 
     @property
     def num_orbitals(self) -> int:
         return self.overlap.shape[0]
+
+    def _products(self, rows, cols) -> np.ndarray:
+        """``[rows, cols]`` integrals of AO pairs ``rows`` with pairs
+        ``cols``, each formed as if its row pair were the larger: to the bit
+        the packed entry wherever it is."""
+        block = np.take(np.take(self.boys, self.midpoint[rows], axis=0), self.midpoint[cols], axis=1)
+        block *= np.multiply.outer(self.kab[rows], self.eri_pref * self.kab[cols])
+        block[block < _ERI_FLOOR] = 0.0
+        return block
+
+    def packed_eri(self) -> np.ndarray:
+        """The pair-packed ERI (``fermap.eri``), a block of packed rows at a
+        time."""
+        size = len(self.kab)
+        eri = np.empty(packed_length(self.num_orbitals))
+        for start in range(0, size, _ERI_BLOCK):
+            stop = min(start + _ERI_BLOCK, size)
+            put_rows(eri, start, self._products(slice(start, stop), slice(0, stop)))
+        return eri
+
+    def pair_block(self, pairs: np.ndarray) -> np.ndarray:
+        """The symmetric matrix of (ab|cd) over the ascending AO pairs
+        ``pairs``, equal to the packed ERI gathered at them."""
+        block = self._products(pairs, pairs)
+        upper = np.triu_indices(len(pairs), 1)
+        block[upper] = block.T[upper]
+        return block
+
+    def schwarz_factors(self) -> np.ndarray:
+        """q_ab = sqrt((ab|ab)) of every AO pair, in pair order."""
+        diagonal = self.boys[self.midpoint, self.midpoint] * (self.kab * (self.eri_pref * self.kab))
+        diagonal[diagonal < _ERI_FLOOR] = 0.0
+        return np.sqrt(diagonal)
 
 
 def build_lattice(spec: LatticeSpec) -> np.ndarray:
@@ -107,6 +158,18 @@ def boys_f0(t) -> np.ndarray:
     return out if out.ndim else float(out)
 
 
+def _distinct_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct rows in lexicographic order and each row's index among
+    them: ``np.unique(rows, axis=0, return_inverse=True)`` by one lexsort."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    which = np.empty(len(rows), dtype=np.intp)
+    which[order] = np.cumsum(new) - 1
+    return ordered[new], which
+
+
 def compute_integrals(centers: np.ndarray, alpha: float) -> RawIntegrals:
     """Overlap, core Hamiltonian, ERIs and nuclear repulsion for one
     normalized s Gaussian of exponent alpha (Bohr^-2) on each center (Bohr).
@@ -121,41 +184,33 @@ def compute_integrals(centers: np.ndarray, alpha: float) -> RawIntegrals:
         raise GeometryError("coincident centers")
 
     # pairwise Gaussian-product quantities (equal exponents): p = 2*alpha,
-    # reduced exponent mu = alpha/2, product center at the midpoint
+    # reduced exponent mu = alpha/2, product center at the midpoint.  Every
+    # integral depends on the centers through the pair midpoints, so F0 is
+    # evaluated once per distinct midpoint and center, or pair of them
     p = 2.0 * alpha
     overlap = np.exp(-0.5 * alpha * r2)
     kinetic = 0.5 * alpha * (3.0 - alpha * r2) * overlap
-    midpoints = 0.5 * (centers[:, None, :] + centers[None, :, :])
+    first, second = pair_orbitals(m)
+    points, which = _distinct_rows(0.5 * (centers[first] + centers[second]))
 
     norm2 = (2.0 * alpha / np.pi) ** 1.5  # squared normalization of the pair
     v_pref = norm2 * (2.0 * np.pi / p) * np.exp(-0.5 * alpha * r2)
+    # F0 of each center c (rows) and distinct midpoint (columns), summed over
+    # c in order for every (i, j) through the index of its midpoint
+    nuclear = boys_f0(p * np.sum((points[None, :, :] - centers[:, None, :]) ** 2, axis=2))
+    at = which[pair_table(m)]
     attraction = np.zeros((m, m))
     for c in range(m):
-        pc2 = np.sum((midpoints - centers[c]) ** 2, axis=2)
-        attraction -= v_pref * boys_f0(p * pc2)
+        attraction -= v_pref * nuclear[c, at]
     core = kinetic + attraction
 
-    # (ij|kl) over normalized orbitals; combined exponent pq/(p+q) = alpha.
-    # It depends on the centers only through kab and the two pair midpoints,
-    # so F0 is evaluated once per pair of distinct midpoints, and the packed
-    # ERI is filled a block of packed rows at a time: row b = pair(kl) holds
-    # pref kab[ij] kab[kl] F0 for pair(ij) <= b
-    first, second = pair_orbitals(m)
+    # (ij|kl) over normalized orbitals; combined exponent pq/(p+q) = alpha
     kab = np.exp(-0.5 * alpha * r2[first, second])
-    points, which = np.unique(midpoints[first, second], axis=0, return_inverse=True)
     sq = np.sum(points * points, axis=1)
     pq2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (points @ points.T), 0.0)
     # symmetric by construction, so a block's F0 can be gathered row-major
     boys = boys_f0(alpha * (np.tril(pq2) + np.tril(pq2, -1).T))
     eri_pref = norm2**2 * 2.0 * np.pi**2.5 / (p * p * np.sqrt(2.0 * p))
-    pref_kab = eri_pref * kab
-    eri = np.empty(packed_length(m))
-    for start in range(0, len(kab), _ERI_BLOCK):
-        stop = min(start + _ERI_BLOCK, len(kab))
-        block = np.take(np.take(boys, which[start:stop], axis=0), which[:stop], axis=1)
-        block *= np.multiply.outer(kab[start:stop], pref_kab[:stop])
-        block[block < _ERI_FLOOR] = 0.0
-        put_rows(eri, start, block)
 
     if m > 1:
         inv_r = np.zeros((m, m))
@@ -164,7 +219,7 @@ def compute_integrals(centers: np.ndarray, alpha: float) -> RawIntegrals:
         nuc = 0.5 * float(np.sum(inv_r))
     else:
         nuc = 0.0
-    return RawIntegrals(overlap, core, eri, nuc)
+    return RawIntegrals(overlap, core, nuc, kab, which, boys, eri_pref)
 
 
 def lattice_integrals(spec: LatticeSpec) -> RawIntegrals:

@@ -9,25 +9,28 @@ X_ai X_bj + X_bi X_aj (half that for a = b), the rotated pair matrix is
 C^T G C.  It is formed on one of two paths.
 
 Screened.  By the Schwarz bound |(ab|cd)| <= q_ab q_cd, q_ab = sqrt((ab|ab))
-read from the packed diagonal (Haeser & Ahlrichs, J. Comput. Chem. 10, 104
+read from the factored integrals (Haeser & Ahlrichs, J. Comput. Chem. 10, 104
 (1989)), an AO pair with q_ab q_max below ``PAIR_SCREEN`` takes part in no
 integral that reaches it; the screen keeps the other AO pairs, S, and the
 entries of X at or above ``ORBITAL_SCREEN``.  T is the set of MO pairs that
-the kept pair transform reaches.  C_ST^T G_SS C_ST is formed with two dense
-GEMMs and its lower triangle scattered into the packed output; every entry
-outside T x T is exactly 0.  What is dropped is bounded at run time.  With
-Q[a, b] = q_ab and W = |X|^T Q |X|, each term of the rotated (ij|kl) is
-bounded by the matching term of W_ij W_kl; W' = |X'|^T Q' |X'|, with X' the
-kept entries of X and Q' the kept pairs, bounds the kept terms alike.  So no
-rotated entry moves by more than W_ij W_kl - W'_ij W'_kl <= 2 max W
-max(W - W'), one pass of m x m x k products.
+the kept pair transform reaches.  G_SS is built for the kept pairs alone,
+so no packed array of the AO integrals is; C_ST^T G_SS C_ST is formed with
+two dense GEMMs and its lower triangle scattered into the packed output,
+and every entry outside T x T is exactly 0.  What is dropped is bounded at
+run time.  With Q[a, b] = q_ab and W = |X|^T Q |X|, each term of the
+rotated (ij|kl) is bounded by the matching term of W_ij W_kl;
+W' = |X'|^T Q' |X'|, with X' the kept entries of X and Q' the kept pairs,
+bounds the kept terms alike.  So no rotated entry moves by more than
+W_ij W_kl - W'_ij W'_kl <= 2 max W max(W - W'), one pass of m x m x k
+products.
 
-Dense.  The packed ERI is unpacked once into the full symmetric P x P pair
-matrix, the first half-transform rotates the pair ij of every row in place,
-the matrix is transposed in place, and the second half rotates the pair kl
-of each row straight into the packed output.  Both halves read each block
-of pair rows as m x m matrices through one table of fixed offsets and
-rotate them with two flat GEMMs.
+Dense.  The packed ERI is built from the factored integrals and unpacked
+once into the full symmetric P x P pair matrix, the first half-transform
+rotates the pair ij of every row in place, the matrix is transposed in
+place, and the second half rotates the pair kl of each row straight into
+the packed output.  Both halves read each block of pair rows as m x m
+matrices through one table of fixed offsets and rotate them with two flat
+GEMMs.
 
 The rule: the screened path runs when its bound is within ``ERROR_BUDGET``
 and it keeps at most half of the AO pairs.  Orbitals that are not local
@@ -43,7 +46,7 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .eri import get_rows, packed_length, pair_orbitals, pair_table, put_rows, tri_index, triangular
+from .eri import get_rows, packed_length, pair_orbitals, pair_table, put_rows, triangular
 from .lattice import LatticeSpec, RawIntegrals, lattice_integrals
 
 
@@ -165,12 +168,12 @@ class _Screen(NamedTuple):
         return self.bound <= ERROR_BUDGET and 2 * len(self.pairs) <= triangular(len(self.x))
 
 
-def _schwarz_screen(eri: np.ndarray, x: np.ndarray) -> _Screen:
-    """The screen of a packed ERI and an m x k orthogonalizer; see the module
+def _schwarz_screen(raw: RawIntegrals, x: np.ndarray) -> _Screen:
+    """The screen of raw integrals and an m x k orthogonalizer; see the module
     docstring.  No array is larger than m x m."""
     m, k = x.shape
     size = triangular(m)
-    q = np.sqrt(eri[triangular(np.arange(1, size + 1)) - 1])  # (ab|ab) ends packed row ab
+    q = raw.schwarz_factors()
     pairs = np.flatnonzero(q * q.max() >= PAIR_SCREEN)
     kept_q = np.zeros(size)
     kept_q[pairs] = q[pairs]
@@ -192,7 +195,7 @@ def _schwarz_screen(eri: np.ndarray, x: np.ndarray) -> _Screen:
     return _Screen(pairs, np.where(kept, x, 0.0), reached, bound)
 
 
-def _rotate_screened(eri: np.ndarray, screen: _Screen) -> np.ndarray:
+def _rotate_screened(raw: RawIntegrals, screen: _Screen) -> np.ndarray:
     """The packed rotated ERI from the kept AO pairs and entries of X: C_ST^T
     G_SS C_ST a block of rows of T at a time, each block only up to its
     diagonal, scattered into an output that is 0 elsewhere."""
@@ -200,10 +203,11 @@ def _rotate_screened(eri: np.ndarray, screen: _Screen) -> np.ndarray:
     m, k = x.shape
     a, b = (orbital[pairs] for orbital in pair_orbitals(m))
     i, j = (orbital[reached] for orbital in pair_orbitals(k))
-    c = x[np.ix_(a, i)] * x[np.ix_(b, j)]
-    c += x[np.ix_(b, i)] * x[np.ix_(a, j)]
+    xa, xb = x[a], x[b]
+    c = np.take(xa, i, axis=1) * np.take(xb, j, axis=1)
+    c += np.take(xb, i, axis=1) * np.take(xa, j, axis=1)
     c[a == b] *= 0.5
-    gc = eri[tri_index(pairs[:, None], pairs)] @ c
+    gc = raw.pair_block(pairs) @ c
     out = np.zeros(packed_length(k))
     for start in range(0, len(reached), _ROTATE_BLOCK):
         stop = min(start + _ROTATE_BLOCK, len(reached))
@@ -256,8 +260,8 @@ def rotate_integrals(raw: RawIntegrals, x: np.ndarray) -> Tuple[np.ndarray, np.n
     # the product is symmetric only to rounding; keep the lower triangle, as an
     # FCIDUMP file does, so a dumped cell maps to the same coefficients
     h1 = np.tril(h1) + np.tril(h1, -1).T
-    screen = _schwarz_screen(raw.eri, x)
-    eri = _rotate_screened(raw.eri, screen) if screen.applies else _rotate_dense(raw.eri, x)
+    screen = _schwarz_screen(raw, x)
+    eri = _rotate_screened(raw, screen) if screen.applies else _rotate_dense(raw.packed_eri(), x)
     return h1, eri, raw.nuclear_repulsion
 
 
@@ -265,8 +269,7 @@ def orthonormal_integrals(
     spec: LatticeSpec, rotation: str = "aos"
 ) -> Tuple[np.ndarray, np.ndarray, float]:
     """The integrals stage: a lattice's (one_body, eri, constant) in the
-    symmetric (``rotation="aos"``) or else the canonical orthonormal basis.
-    The raw ERI, as large as the rotated one, is freed before this returns."""
+    symmetric (``rotation="aos"``) or else the canonical orthonormal basis."""
     raw = lattice_integrals(spec)
     if rotation == "aos":
         x = symmetric_orthogonalizer(raw.overlap)

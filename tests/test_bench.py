@@ -134,6 +134,24 @@ def test_run_sweep_survives_a_dead_worker(monkeypatch):
     assert all(r.error is None or r.error.startswith("BrokenProcessPool: ") for r in rows)
 
 
+def test_sweep_workers_share_the_cores_as_blas_threads(monkeypatch):
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched cell reaches the workers only when they are forked")
+    if bench._openblas("scipy_openblas_get_num_threads64_") is None:
+        pytest.skip("numpy bundles no scipy-openblas")
+
+    def report_threads(dimension, size, exponent, *rest):
+        row = SweepRow(dimension, basis_label(exponent), size**dimension)
+        row.error = str(bench._openblas("scipy_openblas_get_num_threads64_")())
+        return row
+
+    monkeypatch.setattr(bench, "run_cell", report_threads)
+    before = bench._openblas("scipy_openblas_get_num_threads64_")()
+    rows = run_sweep(small_config(sizes=(2, 4), jobs=2))
+    assert [r.error for r in rows] == [str(max(1, os.cpu_count() // 2))] * 2
+    assert bench._openblas("scipy_openblas_get_num_threads64_")() == before  # restored
+
+
 SEED_OUTPUTS = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "seed_outputs.json").read_text()
 )
@@ -153,6 +171,14 @@ def test_run_cell_matches_seed_outputs(dimension, side, exponent):
             assert getattr(rep, field) == seed[field], (key, mapping, field)
         for field in ("l1_norm", "l1_norm_no_identity"):
             assert getattr(rep, field) == pytest.approx(seed[field], rel=1e-12, abs=0)
+
+
+def test_run_cell_side_5_keeps_its_qubits_and_weights():
+    # d3 side-5 a8.75, m = 125: the largest cell the screened rotation runs in tier-1
+    row = run_cell(3, 5, 8.75)
+    assert row.error is None
+    assert (row.jw_qubits, row.bksf_qubits) == (250, 600)
+    assert (row.jw_total_weight, row.bksf_total_weight) == (76_100, 304_740)
 
 
 def test_rows_to_json_round_trips():

@@ -225,3 +225,4 @@ def test_an_input_too_large_to_allocate_is_one_error_line(tmp_path):
     )
     assert out.returncode == 2 and out.stdout == ""
     assert out.stderr.startswith("fermap: error: Unable to allocate") and out.stderr.count("\n") == 1
+    assert "NORB=2000" in out.stderr

@@ -109,7 +109,7 @@ def test_parse_errors_carry_line_numbers():
 def test_a_norb_beyond_any_array_is_a_value_error():
     # 12 500 250 003 750 025 000 packed slots: more than an int64 slot index
     # holds, so int64 slot arithmetic would raise OverflowError
-    with pytest.raises(ValueError):
+    with pytest.raises(FcidumpParseError, match="NORB=100000"):
         loads("&FCI NORB=100000,NELEC=2,\n&END\n 1.0 1 1 0 0\n")
 
 

@@ -7,6 +7,7 @@ import pytest
 from fermap.eri import pack_eri, packed_length
 from fermap.fermion import (
     Kind,
+    _at_least,
     blocked_modes,
     classify_spatial,
     from_spatial_integrals,
@@ -122,6 +123,16 @@ def test_classification_does_not_depend_on_the_block_size(monkeypatch):
     whole = list(classify_spatial(h1, eri))  # 324 two-body entries: one block, or 47 of 7
     monkeypatch.setattr("fermap.fermion._BLOCK", 7)
     assert list(classify_spatial(h1, eri)) == whole  # every sum still adds in input order
+
+
+def test_the_blocked_scan_finds_what_a_whole_array_scan_finds(monkeypatch):
+    values = np.zeros(50)
+    values[[0, 6, 7, 8, 9, 30, 49]] = [1.0, -2.0, 0.5, 3.0, -0.1, 1.0, 2.0]
+    # survivors 6, 7 | 8, 9 straddle a block boundary
+    monkeypatch.setattr("fermap.fermion._SCAN_BLOCK", 8)
+    for threshold in (0.0, 0.5, 1.0, 5.0):
+        assert np.array_equal(_at_least(values, threshold), np.nonzero(np.abs(values) >= threshold)[0])
+    assert np.array_equal(_at_least(values[:0], 1.0), [])
 
 
 def test_number_and_coulomb_classification():

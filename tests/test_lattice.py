@@ -12,7 +12,7 @@ import pytest
 from scipy import integrate
 from scipy.special import erf
 
-from fermap.eri import pack_eri, packed_indices, unpack_eri
+from fermap.eri import pack_eri, packed_indices, tri_index, triangular, unpack_eri
 from fermap.lattice import (
     ANGSTROM_TO_BOHR,
     GeometryError,
@@ -190,7 +190,7 @@ def test_integrals_match_general_exponent_reference(alpha):
                 for c in range(m)
             )
             assert raw.core[i, j] == pytest.approx(kin + att, abs=1e-12)
-    eri = unpack_eri(raw.eri, m)
+    eri = unpack_eri(raw.packed_eri(), m)
     for i, j, k, l in [(0, 0, 0, 0), (0, 1, 2, 0), (0, 1, 1, 2), (2, 2, 0, 1)]:
         assert eri[i, j, k, l] == pytest.approx(
             ref_eri(alpha, alpha, alpha, alpha, *(centers[x] for x in (i, j, k, l))),
@@ -226,7 +226,7 @@ def random_centers(m, seed):
     ],
 )
 def test_eri_matches_dense_expression(centers, alpha):
-    eri = compute_integrals(centers, alpha).eri
+    eri = compute_integrals(centers, alpha).packed_eri()
     np.testing.assert_allclose(eri, pack_eri(dense_eri(centers, alpha)), rtol=1e-14, atol=0)
 
 
@@ -237,7 +237,7 @@ def test_eri_below_the_floor_is_stored_as_zero():
     dense = dense_eri(centers, 8.75)
     assert 0.0 < dense[0, 0, 0, 1] < 1e-200
     floored = pack_eri(np.where(dense < 1e-200, 0.0, dense))
-    np.testing.assert_allclose(compute_integrals(centers, 8.75).eri, floored, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(compute_integrals(centers, 8.75).packed_eri(), floored, rtol=1e-14, atol=0)
 
 
 def test_eri_is_bitwise_the_per_entry_formula():
@@ -259,22 +259,45 @@ def test_eri_is_bitwise_the_per_entry_formula():
     expected = pref * kab_ij * kab_kl * boys_f0(alpha * np.sum(pq * pq, axis=1))
     assert ((0.0 < expected) & (expected < 1e-200)).any() and (expected > 1e-200).any()
     expected[expected < 1e-200] = 0.0
-    assert np.array_equal(compute_integrals(centers, alpha).eri, expected)
+    assert np.array_equal(compute_integrals(centers, alpha).packed_eri(), expected)
+
+
+#: 20 random centers, 210 AO pairs; at exponent 40 some far pairs' (ab|ab)
+#: fall below the floor
+FACTORED_CASES = [(random_centers(20, 2), 1.3), (random_centers(20, 3), 40.0)]
+
+
+@pytest.mark.parametrize("centers, alpha", FACTORED_CASES)
+def test_pair_block_is_the_packed_gather(centers, alpha):
+    raw = compute_integrals(centers, alpha)
+    eri = raw.packed_eri()
+    pairs = np.sort(np.random.default_rng(4).choice(210, size=60, replace=False))
+    assert np.array_equal(raw.pair_block(pairs), eri[tri_index(pairs[:, None], pairs)])
+    every = np.arange(210)
+    assert np.array_equal(raw.pair_block(every), eri[tri_index(every[:, None], every)])
+
+
+@pytest.mark.parametrize("centers, alpha", FACTORED_CASES)
+def test_schwarz_factors_are_the_packed_diagonal(centers, alpha):
+    raw = compute_integrals(centers, alpha)
+    diagonal = raw.packed_eri()[triangular(np.arange(1, 211)) - 1]  # (ab|ab) ends packed row ab
+    assert (diagonal == 0.0).any() == (alpha == 40.0)
+    assert np.array_equal(raw.schwarz_factors(), np.sqrt(diagonal))
 
 
 def test_integrals_peak_memory_is_bounded_by_the_eri():
-    # a guard against m^4 arrays: the packed ERI takes about m^4 bytes, an
-    # eighth of a dense float64 tensor, and the assembly blocks are bounded.
-    # One dense m^4 float64 array alone breaks the bound
-    m = 27
+    # the F0 table over the 343 distinct midpoints, kab and the midpoint
+    # index take 1.0 MB, and the tables are built from a few arrays that
+    # size; the packed ERI alone, 17.3 MB, breaks the bound
     tracemalloc.start()
     try:
-        raw = lattice_integrals(LatticeSpec(3, 3, 8.75))
+        raw = lattice_integrals(LatticeSpec(3, 4, 8.75))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert raw.num_orbitals == m
-    assert peak <= 0.75 * m**4 * 8
+    factored = sum(a.nbytes for a in (raw.kab, raw.midpoint, raw.boys, raw.overlap, raw.core))
+    assert raw.num_orbitals == 64 and raw.boys.shape == (343, 343)
+    assert peak <= 8 * factored
 
 
 def test_single_center_known_values():
@@ -284,8 +307,9 @@ def test_single_center_known_values():
     assert raw.core[0, 0] == pytest.approx(1.5 * alpha - 2.0 * np.sqrt(2 * alpha / np.pi))
     # on-site repulsion (ss|ss) = sqrt(2/pi) * 2 * sqrt(alpha) / sqrt(2) * ... check
     # against the general-exponent reference instead of a hand-derived constant
-    assert raw.eri.shape == (1,)
-    assert raw.eri[0] == pytest.approx(
+    eri = raw.packed_eri()
+    assert eri.shape == (1,)
+    assert eri[0] == pytest.approx(
         ref_eri(alpha, alpha, alpha, alpha, *([np.zeros(3)] * 4))
     )
     assert raw.nuclear_repulsion == 0.0
@@ -298,7 +322,7 @@ def test_eri_eightfold_symmetry():
     eri = dense_eri(build_lattice(spec), spec.exponent)
     for perm in [(1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]:
         assert np.allclose(eri, eri.transpose(perm), atol=1e-13)
-    np.testing.assert_allclose(unpack_eri(lattice_integrals(spec).eri, 3), eri, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(unpack_eri(lattice_integrals(spec).packed_eri(), 3), eri, rtol=1e-14, atol=0)
 
 
 def test_translation_invariance():
@@ -308,7 +332,7 @@ def test_translation_invariance():
     b = compute_integrals(centers + np.array([2.5, -1.0, 0.7]), alpha)
     assert np.allclose(a.overlap, b.overlap, atol=1e-12)
     assert np.allclose(a.core, b.core, atol=1e-12)
-    assert np.allclose(a.eri, b.eri, atol=1e-12)
+    assert np.allclose(a.packed_eri(), b.packed_eri(), atol=1e-12)
     assert a.nuclear_repulsion == pytest.approx(b.nuclear_repulsion)
 
 

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fermap.eri import unpack_eri
+from fermap.eri import packed_length, unpack_eri
 from fermap.fermion import classify_spatial
 from fermap.jw import jw_transform_terms
 from fermap.lattice import LatticeSpec, lattice_integrals
@@ -17,6 +17,7 @@ from fermap.ortho import (
     _rotate_screened,
     _schwarz_screen,
     canonical_orthogonalizer,
+    orthonormal_integrals,
     rotate_integrals,
     symmetric_orthogonalizer,
 )
@@ -112,7 +113,7 @@ def _orthogonalizer(raw, truncate):
 
 
 def _einsum_rotation(raw, x):
-    dense = unpack_eri(raw.eri, raw.num_orbitals)
+    dense = unpack_eri(raw.packed_eri(), raw.num_orbitals)
     return np.einsum("pi,qj,rk,sl,pqrs->ijkl", x, x, x, x, dense, optimize=True)
 
 
@@ -130,7 +131,7 @@ def _einsum_rotation(raw, x):
 def test_rotate_integrals_matches_einsum(spec, truncate):
     raw = lattice_integrals(spec)
     x = _orthogonalizer(raw, truncate)
-    assert not _schwarz_screen(raw.eri, x).applies  # these cells check the dense path
+    assert not _schwarz_screen(raw, x).applies  # these cells check the dense path
     h1, eri, constant = rotate_integrals(raw, x)
     k = x.shape[1]
     np.testing.assert_allclose(unpack_eri(eri, k), _einsum_rotation(raw, x), rtol=0, atol=1e-14)
@@ -155,8 +156,8 @@ def test_screened_rotation_matches_einsum_within_its_bound(truncate):
     # screened path is called directly to check it all the same
     raw = lattice_integrals(LatticeSpec(3, 3, 8.75))
     x = _orthogonalizer(raw, truncate)
-    screen = _schwarz_screen(raw.eri, x)
-    eri = _rotate_screened(raw.eri, screen)
+    screen = _schwarz_screen(raw, x)
+    eri = _rotate_screened(raw, screen)
     deviation = np.abs(unpack_eri(eri, x.shape[1]) - _einsum_rotation(raw, x)).max()
     assert deviation <= 1e-12
     assert screen.bound >= deviation
@@ -180,7 +181,7 @@ def test_screened_rotation_matches_einsum_within_its_bound(truncate):
 )
 def test_the_path_rule_screens_only_local_cells(spec, screened):
     raw = lattice_integrals(spec)
-    assert _schwarz_screen(raw.eri, symmetric_orthogonalizer(raw.overlap)).applies == screened
+    assert _schwarz_screen(raw, symmetric_orthogonalizer(raw.overlap)).applies == screened
 
 
 def _rotation_peak(spec):
@@ -196,10 +197,9 @@ def _rotation_peak(spec):
 
 
 def test_rotation_peak_memory_is_bounded_by_the_eri():
-    # dense path: the packed output takes about m^4 bytes, the full pair
-    # matrix both halves work in about 2 m^4 and the blocks are bounded; the
-    # packed input exists before tracing starts.  One dense m^4 float64
-    # temporary alone breaks the bound
+    # dense path: the packed input and output take about m^4 bytes each,
+    # the full pair matrix both halves work in about 2 m^4 and the blocks
+    # are bounded.  One dense m^4 float64 temporary alone breaks the bound
     m, peak = _rotation_peak(LatticeSpec(3, 3, 3.0))
     assert m == 27
     assert peak <= 1.0 * m**4 * 8
@@ -212,3 +212,18 @@ def test_screened_rotation_peak_memory_is_bounded_by_the_output():
     m, peak = _rotation_peak(LatticeSpec(3, 4, 8.75))
     assert m == 64
     assert peak <= 0.2 * m**4 * 8
+
+
+def test_side_5_integrals_and_classification_hold_one_packed_array():
+    # m = 125: the packed rotated ERI takes 248 MB.  No raw packed ERI is
+    # built on the screened path, and the classifier scans the rotated one a
+    # block at a time, so a second array of that size breaks the bound
+    tracemalloc.start()
+    try:
+        h1, eri, _ = orthonormal_integrals(LatticeSpec(3, 5, 8.75))
+        classify_spatial(h1, eri, cutoff=1e-7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(eri) == packed_length(125)
+    assert peak < 1.25 * eri.nbytes
