@@ -16,6 +16,7 @@ import csv
 import ctypes
 import io
 import json
+import math
 import os
 from contextlib import contextmanager
 from concurrent.futures import ProcessPoolExecutor
@@ -62,8 +63,8 @@ class SweepConfig:
         for exponent in self.exponents:
             for size in self.sizes:
                 LatticeSpec(self.dimension, size, exponent, self.spacing)
-        if self.cutoff < 0:
-            raise ValueError("cutoff must be non-negative")
+        if not 0 <= self.cutoff < math.inf:
+            raise ValueError("cutoff must be non-negative and finite")
         if self.rotation not in ("aos", "aoc"):
             raise ValueError("rotation must be 'aos' or 'aoc'")
         if not self.mappings or any(m not in ("jw", "ose") for m in self.mappings):

@@ -57,24 +57,12 @@ def packed_pairs(positions: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return positions - triangular(b), b
 
 
-def _row_mask(start: int, stop: int) -> np.ndarray:
-    """``[stop - start, stop]`` mask of the entries a <= b of full rows b."""
-    return np.arange(stop) <= np.arange(start, stop)[:, None]
-
-
 def put_rows(packed: np.ndarray, start: int, full: np.ndarray) -> None:
     """Fill the packed rows ``start, start + 1, ...`` from full rows
     ``full[r, a]``; the entries a > b of row b are left out."""
     stop = start + len(full)
-    packed[triangular(start) : triangular(stop)] = full[:, :stop][_row_mask(start, stop)]
-
-
-def get_rows(packed: np.ndarray, start: int, full: np.ndarray) -> None:
-    """The inverse of ``put_rows``: fill the entries a <= b of full rows
-    ``full[r, a]``, b = start + r, from packed rows ``start, start + 1, ...``;
-    the entries a > b are left as they are."""
-    stop = start + len(full)
-    full[:, :stop][_row_mask(start, stop)] = packed[triangular(start) : triangular(stop)]
+    below = np.arange(stop) <= np.arange(start, stop)[:, None]
+    packed[triangular(start) : triangular(stop)] = full[:, :stop][below]
 
 
 def packed_indices(m: int, positions=None) -> Tuple[np.ndarray, ...]:

@@ -77,7 +77,7 @@ def _parse_header(text: str) -> Tuple[dict, int]:
             raise FcidumpParseError(f"line {lineno}: expected header start '&...', got {got!r}")
         raise FcidumpParseError("header never terminated with '&END' or '/'")
     fields = {"ms2": 0}
-    for assign in re.finditer(r"([A-Za-z0-9_]+)\s*=\s*([^=]*?)(?=(?:,?\s*[A-Za-z0-9_]+\s*=)|$)", header.group(1), re.M):
+    for assign in re.finditer(r"([A-Za-z][A-Za-z0-9_]*)\s*=\s*([^=]*?)(?=(?:,?\s*[A-Za-z][A-Za-z0-9_]*\s*=)|$)", header.group(1), re.M):
         key = assign.group(1).upper()
         if key in _HEADER_INT:
             raw = assign.group(2).strip().rstrip(",").strip()

@@ -19,6 +19,7 @@ writes n_j, a hop and a double excitation.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, Tuple
 
@@ -224,8 +225,8 @@ def classify_spatial(
     half the chemist integral, a two-body integral when
     ``|(ij|kl)| / 2 >= cutoff``.
     """
-    if cutoff < 0:
-        raise ValueError("cutoff must be non-negative")
+    if not 0 <= cutoff < math.inf:
+        raise ValueError("cutoff must be non-negative and finite")
     h1, eri = _checked_integrals(h1_spatial, eri_chemist)
     m = h1.shape[0]
     orbital, spin = blocked_modes(2 * m)

@@ -9,9 +9,8 @@ Every integral depends on the centers through the orbital pairs' Gaussian
 product factors and midpoints, so F0 is evaluated once per distinct
 midpoint and center (nuclear attraction) or pair of distinct midpoints
 (ERIs).  ``RawIntegrals`` keeps the ERIs in that factored form, of O(m^2)
-size on a lattice; its callers build from it only what they use: the packed
-ERI (``packed_eri``), the integrals over a set of AO pairs (``pair_block``)
-or the Schwarz factors (``schwarz_factors``).
+size on a lattice; the ERIs leave it only as blocks of AO pair rows and
+columns (``pair_block``) or as the Schwarz factors (``schwarz_factors``).
 """
 
 from __future__ import annotations
@@ -22,14 +21,9 @@ from typing import Tuple
 
 import numpy as np
 
-from .eri import packed_length, pair_orbitals, pair_table, put_rows
+from .eri import pair_orbitals, pair_table
 
 ANGSTROM_TO_BOHR = 1.8897259886
-#: Packed ERI rows assembled per step.  Each step holds three [block, P]
-#: temporaries, 4 MB each on the 125-orbital lattice; 16 MB ones (256 rows)
-#: stayed on the heap between cells and raised a 3-cell sweep's peak RSS by
-#: 27 MB.
-_ERI_BLOCK = 64
 #: ERIs below this, some 190 orders under any cutoff, are stored as 0.  As
 #: subnormal numbers, and through the subnormal products they form, they
 #: made the rotation's matrix products 1.7x slower on the 125-orbital lattice.
@@ -63,10 +57,10 @@ class LatticeSpec:
             raise ValueError("dimension must be 1, 2 or 3")
         if self.side_length < 1:
             raise ValueError("side_length must be at least 1")
-        if self.exponent <= 0:
-            raise ValueError("exponent must be positive")
-        if self.spacing <= 0:
-            raise ValueError("spacing must be positive")
+        if not 0 < self.exponent < math.inf:
+            raise ValueError("exponent must be positive and finite")
+        if not 0 < self.spacing < math.inf:
+            raise ValueError("spacing must be positive and finite")
 
 
 @dataclass
@@ -79,7 +73,7 @@ class RawIntegrals:
 
     stored as 0 below ``_ERI_FLOOR``: ``kab`` per pair, the index of each
     pair's midpoint among the distinct midpoints, and the exactly symmetric
-    F0 table over those.  Every method gives those values to the bit."""
+    F0 table over those.  Both methods give those values to the bit."""
 
     overlap: np.ndarray
     core: np.ndarray
@@ -93,31 +87,17 @@ class RawIntegrals:
     def num_orbitals(self) -> int:
         return self.overlap.shape[0]
 
-    def _products(self, rows, cols) -> np.ndarray:
-        """``[rows, cols]`` integrals of AO pairs ``rows`` with pairs
-        ``cols``, each formed as if its row pair were the larger: to the bit
-        the packed entry wherever it is."""
+    def pair_block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """``[rows, cols]`` matrix of (ab|cd) for AO pairs ab in ``rows`` and
+        cd in ``cols``.  Each entry takes ``kab`` of the larger pair times
+        ``eri_pref * kab`` of the smaller, so it is the same value to the bit
+        on either side of the diagonal."""
         block = np.take(np.take(self.boys, self.midpoint[rows], axis=0), self.midpoint[cols], axis=1)
-        block *= np.multiply.outer(self.kab[rows], self.eri_pref * self.kab[cols])
+        kab_rows, kab_cols = self.kab[rows], self.kab[cols]
+        kab = np.multiply.outer(kab_rows, self.eri_pref * kab_cols)
+        np.multiply.outer(self.eri_pref * kab_rows, kab_cols, out=kab, where=np.less.outer(rows, cols))
+        block *= kab
         block[block < _ERI_FLOOR] = 0.0
-        return block
-
-    def packed_eri(self) -> np.ndarray:
-        """The pair-packed ERI (``fermap.eri``), a block of packed rows at a
-        time."""
-        size = len(self.kab)
-        eri = np.empty(packed_length(self.num_orbitals))
-        for start in range(0, size, _ERI_BLOCK):
-            stop = min(start + _ERI_BLOCK, size)
-            put_rows(eri, start, self._products(slice(start, stop), slice(0, stop)))
-        return eri
-
-    def pair_block(self, pairs: np.ndarray) -> np.ndarray:
-        """The symmetric matrix of (ab|cd) over the ascending AO pairs
-        ``pairs``, equal to the packed ERI gathered at them."""
-        block = self._products(pairs, pairs)
-        upper = np.triu_indices(len(pairs), 1)
-        block[upper] = block.T[upper]
         return block
 
     def schwarz_factors(self) -> np.ndarray:

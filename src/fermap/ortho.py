@@ -14,23 +14,21 @@ read from the factored integrals (Haeser & Ahlrichs, J. Comput. Chem. 10, 104
 integral that reaches it; the screen keeps the other AO pairs, S, and the
 entries of X at or above ``ORBITAL_SCREEN``.  T is the set of MO pairs that
 the kept pair transform reaches.  G_SS is built for the kept pairs alone,
-so no packed array of the AO integrals is; C_ST^T G_SS C_ST is formed with
-two dense GEMMs and its lower triangle scattered into the packed output,
-and every entry outside T x T is exactly 0.  What is dropped is bounded at
-run time.  With Q[a, b] = q_ab and W = |X|^T Q |X|, each term of the
-rotated (ij|kl) is bounded by the matching term of W_ij W_kl;
-W' = |X'|^T Q' |X'|, with X' the kept entries of X and Q' the kept pairs,
-bounds the kept terms alike.  So no rotated entry moves by more than
-W_ij W_kl - W'_ij W'_kl <= 2 max W max(W - W'), one pass of m x m x k
-products.
+C_ST^T G_SS C_ST is formed with two dense GEMMs and its lower triangle
+scattered into the packed output, and every entry outside T x T is exactly
+0.  What is dropped is bounded at run time.  With Q[a, b] = q_ab and W =
+|X|^T Q |X|, each term of the rotated (ij|kl) is bounded by the matching
+term of W_ij W_kl; W' = |X'|^T Q' |X'|, with X' the kept entries of X and
+Q' the kept pairs, bounds the kept terms alike.  So no rotated entry moves
+by more than W_ij W_kl - W'_ij W'_kl <= 2 max W max(W - W'), one pass of
+m x m x k products.
 
-Dense.  The packed ERI is built from the factored integrals and unpacked
-once into the full symmetric P x P pair matrix, the first half-transform
-rotates the pair ij of every row in place, the matrix is transposed in
-place, and the second half rotates the pair kl of each row straight into
-the packed output.  Both halves read each block of pair rows as m x m
-matrices through one table of fixed offsets and rotate them with two flat
-GEMMs.
+Dense.  The first half-transform builds the AO pair integrals a block of
+pair rows kl at a time, against every pair ij, rotates ij and writes the
+rotated rows, transposed, into one K x P array, K = k (k + 1) / 2.  The
+second half rotates the pair kl of each row of that array straight into the
+packed output.  Both halves read each block of pair rows as m x m matrices
+through one table of fixed offsets and rotate them with two flat GEMMs.
 
 The rule: the screened path runs when its bound is within ``ERROR_BUDGET``
 and it keeps at most half of the AO pairs.  Orbitals that are not local
@@ -46,14 +44,13 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .eri import get_rows, packed_length, pair_orbitals, pair_table, put_rows, triangular
+from .eri import packed_length, pair_orbitals, pair_table, put_rows, triangular
 from .lattice import LatticeSpec, RawIntegrals, lattice_integrals
 
 
-#: Pair rows rotated per step of a half-transform, and the side of the tiles
-#: the pair matrix is mirrored and transposed in.  Each step makes two GEMM
-#: calls; fewer, larger calls keep the rotation fast when several processes
-#: share the cores with multithreaded BLAS.
+#: Pair rows built and rotated per step of a half-transform.  Each step makes
+#: two GEMM calls; fewer, larger calls keep the rotation fast when several
+#: processes share the cores with multithreaded BLAS.
 _ROTATE_BLOCK = 64
 
 #: The symmetric orthogonalizer refuses an overlap eigenvalue at or below
@@ -118,39 +115,6 @@ def _congruence(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
     return rotated.transpose(1, 0, 2)[:, first, second]
 
 
-def _unpack_pairs(packed: np.ndarray, full: np.ndarray) -> None:
-    """Fill ``full`` with the symmetric P x P pair matrix of a packed ERI:
-    copy its packed rows a block at a time, then mirror each block's entries
-    into the rows above it, tile by tile."""
-    size, block = len(full), _ROTATE_BLOCK
-    upper = ~np.tri(min(block, size), dtype=bool)
-    for start in range(0, size, block):
-        stop = min(start + block, size)
-        get_rows(packed, start, full[start:stop])
-        for col in range(0, start, block):
-            full[col : col + block, start:stop] = full[start:stop, col : col + block].T
-        tile = full[start:stop, start:stop]
-        np.copyto(tile, tile.T, where=upper[: stop - start, : stop - start])
-
-
-def _transpose_pairs(full: np.ndarray, kept: int) -> None:
-    """Transpose ``full[:, :kept]`` in place into ``full[:kept]``, tile by
-    tile: swap the tiles of the leading kept x kept square, then copy the
-    rows below it into the columns to its right."""
-    size, block = len(full), _ROTATE_BLOCK
-    for start in range(0, kept, block):
-        rows = slice(start, min(start + block, kept))
-        for col in range(0, start, block):
-            cols = slice(col, col + block)
-            upper = full[cols, rows].copy()
-            full[cols, rows] = full[rows, cols].T
-            full[rows, cols] = upper.T
-        full[rows, rows] = full[rows, rows].T.copy()
-    for start in range(kept, size, block):
-        rows = slice(start, min(start + block, size))
-        full[:kept, rows] = full[rows, :kept].T
-
-
 class _Screen(NamedTuple):
     """What the screened rotation keeps of ``eri`` and ``x``: the AO pairs S
     in pair order, X with the dropped entries set to 0, the MO pairs T in
@@ -207,7 +171,7 @@ def _rotate_screened(raw: RawIntegrals, screen: _Screen) -> np.ndarray:
     c = np.take(xa, i, axis=1) * np.take(xb, j, axis=1)
     c += np.take(xb, i, axis=1) * np.take(xa, j, axis=1)
     c[a == b] *= 0.5
-    gc = raw.pair_block(pairs) @ c
+    gc = raw.pair_block(pairs, pairs) @ c
     out = np.zeros(packed_length(k))
     for start in range(0, len(reached), _ROTATE_BLOCK):
         stop = min(start + _ROTATE_BLOCK, len(reached))
@@ -217,30 +181,29 @@ def _rotate_screened(raw: RawIntegrals, screen: _Screen) -> np.ndarray:
     return out
 
 
-def _rotate_dense(eri: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The packed rotated ERI by the two half-transforms in the full pair
-    matrix; see the module docstring."""
+def _rotate_dense(raw: RawIntegrals, x: np.ndarray) -> np.ndarray:
+    """The packed rotated ERI by the two half-transforms; see the module
+    docstring."""
     m, k = x.shape
-    # full[a, b] = (ij|kl) for a = pair(ij), b = pair(kl); offsets[p, r, q]
-    # is the flat position of pair(p, q) in row r of a block of rows
+    # offsets[p, r, q] is the flat position of pair(p, q) in row r of a
+    # block of pair rows
     size, kept = triangular(m), triangular(k)
-    full = np.empty((size, size))
-    _unpack_pairs(eri, full)
+    pairs = np.arange(size)
     offsets = np.arange(_ROTATE_BLOCK)[:, None] * size + pair_table(m)[:, None, :]
-    # the first half rotates pq in each row kl and writes the row back in
-    # place: full[kl, ij] = (ij|kl), rotated ij < kept
+    # the first half rotates pq in each row kl of AO integrals: half[ij, kl]
+    # = (ij|kl), rotated ij < kept
+    half = np.empty((kept, size))
     for start in range(0, size, _ROTATE_BLOCK):
-        rows = full[start : start + _ROTATE_BLOCK]
-        rows[:, :kept] = _congruence(np.take(rows, offsets[:, : len(rows)]), x)
-    # the second half rotates kl in each row ij of the transpose and packs
-    # straight into the output.  Row ij keeps (ij|kl) for pair(kl) <=
-    # pair(ij), so l <= j: a block whose last row has j = top - 1 needs only
-    # the first top columns of x
-    _transpose_pairs(full, kept)
+        rows = raw.pair_block(pairs[start : start + _ROTATE_BLOCK], pairs)
+        half[:, start : start + len(rows)] = _congruence(np.take(rows, offsets[:, : len(rows)]), x).T
+    # the second half rotates kl in each row ij and packs straight into the
+    # output.  Row ij keeps (ij|kl) for pair(kl) <= pair(ij), so l <= j: a
+    # block whose last row has j = top - 1 needs only the first top columns
+    # of x
     _, second = pair_orbitals(k)
     out = np.empty(packed_length(k))
     for start in range(0, kept, _ROTATE_BLOCK):
-        rows = full[start : min(start + _ROTATE_BLOCK, kept)]
+        rows = half[start : start + _ROTATE_BLOCK]
         top = second[start + len(rows) - 1] + 1
         mats = np.take(rows, offsets[:, : len(rows)])
         put_rows(out, start, _congruence(mats, x[:, :top]))
@@ -261,7 +224,7 @@ def rotate_integrals(raw: RawIntegrals, x: np.ndarray) -> Tuple[np.ndarray, np.n
     # FCIDUMP file does, so a dumped cell maps to the same coefficients
     h1 = np.tril(h1) + np.tril(h1, -1).T
     screen = _schwarz_screen(raw, x)
-    eri = _rotate_screened(raw, screen) if screen.applies else _rotate_dense(raw.packed_eri(), x)
+    eri = _rotate_screened(raw, screen) if screen.applies else _rotate_dense(raw, x)
     return h1, eri, raw.nuclear_repulsion
 
 

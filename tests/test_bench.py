@@ -52,6 +52,13 @@ def test_config_validation():
         small_config(rotation="qr")
     with pytest.raises(ValueError):
         small_config(mappings=("bravyi",))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="cutoff must be non-negative and finite"):
+            small_config(cutoff=bad)
+        with pytest.raises(ValueError, match="exponent must be positive and finite"):
+            small_config(exponents=(bad,))
+        with pytest.raises(ValueError, match="spacing must be positive and finite"):
+            small_config(spacing=bad)
 
 
 def test_basis_label_formatting():

@@ -192,11 +192,19 @@ def test_unknown_command_exits():
         # every cell of a grid is a valid lattice before any cell runs
         (["sweep", "--dim", "1", "--sizes", "2", "--exponents", "-1"], "exponent must be positive"),
         (["sweep", "--dim", "1", "--sizes", "2", "--spacing", "0"], "spacing must be positive"),
+        # non-finite numbers are errors, not an empty row
+        (["sweep", "--dim", "1", "--sizes", "2", "--exponents", "nan"], "exponent must be positive and finite"),
+        (["sweep", "--dim", "1", "--sizes", "2", "--exponents", "inf"], "exponent must be positive and finite"),
+        (["sweep", "--dim", "1", "--sizes", "2", "--exponents", "1.0", "--spacing", "nan"], "spacing must be positive and finite"),
+        (["sweep", "--dim", "1", "--sizes", "2", "--exponents", "1.0", "--cutoff", "nan"], "cutoff must be non-negative and finite"),
+        (["sweep", "--dim", "1", "--sizes", "2", "--exponents", "1.0", "--cutoff", "inf"], "cutoff must be non-negative and finite"),
+        (["transform", "one.fcidump", "--cutoff", "nan"], "cutoff must be non-negative and finite"),
     ],
 )
 def test_bad_input_prints_one_error_line(argv, message, tmp_path, monkeypatch, capsys):
     # a ValueError or OSError from a stage is one message and exit 2, as argparse's own errors
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "one.fcidump").write_text(dumps(IntegralFile(1, 2, np.ones((1, 1)), np.ones((1,) * 4))))
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

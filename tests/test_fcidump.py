@@ -74,6 +74,12 @@ def test_slash_header_terminator():
     assert loads(text).one_body[0, 0] == pytest.approx(1.0)
 
 
+def test_a_header_name_starts_with_a_letter():
+    # a number followed on the next line by '=' is NELEC's value, not a key
+    data = loads("&FCI NORB=1,NELEC= 2\n =\n&END\n 1.0 1 1 0 0\n")
+    assert data.num_electrons == 2 and data.num_orbitals == 1
+
+
 def test_conflicting_duplicate_raises_symmetry_error():
     for records in (
         " 0.5 1 2 0 0\n 0.6 2 1 0 0\n",

@@ -12,7 +12,7 @@ import pytest
 from scipy import integrate
 from scipy.special import erf
 
-from fermap.eri import pack_eri, packed_indices, tri_index, triangular, unpack_eri
+from fermap.eri import pack_eri, packed_indices, triangular, unpack_eri
 from fermap.lattice import (
     ANGSTROM_TO_BOHR,
     GeometryError,
@@ -22,6 +22,13 @@ from fermap.lattice import (
     compute_integrals,
     lattice_integrals,
 )
+
+
+def packed_eri(raw):
+    """The packed ERI: the lower triangle of the full pair block, row-major."""
+    every = np.arange(len(raw.kab))
+    return raw.pair_block(every, every)[np.tri(len(every), dtype=bool)]
+
 
 # --- independent reference: general-exponent s-Gaussian integrals -----------
 # Textbook closed forms parameterized by distinct exponents; exercised at
@@ -142,6 +149,11 @@ def test_lattice_spec_validation():
         LatticeSpec(1, 0, 1.0)
     with pytest.raises(ValueError):
         LatticeSpec(1, 2, -1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="exponent must be positive and finite"):
+            LatticeSpec(1, 2, bad)
+        with pytest.raises(ValueError, match="spacing must be positive and finite"):
+            LatticeSpec(1, 2, 1.0, spacing=bad)
 
 
 def test_coincident_centers_rejected():
@@ -190,7 +202,7 @@ def test_integrals_match_general_exponent_reference(alpha):
                 for c in range(m)
             )
             assert raw.core[i, j] == pytest.approx(kin + att, abs=1e-12)
-    eri = unpack_eri(raw.packed_eri(), m)
+    eri = unpack_eri(packed_eri(raw), m)
     for i, j, k, l in [(0, 0, 0, 0), (0, 1, 2, 0), (0, 1, 1, 2), (2, 2, 0, 1)]:
         assert eri[i, j, k, l] == pytest.approx(
             ref_eri(alpha, alpha, alpha, alpha, *(centers[x] for x in (i, j, k, l))),
@@ -218,7 +230,6 @@ def random_centers(m, seed):
 @pytest.mark.parametrize(
     "centers, alpha",
     [
-        # 625 pair-rows: more than one assembly block and a partial last one
         (build_lattice(LatticeSpec(2, 5, 1.0)), 1.0),
         (build_lattice(LatticeSpec(3, 2, 8.75)), 8.75),
         (random_centers(9, 0), 0.7),  # no two pair midpoints coincide
@@ -226,7 +237,7 @@ def random_centers(m, seed):
     ],
 )
 def test_eri_matches_dense_expression(centers, alpha):
-    eri = compute_integrals(centers, alpha).packed_eri()
+    eri = packed_eri(compute_integrals(centers, alpha))
     np.testing.assert_allclose(eri, pack_eri(dense_eri(centers, alpha)), rtol=1e-14, atol=0)
 
 
@@ -237,14 +248,13 @@ def test_eri_below_the_floor_is_stored_as_zero():
     dense = dense_eri(centers, 8.75)
     assert 0.0 < dense[0, 0, 0, 1] < 1e-200
     floored = pack_eri(np.where(dense < 1e-200, 0.0, dense))
-    np.testing.assert_allclose(compute_integrals(centers, 8.75).packed_eri(), floored, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(packed_eri(compute_integrals(centers, 8.75)), floored, rtol=1e-14, atol=0)
 
 
 def test_eri_is_bitwise_the_per_entry_formula():
     # on a grid of even integer centers every distance and pair midpoint is
     # exact in floating point, so each packed entry (ij|kl) must equal
-    # ((pref kab[ij]) kab[kl]) F0 to the bit, floored at 1e-200.  378 pair
-    # rows: more than one assembly block and a partial last one
+    # ((pref kab[ij]) kab[kl]) F0 to the bit, floored at 1e-200
     grid = np.meshgrid(*[np.arange(3.0)] * 3, indexing="ij")
     centers = 2.0 * np.stack(grid, axis=-1).reshape(-1, 3)
     alpha = 41.7
@@ -259,7 +269,7 @@ def test_eri_is_bitwise_the_per_entry_formula():
     expected = pref * kab_ij * kab_kl * boys_f0(alpha * np.sum(pq * pq, axis=1))
     assert ((0.0 < expected) & (expected < 1e-200)).any() and (expected > 1e-200).any()
     expected[expected < 1e-200] = 0.0
-    assert np.array_equal(compute_integrals(centers, alpha).packed_eri(), expected)
+    assert np.array_equal(packed_eri(compute_integrals(centers, alpha)), expected)
 
 
 #: 20 random centers, 210 AO pairs; at exponent 40 some far pairs' (ab|ab)
@@ -268,19 +278,24 @@ FACTORED_CASES = [(random_centers(20, 2), 1.3), (random_centers(20, 3), 40.0)]
 
 
 @pytest.mark.parametrize("centers, alpha", FACTORED_CASES)
-def test_pair_block_is_the_packed_gather(centers, alpha):
+def test_pair_block_is_symmetric_and_the_same_by_rows(centers, alpha):
+    # bitwise on both sides of the diagonal: the full block equals its
+    # transpose, and blocks of rows against every column equal its rows
     raw = compute_integrals(centers, alpha)
-    eri = raw.packed_eri()
-    pairs = np.sort(np.random.default_rng(4).choice(210, size=60, replace=False))
-    assert np.array_equal(raw.pair_block(pairs), eri[tri_index(pairs[:, None], pairs)])
     every = np.arange(210)
-    assert np.array_equal(raw.pair_block(every), eri[tri_index(every[:, None], every)])
+    full = raw.pair_block(every, every)
+    assert np.array_equal(full, full.T)
+    for start in range(0, 210, 64):
+        rows = every[start : start + 64]
+        assert np.array_equal(raw.pair_block(rows, every), full[rows])
+    pairs = np.sort(np.random.default_rng(4).choice(210, size=60, replace=False))
+    assert np.array_equal(raw.pair_block(pairs, pairs), full[np.ix_(pairs, pairs)])
 
 
 @pytest.mark.parametrize("centers, alpha", FACTORED_CASES)
 def test_schwarz_factors_are_the_packed_diagonal(centers, alpha):
     raw = compute_integrals(centers, alpha)
-    diagonal = raw.packed_eri()[triangular(np.arange(1, 211)) - 1]  # (ab|ab) ends packed row ab
+    diagonal = packed_eri(raw)[triangular(np.arange(1, 211)) - 1]  # (ab|ab) ends packed row ab
     assert (diagonal == 0.0).any() == (alpha == 40.0)
     assert np.array_equal(raw.schwarz_factors(), np.sqrt(diagonal))
 
@@ -307,7 +322,7 @@ def test_single_center_known_values():
     assert raw.core[0, 0] == pytest.approx(1.5 * alpha - 2.0 * np.sqrt(2 * alpha / np.pi))
     # on-site repulsion (ss|ss) = sqrt(2/pi) * 2 * sqrt(alpha) / sqrt(2) * ... check
     # against the general-exponent reference instead of a hand-derived constant
-    eri = raw.packed_eri()
+    eri = packed_eri(raw)
     assert eri.shape == (1,)
     assert eri[0] == pytest.approx(
         ref_eri(alpha, alpha, alpha, alpha, *([np.zeros(3)] * 4))
@@ -322,7 +337,7 @@ def test_eri_eightfold_symmetry():
     eri = dense_eri(build_lattice(spec), spec.exponent)
     for perm in [(1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]:
         assert np.allclose(eri, eri.transpose(perm), atol=1e-13)
-    np.testing.assert_allclose(unpack_eri(lattice_integrals(spec).packed_eri(), 3), eri, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(unpack_eri(packed_eri(lattice_integrals(spec)), 3), eri, rtol=1e-14, atol=0)
 
 
 def test_translation_invariance():
@@ -332,7 +347,7 @@ def test_translation_invariance():
     b = compute_integrals(centers + np.array([2.5, -1.0, 0.7]), alpha)
     assert np.allclose(a.overlap, b.overlap, atol=1e-12)
     assert np.allclose(a.core, b.core, atol=1e-12)
-    assert np.allclose(a.packed_eri(), b.packed_eri(), atol=1e-12)
+    assert np.allclose(packed_eri(a), packed_eri(b), atol=1e-12)
     assert a.nuclear_repulsion == pytest.approx(b.nuclear_repulsion)
 
 

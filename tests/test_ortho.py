@@ -113,7 +113,9 @@ def _orthogonalizer(raw, truncate):
 
 
 def _einsum_rotation(raw, x):
-    dense = unpack_eri(raw.packed_eri(), raw.num_orbitals)
+    every = np.arange(len(raw.kab))
+    packed = raw.pair_block(every, every)[np.tri(len(every), dtype=bool)]
+    dense = unpack_eri(packed, raw.num_orbitals)
     return np.einsum("pi,qj,rk,sl,pqrs->ijkl", x, x, x, x, dense, optimize=True)
 
 
@@ -197,12 +199,12 @@ def _rotation_peak(spec):
 
 
 def test_rotation_peak_memory_is_bounded_by_the_eri():
-    # dense path: the packed input and output take about m^4 bytes each,
-    # the full pair matrix both halves work in about 2 m^4 and the blocks
-    # are bounded.  One dense m^4 float64 temporary alone breaks the bound
+    # dense path: the packed output takes about m^4 bytes, the half-rotated
+    # K x P array about 2 m^4 and the blocks are bounded; no packed AO ERI is
+    # built.  One dense m^4 float64 temporary alone breaks the bound
     m, peak = _rotation_peak(LatticeSpec(3, 3, 3.0))
     assert m == 27
-    assert peak <= 1.0 * m**4 * 8
+    assert peak <= 0.8 * m**4 * 8
 
 
 def test_screened_rotation_peak_memory_is_bounded_by_the_output():
