@@ -8,6 +8,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -146,6 +147,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not 0 < args.tolerance < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     failures = 0
     lines = []
     if args.dim is not None:
@@ -179,6 +182,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if not 0 <= args.weight_tol < math.inf:
+        raise ValueError("weight-tol must be non-negative and finite")
     cfg = _sweep_config(args)
     rows = run_sweep(cfg)
     bases = [basis_label(e) for e in cfg.exponents]

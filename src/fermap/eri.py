@@ -57,14 +57,6 @@ def packed_pairs(positions: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return positions - triangular(b), b
 
 
-def put_rows(packed: np.ndarray, start: int, full: np.ndarray) -> None:
-    """Fill the packed rows ``start, start + 1, ...`` from full rows
-    ``full[r, a]``; the entries a > b of row b are left out."""
-    stop = start + len(full)
-    below = np.arange(stop) <= np.arange(start, stop)[:, None]
-    packed[triangular(start) : triangular(stop)] = full[:, :stop][below]
-
-
 def packed_indices(m: int, positions=None) -> Tuple[np.ndarray, ...]:
     """Orbitals (i, j, k, l) of the packed slots at ``positions`` (default:
     every slot, in packed order); i <= j, k <= l and pair(ij) <= pair(kl)."""

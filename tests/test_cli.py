@@ -199,6 +199,11 @@ def test_unknown_command_exits():
         (["sweep", "--dim", "1", "--sizes", "2", "--exponents", "1.0", "--cutoff", "nan"], "cutoff must be non-negative and finite"),
         (["sweep", "--dim", "1", "--sizes", "2", "--exponents", "1.0", "--cutoff", "inf"], "cutoff must be non-negative and finite"),
         (["transform", "one.fcidump", "--cutoff", "nan"], "cutoff must be non-negative and finite"),
+        # a tolerance that no check can pass is an error before any cell runs
+        (["compare", "--dim", "1", "--sizes", "2", "--exponents", "8.75", "--weight-tol", "nan"], "weight-tol must be non-negative and finite"),
+        (["compare", "--dim", "1", "--sizes", "2", "--exponents", "8.75", "--weight-tol", "-1"], "weight-tol must be non-negative and finite"),
+        (["verify", "--dim", "1", "--sizes", "2", "--exponents", "8.75", "--tolerance", "nan"], "tolerance must be positive and finite"),
+        (["verify", "--dim", "1", "--sizes", "2", "--exponents", "8.75", "--tolerance", "0"], "tolerance must be positive and finite"),
     ],
 )
 def test_bad_input_prints_one_error_line(argv, message, tmp_path, monkeypatch, capsys):

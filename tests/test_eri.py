@@ -11,7 +11,6 @@ from fermap.eri import (
     packed_indices,
     packed_length,
     packed_pairs,
-    put_rows,
     tri_index,
     unpack_eri,
 )
@@ -61,17 +60,6 @@ def test_packed_pairs_inverts_tri_index_at_scale():
     for row, col in [(a, b), (b, b), (np.zeros_like(b), b)]:
         back = packed_pairs(tri_index(row, col))
         assert np.array_equal(back[0], row) and np.array_equal(back[1], col)
-
-
-def test_put_rows_packs_the_lower_triangle_block_by_block():
-    size = 10  # the pairs of 4 orbitals, in blocks of 3 rows and a last one of 1
-    full = np.random.default_rng(0).normal(size=(size, size))
-    packed = np.full(size * (size + 1) // 2, np.nan)
-    for start in range(0, size, 3):
-        put_rows(packed, start, full[start : start + 3])
-    lower = np.tri(size, dtype=bool)
-    assert np.array_equal(packed, full[lower])  # row-major: packed position b (b + 1) / 2 + a
-    assert np.array_equal(packed[tri_index(*np.nonzero(lower))], full[lower])
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])

@@ -12,6 +12,7 @@ from fermap.jw import jw_transform_terms
 from fermap.lattice import LatticeSpec, lattice_integrals
 from fermap.oracle import dense_matrix
 from fermap.ortho import (
+    ERROR_BUDGET,
     EmptyBasisError,
     NearLinearDependenceError,
     _rotate_screened,
@@ -125,7 +126,7 @@ def _einsum_rotation(raw, x):
         pytest.param(LatticeSpec(1, 1, 1.0), False, id="m1"),  # one pair
         pytest.param(LatticeSpec(2, 3, 1.0), False, id="False"),
         pytest.param(LatticeSpec(2, 3, 1.0), True, id="True"),
-        # 378 pairs: several blocks of 64 pair rows and a partial last one
+        # 378 MO pairs reached: several blocks of 64 rows of T and a partial last one
         pytest.param(LatticeSpec(3, 3, 3.0), False, id="3d-False"),
         pytest.param(LatticeSpec(3, 3, 1.0), True, id="3d-True"),
     ],
@@ -133,10 +134,12 @@ def _einsum_rotation(raw, x):
 def test_rotate_integrals_matches_einsum(spec, truncate):
     raw = lattice_integrals(spec)
     x = _orthogonalizer(raw, truncate)
-    assert not _schwarz_screen(raw, x).applies  # these cells check the dense path
+    bound = _schwarz_screen(raw, x).bound
     h1, eri, constant = rotate_integrals(raw, x)
     k = x.shape[1]
-    np.testing.assert_allclose(unpack_eri(eri, k), _einsum_rotation(raw, x), rtol=0, atol=1e-14)
+    # what the screen drops, plus rounding: 1e-14 where the bound is 0
+    deviation = np.abs(unpack_eri(eri, k) - _einsum_rotation(raw, x)).max()
+    assert deviation <= bound + 1e-14
     np.testing.assert_allclose(h1, x.T @ raw.core @ x, rtol=0, atol=1e-14)
     assert np.array_equal(h1, h1.T)  # bitwise, as an FCIDUMP file's triangle reads back
     assert constant == raw.nuclear_repulsion
@@ -146,44 +149,57 @@ def test_rotation_does_not_depend_on_the_block_size(monkeypatch):
     raw = lattice_integrals(LatticeSpec(2, 3, 1.0))
     x = canonical_orthogonalizer(raw.overlap)[:, raw.num_orbitals // 2 :]  # truncated: k < m
     _, whole, _ = rotate_integrals(raw, x)
-    monkeypatch.setattr("fermap.ortho._ROTATE_BLOCK", 7)  # 45 pair rows, 7 at a time
+    monkeypatch.setattr("fermap.ortho._ROTATE_BLOCK", 7)  # 15 rows of T, 7 at a time
     np.testing.assert_allclose(rotate_integrals(raw, x)[1], whole, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("truncate", [False, True])
 def test_screened_rotation_matches_einsum_within_its_bound(truncate):
-    # m = 27 with tight orbitals: the screen keeps 81 of 378 AO pairs.  The
-    # canonical orbitals are delocalized, so the truncated case keeps every
-    # MO pair and its bound, 1.1e-12, sends it to the dense path; the
-    # screened path is called directly to check it all the same
+    # m = 27 with tight orbitals: the symmetric orbitals are local, and the
+    # screen 1e-8 keeps 81 of 378 AO pairs; the canonical ones are
+    # delocalized, and only the screen 1e-14 brings the bound within budget
     raw = lattice_integrals(LatticeSpec(3, 3, 8.75))
     x = _orthogonalizer(raw, truncate)
     screen = _schwarz_screen(raw, x)
+    assert screen.pair_screen == pytest.approx(1e-14 if truncate else 1e-8, rel=1e-12)
     eri = _rotate_screened(raw, screen)
     deviation = np.abs(unpack_eri(eri, x.shape[1]) - _einsum_rotation(raw, x)).max()
-    assert deviation <= 1e-12
-    assert screen.bound >= deviation
-    if not truncate:  # the path rule picks it, and rotate_integrals returns it
-        assert screen.applies
-        assert np.array_equal(rotate_integrals(raw, x)[1], eri)
+    assert deviation <= screen.bound + 1e-14  # what the screen drops, plus rounding
+    assert np.array_equal(rotate_integrals(raw, x)[1], eri)
 
 
 @pytest.mark.parametrize(
-    "spec, screened",
+    "spec, pair_screen",
     [
-        pytest.param(LatticeSpec(3, 4, 8.75), True, id="d3-s4-a8.75"),
-        pytest.param(LatticeSpec(3, 3, 8.75), True, id="d3-s3-a8.75"),
-        # bound over the budget: 2.5e-10, 1.9e-9 and 1.9e-9
-        pytest.param(LatticeSpec(2, 4, 1.0), False, id="d2-s4-a1.00"),
-        pytest.param(LatticeSpec(3, 4, 3.0), False, id="d3-s4-a3.00"),
-        pytest.param(LatticeSpec(3, 3, 3.0), False, id="d3-s3-a3.00"),
-        # bound 2.7e-13, within the budget, but 20 of 36 AO pairs kept
-        pytest.param(LatticeSpec(3, 2, 8.75), False, id="d3-s2-a8.75"),
+        pytest.param(LatticeSpec(3, 4, 8.75), 1e-8, id="d3-s4-a8.75"),
+        pytest.param(LatticeSpec(3, 3, 8.75), 1e-8, id="d3-s3-a8.75"),
+        pytest.param(LatticeSpec(3, 2, 8.75), 1e-8, id="d3-s2-a8.75"),
+        pytest.param(LatticeSpec(1, 10, 3.0), 1e-10, id="d1-s10-a3.00"),
+        pytest.param(LatticeSpec(2, 4, 1.0), 1e-12, id="d2-s4-a1.00"),
+        pytest.param(LatticeSpec(3, 4, 3.0), 1e-12, id="d3-s4-a3.00"),
+        pytest.param(LatticeSpec(3, 3, 3.0), 1e-12, id="d3-s3-a3.00"),
+        pytest.param(LatticeSpec(1, 10, 1.0), 1e-14, id="d1-s10-a1.00"),
     ],
 )
-def test_the_path_rule_screens_only_local_cells(spec, screened):
+def test_each_cell_gets_the_loosest_pair_screen_within_the_budget(spec, pair_screen):
     raw = lattice_integrals(spec)
-    assert _schwarz_screen(raw, symmetric_orthogonalizer(raw.overlap)).applies == screened
+    screen = _schwarz_screen(raw, symmetric_orthogonalizer(raw.overlap))
+    assert screen.pair_screen == pytest.approx(pair_screen, rel=1e-12)
+    assert screen.bound <= ERROR_BUDGET
+
+
+def test_no_pair_screen_within_the_budget_keeps_everything(monkeypatch):
+    # with no room for error every screen that drops an entry of X fails, so
+    # every AO pair, every entry of X and every MO pair is kept
+    raw = lattice_integrals(LatticeSpec(3, 3, 8.75))
+    x = symmetric_orthogonalizer(raw.overlap)
+    monkeypatch.setattr("fermap.ortho.ERROR_BUDGET", 0.0)
+    screen = _schwarz_screen(raw, x)
+    assert (screen.pair_screen, screen.bound) == (0.0, 0.0)
+    assert len(screen.pairs) == len(screen.reached) == 378
+    assert np.array_equal(screen.x, x)
+    eri = rotate_integrals(raw, x)[1]
+    np.testing.assert_allclose(unpack_eri(eri, 27), _einsum_rotation(raw, x), rtol=0, atol=1e-14)
 
 
 def _rotation_peak(spec):
@@ -199,18 +215,19 @@ def _rotation_peak(spec):
 
 
 def test_rotation_peak_memory_is_bounded_by_the_eri():
-    # dense path: the packed output takes about m^4 bytes, the half-rotated
-    # K x P array about 2 m^4 and the blocks are bounded; no packed AO ERI is
-    # built.  One dense m^4 float64 temporary alone breaks the bound
+    # m = 27 at the screen 1e-12, which keeps 284 of 378 AO pairs: the packed
+    # output takes about m^4 bytes, and G_SS, C_ST and G_SS C_ST 1.2-1.6 m^4
+    # each; no packed AO ERI is built.  One dense m^4 float64 temporary alone
+    # breaks the bound
     m, peak = _rotation_peak(LatticeSpec(3, 3, 3.0))
     assert m == 27
     assert peak <= 0.8 * m**4 * 8
 
 
 def test_screened_rotation_peak_memory_is_bounded_by_the_output():
-    # screened path, m = 64: the packed output, about m^4 bytes, and blocks
-    # of the kept pairs; the P x P pair matrix alone, about 2.1 m^4 bytes,
-    # breaks the bound
+    # m = 64 at the screen 1e-8: the packed output, about m^4 bytes, and the
+    # matrices of the 208 kept pairs; the P x P pair matrix alone, about
+    # 2.1 m^4 bytes, breaks the bound
     m, peak = _rotation_peak(LatticeSpec(3, 4, 8.75))
     assert m == 64
     assert peak <= 0.2 * m**4 * 8
