@@ -14,7 +14,7 @@ from .bench import (
     run_cell,
     run_sweep,
 )
-from .eri import pack_eri, unpack_eri
+from .eri import Survivors, pack_eri, unpack_eri
 from .fermion import (
     ClassifiedTerm,
     ClassifiedTerms,

@@ -19,8 +19,6 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -177,7 +175,10 @@ def run_sweep(cfg: SweepConfig) -> List[SweepRow]:
     if cfg.jobs > 1 and len(keys) > 1:
         # a forked pool starts all its workers at the first submit, and each
         # inherits the BLAS thread count: one thread per core in every worker
-        # would oversubscribe the cores
+        # would oversubscribe the cores.  The pool's modules load only here:
+        # they took a third of ``import fermap``
+        from concurrent.futures import ProcessPoolExecutor
+
         workers = min(cfg.jobs, len(keys))
         threads = max(1, (os.cpu_count() or 1) // workers)
         with _blas_threads(threads), ProcessPoolExecutor(max_workers=workers) as pool:
@@ -189,6 +190,8 @@ def run_sweep(cfg: SweepConfig) -> List[SweepRow]:
 def _result_or_error_row(future, key) -> SweepRow:
     """A worker that dies (say, killed for memory) breaks the pool and every
     cell it had not finished; those cells get error rows."""
+    from concurrent.futures.process import BrokenProcessPool
+
     try:
         return future.result()
     except BrokenProcessPool as exc:

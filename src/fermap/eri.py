@@ -7,11 +7,14 @@ array holds ``(ij|kl)`` for ``a = pair(ij) <= b = pair(kl)`` at position
 ``b (b + 1) / 2 + a``: a 1-D array of length P (P + 1) / 2 whose packed row
 ``b`` (positions ``b (b + 1) / 2`` onwards, ``b + 1`` of them) is the lower
 triangle of the P x P pair matrix.
+
+``Survivors`` holds only the entries of such an array that reach a
+threshold, by packed position.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -97,3 +100,35 @@ def unpack_eri(packed: np.ndarray, m: int) -> np.ndarray:
         raise ValueError(f"a packed ERI of {m} orbitals has {packed_length(m)} entries")
     table = pair_table(m).reshape(-1)
     return packed[tri_index(table[:, None], table)].reshape((m,) * 4)
+
+
+class Survivors(NamedTuple):
+    """The entries of a packed ERI that reach a threshold: packed
+    ``positions``, strictly ascending, and their ``values``; every other slot
+    reads as 0."""
+
+    positions: np.ndarray
+    values: np.ndarray
+
+    def checked(self, m: int) -> "Survivors":
+        """These entries as int64 positions and float64 values, checked to be
+        a packed ERI of m orbitals; ValueError otherwise."""
+        positions, values = np.asarray(self.positions), np.asarray(self.values)
+        if positions.ndim != 1 or positions.dtype.kind not in "iu":
+            raise ValueError("survivor positions must be a 1-D array of integers")
+        if values.shape != positions.shape:
+            raise ValueError(f"{values.size} survivor values for {positions.size} positions")
+        if np.any(positions[1:] <= positions[:-1]):
+            raise ValueError("survivor positions must be strictly ascending")
+        last = packed_length(m) - 1
+        if len(positions) and not 0 <= positions[0] <= positions[-1] <= last:
+            raise ValueError(f"a packed ERI of {m} orbitals has positions 0 to {last}")
+        if values.dtype.kind not in "iuf" or not np.isfinite(values).all():
+            raise ValueError("survivor values must be finite real numbers")
+        return Survivors(positions.astype(np.int64, copy=False), values.astype(float, copy=False))
+
+    def packed(self, m: int) -> np.ndarray:
+        """The packed ERI of m orbitals that holds these entries."""
+        out = np.zeros(packed_length(m))
+        out[self.positions] = self.values
+        return out

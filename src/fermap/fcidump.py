@@ -34,8 +34,8 @@ class FcidumpSymmetryError(ValueError):
 class IntegralFile:
     """In-memory image of an integral file (spatial orbitals).  The integrals
     go through ``from_spatial_integrals``'s input check: ``one_body`` must be
-    symmetric, and ``eri`` is pair-packed, or dense and 8-fold symmetric (then
-    packed)."""
+    symmetric, and ``eri`` is pair-packed, survivors (then scattered into a
+    packed array), or dense and 8-fold symmetric (then packed)."""
 
     num_orbitals: int
     num_electrons: int

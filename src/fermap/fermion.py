@@ -10,8 +10,9 @@ A Hamiltonian is held as its spatial integrals only: the one-body matrix
 
 over the blocked modes of ``blocked_modes``; ``classify_spatial`` expands it
 entry by entry into canonical self-adjoint terms, with no spin-orbital tensor
-and no temporary the size of the packed ERI: it scans the packed entries a
-block at a time for those that pass the cutoff.
+and no temporary the size of the packed ERI: it reads the ERI's survivors
+(``fermap.eri.Survivors``) as they are, and scans a packed ERI a block at a
+time for the entries that pass the cutoff.
 ``map_terms`` maps those terms to qubits under any encoding that says how it
 writes n_j, a hop and a double excitation.
 """
@@ -21,11 +22,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Tuple
+from typing import Callable, Dict, Iterator, Tuple, Union
 
 import numpy as np
 
-from .eri import orbit_keys, pack_eri, packed_indices, packed_length
+from .eri import Survivors, orbit_keys, pack_eri, packed_indices, packed_length
 from .pauli import NonHermitianError, Packed, PauliOperatorSum, half_one_minus, outer, simplify
 
 SYMMETRY_ATOL = 1e-10
@@ -107,15 +108,18 @@ def blocked_modes(num_modes: int) -> Tuple[np.ndarray, np.ndarray]:
     return np.arange(num_modes) - m * spin, spin
 
 
-def _checked_integrals(h1_spatial, eri_chemist) -> Tuple[np.ndarray, np.ndarray]:
-    """The one-body matrix, checked to be square and symmetric, and the
-    pair-packed ERI of its ``m`` orbitals.  A dense ``[m, m, m, m]`` ERI is
-    checked for 8-fold symmetry, since packing keeps one slot per orbit, and
-    packed; a packed one must have ``packed_length(m)`` entries."""
+def _checked_integrals(h1_spatial, eri_chemist) -> Tuple[np.ndarray, Union[np.ndarray, Survivors]]:
+    """The one-body matrix, checked to be square and symmetric, and the ERI
+    of its ``m`` orbitals, pair-packed or as survivors.  Survivors are checked
+    by ``Survivors.checked``.  A dense ``[m, m, m, m]`` ERI is checked for
+    8-fold symmetry, since packing keeps one slot per orbit, and packed; a
+    packed one must have ``packed_length(m)`` entries."""
     h1 = np.asarray(h1_spatial, dtype=float)
     m = len(h1) if h1.ndim else 0
     if h1.shape != (m, m) or np.abs(h1 - h1.T).max(initial=0.0) > SYMMETRY_ATOL:
         raise ValueError("spatial one-body matrix must be square and symmetric")
+    if isinstance(eri_chemist, Survivors):
+        return h1, eri_chemist.checked(m)
     eri = np.asarray(eri_chemist, dtype=float)
     if eri.ndim == 4:
         if eri.shape != (m,) * 4:
@@ -131,14 +135,17 @@ def _checked_integrals(h1_spatial, eri_chemist) -> Tuple[np.ndarray, np.ndarray]
 
 def from_spatial_integrals(
     h1_spatial: np.ndarray,
-    eri_chemist: np.ndarray,
+    eri_chemist: Union[np.ndarray, Survivors],
     constant: float = 0.0,
 ) -> FermionHamiltonian:
     """The Hamiltonian of checked spatial integrals.  ``eri_chemist`` holds
     the chemist-notation integrals (ij|kl), either dense,
-    ``eri_chemist[i,j,k,l]``, or pair-packed (``fermap.eri``); it is stored
-    packed."""
-    return FermionHamiltonian(*_checked_integrals(h1_spatial, eri_chemist), float(constant))
+    ``eri_chemist[i,j,k,l]``, pair-packed or as survivors (``fermap.eri``);
+    it is stored packed."""
+    h1, eri = _checked_integrals(h1_spatial, eri_chemist)
+    if isinstance(eri, Survivors):
+        eri = eri.packed(len(h1))
+    return FermionHamiltonian(h1, eri, float(constant))
 
 
 def _summed(parts: list, num_modes: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -196,29 +203,33 @@ def _canonical_terms(one, two, num_modes: int) -> ClassifiedTerms:
     return ClassifiedTerms({kind: _summed(parts, num_modes) for kind, parts in raw.items()})
 
 
-def _at_least(values: np.ndarray, threshold: float) -> np.ndarray:
-    """The positions where ``|values| >= threshold``, ascending, scanned a
-    block at a time."""
-    return np.concatenate(
+def _at_least(eri: Union[np.ndarray, Survivors], threshold: float) -> Survivors:
+    """The entries of a packed ERI or survivors with ``|value| >=
+    threshold``; a packed ERI is scanned a block at a time."""
+    if isinstance(eri, Survivors):
+        keep = np.abs(eri.values) >= threshold
+        return Survivors(eri.positions[keep], eri.values[keep])
+    kept = np.concatenate(
         [np.empty(0, dtype=np.intp)]
         + [
-            start + np.flatnonzero(np.abs(values[start : start + _SCAN_BLOCK]) >= threshold)
-            for start in range(0, len(values), _SCAN_BLOCK)
+            start + np.flatnonzero(np.abs(eri[start : start + _SCAN_BLOCK]) >= threshold)
+            for start in range(0, len(eri), _SCAN_BLOCK)
         ]
     )
+    return Survivors(kept, eri[kept])
 
 
 def classify_spatial(
     h1_spatial: np.ndarray,
-    eri_chemist: np.ndarray,
+    eri_chemist: Union[np.ndarray, Survivors],
     cutoff: float = 0.0,
 ) -> ClassifiedTerms:
     """Classify spatial integrals into canonical terms, expanding each
     integral over its spins without materializing spin-orbital tensors.
     The inputs are checked as by ``from_spatial_integrals``: ``h1_spatial``
-    must be symmetric, and ``eri_chemist`` is pair-packed (``fermap.eri``) or
-    dense; a dense one must be 8-fold symmetric and is packed first, so both
-    forms classify alike.
+    must be symmetric, and ``eri_chemist`` is survivors, pair-packed
+    (``fermap.eri``) or dense; a dense one must be 8-fold symmetric and is
+    packed first, so every form classifies alike.
 
     The cutoff is applied to the spin-orbital entries: a one-body integral
     survives when ``|h_ij| >= cutoff`` and, since each two-body entry is
@@ -240,8 +251,8 @@ def classify_spatial(
     # every packed entry that passes stands for its distinct symmetric copies,
     # taken in lexicographic (i, j, k, l) order as a dense scan would find them
     kept = _at_least(eri, 2.0 * floor)
-    keys, first = np.unique(orbit_keys(*packed_indices(m, kept), m), return_index=True)
-    values = eri[kept[first // 8]]
+    keys, first = np.unique(orbit_keys(*packed_indices(m, kept.positions), m), return_index=True)
+    values = kept.values[first // 8]
     i, j, k, l = np.unravel_index(keys, (m,) * 4)
     # (ij|kl) feeds h[p,q,r,s] = (ij|kl)/2 at p~i, s~j (spin s1), q~k, r~l (spin s2)
     shape = (len(i), 2, 2)

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .eri import packed_length
+from .eri import Survivors, packed_length
 from .fermion import classify_spatial
 from .jw import jw_transform_terms
 from .pauli import PauliOperatorSum, coefficient_l1_norm
@@ -46,8 +46,8 @@ def report(s: PauliOperatorSum, label: str) -> ResourceReport:
 
 
 def map_integrals(
-    h1: np.ndarray, eri: np.ndarray, cutoff: float, mappings: Sequence[str] = ("jw", "ose"),
-    constant: float = 0.0, label: str = "",
+    h1: np.ndarray, eri: Union[np.ndarray, Survivors], cutoff: float,
+    mappings: Sequence[str] = ("jw", "ose"), constant: float = 0.0, label: str = "",
 ) -> Dict[str, ResourceReport]:
     """The mapping stage every caller runs on spatial integrals: check and
     classify them at ``cutoff`` (``classify_spatial``), map with each

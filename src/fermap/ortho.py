@@ -12,22 +12,32 @@ By the Schwarz bound |(ab|cd)| <= q_ab q_cd, q_ab = sqrt((ab|ab)) read from
 the factored integrals (Haeser & Ahlrichs, J. Comput. Chem. 10, 104 (1989)),
 an AO pair with q_ab q_max below a pair screen takes part in no integral that
 reaches it; the screen keeps the other AO pairs, S, and the entries of X at
-or above ``ORBITAL_SCREEN``.  T is the set of MO pairs that the kept pair
-transform reaches.  G_SS is built for the kept pairs alone, C_ST^T G_SS C_ST
-is formed with dense GEMMs and its lower triangle scattered into the packed
-output, and every entry outside T x T is exactly 0.  What is dropped is
-bounded at run time.  With Q[a, b] = q_ab and W = |X|^T Q |X|, each term of
-the rotated (ij|kl) is bounded by the matching term of W_ij W_kl; W' =
-|X'|^T Q' |X'|, with X' the kept entries of X and Q' the kept pairs, bounds
-the kept terms alike.  So no rotated entry moves by more than W_ij W_kl -
-W'_ij W'_kl <= 2 max W max(W - W'), one pass of m x m x k products.
+or above ``ORBITAL_SCREEN``.  What is dropped is bounded at run time.  With
+Q[a, b] = q_ab and W = |X|^T Q |X|, each term of the rotated (ij|kl) is
+bounded by the matching term of W_ij W_kl; W' = |X'|^T Q' |X'|, with X' the
+kept entries of X and Q' the kept pairs, bounds the kept terms alike.  So no
+rotated entry moves by more than W_ij W_kl - W'_ij W'_kl <= 2 max W
+max(W - W'), one pass of m x m x k products.
 
-The pair screen comes from ``ERROR_BUDGET``: the screens ``ERROR_BUDGET``
-times 1e4, 1e2, 1 and 1e-2 are tried, loosest first, and the first whose
-bound is within the budget is kept.  Orbitals local enough pass at the first
-try; where none passes, every AO pair and every entry of X is kept and the
-bound is 0.  The choice depends on the integrals and X alone.  Under
-``--cutoff 0`` rotated entries below the budget may read as exact zeros.
+``ERROR_BUDGET`` is split between the pair screen and a floor on the entries
+the rotation returns:
+
+- The pair screen: the screens ``ERROR_BUDGET`` times 1e4, 1e2, 1 and 1e-2
+  are tried, loosest first, and the first whose bound is within the budget
+  is kept.  Orbitals local enough pass at the first try; where none passes,
+  every AO pair and every entry of X is kept and the bound is 0.
+- The floor, ``ERROR_BUDGET`` minus that bound.  Every kept-term entry obeys
+  |(ij|kl)| <= W'_ij W'_kl, so an MO pair t with W'_t max W' below half the
+  floor takes part in no entry that reaches it (the half absorbs rounding in
+  W').  G_SS is built for the kept AO pairs alone, C_SR^T G_SS C_SR is formed
+  with dense GEMMs for the remaining MO pairs, R, alone, and of its lower
+  triangle only the entries at or above the floor leave the rotation, as
+  ``fermap.eri.Survivors``.
+
+So no returned entry, and no entry left out, moves by more than the bound
+plus the floor, ``ERROR_BUDGET``.  Both choices depend on the integrals and X
+alone.  Under ``--cutoff 0`` rotated entries below the budget read as exact
+zeros.
 """
 
 from __future__ import annotations
@@ -36,12 +46,12 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .eri import packed_length, pair_orbitals, pair_table, triangular
+from .eri import Survivors, pair_orbitals, pair_table, triangular
 from .lattice import LatticeSpec, RawIntegrals, lattice_integrals
 
 
-#: Rows of T formed and scattered into the packed output per step, so each
-#: step's product and masks hold at most this many rows of |T| entries.
+#: Rows of R formed per step, so each step's product and masks hold at most
+#: this many rows of |R| entries.
 _ROTATE_BLOCK = 64
 
 #: The symmetric orthogonalizer refuses an overlap eigenvalue at or below
@@ -51,7 +61,7 @@ TRUNCATION_TAU = 1e-8
 
 #: Hartree.  The rotation's bound on the change of any rotated entry is
 #: within this, five orders below the 2e-7 that a two-body entry must reach
-#: at the default cutoff; it sets the pair screen.
+#: at the default cutoff; it sets the pair screen and the floor.
 ERROR_BUDGET = 1e-12
 #: An entry of X below this leaves the rotation when a pair screen is kept.
 #: It sits below the budget because what a dropped entry leaves out is scaled
@@ -94,24 +104,37 @@ def canonical_orthogonalizer(overlap: np.ndarray) -> np.ndarray:
 class _Screen(NamedTuple):
     """What the rotation keeps of ``eri`` and ``x``: the pair screen, 0 when
     it keeps everything, the AO pairs S in pair order, X with the dropped
-    entries set to 0, the MO pairs T in pair order, and the bound on the
-    change of any rotated entry."""
+    entries set to 0, the MO pairs R it forms in pair order, the bound on
+    what the pair screen drops, and the floor of the entries it returns."""
 
     pair_screen: float
     pairs: np.ndarray
     x: np.ndarray
-    reached: np.ndarray
+    rows: np.ndarray
     bound: float
+    floor: float
+
+
+def _screen(
+    pair_screen: float, pairs: np.ndarray, x: np.ndarray, reach: np.ndarray, bound: float
+) -> _Screen:
+    """The screen of a pair screen and its bound, with the MO pairs R whose
+    ``reach`` W' can take part in an entry at the floor."""
+    floor = ERROR_BUDGET - bound
+    first, second = pair_orbitals(x.shape[1])
+    w = reach[first, second]
+    rows = np.flatnonzero(w * w.max() >= 0.5 * floor)
+    return _Screen(float(pair_screen), pairs, x, rows, bound, floor)
 
 
 def _schwarz_screen(raw: RawIntegrals, x: np.ndarray) -> _Screen:
     """The screen of raw integrals and an m x k orthogonalizer: the loosest
     pair screen of the ladder whose bound is within ``ERROR_BUDGET``, else
-    everything; see the module docstring.  No array is larger than m x m."""
-    m, k = x.shape
+    everything, and the MO pairs that reach the floor; see the module
+    docstring.  No array is larger than m x m."""
     q = raw.schwarz_factors()
     largest = q * q.max()  # the largest integral each AO pair takes part in
-    table = pair_table(m)
+    table = pair_table(len(x))
     full_q = q[table]
     a = np.abs(x)
     kept = a >= ORBITAL_SCREEN
@@ -125,48 +148,48 @@ def _schwarz_screen(raw: RawIntegrals, x: np.ndarray) -> _Screen:
             continue
         previous = len(pairs)
         kept_q = np.where(keep, q, 0.0)[table]
-        # W' > 0 exactly at the MO pairs the kept transform reaches.  W - W'
-        # is summed from the dropped terms, so no difference of near-equal
-        # sums loses it: |X|^T (Q - Q') |X| plus the terms with a dropped X
-        # entry, which D^T Q' |X| and its transpose bound, D = |X| - |X'|
+        # W - W' is summed from the dropped terms, so no difference of
+        # near-equal sums loses it: |X|^T (Q - Q') |X| plus the terms with a
+        # dropped X entry, which D^T Q' |X| and its transpose bound,
+        # D = |X| - |X'|
         reach = kept_a.T @ kept_q @ kept_a
         cross = lost_a.T @ (kept_q @ a)
         dropped = a.T @ (full_q - kept_q) @ a + cross + cross.T
         bound = 2.0 * float((reach + dropped).max() * dropped.max())
         if bound <= ERROR_BUDGET:
-            first, second = pair_orbitals(k)
-            reached = np.flatnonzero(reach[first, second] > 0)
-            return _Screen(float(pair_screen), pairs, np.where(kept, x, 0.0), reached, bound)
-    return _Screen(0.0, np.arange(len(q)), x, np.arange(triangular(k)), 0.0)
+            return _screen(pair_screen, pairs, np.where(kept, x, 0.0), reach, bound)
+    return _screen(0.0, np.arange(len(q)), x, a.T @ full_q @ a, 0.0)
 
 
-def _rotate_screened(raw: RawIntegrals, screen: _Screen) -> np.ndarray:
-    """The packed rotated ERI from the kept AO pairs and entries of X: C_ST^T
-    G_SS C_ST a block of rows of T at a time, each block only up to its
-    diagonal, scattered into an output that is 0 elsewhere."""
-    x, pairs, reached = screen.x, screen.pairs, screen.reached
+def _rotate_screened(raw: RawIntegrals, screen: _Screen) -> Survivors:
+    """The rotated ERI's entries at or above the floor, from the kept AO
+    pairs and entries of X: C_SR^T G_SS C_SR a block of rows of R at a time,
+    each block only up to its diagonal."""
+    x, pairs, rows = screen.x, screen.pairs, screen.rows
     m, k = x.shape
     a, b = (orbital[pairs] for orbital in pair_orbitals(m))
-    i, j = (orbital[reached] for orbital in pair_orbitals(k))
+    i, j = (orbital[rows] for orbital in pair_orbitals(k))
     xa, xb = x[a], x[b]
     c = np.take(xa, i, axis=1) * np.take(xb, j, axis=1)
     c += np.take(xb, i, axis=1) * np.take(xa, j, axis=1)
     c[a == b] *= 0.5
     gc = raw.pair_block(pairs, pairs) @ c
-    out = np.zeros(packed_length(k))
-    for start in range(0, len(reached), _ROTATE_BLOCK):
-        stop = min(start + _ROTATE_BLOCK, len(reached))
-        below = np.arange(stop) <= np.arange(start, stop)[:, None]
-        positions = triangular(reached[start:stop])[:, None] + reached[:stop]
-        out[positions[below]] = (c[:, start:stop].T @ gc[:, :stop])[below]
-    return out
+    positions, values = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    for start in range(0, len(rows), _ROTATE_BLOCK):
+        stop = min(start + _ROTATE_BLOCK, len(rows))
+        block = c[:, start:stop].T @ gc[:, :stop]
+        keep = (np.abs(block) >= screen.floor) & (np.arange(stop) <= np.arange(start, stop)[:, None])
+        positions.append((triangular(rows[start:stop])[:, None] + rows[:stop])[keep])
+        values.append(block[keep])
+    return Survivors(np.concatenate(positions), np.concatenate(values))
 
 
-def rotate_integrals(raw: RawIntegrals, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Rotated (one_body, packed eri, constant) in the basis of the columns
-    of the m x k orthogonalizer ``x``; the overlap becomes the identity and
-    one_body is exactly symmetric.  The packed ERI has k orbitals and moves
-    by at most the screen's bound, within ``ERROR_BUDGET``."""
+def rotate_integrals(raw: RawIntegrals, x: np.ndarray) -> Tuple[np.ndarray, Survivors, float]:
+    """Rotated (one_body, eri, constant) in the basis of the columns of the
+    m x k orthogonalizer ``x``; the overlap becomes the identity and one_body
+    is exactly symmetric.  The ERI of k orbitals comes as the survivors of
+    the screen's floor; no entry, returned or left out, moves by more than
+    ``ERROR_BUDGET``."""
     m, k = x.shape
     if m != raw.num_orbitals:
         raise ValueError("orthogonalizer dimension mismatch")
@@ -179,7 +202,7 @@ def rotate_integrals(raw: RawIntegrals, x: np.ndarray) -> Tuple[np.ndarray, np.n
 
 def orthonormal_integrals(
     spec: LatticeSpec, rotation: str = "aos"
-) -> Tuple[np.ndarray, np.ndarray, float]:
+) -> Tuple[np.ndarray, Survivors, float]:
     """The integrals stage: a lattice's (one_body, eri, constant) in the
     symmetric (``rotation="aos"``) or else the canonical orthonormal basis."""
     raw = lattice_integrals(spec)

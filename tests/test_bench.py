@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+import tracemalloc
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from fermap.bench import (
     rows_to_json,
 )
 from fermap.cli import main as cli_main
+from fermap.eri import packed_length
 
 
 def small_config(**overrides):
@@ -115,7 +117,7 @@ def test_run_sweep_starts_no_more_workers_than_cells(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(bench, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
     rows = run_sweep(small_config(sizes=(2, 4), jobs=64))
     assert asked == [2]
     assert rows_to_csv(rows) == rows_to_csv(run_sweep(small_config(sizes=(2, 4))))
@@ -186,6 +188,22 @@ def test_run_cell_side_5_keeps_its_qubits_and_weights():
     assert row.error is None
     assert (row.jw_qubits, row.bksf_qubits) == (250, 600)
     assert (row.jw_total_weight, row.bksf_total_weight) == (76_100, 304_740)
+
+
+def test_run_cell_side_6_peaks_far_below_one_packed_eri():
+    # d3 side-6 a8.75, m = 216: a packed rotated ERI would take 2.2 GB; the
+    # rotation hands over 139 980 entries, and the cell's traced peak is
+    # about 270 MB, set by the lattice integrals
+    tracemalloc.start()
+    try:
+        row = run_cell(3, 6, 8.75)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert row.error is None
+    assert (row.jw_qubits, row.bksf_qubits) == (432, 1080)
+    assert (row.jw_total_weight, row.bksf_total_weight) == (219_744, 942_048)
+    assert peak < 0.25 * packed_length(216) * 8
 
 
 def test_rows_to_json_round_trips():

@@ -4,7 +4,7 @@ dense Fock-space oracle."""
 import numpy as np
 import pytest
 
-from fermap.eri import pack_eri, packed_length
+from fermap.eri import Survivors, pack_eri, packed_length
 from fermap.fermion import (
     Kind,
     _at_least,
@@ -130,9 +130,17 @@ def test_the_blocked_scan_finds_what_a_whole_array_scan_finds(monkeypatch):
     values[[0, 6, 7, 8, 9, 30, 49]] = [1.0, -2.0, 0.5, 3.0, -0.1, 1.0, 2.0]
     # survivors 6, 7 | 8, 9 straddle a block boundary
     monkeypatch.setattr("fermap.fermion._SCAN_BLOCK", 8)
+    nonzero = Survivors(np.flatnonzero(values), values[values != 0])
     for threshold in (0.0, 0.5, 1.0, 5.0):
-        assert np.array_equal(_at_least(values, threshold), np.nonzero(np.abs(values) >= threshold)[0])
-    assert np.array_equal(_at_least(values[:0], 1.0), [])
+        expected = np.flatnonzero(np.abs(values) >= threshold)
+        found = _at_least(values, threshold)
+        assert np.array_equal(found.positions, expected)
+        assert np.array_equal(found.values, values[expected])
+        if threshold > 0:  # survivors hold no zeros, so they skip them at threshold 0
+            found = _at_least(nonzero, threshold)
+            assert np.array_equal(found.positions, expected)
+            assert np.array_equal(found.values, values[expected])
+    assert np.array_equal(_at_least(values[:0], 1.0).positions, [])
 
 
 def test_number_and_coulomb_classification():
@@ -148,15 +156,23 @@ def test_number_and_coulomb_classification():
     assert numbers[2] == pytest.approx(0.7)  # spin-down copy (blocked)
 
 
+def _survivors(packed):
+    """The nonzero entries of a packed ERI."""
+    kept = np.flatnonzero(packed)
+    return Survivors(kept, packed[kept])
+
+
 @pytest.mark.parametrize("cutoff", [0.0, 0.2])
 def test_classify_spatial_dense_and_packed_input_agree(cutoff):
+    # packed, whole or as its survivors
     h1, eri = random_spatial_integrals(4, np.random.default_rng(3))
     dense = classify_spatial(h1, eri, cutoff=cutoff)
-    packed = classify_spatial(h1, pack_eri(eri), cutoff=cutoff)
-    assert list(dense.by_kind) == list(packed.by_kind)
-    for kind, (indices, coefficients) in dense.by_kind.items():
-        assert np.array_equal(packed.by_kind[kind][0], indices)
-        assert np.array_equal(packed.by_kind[kind][1], coefficients)
+    for form in (pack_eri(eri), _survivors(pack_eri(eri))):
+        other = classify_spatial(h1, form, cutoff=cutoff)
+        assert list(dense.by_kind) == list(other.by_kind)
+        for kind, (indices, coefficients) in dense.by_kind.items():
+            assert np.array_equal(other.by_kind[kind][0], indices)
+            assert np.array_equal(other.by_kind[kind][1], coefficients)
 
 
 def test_classify_spatial_rejects_an_asymmetric_tensor():
@@ -176,11 +192,31 @@ def test_classify_spatial_rejects_a_packed_eri_of_the_wrong_size():
         from_spatial_integrals(np.eye(3), np.zeros(20))
 
 
+@pytest.mark.parametrize(
+    "positions, values, message",
+    [
+        pytest.param([0.0, 5.0], [1.0, 2.0], "integers", id="positions-not-integers"),
+        pytest.param([5, 5], [1.0, 2.0], "ascending", id="positions-not-ascending"),
+        pytest.param([0, 21], [1.0, 2.0], "positions 0 to 20", id="position-past-the-end"),
+        pytest.param([0, 5], [1.0, np.nan], "finite", id="value-not-finite"),
+        pytest.param([0, 5, 6], [1.0, 2.0], "2 survivor values for 3 positions", id="count-mismatch"),
+    ],
+)
+def test_malformed_survivors_are_rejected(positions, values, message):
+    # packed_length(3) == 21
+    eri = Survivors(np.array(positions), np.array(values))
+    with pytest.raises(ValueError, match=message):
+        classify_spatial(np.eye(3), eri)
+    with pytest.raises(ValueError, match=message):
+        from_spatial_integrals(np.eye(3), eri)
+
+
 def test_from_spatial_integrals_stores_the_packed_eri():
     h1, eri = random_spatial_integrals(3, np.random.default_rng(6))
     packed = from_spatial_integrals(h1, pack_eri(eri), 0.4)
     dense = from_spatial_integrals(h1, eri, 0.4)
     assert np.array_equal(packed.eri, dense.eri) and np.array_equal(packed.one_body, h1)
+    assert np.array_equal(from_spatial_integrals(h1, _survivors(packed.eri)).eri, packed.eri)
     assert packed.eri.shape == (packed_length(3),) and packed.num_modes == 6
     assert packed.constant == 0.4
     h = random_spatial_hamiltonian(3, 0)

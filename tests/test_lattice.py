@@ -121,9 +121,12 @@ def test_boys_f0_rejects_negative():
 
 def test_importing_fermap_loads_no_scipy():
     # only the tests' references use scipy: importing scipy.special for erf
-    # took 0.26-0.28 s of every fresh process, scipy.sparse alone 0.16-0.20 s
+    # took 0.26-0.28 s of every fresh process, scipy.sparse alone 0.16-0.20 s.
+    # The process pool's modules load only when a sweep starts one: they took
+    # 12-18 ms of a 33-52 ms import
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import sys, fermap, fermap.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    heavy = "('scipy', 'concurrent', 'multiprocessing')"
+    code = f"import sys, fermap, fermap.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in {heavy}))"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

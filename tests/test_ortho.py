@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fermap.eri import packed_length, unpack_eri
+from fermap.eri import packed_length, triangular, unpack_eri
 from fermap.fermion import classify_spatial
 from fermap.jw import jw_transform_terms
 from fermap.lattice import LatticeSpec, lattice_integrals
@@ -134,12 +134,13 @@ def _einsum_rotation(raw, x):
 def test_rotate_integrals_matches_einsum(spec, truncate):
     raw = lattice_integrals(spec)
     x = _orthogonalizer(raw, truncate)
-    bound = _schwarz_screen(raw, x).bound
+    screen = _schwarz_screen(raw, x)
+    assert screen.bound + screen.floor <= ERROR_BUDGET * (1 + 1e-12)
     h1, eri, constant = rotate_integrals(raw, x)
     k = x.shape[1]
-    # what the screen drops, plus rounding: 1e-14 where the bound is 0
-    deviation = np.abs(unpack_eri(eri, k) - _einsum_rotation(raw, x)).max()
-    assert deviation <= bound + 1e-14
+    # what the pair screen and the floor drop, plus rounding
+    deviation = np.abs(unpack_eri(eri.packed(k), k) - _einsum_rotation(raw, x)).max()
+    assert deviation <= screen.bound + screen.floor + 1e-14
     np.testing.assert_allclose(h1, x.T @ raw.core @ x, rtol=0, atol=1e-14)
     assert np.array_equal(h1, h1.T)  # bitwise, as an FCIDUMP file's triangle reads back
     assert constant == raw.nuclear_repulsion
@@ -149,8 +150,10 @@ def test_rotation_does_not_depend_on_the_block_size(monkeypatch):
     raw = lattice_integrals(LatticeSpec(2, 3, 1.0))
     x = canonical_orthogonalizer(raw.overlap)[:, raw.num_orbitals // 2 :]  # truncated: k < m
     _, whole, _ = rotate_integrals(raw, x)
-    monkeypatch.setattr("fermap.ortho._ROTATE_BLOCK", 7)  # 15 rows of T, 7 at a time
-    np.testing.assert_allclose(rotate_integrals(raw, x)[1], whole, rtol=0, atol=1e-15)
+    monkeypatch.setattr("fermap.ortho._ROTATE_BLOCK", 7)  # 15 rows of R, 7 at a time
+    blocked = rotate_integrals(raw, x)[1]
+    assert np.array_equal(blocked.positions, whole.positions)
+    np.testing.assert_allclose(blocked.values, whole.values, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("truncate", [False, True])
@@ -163,9 +166,36 @@ def test_screened_rotation_matches_einsum_within_its_bound(truncate):
     screen = _schwarz_screen(raw, x)
     assert screen.pair_screen == pytest.approx(1e-14 if truncate else 1e-8, rel=1e-12)
     eri = _rotate_screened(raw, screen)
-    deviation = np.abs(unpack_eri(eri, x.shape[1]) - _einsum_rotation(raw, x)).max()
-    assert deviation <= screen.bound + 1e-14  # what the screen drops, plus rounding
-    assert np.array_equal(rotate_integrals(raw, x)[1], eri)
+    k = x.shape[1]
+    deviation = np.abs(unpack_eri(eri.packed(k), k) - _einsum_rotation(raw, x)).max()
+    # what the pair screen and the floor drop, plus rounding
+    assert deviation <= screen.bound + screen.floor + 1e-14
+    assert all(map(np.array_equal, rotate_integrals(raw, x)[1], eri))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        pytest.param(LatticeSpec(3, 4, 8.75), id="d3-s4-a8.75"),  # forms 208 of 964 MO pairs
+        pytest.param(LatticeSpec(3, 3, 8.75), id="d3-s3-a8.75"),
+        pytest.param(LatticeSpec(3, 3, 3.0), id="d3-s3-a3.00"),
+        pytest.param(LatticeSpec(1, 10, 1.0), id="d1-s10-a1.00"),
+    ],
+)
+def test_the_row_rule_keeps_every_entry_that_reaches_the_floor(spec):
+    # against the same kernel over every MO pair with no floor: an entry at
+    # twice the floor, far above rounding, must survive with its value, so
+    # every entry that reaches 2e-7 at the default cutoff does
+    raw = lattice_integrals(spec)
+    x = symmetric_orthogonalizer(raw.overlap)
+    screen = _schwarz_screen(raw, x)
+    every = _rotate_screened(raw, screen._replace(rows=np.arange(triangular(len(x))), floor=0.0))
+    kept = _rotate_screened(raw, screen)
+    large = np.abs(every.values) >= 2.0 * screen.floor
+    found = np.searchsorted(kept.positions, every.positions[large])
+    assert np.array_equal(kept.positions[np.minimum(found, len(kept.positions) - 1)], every.positions[large])
+    np.testing.assert_allclose(kept.values[found], every.values[large], rtol=1e-12, atol=0)
+    assert np.all(np.abs(kept.values) >= screen.floor)
 
 
 @pytest.mark.parametrize(
@@ -196,10 +226,10 @@ def test_no_pair_screen_within_the_budget_keeps_everything(monkeypatch):
     monkeypatch.setattr("fermap.ortho.ERROR_BUDGET", 0.0)
     screen = _schwarz_screen(raw, x)
     assert (screen.pair_screen, screen.bound) == (0.0, 0.0)
-    assert len(screen.pairs) == len(screen.reached) == 378
+    assert len(screen.pairs) == len(screen.rows) == 378
     assert np.array_equal(screen.x, x)
     eri = rotate_integrals(raw, x)[1]
-    np.testing.assert_allclose(unpack_eri(eri, 27), _einsum_rotation(raw, x), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(unpack_eri(eri.packed(27), 27), _einsum_rotation(raw, x), rtol=0, atol=1e-14)
 
 
 def _rotation_peak(spec):
@@ -215,28 +245,29 @@ def _rotation_peak(spec):
 
 
 def test_rotation_peak_memory_is_bounded_by_the_eri():
-    # m = 27 at the screen 1e-12, which keeps 284 of 378 AO pairs: the packed
-    # output takes about m^4 bytes, and G_SS, C_ST and G_SS C_ST 1.2-1.6 m^4
-    # each; no packed AO ERI is built.  One dense m^4 float64 temporary alone
-    # breaks the bound
+    # m = 27 at the screen 1e-12, which keeps 284 of 378 AO pairs: G_SS, C_SR
+    # and G_SS C_SR take 1.2-1.6 m^4 bytes each; no packed AO ERI and no
+    # packed output is built.  One dense m^4 float64 temporary alone breaks
+    # the bound
     m, peak = _rotation_peak(LatticeSpec(3, 3, 3.0))
     assert m == 27
     assert peak <= 0.8 * m**4 * 8
 
 
 def test_screened_rotation_peak_memory_is_bounded_by_the_output():
-    # m = 64 at the screen 1e-8: the packed output, about m^4 bytes, and the
-    # matrices of the 208 kept pairs; the P x P pair matrix alone, about
-    # 2.1 m^4 bytes, breaks the bound
+    # m = 64 at the screen 1e-8: the matrices of the 208 kept AO pairs and
+    # 208 formed MO pairs, 0.012 m^4 float64; the packed output, 0.13 m^4,
+    # breaks the bound
     m, peak = _rotation_peak(LatticeSpec(3, 4, 8.75))
     assert m == 64
-    assert peak <= 0.2 * m**4 * 8
+    assert peak <= 0.05 * m**4 * 8
 
 
 def test_side_5_integrals_and_classification_hold_one_packed_array():
-    # m = 125: the packed rotated ERI takes 248 MB.  No raw packed ERI is
-    # built on the screened path, and the classifier scans the rotated one a
-    # block at a time, so a second array of that size breaks the bound
+    # m = 125: a packed rotated ERI would take 248 MB.  No raw packed ERI is
+    # built and only 45 375 rotated entries leave the rotation, so the stage
+    # peaks at about a tenth of that array (24 MB), and any array of packed
+    # size breaks the bound
     tracemalloc.start()
     try:
         h1, eri, _ = orthonormal_integrals(LatticeSpec(3, 5, 8.75))
@@ -244,5 +275,4 @@ def test_side_5_integrals_and_classification_hold_one_packed_array():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(eri) == packed_length(125)
-    assert peak < 1.25 * eri.nbytes
+    assert peak < 0.2 * packed_length(125) * 8
