@@ -27,7 +27,7 @@ from typing import Callable, Dict, Iterator, Tuple, Union
 import numpy as np
 
 from .eri import Survivors, orbit_keys, pack_eri, packed_indices, packed_length
-from .pauli import NonHermitianError, Packed, PauliOperatorSum, half_one_minus, outer, simplify
+from .pauli import NonHermitianError, Packed, PauliOperatorSum, outer, simplify, z_rows
 
 SYMMETRY_ATOL = 1e-10
 #: Two-body entries canonicalised at a time, which bounds the temporaries.
@@ -151,11 +151,15 @@ def from_spatial_integrals(
 def _summed(parts: list, num_modes: int) -> Tuple[np.ndarray, np.ndarray]:
     """Sum the values of equal index rows over ``(rows, values)`` parts and
     drop sums that are exactly zero; rows come back in lexicographic order.
-    ``np.bincount`` adds each row's values in input order, bitwise as a loop."""
+    ``np.bincount`` adds each row's values in input order, bitwise as a loop,
+    the real and imaginary parts of complex values one after the other."""
     shape = (num_modes,) * parts[0][0].shape[1]
     keys = np.concatenate([np.ravel_multi_index(tuple(rows.T), shape) for rows, _ in parts])
     keys, group = np.unique(keys, return_inverse=True)
-    sums = np.bincount(group, weights=np.concatenate([v for _, v in parts]), minlength=len(keys))
+    values = np.concatenate([v for _, v in parts])
+    sums = np.bincount(group, weights=values.real, minlength=len(keys))
+    if np.iscomplexobj(values):
+        sums = sums + 1j * np.bincount(group, weights=values.imag, minlength=len(keys))
     kept = np.abs(sums) > 0
     return np.stack(np.unravel_index(keys[kept], shape), axis=1), sums[kept]
 
@@ -282,43 +286,63 @@ def map_terms(
     eps: float,
 ) -> PauliOperatorSum:
     """Map classified terms to qubits under one encoding, given by three parts:
-    ``z[j]``, the Z words of n_j = (1 - Z)/2; ``hop(i, k)``, the images of
+    ``z[j]``, the Z word of n_j = (1 - Z_j)/2; ``hop(i, k)``, the images of
     a_i^ a_k + h.c. and the qubits of their X bits (n_j multiplies them
     through ``outer``'s bit rule); and ``double(idx)``, those of each
     DOUBLE_EXCITATION row ``idx`` -- all grouped per term.  A hop's or a
-    double excitation's modes must differ (ValueError otherwise).  Each
-    kind's unit images are scaled by its coefficients, ``constant`` times the
-    identity is added, like terms are merged and zero sums and |c| < eps cut
-    (``simplify``: rows come out in row-key order, each string's coefficients
-    are summed in input order, and a key shared by two distinct strings makes
-    it retry from another seed, a bounded number of times).  A Pauli sum is
+    double excitation's modes must differ (ValueError otherwise).
+
+    n_j = (1 - Z_j)/2 is applied to the terms before any row is built: the
+    identity parts of the NUMBER and COULOMB_EXCHANGE terms are added to
+    ``constant``, their Z_j parts are summed per mode, and the hop parts of
+    the EXCITATION and NUMBER_EXCITATION terms are summed per mode pair, so
+    each of those strings reaches the merge as one row.  The rows written
+    per term are g/4 Z_i Z_j of each Coulomb term g n_i n_j, -g/2 hop(i, k)
+    Z_j of each g n_j hop(i, k), and the double excitations.  Like terms
+    are then merged and zero sums and |c| < eps cut (``simplify``: rows come
+    out in row-key order, a string's rows are summed in input order, and a
+    key shared by two distinct strings makes it retry from another seed, a
+    bounded number of times), so a pre-summed string's coefficient may
+    differ from a sum of its per-term rows by rounding.  A Pauli sum is
     Hermitian exactly when its merged coefficients are real, so any |imag|
     above eps raises NonHermitianError.
     """
 
-    def number(j: np.ndarray) -> Packed:
-        return half_one_minus(z.take(j, axis=0))
+    def of(kind: Kind, arity: int) -> Tuple[np.ndarray, np.ndarray]:
+        return terms.by_kind.get(kind, (np.empty((0, arity), dtype=np.intp), np.empty(0)))
 
-    def images(kind: Kind, idx: np.ndarray) -> Packed:
-        cols = idx.T
-        if kind is Kind.NUMBER:
-            return number(cols[0])
-        if kind is Kind.COULOMB_EXCHANGE:
-            return outer(number(cols[0]), number(cols[1]), (), ())
-        if kind is Kind.EXCITATION:
-            return hop(*_distinct(cols[0], cols[1]))[0]
-        if kind is Kind.NUMBER_EXCITATION:
-            rows, x_qubits = hop(*_distinct(cols[0], cols[2]))
-            return outer(rows, number(cols[1]), x_qubits, ())
-        if kind is Kind.DOUBLE_EXCITATION:
-            _distinct(*cols)
-            return double(idx)
-        raise ValueError(f"unhandled kind {kind}")
+    number, coulomb = of(Kind.NUMBER, 1), of(Kind.COULOMB_EXCHANGE, 2)
+    excitation, number_excitation = of(Kind.EXCITATION, 2), of(Kind.NUMBER_EXCITATION, 3)
+    double_excitation = of(Kind.DOUBLE_EXCITATION, 4)
+    # g n_j = g/2 - g/2 Z_j and g n_i n_j = g/4 - g/4 Z_i - g/4 Z_j + g/4 Z_i Z_j:
+    # the identity parts join the constant and the Z_j parts are summed per mode
+    halves, quarters = 0.5 * number[1], 0.25 * coulomb[1]
+    constant = constant + halves.sum() + quarters.sum()
+    modes, z_sums = _summed(
+        [(number[0], -halves), (coulomb[0].reshape(-1, 1), -np.repeat(quarters, 2))], len(z)
+    )
+    # g n_j hop(i, k) = g/2 hop(i, k) - g/2 hop(i, k) Z_j: the hop parts are summed per pair
+    pairs, hop_sums = _summed(
+        [excitation, (number_excitation[0][:, [0, 2]], 0.5 * number_excitation[1])], len(z)
+    )
 
-    def batches():  # a generator: each kind's images are freed before the next kind's
-        for kind, (indices, coefficients) in terms.by_kind.items():
-            x, zw, c = images(kind, indices)
-            yield x, zw, c * coefficients[:, None]
+    def batches():  # a generator: each part's rows are freed before the next part's
+        yield z_rows(z.take(modes, axis=0), z_sums[:, None])
+        i, j = coulomb[0].T
+        yield z_rows((z.take(i, axis=0) ^ z.take(j, axis=0))[:, None], quarters[:, None])
+        if len(hop_sums):
+            x, zw, c = hop(*_distinct(*pairs.T))[0]
+            yield x, zw, c * hop_sums[:, None]
+        if len(number_excitation[1]):
+            (i, j, k), g = number_excitation[0].T, number_excitation[1]
+            rows, x_qubits = hop(*_distinct(i, k))
+            x, zw, c = outer(rows, z_rows(z.take(j, axis=0)[:, None], -0.5), x_qubits, ())
+            yield x, zw, c * g[:, None]
+        if len(double_excitation[1]):
+            indices, g = double_excitation
+            _distinct(*indices.T)
+            x, zw, c = double(indices)
+            yield x, zw, c * g[:, None]
 
     merged = simplify(PauliOperatorSum.from_packed(batches(), num_qubits, constant), eps)
     worst = float(np.abs(merged.coefficients.imag).max(initial=0.0))

@@ -28,6 +28,9 @@ ANGSTROM_TO_BOHR = 1.8897259886
 #: subnormal numbers, and through the subnormal products they form, they
 #: made the rotation's matrix products 1.7x slower on the 125-orbital lattice.
 _ERI_FLOOR = 1e-200
+#: Pair midpoints this close, relative to the largest center coordinate, are
+#: one point: 0.5 * (a + b) rounds equal midpoints of a lattice a few ulps apart.
+_MIDPOINT_RTOL = 1e-12
 #: erf(sqrt(t)) rounds to 1.0 from here on: erfc(6) is 2e-17.
 _ERF_ONE = 36.0
 #: math.erf elementwise; numpy has no erf, and importing scipy.special for
@@ -138,16 +141,18 @@ def boys_f0(t) -> np.ndarray:
     return out if out.ndim else float(out)
 
 
-def _distinct_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The distinct rows in lexicographic order and each row's index among
-    them: ``np.unique(rows, axis=0, return_inverse=True)`` by one lexsort."""
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-    which = np.empty(len(rows), dtype=np.intp)
-    which[order] = np.cumsum(new) - 1
-    return ordered[new], which
+def _distinct_points(points: np.ndarray, tol: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct points in lexicographic order and each point's index
+    among them.  Coordinates that differ by at most ``tol`` on an axis, or
+    through a chain of such steps, count as one, so points that rounding
+    split are one point, represented by the first of them."""
+    labels = []
+    for values in points.T:
+        distinct, inverse = np.unique(values, return_inverse=True)
+        labels.append(np.concatenate([[0], np.cumsum(np.diff(distinct) > tol)])[inverse])
+    keys = np.ravel_multi_index(labels, [label.max(initial=0) + 1 for label in labels])
+    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    return points[first], which
 
 
 def compute_integrals(centers: np.ndarray, alpha: float) -> RawIntegrals:
@@ -171,7 +176,8 @@ def compute_integrals(centers: np.ndarray, alpha: float) -> RawIntegrals:
     overlap = np.exp(-0.5 * alpha * r2)
     kinetic = 0.5 * alpha * (3.0 - alpha * r2) * overlap
     first, second = pair_orbitals(m)
-    points, which = _distinct_rows(0.5 * (centers[first] + centers[second]))
+    midpoints = 0.5 * (centers[first] + centers[second])
+    points, which = _distinct_points(midpoints, _MIDPOINT_RTOL * np.abs(centers).max(initial=0.0))
 
     norm2 = (2.0 * alpha / np.pi) ** 1.5  # squared normalization of the pair
     v_pref = norm2 * (2.0 * np.pi / p) * np.exp(-0.5 * alpha * r2)
@@ -188,8 +194,11 @@ def compute_integrals(centers: np.ndarray, alpha: float) -> RawIntegrals:
     kab = np.exp(-0.5 * alpha * r2[first, second])
     sq = np.sum(points * points, axis=1)
     pq2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (points @ points.T), 0.0)
+    # F0 once per unordered pair of midpoints, mirrored: the table is then
     # symmetric by construction, so a block's F0 can be gathered row-major
-    boys = boys_f0(alpha * (np.tril(pq2) + np.tril(pq2, -1).T))
+    lower = np.tri(len(points), dtype=bool)
+    boys = np.empty_like(pq2)
+    boys[lower] = boys.T[lower] = boys_f0(alpha * pq2[lower])
     eri_pref = norm2**2 * 2.0 * np.pi**2.5 / (p * p * np.sqrt(2.0 * p))
 
     if m > 1:

@@ -148,11 +148,6 @@ def z_rows(z: np.ndarray, c) -> Packed:
     return np.broadcast_to(np.uint64(0), z.shape), z, c
 
 
-def half_one_minus(z: np.ndarray) -> Packed:
-    """(1 - Z^z) / 2 for every mask row of z: two rows per mask."""
-    return z_rows(np.stack([np.zeros_like(z), z], axis=1), (0.5, -0.5))
-
-
 @dataclass(frozen=True, eq=False)
 class PauliOperatorSum:
     """A qubit operator as packed Pauli rows over a fixed register.

@@ -1,5 +1,6 @@
 """Term images from JW's coefficient tables and from bit lookups against the
-general Pauli product chain, kind by kind and row by row."""
+general Pauli product chain, kind by kind: the rows written per term row by
+row, and the strings folded before the merge through the merged operator."""
 
 from itertools import permutations
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from fermap import fermion
+from fermap.bench import run_cell
 from fermap.fermion import ClassifiedTerms, Kind, blocked_modes
 from fermap.jw import (
     _coefficient_table,
@@ -16,7 +18,7 @@ from fermap.jw import (
     _register_tables,
     jw_transform_terms,
 )
-from fermap.pauli import _popcount
+from fermap.pauli import NonHermitianError, PauliOperatorSum, _popcount, simplify
 from fermap.superfast import (
     _DOUBLE_B_SUBSETS,
     add_parity_ancilla,
@@ -60,8 +62,12 @@ def ose_double(g, idx):
 
 
 def reference_rows(kind, idx, coefficients, z_words, hop, double):
-    """The rows ``map_terms`` merges for one kind: the images, scaled by the
-    coefficients, without the rows that are exactly 0."""
+    """The rows of one kind's images through the product chain, scaled by
+    the coefficients, without the rows that are exactly 0, and a mask of
+    those that ``map_terms`` writes term by term: the Z_i Z_j row of a
+    Coulomb term, the hop(i, k) Z_j rows of a number excitation and every
+    double excitation row.  The other rows are folded: their strings are
+    summed before the merge."""
     cols = idx.T
     if kind is Kind.NUMBER:
         rows = number(z_words, cols[0])
@@ -74,13 +80,21 @@ def reference_rows(kind, idx, coefficients, z_words, hop, double):
     else:
         rows = double(idx)
     x, z, c = rows
+    written = np.zeros(c.shape, dtype=bool)
+    if kind is Kind.COULOMB_EXCHANGE:
+        written[:, 3] = True  # Z_i Z_j, the last row of (1 - Z_i)(1 - Z_j)/4
+    elif kind is Kind.NUMBER_EXCITATION:
+        written[:, 1::2] = True  # hop(i, k) Z_j, after each row of hop(i, k)
+    elif kind is Kind.DOUBLE_EXCITATION:
+        written[:] = True
     c = (c * coefficients[:, None]).ravel()
     kept = c != 0
-    return x.reshape(len(c), -1)[kept], z.reshape(len(c), -1)[kept], c[kept]
+    return x.reshape(len(c), -1)[kept], z.reshape(len(c), -1)[kept], c[kept], written.ravel()[kept]
 
 
 def merged_input(monkeypatch, transform):
-    """The rows ``map_terms`` hands to the merge when ``transform`` runs."""
+    """The rows ``map_terms`` hands to the merge when ``transform`` runs, and
+    the merged operator it returns."""
     seen, simplify = [], fermion.simplify
 
     def spy(s, eps):
@@ -88,8 +102,8 @@ def merged_input(monkeypatch, transform):
         return simplify(s, eps)
 
     monkeypatch.setattr(fermion, "simplify", spy)
-    transform()
-    return seen[0]
+    merged = transform()
+    return seen[0], merged
 
 
 ARITY = {
@@ -109,15 +123,32 @@ def random_terms(kind, modes, seed, n=60):
 
 
 def assert_rows_equal(got, expected):
-    for g, e in zip((got.x, got.z, got.coefficients), expected):
+    for g, e in zip(got, expected):
         assert g.shape == e.shape and np.array_equal(g, e)
+
+
+def assert_images_equal(transformed, expected, eps=1e-12):
+    """The rows written term by term are bitwise the product chain's and come
+    last in the merge's input, in term order.  The merged operator has the
+    strings of the merged product-chain rows, and coefficients equal to
+    theirs within the error bound of summing in another order: a sum of n
+    terms in any order is within (n - 1) u sum|terms| of the exact sum (u
+    the unit roundoff), so two orders differ by at most twice that, taken
+    here over all of the kind's rows."""
+    (got, merged), (x, z, c, written) = transformed, expected
+    n = len(got) - int(written.sum())
+    assert_rows_equal((got.x[n:], got.z[n:], got.coefficients[n:]), (x[written], z[written], c[written]))
+    reference = simplify(PauliOperatorSum(x, z, c, got.num_qubits), eps)
+    assert_rows_equal((merged.x, merged.z), (reference.x, reference.z))
+    bound = len(c) * np.finfo(float).eps * np.abs(c).sum()  # 2 (n - 1) u <= n eps
+    assert np.abs(merged.coefficients - reference.coefficients).max(initial=0.0) <= bound
 
 
 @pytest.mark.parametrize("kind", list(Kind))
 @pytest.mark.parametrize("num_modes", [12, 130])  # one word, three words
 def test_jw_images_equal_the_product_chain(monkeypatch, kind, num_modes):
     terms = random_terms(kind, num_modes, seed=num_modes)
-    got = merged_input(monkeypatch, lambda: jw_transform_terms(terms, num_modes))
+    transformed = merged_input(monkeypatch, lambda: jw_transform_terms(terms, num_modes))
     tables = _register_tables(num_modes)
     expected = reference_rows(
         kind,
@@ -126,7 +157,7 @@ def test_jw_images_equal_the_product_chain(monkeypatch, kind, num_modes):
         lambda i, k: jw_plus_adjoint(tables, i, k),
         lambda idx: jw_plus_adjoint(tables, *idx.T),
     )
-    assert_rows_equal(got, expected)
+    assert_images_equal(transformed, expected)
 
 
 SUPERFAST_GRAPHS = {
@@ -142,7 +173,7 @@ def test_superfast_images_equal_the_product_chain(monkeypatch, kind, name):
     g = SUPERFAST_GRAPHS[name]
     # the ancilla vertex takes part in no term; every other pair is an edge
     terms = random_terms(kind, g.num_vertices - (name == "K12+ancilla"), seed=len(name))
-    got = merged_input(monkeypatch, lambda: ose_transform_terms(terms, g))
+    transformed = merged_input(monkeypatch, lambda: ose_transform_terms(terms, g))
     expected = reference_rows(
         kind,
         *terms.by_kind[kind],
@@ -150,7 +181,41 @@ def test_superfast_images_equal_the_product_chain(monkeypatch, kind, name):
         lambda i, j: ose_hop(g, i, j),
         lambda idx: ose_double(g, idx),
     )
-    assert_rows_equal(got, expected)
+    assert_images_equal(transformed, expected)
+
+
+@pytest.mark.parametrize(
+    "kind, row",
+    [
+        (Kind.NUMBER, [1]),
+        (Kind.COULOMB_EXCHANGE, [0, 2]),
+        (Kind.EXCITATION, [1, 3]),
+        (Kind.NUMBER_EXCITATION, [0, 2, 3]),
+    ],
+)
+def test_an_imaginary_folded_coefficient_raises(kind, row):
+    # the folded parts are summed as complex numbers, so an imaginary share
+    # reaches the merged identity, Z_j or hop string and fails the check
+    terms = ClassifiedTerms({kind: (np.array([row]), np.array([0.5j]))})
+    with pytest.raises(NonHermitianError):
+        jw_transform_terms(terms, 4)
+    with pytest.raises(NonHermitianError):
+        ose_transform_terms(terms, complete_graphs(4, 1))
+
+
+def test_a_tight_orbital_lattice_hands_the_merge_its_merged_rows(monkeypatch):
+    # d3 side-4 a8.75 is almost all Coulomb terms: once n_j = (1 - Z_j)/2 is
+    # folded, each encoding hands the merge one row per merged term
+    seen, merge = [], fermion.simplify
+
+    def spy(s, eps):
+        seen.append(len(s))
+        return merge(s, eps)
+
+    monkeypatch.setattr(fermion, "simplify", spy)
+    row = run_cell(3, 4, 8.75)
+    assert seen == [8833, 8833]
+    assert row.jw_report.term_count == row.bksf_report.term_count == 8833
 
 
 @pytest.mark.parametrize("num_factors", [2, 4])

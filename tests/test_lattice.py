@@ -17,6 +17,7 @@ from fermap.lattice import (
     ANGSTROM_TO_BOHR,
     GeometryError,
     LatticeSpec,
+    _distinct_points,
     boys_f0,
     build_lattice,
     compute_integrals,
@@ -301,6 +302,29 @@ def test_schwarz_factors_are_the_packed_diagonal(centers, alpha):
     diagonal = packed_eri(raw)[triangular(np.arange(1, 211)) - 1]  # (ab|ab) ends packed row ab
     assert (diagonal == 0.0).any() == (alpha == 40.0)
     assert np.array_equal(raw.schwarz_factors(), np.sqrt(diagonal))
+
+
+@pytest.mark.parametrize(
+    "spec, count",
+    [(LatticeSpec(1, 10, 1.0), 19), (LatticeSpec(2, 4, 1.0), 49), (LatticeSpec(3, 6, 8.75), 1331)],
+)
+def test_lattice_midpoints_split_by_rounding_are_one_point(spec, count):
+    # the pair midpoints of a side-n grid take 2n - 1 values per axis, but
+    # 0.5 * (a + b) rounds some of them apart: 25 points for d1 n10 and 2197
+    # for d3 side 6 when compared exactly
+    assert lattice_integrals(spec).boys.shape == (count, count)
+
+
+def test_distinct_points_are_the_first_of_each_rounded_group():
+    x = 1.7
+    points = np.array(
+        [[x, 0.0, 1.0], [np.nextafter(x, 2.0), 0.0, 1.0], [x, 0.0, 1.5], [np.nextafter(x, 0.0), 0.0, 1.0]]
+    )
+    distinct, which = _distinct_points(points, 1e-12)
+    assert which.tolist() == [0, 0, 1, 0]
+    assert distinct.tobytes() == points[[0, 2]].tobytes()
+    # compared exactly, the three copies of one point stay three points
+    assert len(_distinct_points(points, 0.0)[0]) == 4
 
 
 def test_integrals_peak_memory_is_bounded_by_the_eri():
