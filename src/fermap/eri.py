@@ -1,15 +1,17 @@
-"""Pair-packed storage of chemist-ordered two-electron integrals (ij|kl).
+"""The one two-electron form of the library: the nonzero chemist-ordered
+integrals (ij|kl) of m orbitals, by pair-packed position.
 
 Under the 8-fold permutational symmetry of real orbitals only one slot per
 orbit is independent.  Orbital pairs i <= j are numbered ``pair(i, j) =
-j (j + 1) / 2 + i``, so there are P = m (m + 1) / 2 of them, and the packed
-array holds ``(ij|kl)`` for ``a = pair(ij) <= b = pair(kl)`` at position
-``b (b + 1) / 2 + a``: a 1-D array of length P (P + 1) / 2 whose packed row
-``b`` (positions ``b (b + 1) / 2`` onwards, ``b + 1`` of them) is the lower
-triangle of the P x P pair matrix.
+j (j + 1) / 2 + i``, so there are P = m (m + 1) / 2 of them, and ``(ij|kl)``
+for ``a = pair(ij) <= b = pair(kl)`` has packed position ``b (b + 1) / 2 +
+a``: position ``b (b + 1) / 2`` onwards, ``b + 1`` of them, is row ``b`` of
+the lower triangle of the P x P pair matrix, P (P + 1) / 2 positions in all.
 
-``Survivors`` holds only the entries of such an array that reach a
-threshold, by packed position.
+``Survivors`` holds the entries that are not 0, by ascending packed
+position, and no array of every position is built: ``pack_eri`` takes them
+from a dense ``[m, m, m, m]`` tensor, and ``unpack_eri`` writes them back into
+one for callers that need it (the dense oracle).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ def triangular(n) -> np.ndarray:
 
 
 def packed_length(m: int) -> int:
-    """Entries of the packed ERI of m orbitals: P (P + 1) / 2, in Python ints,
+    """Packed positions of the ERI of m orbitals: P (P + 1) / 2, in Python ints,
     which do not wrap (int64 would from m = 77 936 on)."""
     pairs = int(m) * (int(m) + 1) // 2
     return pairs * (pairs + 1) // 2
@@ -60,11 +62,9 @@ def packed_pairs(positions: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return positions - triangular(b), b
 
 
-def packed_indices(m: int, positions=None) -> Tuple[np.ndarray, ...]:
-    """Orbitals (i, j, k, l) of the packed slots at ``positions`` (default:
-    every slot, in packed order); i <= j, k <= l and pair(ij) <= pair(kl)."""
-    if positions is None:
-        positions = np.arange(packed_length(m))
+def packed_indices(m: int, positions) -> Tuple[np.ndarray, ...]:
+    """Orbitals (i, j, k, l) of the packed slots at ``positions``; i <= j,
+    k <= l and pair(ij) <= pair(kl)."""
     a, b = packed_pairs(positions)
     first, second = pair_orbitals(m)
     return first[a], second[a], first[b], second[b]
@@ -79,40 +79,43 @@ def orbit_keys(i, j, k, l, m: int) -> np.ndarray:
     return np.hstack([bra * m * m + ket, ket * m * m + bra])
 
 
-def pack_eri(dense: np.ndarray) -> np.ndarray:
-    """The packed form of an ``[m, m, m, m]`` tensor: of each orbit, the value
-    at its lexicographically first slot, (ij|kl) or (kl|ij) with i <= j and
-    k <= l.  That is the slot an integral file writes, so a tensor that is
-    symmetric only to rounding packs to the values its file holds."""
+def pack_eri(dense: np.ndarray) -> "Survivors":
+    """The survivors of an ``[m, m, m, m]`` tensor: of each orbit, the value
+    at its lexicographically first slot, (ij|kl) with i <= j, k <= l and
+    (i, j) <= (k, l), where that value is not 0.  That is the slot an
+    integral file writes, so a tensor that is symmetric only to rounding packs
+    to the values its file holds."""
     dense = np.asarray(dense, dtype=float)
-    m = dense.shape[0]
-    first, second = pair_orbitals(m)
-    rows = first * m + second  # flat keys i m + j order the pairs lexicographically
-    pairs = dense.reshape(m * m, m * m)[np.ix_(rows, rows)]
-    return np.where(rows <= rows[:, None], pairs.T, pairs)[np.tri(len(rows), dtype=bool)]
+    m = len(dense)
+    upper = np.tri(m, dtype=bool).T  # i <= j
+    flat = np.arange(m * m).reshape(m, m)
+    first = (dense != 0) & upper[:, :, None, None] & upper & (flat[:, :, None, None] <= flat)
+    i, j, k, l = np.nonzero(first)
+    positions = tri_index(tri_index(i, j), tri_index(k, l))
+    order = np.argsort(positions)
+    return Survivors(positions[order], dense[i, j, k, l][order])
 
 
-def unpack_eri(packed: np.ndarray, m: int) -> np.ndarray:
-    """The dense, exactly 8-fold symmetric ``[m, m, m, m]`` tensor, for
-    callers that need one (the dense oracle)."""
-    packed = np.asarray(packed, dtype=float)
-    if packed.shape != (packed_length(m),):
-        raise ValueError(f"a packed ERI of {m} orbitals has {packed_length(m)} entries")
-    table = pair_table(m).reshape(-1)
-    return packed[tri_index(table[:, None], table)].reshape((m,) * 4)
+def unpack_eri(eri: "Survivors", m: int) -> np.ndarray:
+    """The dense, exactly 8-fold symmetric ``[m, m, m, m]`` tensor of the
+    survivors of m orbitals: each entry at its symmetric copies, 0 elsewhere."""
+    positions, values = eri.checked(m)
+    dense = np.zeros(m**4)
+    dense[orbit_keys(*packed_indices(m, positions), m)] = values[:, None]
+    return dense.reshape((m,) * 4)
 
 
 class Survivors(NamedTuple):
-    """The entries of a packed ERI that reach a threshold: packed
-    ``positions``, strictly ascending, and their ``values``; every other slot
-    reads as 0."""
+    """The nonzero entries of the ERI of m orbitals: packed ``positions``,
+    strictly ascending, and their finite ``values``; every other slot reads
+    as 0."""
 
     positions: np.ndarray
     values: np.ndarray
 
     def checked(self, m: int) -> "Survivors":
         """These entries as int64 positions and float64 values, checked to be
-        a packed ERI of m orbitals; ValueError otherwise."""
+        survivors of m orbitals; ValueError otherwise."""
         positions, values = np.asarray(self.positions), np.asarray(self.values)
         if positions.ndim != 1 or positions.dtype.kind not in "iu":
             raise ValueError("survivor positions must be a 1-D array of integers")
@@ -122,13 +125,7 @@ class Survivors(NamedTuple):
             raise ValueError("survivor positions must be strictly ascending")
         last = packed_length(m) - 1
         if len(positions) and not 0 <= positions[0] <= positions[-1] <= last:
-            raise ValueError(f"a packed ERI of {m} orbitals has positions 0 to {last}")
-        if values.dtype.kind not in "iuf" or not np.isfinite(values).all():
-            raise ValueError("survivor values must be finite real numbers")
+            raise ValueError(f"the ERI of {m} orbitals has packed positions 0 to {last}")
+        if values.dtype.kind not in "iuf" or not np.isfinite(values).all() or not values.all():
+            raise ValueError("survivor values must be finite, nonzero real numbers")
         return Survivors(positions.astype(np.int64, copy=False), values.astype(float, copy=False))
-
-    def packed(self, m: int) -> np.ndarray:
-        """The packed ERI of m orbitals that holds these entries."""
-        out = np.zeros(packed_length(m))
-        out[self.positions] = self.values
-        return out

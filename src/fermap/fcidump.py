@@ -6,19 +6,24 @@ one block from the ``&`` that opens the first non-blank line to the first
 ``value i j k l`` with 1-based indices in the chemist convention (ij|kl).
 ``i j 0 0`` records populate the one-body matrix, ``0 0 0 0`` the scalar
 constant.  Reading places each record at the one slot of its symmetry orbit:
-two-body records fill the pair-packed ERI (``fermap.eri``), one-body records
-a triangle of the symmetric one-body matrix.
+two-body records become the ERI's survivors, by packed position
+(``fermap.eri``), so a file needs memory for its records and its ``[m, m]``
+one-body matrix, whatever its NORB; one-body records fill both triangles of
+the symmetric one-body matrix.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
-from .eri import orbit_keys, packed_indices, packed_length, pair_table, tri_index, triangular
+from .eri import (
+    Survivors, orbit_keys, packed_indices, packed_length, packed_pairs, tri_index, triangular,
+)
 from .fermion import SYMMETRY_ATOL, from_spatial_integrals
 
 
@@ -34,13 +39,13 @@ class FcidumpSymmetryError(ValueError):
 class IntegralFile:
     """In-memory image of an integral file (spatial orbitals).  The integrals
     go through ``from_spatial_integrals``'s input check: ``one_body`` must be
-    symmetric, and ``eri`` is pair-packed, survivors (then scattered into a
-    packed array), or dense and 8-fold symmetric (then packed)."""
+    symmetric, and ``eri`` is survivors, or dense and 8-fold symmetric (then
+    packed into survivors)."""
 
     num_orbitals: int
     num_electrons: int
     one_body: np.ndarray
-    eri: np.ndarray  # chemist convention (ij|kl), pair-packed
+    eri: Survivors  # chemist convention (ij|kl), the nonzero entries by packed position
     constant: float = 0.0
     ms2: int = 0
 
@@ -114,6 +119,8 @@ def loads(text: str) -> IntegralFile:
             i, j, k, l = (int(p) for p in parts[1:])
         except ValueError as exc:
             raise FcidumpParseError(f"line {lineno}: {exc}") from exc
+        if not math.isfinite(value):
+            raise FcidumpParseError(f"line {lineno}: integral {value!r} is not finite")
         for idx in (i, j, k, l):
             if idx < 0 or idx > m:
                 raise FcidumpParseError(
@@ -130,22 +137,19 @@ def loads(text: str) -> IntegralFile:
             )
         records.append((value, lineno, i, j, k, l))
 
-    # every record has one slot: tri_index(pair(ij), pair(kl)) of the packed
-    # ERI, then the constant, then tri_index(i, j) of the one-body triangle
+    # every record has one slot: the packed position tri_index(pair(ij),
+    # pair(kl)) of an ERI record, -1 for the constant and tri_index(i, j) - T - 1
+    # of a one-body record, T = m (m + 1) / 2, so the ERI slots sort last.
+    # tri_index forms p (p + 1) for pair indices p below P, about twice the slots
+    if 2 * packed_length(m) > np.iinfo(np.int64).max:
+        raise FcidumpParseError(f"NORB={m} has more ERI slots than int64 arithmetic holds")
     records = np.array(records, dtype=float).reshape(-1, 6)
     i, j, k, l = records[:, 2:].astype(np.int64).T - 1
     ij = tri_index(i, j)
-    length = packed_length(m)
-    # sized before the int64 slots, which a NORB too large to allocate would overflow
-    size = length + 1 + int(triangular(m))
-    try:
-        placed = np.zeros(size)
-    except (MemoryError, ValueError):  # ValueError: "Maximum allowed dimension exceeded"
-        raise FcidumpParseError(f"Unable to allocate {size} float64 slots for NORB={m}") from None
-    slots = np.select([i < 0, k < 0], [length, length + 1 + ij], tri_index(ij, tri_index(k, l)))
+    slots = np.select([i < 0, k < 0], [-1, ij - triangular(m) - 1], tri_index(ij, tri_index(k, l)))
     order = np.argsort(slots, kind="stable")
     slots, values, linenos = slots[order], records[order, 0], records[order, 1]
-    first = np.diff(slots, prepend=-1) != 0
+    first = np.diff(slots, prepend=-triangular(m) - 2) != 0
     earlier = values[first][np.cumsum(first) - 1]  # the first value at each record's slot
     conflicts = np.flatnonzero(np.abs(values - earlier) > SYMMETRY_ATOL)
     if len(conflicts):
@@ -154,13 +158,22 @@ def loads(text: str) -> IntegralFile:
             f"line {int(linenos[c])}: duplicate record conflicts with earlier value "
             f"{float(earlier[c])!r} (new {float(values[c])!r})"
         )
-    placed[slots[first]] = values[first]
+    slots, values = slots[first], values[first]
+    try:
+        one_body = np.zeros((m, m))
+    except MemoryError:
+        raise FcidumpParseError(f"Unable to allocate {m * m} float64 slots for NORB={m}") from None
+    one = slots < -1
+    a, b = packed_pairs(slots[one] + triangular(m) + 1)
+    one_body[a, b] = one_body[b, a] = values[one]
+    constant = values[slots == -1]
+    eri = (slots >= 0) & (values != 0)
     return IntegralFile(
         num_orbitals=m,
         num_electrons=fields["num_electrons"],
-        one_body=placed[length + 1 :][pair_table(m)],
-        eri=placed[:length],
-        constant=float(placed[length]),
+        one_body=one_body,
+        eri=Survivors(slots[eri], values[eri]),
+        constant=float(constant[0]) if len(constant) else 0.0,
         ms2=fields["ms2"],
     )
 
@@ -173,15 +186,15 @@ def load(path) -> IntegralFile:
 def dumps(data: IntegralFile) -> str:
     """Serialize; each symmetry orbit is written once, at its
     lexicographically first slot, in that order, then the one-body triangle
-    and the constant.  Records that are exactly 0 are skipped (the constant is
-    always written)."""
+    and the constant.  Only the ERI's survivors and the one-body entries that
+    are not 0 are written; the constant always is."""
     m = data.num_orbitals
-    nonzero = np.flatnonzero(data.eri)
-    first = orbit_keys(*packed_indices(m, nonzero), m).min(axis=1)
+    positions, integrals = data.eri
+    first = orbit_keys(*packed_indices(m, positions), m).min(axis=1)
     order = np.argsort(first)
     i, j = np.tril_indices(m)
     tri = np.flatnonzero(data.one_body[i, j])
-    values = [data.eri[nonzero[order]], data.one_body[i[tri], j[tri]], [data.constant]]
+    values = [integrals[order], data.one_body[i[tri], j[tri]], [data.constant]]
     # the base-m digits of a flat m^4 index are its 0-based (i, j, k, l)
     slots = [
         first[order, None] // m ** np.arange(3, -1, -1) % m + 1,

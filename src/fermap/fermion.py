@@ -2,17 +2,15 @@
 their term classification.
 
 A Hamiltonian is held as its spatial integrals only: the one-body matrix
-``h_ij`` and the chemist-ordered ERI ``(ij|kl)``, pair-packed
-(``fermap.eri``).  Its spin-orbital form is the spin sum
+``h_ij`` and the survivors of the chemist-ordered ERI ``(ij|kl)``
+(``fermap.eri.Survivors``).  Its spin-orbital form is the spin sum
 
     c + sum_s sum_ij h_ij a_is^ a_js
       + 1/2 sum_st sum_ijkl (ij|kl) a_is^ a_kt^ a_lt a_js
 
 over the blocked modes of ``blocked_modes``; ``classify_spatial`` expands it
-entry by entry into canonical self-adjoint terms, with no spin-orbital tensor
-and no temporary the size of the packed ERI: it reads the ERI's survivors
-(``fermap.eri.Survivors``) as they are, and scans a packed ERI a block at a
-time for the entries that pass the cutoff.
+entry by entry into canonical self-adjoint terms, from the survivors that
+pass the cutoff, with no spin-orbital tensor.
 ``map_terms`` maps those terms to qubits under any encoding that says how it
 writes n_j, a hop and a double excitation.
 """
@@ -26,15 +24,12 @@ from typing import Callable, Dict, Iterator, Tuple, Union
 
 import numpy as np
 
-from .eri import Survivors, orbit_keys, pack_eri, packed_indices, packed_length
+from .eri import Survivors, orbit_keys, pack_eri, packed_indices
 from .pauli import NonHermitianError, Packed, PauliOperatorSum, outer, simplify, z_rows
 
 SYMMETRY_ATOL = 1e-10
 #: Two-body entries canonicalised at a time, which bounds the temporaries.
 _BLOCK = 1 << 15
-#: Packed ERI entries scanned for survivors at a time: the scan's temporaries
-#: take 9 bytes an entry, 2.4 MB, not a copy of the packed array.
-_SCAN_BLOCK = 1 << 18
 
 
 class Kind(enum.Enum):
@@ -86,12 +81,12 @@ class ClassifiedTerms:
 @dataclass(frozen=True)
 class FermionHamiltonian:
     """A spin-restricted Hamiltonian held as its spatial integrals: the
-    one-body matrix ``one_body[i, j]`` (``[m, m]``), the pair-packed
+    one-body matrix ``one_body[i, j]`` (``[m, m]``), the survivors of the
     chemist-ordered ERI ``(ij|kl)`` (``fermap.eri``) and a constant.  Its
     ``2m`` modes follow ``blocked_modes``."""
 
     one_body: np.ndarray
-    eri: np.ndarray
+    eri: Survivors
     constant: float
 
     @property
@@ -108,29 +103,31 @@ def blocked_modes(num_modes: int) -> Tuple[np.ndarray, np.ndarray]:
     return np.arange(num_modes) - m * spin, spin
 
 
-def _checked_integrals(h1_spatial, eri_chemist) -> Tuple[np.ndarray, Union[np.ndarray, Survivors]]:
-    """The one-body matrix, checked to be square and symmetric, and the ERI
-    of its ``m`` orbitals, pair-packed or as survivors.  Survivors are checked
-    by ``Survivors.checked``.  A dense ``[m, m, m, m]`` ERI is checked for
-    8-fold symmetry, since packing keeps one slot per orbit, and packed; a
-    packed one must have ``packed_length(m)`` entries."""
+def _checked_integrals(h1_spatial, eri_chemist) -> Tuple[np.ndarray, Survivors]:
+    """The one-body matrix, checked to be square, finite and symmetric, and
+    the survivors of the ERI of its ``m`` orbitals.  Survivors are checked by
+    ``Survivors.checked``; a dense ``[m, m, m, m]`` ERI is checked to be
+    finite and 8-fold symmetric, since packing keeps one slot per orbit, and
+    packed (``pack_eri``)."""
     h1 = np.asarray(h1_spatial, dtype=float)
     m = len(h1) if h1.ndim else 0
-    if h1.shape != (m, m) or np.abs(h1 - h1.T).max(initial=0.0) > SYMMETRY_ATOL:
-        raise ValueError("spatial one-body matrix must be square and symmetric")
+    if (
+        h1.shape != (m, m)
+        or not np.isfinite(h1).all()
+        or np.abs(h1 - h1.T).max(initial=0.0) > SYMMETRY_ATOL
+    ):
+        raise ValueError("spatial one-body matrix must be square, finite and symmetric")
     if isinstance(eri_chemist, Survivors):
         return h1, eri_chemist.checked(m)
     eri = np.asarray(eri_chemist, dtype=float)
-    if eri.ndim == 4:
-        if eri.shape != (m,) * 4:
-            raise ValueError(f"dense ERI tensor must have shape {(m,) * 4}")
-        for perm in [(1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)]:
-            if np.abs(eri - eri.transpose(perm)).max(initial=0.0) > SYMMETRY_ATOL:
-                raise ValueError("ERI tensor must have 8-fold permutational symmetry")
-        return h1, pack_eri(eri)
-    if eri.shape != (packed_length(m),):
-        raise ValueError(f"a packed ERI of {m} orbitals has {packed_length(m)} entries")
-    return h1, eri
+    if eri.shape != (m,) * 4:
+        raise ValueError(f"the ERI must be Survivors or a dense tensor of shape {(m,) * 4}")
+    if not np.isfinite(eri).all():
+        raise ValueError("the dense ERI tensor must be finite")
+    for perm in [(1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)]:
+        if np.abs(eri - eri.transpose(perm)).max(initial=0.0) > SYMMETRY_ATOL:
+            raise ValueError("ERI tensor must have 8-fold permutational symmetry")
+    return h1, pack_eri(eri)
 
 
 def from_spatial_integrals(
@@ -140,11 +137,9 @@ def from_spatial_integrals(
 ) -> FermionHamiltonian:
     """The Hamiltonian of checked spatial integrals.  ``eri_chemist`` holds
     the chemist-notation integrals (ij|kl), either dense,
-    ``eri_chemist[i,j,k,l]``, pair-packed or as survivors (``fermap.eri``);
-    it is stored packed."""
+    ``eri_chemist[i,j,k,l]``, or as survivors (``fermap.eri``); it is stored
+    as survivors."""
     h1, eri = _checked_integrals(h1_spatial, eri_chemist)
-    if isinstance(eri, Survivors):
-        eri = eri.packed(len(h1))
     return FermionHamiltonian(h1, eri, float(constant))
 
 
@@ -207,22 +202,6 @@ def _canonical_terms(one, two, num_modes: int) -> ClassifiedTerms:
     return ClassifiedTerms({kind: _summed(parts, num_modes) for kind, parts in raw.items()})
 
 
-def _at_least(eri: Union[np.ndarray, Survivors], threshold: float) -> Survivors:
-    """The entries of a packed ERI or survivors with ``|value| >=
-    threshold``; a packed ERI is scanned a block at a time."""
-    if isinstance(eri, Survivors):
-        keep = np.abs(eri.values) >= threshold
-        return Survivors(eri.positions[keep], eri.values[keep])
-    kept = np.concatenate(
-        [np.empty(0, dtype=np.intp)]
-        + [
-            start + np.flatnonzero(np.abs(eri[start : start + _SCAN_BLOCK]) >= threshold)
-            for start in range(0, len(eri), _SCAN_BLOCK)
-        ]
-    )
-    return Survivors(kept, eri[kept])
-
-
 def classify_spatial(
     h1_spatial: np.ndarray,
     eri_chemist: Union[np.ndarray, Survivors],
@@ -231,9 +210,9 @@ def classify_spatial(
     """Classify spatial integrals into canonical terms, expanding each
     integral over its spins without materializing spin-orbital tensors.
     The inputs are checked as by ``from_spatial_integrals``: ``h1_spatial``
-    must be symmetric, and ``eri_chemist`` is survivors, pair-packed
-    (``fermap.eri``) or dense; a dense one must be 8-fold symmetric and is
-    packed first, so every form classifies alike.
+    must be symmetric, and ``eri_chemist`` is survivors (``fermap.eri``) or
+    dense; a dense one must be 8-fold symmetric and is packed first, so both
+    forms classify alike.
 
     The cutoff is applied to the spin-orbital entries: a one-body integral
     survives when ``|h_ij| >= cutoff`` and, since each two-body entry is
@@ -252,11 +231,12 @@ def classify_spatial(
     # then the second: the order in which every coefficient has always been summed
     i, j = np.nonzero(np.abs(h1) >= floor)
     one = (mode[i].ravel(), mode[j].ravel(), np.repeat(h1[i, j], 2))
-    # every packed entry that passes stands for its distinct symmetric copies,
+    # every survivor that passes stands for its distinct symmetric copies,
     # taken in lexicographic (i, j, k, l) order as a dense scan would find them
-    kept = _at_least(eri, 2.0 * floor)
-    keys, first = np.unique(orbit_keys(*packed_indices(m, kept.positions), m), return_index=True)
-    values = kept.values[first // 8]
+    kept = np.abs(eri.values) >= 2.0 * floor
+    positions, values = eri.positions[kept], eri.values[kept]
+    keys, first = np.unique(orbit_keys(*packed_indices(m, positions), m), return_index=True)
+    values = values[first // 8]
     i, j, k, l = np.unravel_index(keys, (m,) * 4)
     # (ij|kl) feeds h[p,q,r,s] = (ij|kl)/2 at p~i, s~j (spin s1), q~k, r~l (spin s2)
     shape = (len(i), 2, 2)

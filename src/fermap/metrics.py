@@ -8,7 +8,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .eri import Survivors, packed_length
+from .eri import Survivors
 from .fermion import classify_spatial
 from .jw import jw_transform_terms
 from .pauli import PauliOperatorSum, coefficient_l1_norm
@@ -93,7 +93,7 @@ def complete_graph_probe(num_modes: int) -> Dict[str, int]:
     if num_modes % 2 or num_modes < 4:
         raise ValueError("num_modes must be an even integer >= 4")
     m = num_modes // 2
-    reports = map_integrals(np.ones((m, m)), np.ones(packed_length(m)), cutoff=0.0)
+    reports = map_integrals(np.ones((m, m)), np.ones((m,) * 4), cutoff=0.0)
     encoded, direct = reports["ose"], reports["jw"]
     return {
         "num_modes": num_modes,

@@ -120,7 +120,8 @@ def _screen(
 ) -> _Screen:
     """The screen of a pair screen and its bound, with the MO pairs R whose
     ``reach`` W' can take part in an entry at the floor."""
-    floor = ERROR_BUDGET - bound
+    # at least the smallest positive float, so no exact zero leaves the rotation
+    floor = max(ERROR_BUDGET - bound, np.finfo(float).smallest_subnormal)
     first, second = pair_orbitals(x.shape[1])
     w = reach[first, second]
     rows = np.flatnonzero(w * w.max() >= 0.5 * floor)

@@ -35,7 +35,7 @@ def random_spatial_integrals(
 
 def random_spatial_hamiltonian(num_orbitals: int, seed: int) -> FermionHamiltonian:
     """``random_spatial_integrals`` and a constant, drawn in that order from
-    a generator seeded with ``seed``; the ERI is stored packed."""
+    a generator seeded with ``seed``; the ERI is stored as survivors."""
     rng = np.random.default_rng(seed)
     h1, eri = random_spatial_integrals(num_orbitals, rng)
     constant = float(rng.uniform(-1.0, 1.0))

@@ -81,7 +81,7 @@ def test_transform_constant_and_negative_cutoff(tmp_path, capsys):
     assert "non-negative" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("dim,side,exponent", [(1, 4, 1.00), (2, 2, 3.00)])
+@pytest.mark.parametrize("dim,side,exponent", [(1, 4, 1.00), (2, 2, 3.00), (3, 4, 8.75)])
 def test_transform_of_a_dumped_cell_matches_the_sweep(dim, side, exponent, tmp_path, capsys):
     # both run the same mapping stage; the file has no constant, as sweep rows leave it out
     h1, eri, _ = orthonormal_integrals(LatticeSpec(dim, side, exponent))
@@ -217,11 +217,10 @@ def test_bad_input_prints_one_error_line(argv, message, tmp_path, monkeypatch, c
     assert captured.err.count("\n") == 1
 
 
-def test_an_input_too_large_to_allocate_is_one_error_line(tmp_path):
-    # NORB=2000 sizes a 14.6 TiB packed ERI; under a 3 GiB address-space limit
-    # the allocation fails whatever the kernel's overcommit policy
-    path = tmp_path / "large.fcidump"
-    path.write_text("&FCI NORB=2000,NELEC=2,\n&END\n 1.0 1 1 0 0\n")
+def _transform_under_3_gib(path):
+    """``fermap transform`` of ``path`` in a fresh process under a 3 GiB
+    address-space limit, which fails a too-large allocation whatever the
+    kernel's overcommit policy."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {
         **os.environ,
@@ -232,10 +231,40 @@ def test_an_input_too_large_to_allocate_is_one_error_line(tmp_path):
     def limit_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "fermap.cli", "transform", str(path)],
         env=env, capture_output=True, text=True, preexec_fn=limit_address_space,
     )
+
+
+def test_an_input_too_large_to_allocate_is_one_error_line(tmp_path):
+    # NORB=30000 needs a 7.2 GB one-body matrix
+    path = tmp_path / "large.fcidump"
+    path.write_text("&FCI NORB=30000,NELEC=2,\n&END\n 1.0 1 1 0 0\n")
+    out = _transform_under_3_gib(path)
     assert out.returncode == 2 and out.stdout == ""
     assert out.stderr.startswith("fermap: error: Unable to allocate") and out.stderr.count("\n") == 1
-    assert "NORB=2000" in out.stderr
+    assert "NORB=30000" in out.stderr
+
+
+def test_a_large_norb_with_one_record_transforms(tmp_path):
+    # NORB=2000 has 2e12 packed ERI slots, but the file holds one record: it
+    # reads to a 32 MB one-body matrix and no ERI entry
+    path = tmp_path / "large.fcidump"
+    path.write_text("&FCI NORB=2000,NELEC=2,\n&END\n 1.0 1 1 0 0\n")
+    out = _transform_under_3_gib(path)
+    assert out.returncode == 0 and out.stderr == ""
+    jw = json.loads(out.stdout)[0]
+    assert (jw["qubits"], jw["term_count"], jw["total_weight"]) == (4000, 3, 2)
+
+
+@pytest.mark.parametrize("record", [" nan 1 1 2 2", " inf 1 2 0 0"])
+def test_a_non_finite_integral_is_one_error_line(record, tmp_path, capsys):
+    # a NaN entry would pass no cutoff test and an infinite one would give an infinite L1 norm
+    path = tmp_path / "bad.fcidump"
+    path.write_text(f"&FCI NORB=2,NELEC=2,\n&END\n 0.5 1 1 0 0\n{record}\n")
+    assert main(["transform", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    value = float(record.split()[0])
+    assert captured.err == f"fermap: error: line 4: integral {value!r} is not finite\n"

@@ -7,7 +7,6 @@ import pytest
 from fermap.eri import Survivors, pack_eri, packed_length
 from fermap.fermion import (
     Kind,
-    _at_least,
     blocked_modes,
     classify_spatial,
     from_spatial_integrals,
@@ -17,13 +16,13 @@ from fermap.sampling import random_spatial_hamiltonian, random_spatial_integrals
 
 
 def general_integrals(seed, m=3):
-    """Random symmetric h1 and packed ERI of m orbitals, with about half of
+    """Random symmetric h1 and ERI survivors of m orbitals, with about half of
     the ERI orbits zero; every term kind still appears, so
     every sign branch of the classification sees nonzero entries."""
     rng = np.random.default_rng(seed)
     packed = rng.normal(scale=2.0, size=packed_length(m)) * (rng.random(packed_length(m)) < 0.5)
     a = rng.normal(size=(m, m))
-    return a + a.T, packed
+    return a + a.T, _survivors(packed)
 
 
 def test_from_spatial_integrals_spin_deltas():
@@ -52,9 +51,30 @@ def test_from_spatial_rejects_asymmetric_input():
     with pytest.raises(ValueError, match="symmetric"):
         from_spatial_integrals(h1, np.zeros((2,) * 4))
     with pytest.raises(ValueError, match="symmetric"):
-        classify_spatial(h1, np.zeros(packed_length(2)))
+        classify_spatial(h1, Survivors(np.empty(0, dtype=int), np.empty(0)))
     with pytest.raises(ValueError, match="square"):
-        classify_spatial(np.ones(2), np.zeros(packed_length(2)))
+        classify_spatial(np.ones(2), np.zeros((2,) * 4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_integrals_are_rejected_in_every_form(bad):
+    # NaN passes a symmetry check, and an infinite integral would map to an
+    # infinite L1 norm; survivors are checked by Survivors.checked
+    h1, eri = random_spatial_integrals(2, np.random.default_rng(2))
+    bad_h1 = h1.copy()
+    bad_h1[1, 1] = bad
+    bad_eri = eri.copy()
+    bad_eri[0, 0, 1, 1] = bad_eri[1, 1, 0, 0] = bad
+    bad_survivors = Survivors(np.array([0, 3]), np.array([1.0, bad]))
+    for args, message in (
+        ((bad_h1, eri), "one-body matrix must be square, finite"),
+        ((h1, bad_eri), "ERI tensor must be finite"),
+        ((h1, bad_survivors), "finite"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            from_spatial_integrals(*args)
+        with pytest.raises(ValueError, match=message):
+            classify_spatial(*args)
 
 
 def test_classify_spatial_cutoff_drops_small_entries():
@@ -97,8 +117,11 @@ def test_classify_general_tensors_match_fermion_dense(seed, cutoff):
     i, j, k, l = terms.by_kind[Kind.DOUBLE_EXCITATION][0].T
     assert ((i < j) & (l < k) & (i < l)).all()  # (i, j, k, l) < its h.c. (l, k, j, i)
     # the spin sum of the integrals that pass the cutoff
+    large = np.abs(eri.values) >= 2 * cutoff
     cut = from_spatial_integrals(
-        np.where(np.abs(h1) >= cutoff, h1, 0.0), np.where(np.abs(eri) >= 2 * cutoff, eri, 0.0), 0.3
+        np.where(np.abs(h1) >= cutoff, h1, 0.0),
+        Survivors(eri.positions[large], eri.values[large]),
+        0.3,
     )
     rebuilt = classified_dense(terms, cut.num_modes, cut.constant)
     assert np.allclose(rebuilt, fermion_dense(cut), atol=1e-10)
@@ -125,22 +148,19 @@ def test_classification_does_not_depend_on_the_block_size(monkeypatch):
     assert list(classify_spatial(h1, eri)) == whole  # every sum still adds in input order
 
 
-def test_the_blocked_scan_finds_what_a_whole_array_scan_finds(monkeypatch):
-    values = np.zeros(50)
-    values[[0, 6, 7, 8, 9, 30, 49]] = [1.0, -2.0, 0.5, 3.0, -0.1, 1.0, 2.0]
-    # survivors 6, 7 | 8, 9 straddle a block boundary
-    monkeypatch.setattr("fermap.fermion._SCAN_BLOCK", 8)
-    nonzero = Survivors(np.flatnonzero(values), values[values != 0])
-    for threshold in (0.0, 0.5, 1.0, 5.0):
-        expected = np.flatnonzero(np.abs(values) >= threshold)
-        found = _at_least(values, threshold)
-        assert np.array_equal(found.positions, expected)
-        assert np.array_equal(found.values, values[expected])
-        if threshold > 0:  # survivors hold no zeros, so they skip them at threshold 0
-            found = _at_least(nonzero, threshold)
-            assert np.array_equal(found.positions, expected)
-            assert np.array_equal(found.values, values[expected])
-    assert np.array_equal(_at_least(values[:0], 1.0).positions, [])
+def test_survivors_at_the_two_body_threshold_are_kept():
+    # a survivor passes at |(ij|kl)| >= 2 cutoff, read from its values as they are:
+    # at cutoff 0.25 the entry 0.5 sits on the threshold, and just above it drops out
+    positions = np.array([0, 2, 3, 5])
+    values = np.array([1.0, -2.0, 0.5, 3.0])
+    h1 = np.zeros((2, 2))
+    for cutoff in (0.0, 0.25, np.nextafter(0.25, 1.0), 1.0, 2.0):
+        kept = np.abs(values) >= 2 * cutoff
+        expected = classify_spatial(h1, Survivors(positions[kept], values[kept]))
+        assert list(classify_spatial(h1, Survivors(positions, values), cutoff)) == list(expected)
+    survivors = Survivors(positions, values)
+    at, above = (list(classify_spatial(h1, survivors, c)) for c in (0.25, np.nextafter(0.25, 1.0)))
+    assert len(at) > len(above)
 
 
 def test_number_and_coulomb_classification():
@@ -164,15 +184,14 @@ def _survivors(packed):
 
 @pytest.mark.parametrize("cutoff", [0.0, 0.2])
 def test_classify_spatial_dense_and_packed_input_agree(cutoff):
-    # packed, whole or as its survivors
+    # a dense tensor and its survivors
     h1, eri = random_spatial_integrals(4, np.random.default_rng(3))
     dense = classify_spatial(h1, eri, cutoff=cutoff)
-    for form in (pack_eri(eri), _survivors(pack_eri(eri))):
-        other = classify_spatial(h1, form, cutoff=cutoff)
-        assert list(dense.by_kind) == list(other.by_kind)
-        for kind, (indices, coefficients) in dense.by_kind.items():
-            assert np.array_equal(other.by_kind[kind][0], indices)
-            assert np.array_equal(other.by_kind[kind][1], coefficients)
+    other = classify_spatial(h1, pack_eri(eri), cutoff=cutoff)
+    assert list(dense.by_kind) == list(other.by_kind)
+    for kind, (indices, coefficients) in dense.by_kind.items():
+        assert np.array_equal(other.by_kind[kind][0], indices)
+        assert np.array_equal(other.by_kind[kind][1], coefficients)
 
 
 def test_classify_spatial_rejects_an_asymmetric_tensor():
@@ -185,11 +204,12 @@ def test_classify_spatial_rejects_an_asymmetric_tensor():
         from_spatial_integrals(h1, eri)
 
 
-def test_classify_spatial_rejects_a_packed_eri_of_the_wrong_size():
-    with pytest.raises(ValueError, match="packed"):
-        classify_spatial(np.eye(3), np.zeros(20))
-    with pytest.raises(ValueError, match="packed"):
-        from_spatial_integrals(np.eye(3), np.zeros(20))
+def test_classify_spatial_rejects_a_packed_array():
+    # packed_length(3) == 21: survivors or a dense tensor are the two forms
+    for size in (20, 21):
+        for reader in (classify_spatial, from_spatial_integrals):
+            with pytest.raises(ValueError, match=r"Survivors or a dense tensor of shape \(3, "):
+                reader(np.eye(3), np.zeros(size))
 
 
 @pytest.mark.parametrize(
@@ -199,6 +219,7 @@ def test_classify_spatial_rejects_a_packed_eri_of_the_wrong_size():
         pytest.param([5, 5], [1.0, 2.0], "ascending", id="positions-not-ascending"),
         pytest.param([0, 21], [1.0, 2.0], "positions 0 to 20", id="position-past-the-end"),
         pytest.param([0, 5], [1.0, np.nan], "finite", id="value-not-finite"),
+        pytest.param([0, 5], [1.0, 0.0], "nonzero", id="value-zero"),
         pytest.param([0, 5, 6], [1.0, 2.0], "2 survivor values for 3 positions", id="count-mismatch"),
     ],
 )
@@ -211,13 +232,15 @@ def test_malformed_survivors_are_rejected(positions, values, message):
         from_spatial_integrals(np.eye(3), eri)
 
 
-def test_from_spatial_integrals_stores_the_packed_eri():
+def test_from_spatial_integrals_stores_survivors():
     h1, eri = random_spatial_integrals(3, np.random.default_rng(6))
     packed = from_spatial_integrals(h1, pack_eri(eri), 0.4)
     dense = from_spatial_integrals(h1, eri, 0.4)
-    assert np.array_equal(packed.eri, dense.eri) and np.array_equal(packed.one_body, h1)
-    assert np.array_equal(from_spatial_integrals(h1, _survivors(packed.eri)).eri, packed.eri)
-    assert packed.eri.shape == (packed_length(3),) and packed.num_modes == 6
-    assert packed.constant == 0.4
+    assert isinstance(dense.eri, Survivors) and np.array_equal(packed.one_body, h1)
+    for field in (0, 1):
+        assert np.array_equal(packed.eri[field], dense.eri[field])
+    # the random tensor has no zero, so each of the 21 orbits survives
+    assert np.array_equal(dense.eri.positions, np.arange(packed_length(3)))
+    assert packed.num_modes == 6 and packed.constant == 0.4
     h = random_spatial_hamiltonian(3, 0)
-    assert h.eri.shape == (packed_length(3),) and h.num_modes == 6
+    assert len(h.eri.positions) == packed_length(3) and h.num_modes == 6

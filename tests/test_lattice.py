@@ -12,7 +12,7 @@ import pytest
 from scipy import integrate
 from scipy.special import erf
 
-from fermap.eri import pack_eri, packed_indices, triangular, unpack_eri
+from fermap.eri import Survivors, packed_indices, packed_length, triangular, unpack_eri
 from fermap.lattice import (
     ANGSTROM_TO_BOHR,
     GeometryError,
@@ -29,6 +29,13 @@ def packed_eri(raw):
     """The packed ERI: the lower triangle of the full pair block, row-major."""
     every = np.arange(len(raw.kab))
     return raw.pair_block(every, every)[np.tri(len(every), dtype=bool)]
+
+
+def dense_of(raw):
+    """The dense ERI tensor of the packed ERI, through its survivors."""
+    packed = packed_eri(raw)
+    kept = np.flatnonzero(packed)
+    return unpack_eri(Survivors(kept, packed[kept]), raw.num_orbitals)
 
 
 # --- independent reference: general-exponent s-Gaussian integrals -----------
@@ -206,7 +213,7 @@ def test_integrals_match_general_exponent_reference(alpha):
                 for c in range(m)
             )
             assert raw.core[i, j] == pytest.approx(kin + att, abs=1e-12)
-    eri = unpack_eri(packed_eri(raw), m)
+    eri = dense_of(raw)
     for i, j, k, l in [(0, 0, 0, 0), (0, 1, 2, 0), (0, 1, 1, 2), (2, 2, 0, 1)]:
         assert eri[i, j, k, l] == pytest.approx(
             ref_eri(alpha, alpha, alpha, alpha, *(centers[x] for x in (i, j, k, l))),
@@ -241,8 +248,8 @@ def random_centers(m, seed):
     ],
 )
 def test_eri_matches_dense_expression(centers, alpha):
-    eri = packed_eri(compute_integrals(centers, alpha))
-    np.testing.assert_allclose(eri, pack_eri(dense_eri(centers, alpha)), rtol=1e-14, atol=0)
+    eri = dense_of(compute_integrals(centers, alpha))
+    np.testing.assert_allclose(eri, dense_eri(centers, alpha), rtol=1e-14, atol=0)
 
 
 def test_eri_below_the_floor_is_stored_as_zero():
@@ -251,8 +258,8 @@ def test_eri_below_the_floor_is_stored_as_zero():
     centers = np.array([[0.0, 0.0, 0.0], [11.47, 0.0, 0.0]])
     dense = dense_eri(centers, 8.75)
     assert 0.0 < dense[0, 0, 0, 1] < 1e-200
-    floored = pack_eri(np.where(dense < 1e-200, 0.0, dense))
-    np.testing.assert_allclose(packed_eri(compute_integrals(centers, 8.75)), floored, rtol=1e-14, atol=0)
+    floored = np.where(dense < 1e-200, 0.0, dense)
+    np.testing.assert_allclose(dense_of(compute_integrals(centers, 8.75)), floored, rtol=1e-14, atol=0)
 
 
 def test_eri_is_bitwise_the_per_entry_formula():
@@ -262,7 +269,7 @@ def test_eri_is_bitwise_the_per_entry_formula():
     grid = np.meshgrid(*[np.arange(3.0)] * 3, indexing="ij")
     centers = 2.0 * np.stack(grid, axis=-1).reshape(-1, 3)
     alpha = 41.7
-    i, j, k, l = packed_indices(len(centers))
+    i, j, k, l = packed_indices(len(centers), np.arange(packed_length(len(centers))))
     kab_ij, kab_kl = (
         np.exp(-0.5 * alpha * np.sum((centers[a] - centers[b]) ** 2, axis=1))
         for a, b in ((i, j), (k, l))
@@ -364,7 +371,7 @@ def test_eri_eightfold_symmetry():
     eri = dense_eri(build_lattice(spec), spec.exponent)
     for perm in [(1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]:
         assert np.allclose(eri, eri.transpose(perm), atol=1e-13)
-    np.testing.assert_allclose(unpack_eri(packed_eri(lattice_integrals(spec)), 3), eri, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(dense_of(lattice_integrals(spec)), eri, rtol=1e-14, atol=0)
 
 
 def test_translation_invariance():

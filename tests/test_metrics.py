@@ -4,7 +4,6 @@ complete-graph probe."""
 import numpy as np
 import pytest
 
-from fermap.eri import packed_length
 from fermap.metrics import (
     complete_graph_probe,
     map_integrals,
@@ -52,7 +51,7 @@ def test_report_does_not_depend_on_the_row_order():
 
 def test_map_integrals_rejects_an_asymmetric_one_body_matrix():
     # [[0, 1], [0, 0]] is not a Hermitian a_0^ a_1; it must not be mapped as half of one
-    eri = np.zeros(packed_length(2))
+    eri = np.zeros((2,) * 4)
     with pytest.raises(ValueError, match="symmetric"):
         map_integrals(np.array([[0.0, 1.0], [0.0, 0.0]]), eri, cutoff=0.0, mappings=("jw",))
     reports = map_integrals(np.array([[0.0, 1.0], [1.0, 0.0]]), eri, cutoff=0.0, mappings=("jw",))

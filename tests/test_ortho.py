@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fermap.eri import packed_length, triangular, unpack_eri
+from fermap.eri import Survivors, packed_length, triangular, unpack_eri
 from fermap.fermion import classify_spatial
 from fermap.jw import jw_transform_terms
 from fermap.lattice import LatticeSpec, lattice_integrals
@@ -116,7 +116,8 @@ def _orthogonalizer(raw, truncate):
 def _einsum_rotation(raw, x):
     every = np.arange(len(raw.kab))
     packed = raw.pair_block(every, every)[np.tri(len(every), dtype=bool)]
-    dense = unpack_eri(packed, raw.num_orbitals)
+    kept = np.flatnonzero(packed)
+    dense = unpack_eri(Survivors(kept, packed[kept]), raw.num_orbitals)
     return np.einsum("pi,qj,rk,sl,pqrs->ijkl", x, x, x, x, dense, optimize=True)
 
 
@@ -139,7 +140,7 @@ def test_rotate_integrals_matches_einsum(spec, truncate):
     h1, eri, constant = rotate_integrals(raw, x)
     k = x.shape[1]
     # what the pair screen and the floor drop, plus rounding
-    deviation = np.abs(unpack_eri(eri.packed(k), k) - _einsum_rotation(raw, x)).max()
+    deviation = np.abs(unpack_eri(eri, k) - _einsum_rotation(raw, x)).max()
     assert deviation <= screen.bound + screen.floor + 1e-14
     np.testing.assert_allclose(h1, x.T @ raw.core @ x, rtol=0, atol=1e-14)
     assert np.array_equal(h1, h1.T)  # bitwise, as an FCIDUMP file's triangle reads back
@@ -167,7 +168,7 @@ def test_screened_rotation_matches_einsum_within_its_bound(truncate):
     assert screen.pair_screen == pytest.approx(1e-14 if truncate else 1e-8, rel=1e-12)
     eri = _rotate_screened(raw, screen)
     k = x.shape[1]
-    deviation = np.abs(unpack_eri(eri.packed(k), k) - _einsum_rotation(raw, x)).max()
+    deviation = np.abs(unpack_eri(eri, k) - _einsum_rotation(raw, x)).max()
     # what the pair screen and the floor drop, plus rounding
     assert deviation <= screen.bound + screen.floor + 1e-14
     assert all(map(np.array_equal, rotate_integrals(raw, x)[1], eri))
@@ -229,7 +230,7 @@ def test_no_pair_screen_within_the_budget_keeps_everything(monkeypatch):
     assert len(screen.pairs) == len(screen.rows) == 378
     assert np.array_equal(screen.x, x)
     eri = rotate_integrals(raw, x)[1]
-    np.testing.assert_allclose(unpack_eri(eri.packed(27), 27), _einsum_rotation(raw, x), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(unpack_eri(eri, 27), _einsum_rotation(raw, x), rtol=0, atol=1e-14)
 
 
 def _rotation_peak(spec):
