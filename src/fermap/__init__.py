@@ -26,7 +26,7 @@ from .fermion import (
 )
 from .fcidump import IntegralFile
 from .jw import jw_transform_terms
-from .lattice import LatticeSpec, RawIntegrals, boys_f0, build_lattice, compute_integrals
+from .lattice import LatticeSpec, RawIntegrals, boys_f0, lattice_integrals
 from .metrics import ResourceReport, map_integrals, qubit_bounds, report
 from .ortho import (
     canonical_orthogonalizer,

@@ -35,8 +35,11 @@ DATA_DIR_ENV = "FERMAP_DATA_DIR"
 
 
 def basis_label(exponent: float) -> str:
-    """Canonical two-decimal label used by the reference tables."""
-    return f"{exponent:.2f}"
+    """The reference tables' two-decimal label of the exponent, or, where two
+    decimals do not give the exponent back, its ``repr``: no two exponents
+    share a label, so no exponent is compared with another's table."""
+    label = f"{exponent:.2f}"
+    return label if float(label) == exponent else repr(float(exponent))
 
 
 @dataclass(frozen=True)

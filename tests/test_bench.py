@@ -66,6 +66,9 @@ def test_config_validation():
 def test_basis_label_formatting():
     assert basis_label(8.75) == "8.75"
     assert basis_label(1.0) == "1.00"
+    # two decimals would give 8.754 the 8.75 table and 0.001 the label 0.00
+    assert basis_label(8.754) == "8.754"
+    assert basis_label(0.001) == "0.001"
 
 
 def test_run_cell_matches_reference_row():

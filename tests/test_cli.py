@@ -130,6 +130,14 @@ def test_compare_subcommand(capsys):
     assert "PASS" in out
 
 
+def test_compare_of_an_exponent_without_a_table_does_not_pass(capsys):
+    # 8.754 is no reference exponent: its rows are not diffed against the 8.75 table
+    code = main(["compare", "--dim", "1", "--sizes", "2,4", "--exponents", "8.754"])
+    captured = capsys.readouterr()
+    assert code == 2 and "PASS" not in captured.out
+    assert captured.err.startswith("fermap: error: ") and "dim1_basis8.754.csv" in captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
