@@ -28,6 +28,13 @@ from .eri import Survivors, orbit_keys, pack_eri, packed_indices
 from .pauli import NonHermitianError, Packed, PauliOperatorSum, outer, simplify, z_rows
 
 SYMMETRY_ATOL = 1e-10
+#: Slot s of a double excitation's X support holds the string of the s-th
+#: even subset of the support's four modes or edge ends, as four flags:
+#: s = mask // 2, since an even mask's lowest bit is the parity of the others.
+SLOT_FLAGS = np.array(
+    [[mask >> q & 1 for q in range(4)] for mask in range(16) if bin(mask).count("1") % 2 == 0],
+    dtype=bool,
+)
 #: Two-body entries canonicalised at a time, which bounds the temporaries.
 _BLOCK = 1 << 15
 
@@ -143,18 +150,24 @@ def from_spatial_integrals(
     return FermionHamiltonian(h1, eri, float(constant))
 
 
+def _bincount(group: np.ndarray, values: np.ndarray, length: int) -> np.ndarray:
+    """Sum ``values`` per group, real or complex: ``np.bincount`` adds each
+    group's values in input order, bitwise as a loop, the real and imaginary
+    parts of complex values one after the other."""
+    sums = np.bincount(group, weights=values.real, minlength=length)
+    if np.iscomplexobj(values):
+        sums = sums + 1j * np.bincount(group, weights=values.imag, minlength=length)
+    return sums
+
+
 def _summed(parts: list, num_modes: int) -> Tuple[np.ndarray, np.ndarray]:
     """Sum the values of equal index rows over ``(rows, values)`` parts and
-    drop sums that are exactly zero; rows come back in lexicographic order.
-    ``np.bincount`` adds each row's values in input order, bitwise as a loop,
-    the real and imaginary parts of complex values one after the other."""
+    drop sums that are exactly zero; rows come back in lexicographic order
+    and each row's values are summed in input order (``_bincount``)."""
     shape = (num_modes,) * parts[0][0].shape[1]
     keys = np.concatenate([np.ravel_multi_index(tuple(rows.T), shape) for rows, _ in parts])
     keys, group = np.unique(keys, return_inverse=True)
-    values = np.concatenate([v for _, v in parts])
-    sums = np.bincount(group, weights=values.real, minlength=len(keys))
-    if np.iscomplexobj(values):
-        sums = sums + 1j * np.bincount(group, weights=values.imag, minlength=len(keys))
+    sums = _bincount(group, np.concatenate([v for _, v in parts]), len(keys))
     kept = np.abs(sums) > 0
     return np.stack(np.unravel_index(keys[kept], shape), axis=1), sums[kept]
 
@@ -256,36 +269,66 @@ def _distinct(*modes: np.ndarray) -> Tuple[np.ndarray, ...]:
     return modes
 
 
+def _folded_doubles(indices: np.ndarray, g: np.ndarray, double, double_words) -> Packed:
+    """One row per nonzero (support, slot) sum of the double excitations
+    g (a_i^ a_j^ a_k a_l + h.c.), ``indices`` ``[n, 4]`` (``map_terms``).
+    ``np.bincount`` adds each sum's terms in term order, and a support's
+    words are built once, then each row XORs in its flagged elements."""
+    _distinct(*indices.T)
+    support, slots, units = double(indices)
+    supports, at = np.unique(support, return_inverse=True)
+    values = (units * g[:, None]).ravel()
+    sums = _bincount((8 * at[:, None] + slots).ravel(), values, 8 * len(supports))
+    kept = np.flatnonzero(sums)
+    at, slot = kept // 8, kept % 8
+    x, z, elements, flips = double_words(supports)
+    x, z = x.take(at, axis=0), z.take(at, axis=0)
+    flips = np.concatenate([flips, np.zeros_like(flips[:1])])  # a last row flips nothing
+    for element, flagged in zip(elements.T, SLOT_FLAGS.T):
+        z ^= flips.take(np.where(flagged.take(slot), element.take(at), len(flips) - 1), axis=0)
+    return x, z, sums[kept]
+
+
 def map_terms(
     terms: ClassifiedTerms,
     z: np.ndarray,
     hop: Callable[[np.ndarray, np.ndarray], Tuple[Packed, Tuple[np.ndarray, ...]]],
-    double: Callable[[np.ndarray], Packed],
+    double: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray, np.ndarray]],
+    double_words: Callable[[np.ndarray], Tuple[np.ndarray, ...]],
     num_qubits: int,
     constant: complex,
     eps: float,
 ) -> PauliOperatorSum:
-    """Map classified terms to qubits under one encoding, given by three parts:
+    """Map classified terms to qubits under one encoding, given by four parts:
     ``z[j]``, the Z word of n_j = (1 - Z_j)/2; ``hop(i, k)``, the images of
-    a_i^ a_k + h.c. and the qubits of their X bits (n_j multiplies them
-    through ``outer``'s bit rule); and ``double(idx)``, those of each
-    DOUBLE_EXCITATION row ``idx`` -- all grouped per term.  A hop's or a
-    double excitation's modes must differ (ValueError otherwise).
+    a_i^ a_k + h.c., grouped per term, and the qubits of their X bits (n_j
+    multiplies them through ``outer``'s bit rule); ``double(idx)``, for
+    every DOUBLE_EXCITATION row of ``idx``, an integer key of its image's X
+    support, ``[n]``, and the slots and unit coefficients of its eight
+    strings within that support, ``[n, 8]`` each; and
+    ``double_words(supports)``, for every support key, the x and z words of
+    its slot-0 string, its four elements ``[n, 4]`` (modes or vertices) and
+    the table of Z words that an element XORs into z where slot s flags it
+    (``SLOT_FLAGS[s]``).  A hop's or a double excitation's modes must differ
+    (ValueError otherwise).
 
-    n_j = (1 - Z_j)/2 is applied to the terms before any row is built: the
-    identity parts of the NUMBER and COULOMB_EXCHANGE terms are added to
-    ``constant``, their Z_j parts are summed per mode, and the hop parts of
-    the EXCITATION and NUMBER_EXCITATION terms are summed per mode pair, so
-    each of those strings reaches the merge as one row.  The rows written
-    per term are g/4 Z_i Z_j of each Coulomb term g n_i n_j, -g/2 hop(i, k)
-    Z_j of each g n_j hop(i, k), and the double excitations.  Like terms
-    are then merged and zero sums and |c| < eps cut (``simplify``: rows come
-    out in row-key order, a string's rows are summed in input order, and a
-    key shared by two distinct strings makes it retry from another seed, a
-    bounded number of times), so a pre-summed string's coefficient may
-    differ from a sum of its per-term rows by rounding.  A Pauli sum is
-    Hermitian exactly when its merged coefficients are real, so any |imag|
-    above eps raises NonHermitianError.
+    Every term is folded before any row is built.  n_j = (1 - Z_j)/2 gives
+    the identity parts of the NUMBER and COULOMB_EXCHANGE terms to
+    ``constant``; their Z_j parts are summed per mode, and the hop parts of
+    the EXCITATION and NUMBER_EXCITATION terms per mode pair.  A double
+    excitation's strings have X on its support alone, which no string of
+    another kind or another support has, so its coefficients times g are
+    summed per (support, slot), in term order, and only the nonzero sums'
+    words are built.  The rows written per term are g/4 Z_i Z_j of each
+    Coulomb term g n_i n_j and -g/2 hop(i, k) Z_j of each g n_j hop(i, k).
+    Like terms are then merged and zero sums and |c| < eps cut
+    (``simplify``: rows come out in row-key order, a string's rows are
+    summed in input order, and a key shared by two distinct strings makes
+    it retry from another seed, a bounded number of times), so a pre-summed
+    string's coefficient may differ from a sum of its per-term rows by
+    rounding; so may a string that two slots of one support share.  A Pauli
+    sum is Hermitian exactly when its merged coefficients are real, so any
+    |imag| above eps raises NonHermitianError.
     """
 
     def of(kind: Kind, arity: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -319,10 +362,7 @@ def map_terms(
             x, zw, c = outer(rows, z_rows(z.take(j, axis=0)[:, None], -0.5), x_qubits, ())
             yield x, zw, c * g[:, None]
         if len(double_excitation[1]):
-            indices, g = double_excitation
-            _distinct(*indices.T)
-            x, zw, c = double(indices)
-            yield x, zw, c * g[:, None]
+            yield _folded_doubles(*double_excitation, double, double_words)
 
     merged = simplify(PauliOperatorSum.from_packed(batches(), num_qubits, constant), eps)
     worst = float(np.abs(merged.coefficients.imag).max(initial=0.0))

@@ -3,16 +3,20 @@
 Convention: ``a_j^ = (X_j - iY_j)/2 * Z_{j-1} ... Z_0`` (the Z string sits on
 indices below j).
 
-The encoding's three parts for ``fermion.map_terms``: n_j's Z word is qubit
-j's bit, and a hop or a double excitation is the product of its ladder
-images plus its adjoint.  Its words come from a per-register table of single
-bits and one of prefix masks (the Z strings): X on the modes, Z on the XOR of
-the modes' Z strings and of each mode whose ladder row is the Y one.  Its
+The encoding's parts for ``fermion.map_terms``: n_j's Z word is qubit j's
+bit, and a hop or a double excitation is the product of its ladder images
+plus its adjoint.  Its words come from a per-register table of single bits
+and one of prefix masks (the Z strings): X on the modes, Z on the XOR of the
+modes' Z strings and of each mode whose ladder row is the Y one.  Its
 coefficients depend only on the modes' relative order and those Y choices,
 so a chain of ``pauli.outer`` runs once per process over every ordering of 2
 and of 4 modes, and each term reads its row of that table by the rank code
-of its modes.  Only the rows whose strings carry an even number of Y are
-built; the adjoint cancels the others exactly.
+of its modes.  Only the strings that carry an even number of Y are written;
+the adjoint cancels the others exactly.  A hop's rows are built per term.  A
+double excitation hands over the key of its X support, its sorted modes,
+and the slot of each of its 8 strings there: the mask, over the sorted
+modes, of the modes whose ladder row is the Y one, read by rank code from a
+table.  Its words are built once per summed string.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .fermion import ClassifiedTerms, map_terms
+from .fermion import SLOT_FLAGS, ClassifiedTerms, map_terms
 from .pauli import Packed, PauliOperatorSum, outer, set_bits
 
 
@@ -103,6 +107,40 @@ def _plus_adjoint(tables, *modes: np.ndarray) -> Tuple[Packed, Tuple[np.ndarray,
     return (x, z, _coefficient_table(len(modes))[_rank_code(modes)]), modes
 
 
+@cache
+def _double_slots() -> np.ndarray:
+    """The slot (``fermion.SLOT_FLAGS``) of every even-Y row of a double
+    excitation's ladder product, by the rank code of its modes.  A row's Z
+    word is the XOR of the modes' Z strings and of the bits of the modes
+    whose ladder row is the Y one (``_plus_adjoint``), so its slot is the
+    mask of those modes over the sorted modes, halved."""
+    orderings = np.array(list(permutations(range(4))), dtype=np.intp)  # each mode is its rank
+    masks = (_even_y(4).astype(np.intp)[None] << orderings[:, None]).sum(axis=2)
+    table = np.zeros((64, len(masks[0])), dtype=np.intp)
+    table[_rank_code(tuple(orderings.T))] = masks // 2
+    return table
+
+
+def _double_excitations(num_modes: int, idx: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """a_i^ a_j^ a_k a_l + h.c. for every row of ``idx``: the key of its X
+    support, its four modes sorted and raveled, and the slots and
+    coefficients of its eight even-Y strings, read by the rank code of the
+    modes; the coefficients are real (c + conj(c))."""
+    code = _rank_code(tuple(idx.T))
+    support = np.ravel_multi_index(tuple(np.sort(idx, axis=1).T), (num_modes,) * 4)
+    return support, _double_slots()[code], _coefficient_table(4).real[code]
+
+
+def _double_words(tables, num_modes: int, supports: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """For every support, X on its four modes and Z on the XOR of their Z
+    strings, its sorted modes and the bits they flip in Z."""
+    bits, prefix = tables
+    modes = np.unravel_index(supports, (num_modes,) * 4)
+    x = reduce(np.bitwise_xor, [bits.take(m, axis=0) for m in modes])
+    z = reduce(np.bitwise_xor, [prefix.take(m, axis=0) for m in modes])
+    return x, z, np.stack(modes, axis=1), bits
+
+
 def jw_transform_terms(
     terms: ClassifiedTerms,
     num_modes: int,
@@ -114,9 +152,8 @@ def jw_transform_terms(
     Raises NonHermitianError when a merged coefficient has |imag| > eps.
     """
     tables = _register_tables(num_modes)
-    hop = partial(_plus_adjoint, tables)
-
-    def double(idx: np.ndarray) -> Packed:
-        return hop(*idx.T)[0]
-
-    return map_terms(terms, tables[0], hop, double, num_modes, constant, eps)
+    double = partial(_double_excitations, num_modes)
+    words = partial(_double_words, tables, num_modes)
+    return map_terms(
+        terms, tables[0], partial(_plus_adjoint, tables), double, words, num_modes, constant, eps
+    )

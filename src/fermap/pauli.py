@@ -121,11 +121,10 @@ def outer(a: Packed, b: Packed, a_x: Sequence[np.ndarray], b_x: Sequence[np.ndar
     an X of ``a`` at e adds ``bz[e] * (2 az[e] - 1)`` and an X of ``b`` at e
     adds ``az[e] * (2 bz[e] + 1)``.  The qubits must all differ: a qubit
     listed twice, or an X bit left out, gives a wrong phase and no error.
-    The library's factors meet this.  A hop's or a double excitation's modes
-    differ (``fermion._distinct``), so its JW qubits do, and so do its
-    edges: two edge operators on pairs of four distinct modes never share
-    one.  A JW table multiplies ladders on distinct modes, and a loop
-    stabilizer the edge operators around a cycle, whose edges differ.
+    The library's factors meet this.  A hop's modes differ
+    (``fermion._distinct``), so its JW qubits do.  A JW table multiplies
+    ladders on distinct modes, and a loop stabilizer the edge operators
+    around a cycle, whose edges differ.
     """
     (ax, az, ac), (bx, bz, bc) = a, b
     phase = np.zeros((len(ax), 1, 1), dtype=np.int64)
@@ -136,7 +135,10 @@ def outer(a: Packed, b: Packed, a_x: Sequence[np.ndarray], b_x: Sequence[np.ndar
     z = az[:, :, None] ^ bz[:, None]
     # with no X in b, every product row keeps a's X words: a view when R == 1
     x = ax[:, :, None] ^ bx[:, None] if len(b_x) else np.broadcast_to(ax[:, :, None], z.shape)
-    c = ac[:, :, None] * bc[:, None] * _I_POW_ARRAY[phase % 4]
+    c = np.multiply(ac[:, :, None], bc[:, None])
+    phase %= 4
+    for power, unit in enumerate(_I_POW_ARRAY):  # times i**phase, in place, a power at a time
+        np.multiply(c, unit, out=c, where=phase == power)
     n, words = x.shape[0], x.shape[-1]
     return x.reshape(n, -1, words), z.reshape(n, -1, words), c.reshape(n, -1)
 
@@ -230,10 +232,12 @@ def simplify(s: PauliOperatorSum, eps: float = 1e-12) -> PauliOperatorSum:
     do not, the merge starts again from the next seed, raising
     KeyCollisionError after ``MERGE_ATTEMPTS`` attempts, so two distinct
     strings are never merged.  Each group's coefficients are summed in input
-    order, so the sums do not depend on the key, the sort or a retry.
+    order, so the sums do not depend on the key, the sort or a retry.  eps
+    must satisfy 0 <= eps < inf (ValueError otherwise): a NaN or infinite
+    eps would drop every term.
     """
-    if eps < 0:
-        raise ValueError("eps must be non-negative")
+    if not 0 <= eps < np.inf:
+        raise ValueError("eps must be non-negative and finite")
     for attempt in range(MERGE_ATTEMPTS):
         keys = _row_keys(s.x, s.z, attempt)
         order = np.argsort(keys)

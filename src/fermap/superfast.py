@@ -8,23 +8,26 @@ neighboring edges, and A_qp = -A_pq.  One ``[n, n]`` edge lookup is the
 graph's only adjacency: the packed tables and the breadth-first spanning
 forest are both read from it.
 
-The encoding's three parts for ``fermion.map_terms``: n_j's Z word is B_j, a
-hop is an edge operator times two vertex operators, and a double excitation
-two edge operators times eight products of vertex operators.  Each product,
+The encoding's parts for ``fermion.map_terms``: n_j's Z word is B_j, a hop
+is an edge operator times two vertex operators, and a double excitation two
+edge operators times eight products of vertex operators.  A hop's product,
 and each step of a loop stabilizer's product around its cycle, is a
 ``pauli.outer`` told the edges of the edge operators' X bits, so its phases
-are the Z bits at those edges, not bit counts over whole rows.
+are the Z bits at those edges, not bit counts over whole rows.  A double
+excitation hands over its two edges, its X support, and the slot and +/-1/8
+coefficient of each B-subset string there, read from one table by its
+pairing; its words are built once per summed string.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from functools import partial, reduce
+from functools import cache, partial
 from typing import List, Tuple
 
 import numpy as np
 
-from .fermion import ClassifiedTerms, Kind, blocked_modes, map_terms
+from .fermion import SLOT_FLAGS, ClassifiedTerms, Kind, blocked_modes, map_terms
 from .pauli import Packed, PauliOperatorSum, num_words, outer, set_bits, z_rows
 
 
@@ -71,13 +74,19 @@ class InteractionGraph:
         rows = np.concatenate([np.nonzero(low_p)[0], np.nonzero(low_r)[0]])
         self.edge_z = set_bits(rows, np.concatenate([at_p[low_p], at_r[low_r]]), q, q)
 
-    def a(self, p: np.ndarray, q: np.ndarray) -> Tuple[Packed, np.ndarray]:
-        """A_pq for every pair, one row per term, and the index of its edge,
-        the qubit of its X bit."""
+    def edge(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """The index of edge {p, q} for every pair; MissingEdgeError where
+        there is none."""
         e = self.lookup[p, q]
         if (e < 0).any():
             k = int(np.argmax(e < 0))
             raise MissingEdgeError(f"no edge between modes {p[k]} and {q[k]}")
+        return e
+
+    def a(self, p: np.ndarray, q: np.ndarray) -> Tuple[Packed, np.ndarray]:
+        """A_pq for every pair, one row per term, and the index of its edge,
+        the qubit of its X bit."""
+        e = self.edge(p, q)
         c = np.where(p > q, -1.0, 1.0)[:, None]  # A_qp = -A_pq
         return (self.edge_x.take(e, axis=0)[:, None], self.edge_z.take(e, axis=0)[:, None], c), e
 
@@ -170,18 +179,58 @@ _DOUBLE_B_SUBSETS = (
 )
 
 
-def _double_excitations(g: InteractionGraph, idx: np.ndarray, spins: np.ndarray) -> Packed:
-    """a_i^ a_j^ a_k a_l + h.c. from two same-spin edge operators and eight B-subsets."""
+@cache
+def _double_tables() -> Tuple[np.ndarray, np.ndarray]:
+    """Slots (``fermion.SLOT_FLAGS``) and unit coefficients of the eight
+    B-subset strings of a double excitation, by a code of its pairing: bit 0
+    set for the crossing pairing, bit 1 where the first pair's edge is the
+    higher, bits 2 and 3 where the first or second pair runs from its higher
+    vertex to its lower.
+
+    The term is pair_sign A_1 A_2 B_S / 8 summed over the subsets S of
+    ``_DOUBLE_B_SUBSETS``.  Its support's four vertices are ordered as the
+    lower edge's ends, then the higher edge's, each ascending, and a slot
+    flags S over them.  The edges of two pairs of distinct modes share no
+    vertex, so neither edge operator has a Z bit on the other's edge: A_1 A_2
+    carries no phase, and ``outer``'s rule gives B_S a factor -i for each
+    edge on which S has one end, which an even S has on both edges or on
+    neither.  With A_qp = -A_pq, every coefficient is +/-1/8."""
+    slots, units = np.zeros((16, 8), dtype=np.intp), np.zeros((16, 8))
+    for code in range(16):
+        cross, swap, flip1, flip2 = (code >> b & 1 for b in range(4))
+        first, second = ((0, 2), (1, 3)) if cross else ((0, 3), (1, 2))  # operator positions
+        place = {}
+        for (p, q), lowest, flip in ((first, 2 * swap, flip1), (second, 2 - 2 * swap, flip2)):
+            place[p], place[q] = lowest + flip, lowest + 1 - flip
+        for t, (subset, sign) in enumerate(_DOUBLE_B_SUBSETS):
+            split = len(set(subset) & set(first)) % 2
+            slots[code, t] = sum(1 << place[r] for r in subset) // 2
+            units[code, t] = sign * (-1) ** (cross + flip1 + flip2 + split) / 8
+    return slots, units
+
+
+def _double_excitations(
+    g: InteractionGraph, spins: np.ndarray, idx: np.ndarray
+) -> Tuple[np.ndarray, ...]:
+    """a_i^ a_j^ a_k a_l + h.c. for every row of ``idx``: the key of its
+    two edges, the X support, as lower * Q + higher, and the slots and
+    coefficients of its eight strings (``_double_tables``)."""
     first, second, pair_sign = pair_partition(idx, spins)
-    (a1, e1), (a2, e2) = g.a(*first.T), g.a(*second.T)
-    aa = outer(a1, a2, (e1,), (e2,))
-    # the B_v commute and carry no X, so each subset's product is one Z mask
-    subsets, signs = zip(*_DOUBLE_B_SUBSETS)
-    b = [g.vertex.take(modes, axis=0) for modes in idx.T]
-    none = np.zeros_like(b[0])
-    z = np.stack([reduce(np.bitwise_xor, [b[r] for r in sub], none) for sub in subsets], axis=1)
-    c = np.outer(pair_sign / 8.0, signs)
-    return outer(aa, z_rows(z, c), (e1, e2), ())
+    e1, e2 = g.edge(*first.T), g.edge(*second.T)
+    code = (pair_sign < 0) + 2 * (e1 > e2) + 4 * (first[:, 0] > first[:, 1])
+    code += 8 * (second[:, 0] > second[:, 1])
+    support = np.minimum(e1, e2) * g.num_qubits + np.maximum(e1, e2)
+    slots, units = _double_tables()
+    return support, slots[code], units[code]
+
+
+def _double_words(g: InteractionGraph, supports: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """For every support, the words of A_1 A_2 on its two edges, its four
+    vertices in slot order and the vertex words B_v, which flip Z."""
+    edges = supports // g.num_qubits, supports % g.num_qubits
+    x = g.edge_x.take(edges[0], axis=0) ^ g.edge_x.take(edges[1], axis=0)
+    z = g.edge_z.take(edges[0], axis=0) ^ g.edge_z.take(edges[1], axis=0)
+    return x, z, np.concatenate([g.edges.take(e, axis=0) for e in edges], axis=1), g.vertex
 
 
 def ose_transform_terms(
@@ -197,8 +246,9 @@ def ose_transform_terms(
     terms are merged and |c| < eps dropped; raises NonHermitianError when a
     merged coefficient has |imag| > eps.
     """
-    double = partial(_double_excitations, g, spins=blocked_modes(g.num_vertices)[1])
-    return map_terms(terms, g.vertex, partial(_hops, g), double, g.num_qubits, constant, eps)
+    double = partial(_double_excitations, g, blocked_modes(g.num_vertices)[1])
+    words = partial(_double_words, g)
+    return map_terms(terms, g.vertex, partial(_hops, g), double, words, g.num_qubits, constant, eps)
 
 
 def loop_stabilizers(g: InteractionGraph) -> PauliOperatorSum:

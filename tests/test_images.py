@@ -1,6 +1,7 @@
 """Term images from JW's coefficient tables and from bit lookups against the
 general Pauli product chain, kind by kind: the rows written per term row by
-row, and the strings folded before the merge through the merged operator."""
+row, the double excitations' rows per string, and the strings folded before
+the merge through the merged operator."""
 
 from itertools import permutations
 
@@ -65,9 +66,8 @@ def reference_rows(kind, idx, coefficients, z_words, hop, double):
     """The rows of one kind's images through the product chain, scaled by
     the coefficients, without the rows that are exactly 0, and a mask of
     those that ``map_terms`` writes term by term: the Z_i Z_j row of a
-    Coulomb term, the hop(i, k) Z_j rows of a number excitation and every
-    double excitation row.  The other rows are folded: their strings are
-    summed before the merge."""
+    Coulomb term and the hop(i, k) Z_j rows of a number excitation.  The
+    other rows are folded: their strings are summed before the merge."""
     cols = idx.T
     if kind is Kind.NUMBER:
         rows = number(z_words, cols[0])
@@ -85,8 +85,6 @@ def reference_rows(kind, idx, coefficients, z_words, hop, double):
         written[:, 3] = True  # Z_i Z_j, the last row of (1 - Z_i)(1 - Z_j)/4
     elif kind is Kind.NUMBER_EXCITATION:
         written[:, 1::2] = True  # hop(i, k) Z_j, after each row of hop(i, k)
-    elif kind is Kind.DOUBLE_EXCITATION:
-        written[:] = True
     c = (c * coefficients[:, None]).ravel()
     kept = c != 0
     return x.reshape(len(c), -1)[kept], z.reshape(len(c), -1)[kept], c[kept], written.ravel()[kept]
@@ -127,21 +125,40 @@ def assert_rows_equal(got, expected):
         assert g.shape == e.shape and np.array_equal(g, e)
 
 
-def assert_images_equal(transformed, expected, eps=1e-12):
-    """The rows written term by term are bitwise the product chain's and come
-    last in the merge's input, in term order.  The merged operator has the
-    strings of the merged product-chain rows, and coefficients equal to
-    theirs within the error bound of summing in another order: a sum of n
-    terms in any order is within (n - 1) u sum|terms| of the exact sum (u
-    the unit roundoff), so two orders differ by at most twice that, taken
-    here over all of the kind's rows."""
-    (got, merged), (x, z, c, written) = transformed, expected
-    n = len(got) - int(written.sum())
-    assert_rows_equal((got.x[n:], got.z[n:], got.coefficients[n:]), (x[written], z[written], c[written]))
-    reference = simplify(PauliOperatorSum(x, z, c, got.num_qubits), eps)
+def assert_merged_equal(merged, x, z, c, eps=1e-12):
+    """The merged operator has the strings of the merged product-chain rows,
+    and coefficients equal to theirs within the error bound of summing in
+    another order: a sum of n terms in any order is within (n - 1) u
+    sum|terms| of the exact sum (u the unit roundoff), so two orders differ
+    by at most twice that, taken here over all of the kind's rows."""
+    reference = simplify(PauliOperatorSum(x, z, c, merged.num_qubits), eps)
     assert_rows_equal((merged.x, merged.z), (reference.x, reference.z))
     bound = len(c) * np.finfo(float).eps * np.abs(c).sum()  # 2 (n - 1) u <= n eps
     assert np.abs(merged.coefficients - reference.coefficients).max(initial=0.0) <= bound
+
+
+def assert_images_equal(transformed, expected, kind, eps=1e-12):
+    """The rows written term by term are bitwise the product chain's and come
+    last in the merge's input, in term order.  The double excitations reach
+    the merge as one row per (support, string), bitwise the sum of that
+    string's product-chain rows in term order, and no zero sum.  The merged
+    operator is the product chain's (``assert_merged_equal``)."""
+    (got, merged), (x, z, c, written) = transformed, expected
+    n = len(got) - int(written.sum())
+    assert_rows_equal((got.x[n:], got.z[n:], got.coefficients[n:]), (x[written], z[written], c[written]))
+    if kind is Kind.DOUBLE_EXCITATION:
+        once = simplify(got, 0.0)  # each row alone in its group: its coefficient unchanged
+        assert len(once) == len(got)
+        reference = simplify(PauliOperatorSum(x, z, c, got.num_qubits), 0.0)
+        assert_rows_equal(
+            (once.x, once.z, once.coefficients), (reference.x, reference.z, reference.coefficients)
+        )
+    assert_merged_equal(merged, x, z, c, eps)
+
+
+def rows_per_support(s):
+    """The number of rows of ``s`` on each X support."""
+    return np.unique(s.x, axis=0, return_counts=True)[1]
 
 
 @pytest.mark.parametrize("kind", list(Kind))
@@ -157,7 +174,7 @@ def test_jw_images_equal_the_product_chain(monkeypatch, kind, num_modes):
         lambda i, k: jw_plus_adjoint(tables, i, k),
         lambda idx: jw_plus_adjoint(tables, *idx.T),
     )
-    assert_images_equal(transformed, expected)
+    assert_images_equal(transformed, expected, kind)
 
 
 SUPERFAST_GRAPHS = {
@@ -181,7 +198,90 @@ def test_superfast_images_equal_the_product_chain(monkeypatch, kind, name):
         lambda i, j: ose_hop(g, i, j),
         lambda idx: ose_double(g, idx),
     )
-    assert_images_equal(transformed, expected)
+    assert_images_equal(transformed, expected, kind)
+
+
+def double_terms(modes, seed):
+    """Every ordering of four modes as a double excitation, each with its own g."""
+    idx = np.array(list(permutations(modes)))
+    g = np.random.default_rng(seed).normal(size=len(idx))
+    return ClassifiedTerms({Kind.DOUBLE_EXCITATION: (idx, g)})
+
+
+@pytest.mark.parametrize("modes", [(0, 1, 2, 3), (1, 2, 5, 6)])  # one spin; two spins, crossings
+def test_jw_every_ordering_of_four_modes_folds_into_one_support(monkeypatch, modes):
+    terms = double_terms(modes, seed=sum(modes))
+    got, merged = merged_input(monkeypatch, lambda: jw_transform_terms(terms, 8))
+    assert rows_per_support(got).tolist() == [len(got)] and len(got) <= 8
+    tables = _register_tables(8)
+    expected = reference_rows(
+        Kind.DOUBLE_EXCITATION, *terms.by_kind[Kind.DOUBLE_EXCITATION], tables[0], None,
+        lambda idx: jw_plus_adjoint(tables, *idx.T),
+    )
+    assert_images_equal((got, merged), expected, Kind.DOUBLE_EXCITATION)
+
+
+@pytest.mark.parametrize("modes", [(0, 1, 2, 3), (1, 2, 5, 6)])
+@pytest.mark.parametrize("name", ["K8", "K8+ancilla"])
+def test_superfast_every_ordering_of_four_modes_folds_per_support(monkeypatch, modes, name):
+    # the orderings pair the modes in up to three ways, one edge pair each;
+    # the ancilla's edge moves the qubits of the edges sorted after it
+    g = complete_graphs(8, 1) if name == "K8" else add_parity_ancilla(complete_graphs(8, 1), 2)
+    terms = double_terms(modes, seed=sum(modes))
+    got, merged = merged_input(monkeypatch, lambda: ose_transform_terms(terms, g))
+    assert rows_per_support(got).max() <= 8
+    expected = reference_rows(
+        Kind.DOUBLE_EXCITATION, *terms.by_kind[Kind.DOUBLE_EXCITATION], g.vertex, None,
+        lambda idx: ose_double(g, idx),
+    )
+    assert_images_equal((got, merged), expected, Kind.DOUBLE_EXCITATION)
+
+
+@pytest.mark.parametrize(
+    "g, strings",
+    [
+        # two single-edge spin sectors: B_p B_q = 1 on each edge, so the 8
+        # subsets give 2 strings, on which each term's image cancels
+        (complete_graphs(2, 2), 2),
+        # two K4 sectors: a one-spin term's four vertices are a whole sector,
+        # whose B product is 1, so each subset and its complement give one string
+        (complete_graphs(4, 2), 4),
+        # the same with the parity ancilla on the other sector, which moves its edges' qubits
+        (add_parity_ancilla(complete_graphs(4, 2), 4), 4),
+    ],
+    ids=["single-edge sectors", "K4 sectors", "K4 sectors+ancilla"],
+)
+def test_superfast_subsets_that_give_one_string_merge_exactly(monkeypatch, g, strings):
+    # every ordering of the modes 0-3 whose pairs are edges of the graph
+    idx = np.array(list(permutations(range(4))))
+    first, second, _ = pair_partition(idx, blocked_modes(g.num_vertices)[1])
+    idx = idx[(g.lookup[tuple(first.T)] >= 0) & (g.lookup[tuple(second.T)] >= 0)]
+    g_values = np.random.default_rng(4).normal(size=len(idx))
+    terms = ClassifiedTerms({Kind.DOUBLE_EXCITATION: (idx, g_values)})
+    got, merged = merged_input(monkeypatch, lambda: ose_transform_terms(terms, g))
+    # each support's 8 slots reach the merge, and the merge sums the slots of one string
+    assert (rows_per_support(got) == 8).all()
+    distinct = np.unique(np.concatenate([got.x, got.z], axis=1), axis=0)
+    assert len(distinct) == strings * len(rows_per_support(got))
+    x, z, c, _ = reference_rows(
+        Kind.DOUBLE_EXCITATION, idx, g_values, g.vertex, None, lambda i: ose_double(g, i)
+    )
+    assert_merged_equal(merged, x, z, c)
+
+
+def test_dense_2d_hands_the_merge_one_row_per_double_excitation_string(monkeypatch):
+    # d2 side-4 a1.00 has 23 682 double excitations, whose 8 rows each made
+    # 189 456 of the 204 369 rows that each encoding handed the merge
+    seen, merge = [], fermion.simplify
+
+    def spy(s, eps):
+        seen.append(len(s))
+        return merge(s, eps)
+
+    monkeypatch.setattr(fermion, "simplify", spy)
+    row = run_cell(2, 4, 1.00)
+    assert seen[0] <= 63_853 and seen[1] <= 83_161
+    assert (row.jw_total_weight, row.bksf_total_weight) == (456_736, 1_790_560)
 
 
 @pytest.mark.parametrize(
@@ -258,3 +358,13 @@ def test_a_repeated_mode_raises(kind, row):
         jw_transform_terms(terms, 4)
     with pytest.raises(ValueError, match="repeats a mode"):
         ose_transform_terms(terms, complete_graphs(4, 1))
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0])
+def test_an_eps_outside_zero_to_infinity_raises(eps):
+    # a NaN or infinite eps dropped every term, and |imag| > NaN is never true
+    terms = random_terms(Kind.DOUBLE_EXCITATION, 4, seed=0)
+    with pytest.raises(ValueError, match="eps must be non-negative and finite"):
+        jw_transform_terms(terms, 4, eps=eps)
+    with pytest.raises(ValueError, match="eps must be non-negative and finite"):
+        ose_transform_terms(terms, complete_graphs(4, 1), eps=eps)
