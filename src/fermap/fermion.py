@@ -8,9 +8,9 @@ A Hamiltonian is held as its spatial integrals only: the one-body matrix
     c + sum_s sum_ij h_ij a_is^ a_js
       + 1/2 sum_st sum_ijkl (ij|kl) a_is^ a_kt^ a_lt a_js
 
-over the blocked modes of ``blocked_modes``; ``classify_spatial`` expands it
-entry by entry into canonical self-adjoint terms, from the survivors that
-pass the cutoff, with no spin-orbital tensor.
+over the blocked modes of ``blocked_modes``; ``classify_spatial`` turns the
+entries that pass the cutoff into canonical self-adjoint terms, canonicalising
+each distinct spatial entry once, with no spin-orbital tensor.
 ``map_terms`` maps those terms to qubits under any encoding that says how it
 writes n_j, a hop and a double excitation.
 """
@@ -35,7 +35,7 @@ SLOT_FLAGS = np.array(
     [[mask >> q & 1 for q in range(4)] for mask in range(16) if bin(mask).count("1") % 2 == 0],
     dtype=bool,
 )
-#: Two-body entries canonicalised at a time, which bounds the temporaries.
+#: Distinct spatial ERI copies classified at a time, which bounds the temporaries.
 _BLOCK = 1 << 15
 
 
@@ -196,36 +196,24 @@ def _two_body_rows(p, q, r, s, v) -> Dict[Kind, Tuple[np.ndarray, np.ndarray]]:
     return rows
 
 
-def _canonical_terms(one, two, num_modes: int) -> ClassifiedTerms:
-    """Sum signed spin-orbital entries into canonical terms.
-
-    ``one = (p, q, v)`` holds one-body entries h[p,q], each the coefficient of
-    a_p^ a_q, and ``two = (p, q, r, s, v)`` two-body entries h[p,q,r,s], each
-    the coefficient of a_p^ a_q^ a_r a_s, as parallel arrays.  Each term's
-    coefficient sums its entries' contributions in input order.
-    """
-    p, q, v = one
-    diag = p == q
-    pairs = np.stack([np.minimum(p, q), np.maximum(p, q)], axis=1)
-    # an off-diagonal entry and its transpose each contribute half of the term
-    raw = {Kind.NUMBER: [(p[diag, None], v[diag])], Kind.EXCITATION: [(pairs[~diag], 0.5 * v[~diag])]}
-    for start in range(0, len(two[0]), _BLOCK):
-        for kind, part in _two_body_rows(*(a[start : start + _BLOCK] for a in two)).items():
-            raw.setdefault(kind, []).append(part)
-    return ClassifiedTerms({kind: _summed(parts, num_modes) for kind, parts in raw.items()})
-
-
 def classify_spatial(
     h1_spatial: np.ndarray,
     eri_chemist: Union[np.ndarray, Survivors],
     cutoff: float = 0.0,
 ) -> ClassifiedTerms:
-    """Classify spatial integrals into canonical terms, expanding each
-    integral over its spins without materializing spin-orbital tensors.
-    The inputs are checked as by ``from_spatial_integrals``: ``h1_spatial``
-    must be symmetric, and ``eri_chemist`` is survivors (``fermap.eri``) or
-    dense; a dense one must be 8-fold symmetric and is packed first, so both
-    forms classify alike.
+    """Classify spatial integrals into canonical terms, canonicalising each
+    distinct spatial entry once, with no spin-orbital tensor.  The inputs
+    are checked as by ``from_spatial_integrals``: ``h1_spatial`` must be
+    symmetric, and ``eri_chemist`` is survivors (``fermap.eri``) or dense; a
+    dense one must be 8-fold symmetric and is packed first, so both forms
+    classify alike.
+
+    A same-spin entry compares indices within its spin block only, so its
+    row, found on orbital indices, is written into both blocks, at +0 and +m.
+    The spin-down/spin-up entry of (ij|kl) is the spin-up/spin-down entry of
+    (kl|ij), so a mixed-spin term takes the latter alone, at twice its value.
+    Each term sums its rows in the lexicographic order of their copies, and
+    rows come out in lexicographic order.
 
     The cutoff is applied to the spin-orbital entries: a one-body integral
     survives when ``|h_ij| >= cutoff`` and, since each two-body entry is
@@ -236,27 +224,37 @@ def classify_spatial(
         raise ValueError("cutoff must be non-negative and finite")
     h1, eri = _checked_integrals(h1_spatial, eri_chemist)
     m = h1.shape[0]
-    orbital, spin = blocked_modes(2 * m)
-    mode = np.empty((m, 2), dtype=np.intp)
-    mode[orbital, spin] = np.arange(2 * m)
     floor = max(cutoff, 1e-300)
-    # each entry is expanded over its spins, entry-major, then the first spin,
-    # then the second: the order in which every coefficient has always been summed
-    i, j = np.nonzero(np.abs(h1) >= floor)
-    one = (mode[i].ravel(), mode[j].ravel(), np.repeat(h1[i, j], 2))
+    # a number term is one diagonal entry, an excitation the half-sum of an
+    # entry h_ij and its transpose, i < j
+    passed = np.where(np.abs(h1) >= floor, h1, 0.0)
+    pairs = np.triu(0.5 * passed + 0.5 * passed.T, 1)
+    n, (i, j) = np.flatnonzero(np.diagonal(passed)), np.nonzero(pairs)
+    terms = {
+        kind: (np.concatenate([rows, rows + m]), np.concatenate([c, c]))
+        for kind, rows, c in (
+            (Kind.NUMBER, n[:, None], passed[n, n]),
+            (Kind.EXCITATION, np.stack([i, j], axis=1), pairs[i, j]),
+        )
+    }
     # every survivor that passes stands for its distinct symmetric copies,
     # taken in lexicographic (i, j, k, l) order as a dense scan would find them
     kept = np.abs(eri.values) >= 2.0 * floor
     positions, values = eri.positions[kept], eri.values[kept]
     keys, first = np.unique(orbit_keys(*packed_indices(m, positions), m), return_index=True)
-    values = values[first // 8]
-    i, j, k, l = np.unravel_index(keys, (m,) * 4)
-    # (ij|kl) feeds h[p,q,r,s] = (ij|kl)/2 at p~i, s~j (spin s1), q~k, r~l (spin s2)
-    shape = (len(i), 2, 2)
-    p, s = (np.broadcast_to(mode[x][:, :, None], shape).ravel() for x in (i, j))
-    q, r = (np.broadcast_to(mode[x][:, None, :], shape).ravel() for x in (k, l))
-    two = (p, q, r, s, np.repeat(0.5 * values, 4))
-    return _canonical_terms(one, two, 2 * m)
+    values = 0.5 * values[first // 8]
+    same, mixed = {}, {}
+    for start in range(0, len(keys), _BLOCK):
+        i, j, k, l = np.unravel_index(keys[start : start + _BLOCK], (m,) * 4)
+        v = values[start : start + _BLOCK]
+        for kind, part in _two_body_rows(i, k, l, j, v).items():  # h[i,k,l,j] = v
+            same.setdefault(kind, []).append(part)
+        for kind, part in _two_body_rows(i, k + m, l + m, j, 2.0 * v).items():  # up, down
+            mixed.setdefault(kind, []).append(part)
+    for kind in list(same):  # spin up, then at +m, then mixed; freed once summed
+        up = same.pop(kind)
+        terms[kind] = _summed(up + [(rows + m, c) for rows, c in up] + mixed.pop(kind), 2 * m)
+    return ClassifiedTerms(terms)
 
 
 def _distinct(*modes: np.ndarray) -> Tuple[np.ndarray, ...]:
@@ -349,7 +347,7 @@ def map_terms(
         [excitation, (number_excitation[0][:, [0, 2]], 0.5 * number_excitation[1])], len(z)
     )
 
-    def batches():  # a generator: each part's rows are freed before the next part's
+    def batches():  # from_packed draws them all before copying any (ROADMAP item 2)
         yield z_rows(z.take(modes, axis=0), z_sums[:, None])
         i, j = coulomb[0].T
         yield z_rows((z.take(i, axis=0) ^ z.take(j, axis=0))[:, None], quarters[:, None])

@@ -177,7 +177,9 @@ class PauliOperatorSum:
         """One sum from packed batches of any leading shape, after an identity
         row carrying ``constant`` when it is nonzero.  Each batch is copied
         once, into its rows of the sum, so a broadcast batch is never
-        materialized on its own."""
+        materialized on its own.  Every batch is drawn, to size the sum,
+        before any is copied: all of them are alive at once, and with the
+        sum's arrays until it returns (ROADMAP item 2)."""
         words, n = num_words(num_qubits), 1 if constant else 0
         rows = [(np.zeros((n, words), np.uint64),) * 2 + (np.full(n, constant, dtype=complex),)]
         rows += batches

@@ -4,14 +4,26 @@ dense Fock-space oracle."""
 import numpy as np
 import pytest
 
-from fermap.eri import Survivors, pack_eri, packed_length
+from fermap.eri import (
+    Survivors,
+    orbit_keys,
+    pack_eri,
+    packed_indices,
+    packed_length,
+    pair_table,
+    tri_index,
+)
 from fermap.fermion import (
+    ClassifiedTerms,
     Kind,
+    _summed,
     blocked_modes,
     classify_spatial,
     from_spatial_integrals,
 )
+from fermap.lattice import LatticeSpec
 from fermap.oracle import classified_dense, fermion_dense, fock_ladder_operators
+from fermap.ortho import orthonormal_integrals
 from fermap.sampling import random_spatial_hamiltonian, random_spatial_integrals
 
 
@@ -143,7 +155,7 @@ def test_classify_drops_terms_that_cancel_exactly():
 
 def test_classification_does_not_depend_on_the_block_size(monkeypatch):
     h1, eri = random_spatial_integrals(3, np.random.default_rng(8))
-    whole = list(classify_spatial(h1, eri))  # 324 two-body entries: one block, or 47 of 7
+    whole = list(classify_spatial(h1, eri))  # 81 distinct ERI copies: one block, or 12 of 7
     monkeypatch.setattr("fermap.fermion._BLOCK", 7)
     assert list(classify_spatial(h1, eri)) == whole  # every sum still adds in input order
 
@@ -244,3 +256,101 @@ def test_from_spatial_integrals_stores_survivors():
     assert packed.num_modes == 6 and packed.constant == 0.4
     h = random_spatial_hamiltonian(3, 0)
     assert len(h.eri.positions) == packed_length(3) and h.num_modes == 6
+
+
+def canonical_rows(p, q, r, s, v):
+    """Index rows and signed contributions of two-body entries h[p,q,r,s] = v
+    to the canonical terms, per kind, in input order: a copy of
+    ``fermion._two_body_rows``, so that the reference shares no rule with the
+    code it checks."""
+    live = (p != q) & (r != s)  # a_p^ a_p^ and a_r a_r vanish
+    p, q, r, s, v = (a[live] for a in (p, q, r, s, v))
+    # canonical operator: a_c1^ a_c2^ a_hi a_lo, c1 < c2, lo < hi
+    sign = np.where(p > q, -1.0, 1.0) * np.where(r < s, -1.0, 1.0)
+    c1, c2, lo, hi = np.minimum(p, q), np.maximum(p, q), np.minimum(r, s), np.maximum(r, s)
+    c1_shared, c2_shared = (c1 == lo) | (c1 == hi), (c2 == lo) | (c2 == hi)
+    both, one_shared, none = c1_shared & c2_shared, c1_shared ^ c2_shared, ~(c1_shared | c2_shared)
+    rows = {Kind.COULOMB_EXCHANGE: (np.stack([c1, c2], axis=1)[both], (sign * v)[both])}
+    # n_j (a_i^ a_k + h.c.): a_j^ a_i^ -> -a_i^ a_j^ and a_k a_j -> -a_j a_k
+    j = np.where(c1_shared, c1, c2)
+    i, k = np.where(c1_shared, c2, c1), np.where(lo == j, hi, lo)
+    flip = np.where(c1_shared, -1.0, 1.0) * np.where(lo == j, -1.0, 1.0)
+    triples = np.stack([np.minimum(i, k), j, np.maximum(i, k)], axis=1)
+    rows[Kind.NUMBER_EXCITATION] = (triples[one_shared], (0.5 * sign * flip * v)[one_shared])
+    # the lexicographically smaller of (c1, c2, hi, lo) and its h.c., the reversed tuple
+    quads = np.stack([c1, c2, hi, lo], axis=1)
+    quads = np.where((c1 < lo)[:, None], quads, quads[:, ::-1])
+    rows[Kind.DOUBLE_EXCITATION] = (quads[none], (0.5 * sign * v)[none])
+    return rows
+
+
+def spin_row_terms(h1, eri, cutoff=0.0):
+    """A reference for ``classify_spatial`` that expands every entry over its
+    spins: each one-body entry h_ij into both spin blocks and each distinct
+    copy (ij|kl) of the survivors ``eri`` into its four spin rows h[p,q,r,s] =
+    (ij|kl)/2, p ~ i and s ~ j of spin s1, q ~ k and r ~ l of spin s2,
+    copy-major, then s1, then s2.  Every row is canonicalised by
+    ``canonical_rows`` and each kind is summed in row order."""
+    m = len(h1)
+    orbital, spin = blocked_modes(2 * m)
+    mode = np.empty((m, 2), dtype=np.intp)
+    mode[orbital, spin] = np.arange(2 * m)
+    floor = max(cutoff, 1e-300)
+    i, j = np.nonzero(np.abs(h1) >= floor)
+    p, q, v = mode[i].ravel(), mode[j].ravel(), np.repeat(h1[i, j], 2)
+    diag = p == q
+    pairs = np.stack([np.minimum(p, q), np.maximum(p, q)], axis=1)
+    # an off-diagonal entry and its transpose each contribute half of the term
+    raw = {Kind.NUMBER: [(p[diag, None], v[diag])], Kind.EXCITATION: [(pairs[~diag], 0.5 * v[~diag])]}
+    kept = np.abs(eri.values) >= 2.0 * floor
+    positions, values = eri.positions[kept], eri.values[kept]
+    keys, first = np.unique(orbit_keys(*packed_indices(m, positions), m), return_index=True)
+    i, j, k, l = np.unravel_index(keys, (m,) * 4)
+    shape = (len(keys), 2, 2)
+    p, s = (np.broadcast_to(mode[x][:, :, None], shape).ravel() for x in (i, j))
+    q, r = (np.broadcast_to(mode[x][:, None, :], shape).ravel() for x in (k, l))
+    for kind, part in canonical_rows(p, q, r, s, np.repeat(0.5 * values[first // 8], 4)).items():
+        raw[kind] = [part]
+    return ClassifiedTerms({kind: _summed(parts, 2 * m) for kind, parts in raw.items()})
+
+
+def assert_bitwise_equal(terms, expected):
+    assert list(terms.by_kind) == list(expected.by_kind)
+    for kind, (indices, coefficients) in expected.by_kind.items():
+        got_indices, got_coefficients = terms.by_kind[kind]
+        assert got_indices.dtype == indices.dtype and got_indices.shape == indices.shape, kind
+        assert got_indices.tobytes() == indices.tobytes(), kind
+        assert got_coefficients.dtype == coefficients.dtype, kind
+        assert got_coefficients.tobytes() == coefficients.tobytes(), kind
+
+
+def random_survivors(m, rng):
+    """Random ERI survivors of m orbitals: about half of the orbits, and every
+    orbit with repeated indices, (ii|ii), (ii|jj) and (ij|ij) = (ij|ji)."""
+    size = packed_length(m)
+    packed = rng.normal(size=size) * (rng.random(size) < 0.5)
+    pair = pair_table(m)
+    packed[tri_index(pair, pair)] = rng.normal(size=(m, m))  # (ij|ij), (ii|ii) among them
+    same = np.diagonal(pair)
+    packed[tri_index(same[:, None], same)] = rng.normal(size=(m, m))  # (ii|jj)
+    return _survivors(packed)
+
+
+@pytest.mark.parametrize("cutoff", [0.0, 0.2])
+@pytest.mark.parametrize("m", range(1, 8))
+def test_classification_is_bitwise_the_spin_row_expansion(m, cutoff):
+    # each spatial copy classified once gives the same rows and coefficient
+    # bytes as every spin row of every copy summed in order
+    rng = np.random.default_rng(100 + m)
+    for _ in range(3):
+        a = rng.normal(size=(m, m))
+        h1, eri = a + a.T, random_survivors(m, rng)
+        terms = classify_spatial(h1, eri, cutoff)
+        assert_bitwise_equal(terms, spin_row_terms(h1, eri, cutoff))
+        assert m == 1 or len(terms.by_kind) == len(Kind)  # one orbital has no hop
+
+
+@pytest.mark.parametrize("cell", [(2, 4, 1.0), (3, 4, 3.0)])
+def test_lattice_classification_is_bitwise_the_spin_row_expansion(cell):
+    h1, eri, _ = orthonormal_integrals(LatticeSpec(*cell))
+    assert_bitwise_equal(classify_spatial(h1, eri, 1e-7), spin_row_terms(h1, eri, 1e-7))
