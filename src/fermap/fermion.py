@@ -35,7 +35,15 @@ SLOT_FLAGS = np.array(
     [[mask >> q & 1 for q in range(4)] for mask in range(16) if bin(mask).count("1") % 2 == 0],
     dtype=bool,
 )
-#: Distinct spatial ERI copies classified at a time, which bounds the temporaries.
+#: The least slot of every coset s ^ H, by a mask of the subgroup H of the
+#: slots (bit t - 1 set where H holds slot t) and by s: slot s's flags are
+#: linear in s, mask(s ^ t) = mask(s) ^ mask(t).
+_LEAST_SLOT = np.array(
+    [[min(s ^ t for t in range(8) if (2 * h + 1) >> t & 1) for s in range(8)] for h in range(128)],
+    dtype=np.uint8,
+)
+#: Distinct spatial ERI copies classified, or double-excitation rows flipped,
+#: at a time, which bounds the temporaries.
 _BLOCK = 1 << 15
 
 
@@ -267,24 +275,66 @@ def _distinct(*modes: np.ndarray) -> Tuple[np.ndarray, ...]:
     return modes
 
 
-def _folded_doubles(indices: np.ndarray, g: np.ndarray, double, double_words) -> Packed:
-    """One row per nonzero (support, slot) sum of the double excitations
-    g (a_i^ a_j^ a_k a_l + h.c.), ``indices`` ``[n, 4]`` (``map_terms``).
-    ``np.bincount`` adds each sum's terms in term order, and a support's
-    words are built once, then each row XORs in its flagged elements."""
+def _folded_doubles(
+    merged: PauliOperatorSum, indices: np.ndarray, g: np.ndarray, double, double_words, eps: float
+) -> PauliOperatorSum:
+    """``merged`` followed by one row per string of the double excitations
+    g (a_i^ a_j^ a_k a_l + h.c.), ``indices`` ``[n, 4]`` (``map_terms``),
+    whose sum passes ``simplify``'s eps rule: |c| >= eps, or c != 0 at eps 0.
+
+    Slots s and s ^ t of one support give one string exactly where the flip
+    words of t's flagged elements XOR to zero; a slot's flags are linear in
+    it, so those t form a subgroup and each slot is summed into the least
+    slot of its coset.  ``np.bincount`` then adds each string's terms in
+    term order, bitwise as ``simplify`` adds the terms' rows.  A support's
+    words are built once and copied into the rows of its kept strings, whose
+    flips are XORed in place, a block of rows at a time."""
     _distinct(*indices.T)
     support, slots, units = double(indices)
     supports, at = np.unique(support, return_inverse=True)
-    values = (units * g[:, None]).ravel()
-    sums = _bincount((8 * at[:, None] + slots).ravel(), values, 8 * len(supports))
-    kept = np.flatnonzero(sums)
-    at, slot = kept // 8, kept % 8
     x, z, elements, flips = double_words(supports)
-    x, z = x.take(at, axis=0), z.take(at, axis=0)
+    live = np.arange(len(supports))  # the supports whose subgroup may hold another slot
+    joins = np.ones((7, len(live)), dtype=bool)  # where it may hold slot t + 1
+    # first the XOR of each flip's words: a t whose flips XOR to zero passes
+    # it too, and it leaves few supports for the exact test of every word
+    for column in (np.bitwise_xor.reduce(flips, axis=1), *flips.T):
+        if not len(live):
+            break
+        words = column.take(elements.take(live, axis=0).T)
+        # slot t flags element b + 1 for each bit b of t, and element 0 to make
+        # the count even, so its flagged words XOR to those bits' differences
+        differences = words[1:] ^ words[0]
+        flipped = np.zeros((8, len(live)), dtype=np.uint64)
+        for b in range(3):
+            flipped[1 << b : 2 << b] = flipped[: 1 << b] ^ differences[b]
+        joins &= flipped[1:] == 0
+        still = joins.any(axis=0)
+        live, joins = live[still], joins[:, still]
+    subgroup = np.zeros(len(supports), dtype=np.intp)
+    subgroup[live] = (1 << np.arange(7)) @ joins
+    key = 8 * at[:, None] + slots  # every string's (support, slot)
+    joined = np.flatnonzero(subgroup.take(at))  # the terms on supports with a subgroup
+    least = _LEAST_SLOT[subgroup.take(at[joined])[:, None], slots[joined]]
+    key[joined] = 8 * at[joined, None] + least
+    values = (units * g[:, None]).ravel()
+    sums = _bincount(key.ravel(), values, 8 * len(supports))
+    kept = np.flatnonzero(np.abs(sums) >= eps if eps else sums != 0)
+    at, slot = kept // 8, kept % 8
+    out_x, out_z = (np.empty((len(merged) + len(kept), x.shape[1]), np.uint64) for _ in range(2))
+    out_x[: len(merged)], out_z[: len(merged)] = merged.x, merged.z
+    double_x, double_z = out_x[len(merged) :], out_z[len(merged) :]
+    # mode="clip": with the default "raise", np.take writes through a temporary copy of out
+    np.take(x, at, axis=0, out=double_x, mode="clip")
+    np.take(z, at, axis=0, out=double_z, mode="clip")
     flips = np.concatenate([flips, np.zeros_like(flips[:1])])  # a last row flips nothing
-    for element, flagged in zip(elements.T, SLOT_FLAGS.T):
-        z ^= flips.take(np.where(flagged.take(slot), element.take(at), len(flips) - 1), axis=0)
-    return x, z, sums[kept]
+    for begin in range(0, len(kept), _BLOCK):
+        block = slice(begin, begin + _BLOCK)
+        flagged = SLOT_FLAGS.take(slot[block], axis=0)
+        flip = np.where(flagged, elements.take(at[block], axis=0), len(flips) - 1)
+        for column in flip.T:
+            double_z[block] ^= flips.take(column, axis=0)
+    c = np.concatenate([merged.coefficients, sums[kept]])
+    return PauliOperatorSum(out_x, out_z, c, merged.num_qubits)
 
 
 def map_terms(
@@ -313,20 +363,24 @@ def map_terms(
     Every term is folded before any row is built.  n_j = (1 - Z_j)/2 gives
     the identity parts of the NUMBER and COULOMB_EXCHANGE terms to
     ``constant``; their Z_j parts are summed per mode, and the hop parts of
-    the EXCITATION and NUMBER_EXCITATION terms per mode pair.  A double
-    excitation's strings have X on its support alone, which no string of
-    another kind or another support has, so its coefficients times g are
-    summed per (support, slot), in term order, and only the nonzero sums'
-    words are built.  The rows written per term are g/4 Z_i Z_j of each
-    Coulomb term g n_i n_j and -g/2 hop(i, k) Z_j of each g n_j hop(i, k).
-    Like terms are then merged and zero sums and |c| < eps cut
-    (``simplify``: rows come out in row-key order, a string's rows are
-    summed in input order, and a key shared by two distinct strings makes
-    it retry from another seed, a bounded number of times), so a pre-summed
-    string's coefficient may differ from a sum of its per-term rows by
-    rounding; so may a string that two slots of one support share.  A Pauli
-    sum is Hermitian exactly when its merged coefficients are real, so any
-    |imag| above eps raises NonHermitianError.
+    the EXCITATION and NUMBER_EXCITATION terms per mode pair.  The rows
+    written per term are g/4 Z_i Z_j of each Coulomb term g n_i n_j and
+    -g/2 hop(i, k) Z_j of each g n_j hop(i, k).  These rows, and the
+    identity, are merged and zero sums and |c| < eps cut (``simplify``:
+    rows come out in row-key order, a string's rows are summed in input
+    order, and a key shared by two distinct strings makes it retry from
+    another seed, a bounded number of times), so a pre-summed string's
+    coefficient may differ from a sum of its per-term rows by rounding.
+
+    A double excitation's strings have X on its support alone, which no
+    string of another kind or another support has, so they never reach the
+    merge: its coefficients times g are summed per string, in term order,
+    which is bitwise ``simplify`` of its per-term rows (``_folded_doubles``),
+    the same eps rule cuts the sums, and only the kept sums' words are
+    built.  The returned operator is the merged rows, in row-key order,
+    followed by the double excitations' rows, in (support, slot) order.  A
+    Pauli sum is Hermitian exactly when its coefficients are real, so any
+    |imag| above eps, in any row, raises NonHermitianError.
     """
 
     def of(kind: Kind, arity: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -359,10 +413,10 @@ def map_terms(
             rows, x_qubits = hop(*_distinct(i, k))
             x, zw, c = outer(rows, z_rows(z.take(j, axis=0)[:, None], -0.5), x_qubits, ())
             yield x, zw, c * g[:, None]
-        if len(double_excitation[1]):
-            yield _folded_doubles(*double_excitation, double, double_words)
 
     merged = simplify(PauliOperatorSum.from_packed(batches(), num_qubits, constant), eps)
+    if len(double_excitation[1]):
+        merged = _folded_doubles(merged, *double_excitation, double, double_words, eps)
     worst = float(np.abs(merged.coefficients.imag).max(initial=0.0))
     if worst > eps:
         raise NonHermitianError(f"coefficient with |imag| = {worst:.3e} > {eps:.3e}")

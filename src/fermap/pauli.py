@@ -156,6 +156,9 @@ class PauliOperatorSum:
 
     Rows may repeat a string until ``simplify`` merges them; a merged sum has
     one row per string, in the order of the merge's row keys, not of the words.
+    A mapped Hamiltonian (``fermion.map_terms``) has one row per string too:
+    the merged rows, in key order, then the double excitations' rows, whose
+    strings no other row has, in the order of their X support and slot.
     """
 
     x: np.ndarray  # uint64 [n_terms, num_words(num_qubits)]
@@ -236,7 +239,9 @@ def simplify(s: PauliOperatorSum, eps: float = 1e-12) -> PauliOperatorSum:
     strings are never merged.  Each group's coefficients are summed in input
     order, so the sums do not depend on the key, the sort or a retry.  eps
     must satisfy 0 <= eps < inf (ValueError otherwise): a NaN or infinite
-    eps would drop every term.
+    eps would drop every term.  ``fermion.map_terms`` hands it every row but
+    the double excitations', which no other row can meet; it sums those
+    itself, in the same order and with the same eps rule.
     """
     if not 0 <= eps < np.inf:
         raise ValueError("eps must be non-negative and finite")

@@ -1,7 +1,8 @@
 """Term images from JW's coefficient tables and from bit lookups against the
 general Pauli product chain, kind by kind: the rows written per term row by
-row, the double excitations' rows per string, and the strings folded before
-the merge through the merged operator."""
+row, the strings folded before the merge through the merged operator, and
+the double excitations' strings, which bypass the merge, through the
+returned operator."""
 
 from itertools import permutations
 
@@ -137,23 +138,37 @@ def assert_merged_equal(merged, x, z, c, eps=1e-12):
     assert np.abs(merged.coefficients - reference.coefficients).max(initial=0.0) <= bound
 
 
+def sorted_rows(s):
+    """The words and coefficients of ``s``, rows sorted by their words."""
+    order = np.lexsort(np.concatenate([s.x, s.z], axis=1).T)
+    return s.x[order], s.z[order], s.coefficients[order]
+
+
+def assert_doubles_equal(operator, x, z, c, eps=1e-12):
+    """The operator's rows, sorted, are bitwise (words and coefficient bytes)
+    the merged product-chain rows: each string's rows summed in term order,
+    also where two slots of one support give one string."""
+    reference = simplify(PauliOperatorSum(x, z, c, operator.num_qubits), eps)
+    for got, expected in zip(sorted_rows(operator), sorted_rows(reference)):
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
 def assert_images_equal(transformed, expected, kind, eps=1e-12):
     """The rows written term by term are bitwise the product chain's and come
-    last in the merge's input, in term order.  The double excitations reach
-    the merge as one row per (support, string), bitwise the sum of that
-    string's product-chain rows in term order, and no zero sum.  The merged
+    last in the merge's input, in term order.  The double excitations never
+    reach the merge: their rows in the returned operator are the product
+    chain's, bitwise (``assert_doubles_equal``).  The other kinds' merged
     operator is the product chain's (``assert_merged_equal``)."""
     (got, merged), (x, z, c, written) = transformed, expected
     n = len(got) - int(written.sum())
-    assert_rows_equal((got.x[n:], got.z[n:], got.coefficients[n:]), (x[written], z[written], c[written]))
+    assert_rows_equal(
+        (got.x[n:], got.z[n:], got.coefficients[n:]), (x[written], z[written], c[written])
+    )
     if kind is Kind.DOUBLE_EXCITATION:
-        once = simplify(got, 0.0)  # each row alone in its group: its coefficient unchanged
-        assert len(once) == len(got)
-        reference = simplify(PauliOperatorSum(x, z, c, got.num_qubits), 0.0)
-        assert_rows_equal(
-            (once.x, once.z, once.coefficients), (reference.x, reference.z, reference.coefficients)
-        )
-    assert_merged_equal(merged, x, z, c, eps)
+        assert len(got) == 0
+        assert_doubles_equal(merged, x, z, c, eps)
+    else:
+        assert_merged_equal(merged, x, z, c, eps)
 
 
 def rows_per_support(s):
@@ -212,7 +227,7 @@ def double_terms(modes, seed):
 def test_jw_every_ordering_of_four_modes_folds_into_one_support(monkeypatch, modes):
     terms = double_terms(modes, seed=sum(modes))
     got, merged = merged_input(monkeypatch, lambda: jw_transform_terms(terms, 8))
-    assert rows_per_support(got).tolist() == [len(got)] and len(got) <= 8
+    assert rows_per_support(merged).tolist() == [len(merged)] and len(merged) <= 8
     tables = _register_tables(8)
     expected = reference_rows(
         Kind.DOUBLE_EXCITATION, *terms.by_kind[Kind.DOUBLE_EXCITATION], tables[0], None,
@@ -229,7 +244,7 @@ def test_superfast_every_ordering_of_four_modes_folds_per_support(monkeypatch, m
     g = complete_graphs(8, 1) if name == "K8" else add_parity_ancilla(complete_graphs(8, 1), 2)
     terms = double_terms(modes, seed=sum(modes))
     got, merged = merged_input(monkeypatch, lambda: ose_transform_terms(terms, g))
-    assert rows_per_support(got).max() <= 8
+    assert rows_per_support(merged).max() <= 8
     expected = reference_rows(
         Kind.DOUBLE_EXCITATION, *terms.by_kind[Kind.DOUBLE_EXCITATION], g.vertex, None,
         lambda idx: ose_double(g, idx),
@@ -258,20 +273,27 @@ def test_superfast_subsets_that_give_one_string_merge_exactly(monkeypatch, g, st
     idx = idx[(g.lookup[tuple(first.T)] >= 0) & (g.lookup[tuple(second.T)] >= 0)]
     g_values = np.random.default_rng(4).normal(size=len(idx))
     terms = ClassifiedTerms({Kind.DOUBLE_EXCITATION: (idx, g_values)})
-    got, merged = merged_input(monkeypatch, lambda: ose_transform_terms(terms, g))
-    # each support's 8 slots reach the merge, and the merge sums the slots of one string
-    assert (rows_per_support(got) == 8).all()
-    distinct = np.unique(np.concatenate([got.x, got.z], axis=1), axis=0)
-    assert len(distinct) == strings * len(rows_per_support(got))
+    got, merged = merged_input(monkeypatch, lambda: ose_transform_terms(terms, g, eps=0.0))
     x, z, c, _ = reference_rows(
         Kind.DOUBLE_EXCITATION, idx, g_values, g.vertex, None, lambda i: ose_double(g, i)
     )
-    assert_merged_equal(merged, x, z, c)
+    # the product chain gives each support's 8 slots `strings` strings, and
+    # the operator sums each string's rows once, in term order
+    distinct = np.unique(np.concatenate([x, z], axis=1), axis=0)
+    assert len(distinct) == strings * len(np.unique(x, axis=0))
+    assert len(got) == 0 and rows_per_support(merged).max(initial=0) <= strings
+    assert_doubles_equal(merged, x, z, c, 0.0)
 
 
-def test_dense_2d_hands_the_merge_one_row_per_double_excitation_string(monkeypatch):
+@pytest.mark.parametrize(
+    "cell, rows, weights",
+    [((2, 4, 1.00), 14_913, (456_736, 1_790_560)), ((3, 4, 3.00), 100_897, (938_464, 4_901_376))],
+    ids=["d2-s4-a1.00", "d3-s4-a3.00"],
+)
+def test_dense_cells_hand_the_merge_no_double_excitation_rows(monkeypatch, cell, rows, weights):
     # d2 side-4 a1.00 has 23 682 double excitations, whose 8 rows each made
-    # 189 456 of the 204 369 rows that each encoding handed the merge
+    # 189 456 of the 204 369 rows that each encoding handed the merge; their
+    # folded sums are final rows, so the merge gets the other kinds' rows only
     seen, merge = [], fermion.simplify
 
     def spy(s, eps):
@@ -279,9 +301,9 @@ def test_dense_2d_hands_the_merge_one_row_per_double_excitation_string(monkeypat
         return merge(s, eps)
 
     monkeypatch.setattr(fermion, "simplify", spy)
-    row = run_cell(2, 4, 1.00)
-    assert seen[0] <= 63_853 and seen[1] <= 83_161
-    assert (row.jw_total_weight, row.bksf_total_weight) == (456_736, 1_790_560)
+    row = run_cell(*cell)
+    assert seen == [rows, rows]
+    assert (row.jw_total_weight, row.bksf_total_weight) == weights
 
 
 @pytest.mark.parametrize(
@@ -291,11 +313,13 @@ def test_dense_2d_hands_the_merge_one_row_per_double_excitation_string(monkeypat
         (Kind.COULOMB_EXCHANGE, [0, 2]),
         (Kind.EXCITATION, [1, 3]),
         (Kind.NUMBER_EXCITATION, [0, 2, 3]),
+        (Kind.DOUBLE_EXCITATION, [0, 1, 2, 3]),
     ],
 )
 def test_an_imaginary_folded_coefficient_raises(kind, row):
     # the folded parts are summed as complex numbers, so an imaginary share
-    # reaches the merged identity, Z_j or hop string and fails the check
+    # reaches the merged identity, Z_j or hop string, or a double
+    # excitation's string, which bypasses the merge, and fails the check
     terms = ClassifiedTerms({kind: (np.array([row]), np.array([0.5j]))})
     with pytest.raises(NonHermitianError):
         jw_transform_terms(terms, 4)
@@ -358,6 +382,28 @@ def test_a_repeated_mode_raises(kind, row):
         jw_transform_terms(terms, 4)
     with pytest.raises(ValueError, match="repeats a mode"):
         ose_transform_terms(terms, complete_graphs(4, 1))
+
+
+@pytest.mark.parametrize("encoding", ["jw", "ose"])
+def test_double_excitation_sums_are_cut_by_the_merge_eps_rule(encoding):
+    # the strings of g (a_i^ a_j^ a_k a_l + h.c.) on distinct supports carry
+    # +/- g/8, exactly for these g, and bypass the merge, so the fold itself
+    # keeps |c| >= eps, or c != 0 at eps 0 (a NaN or infinite eps raises:
+    # test_an_eps_outside_zero_to_infinity_raises, on double excitations only)
+    def transform(rows, g, eps):
+        terms = ClassifiedTerms({Kind.DOUBLE_EXCITATION: (np.array(rows), np.array(g))})
+        if encoding == "jw":
+            return jw_transform_terms(terms, 8, eps=eps)
+        return ose_transform_terms(terms, complete_graphs(4, 2), eps=eps)
+
+    eps = 2.0**-20
+    at = transform([[0, 4, 5, 1]], [8 * eps], eps)
+    assert len(at) == 8 and (np.abs(at.coefficients) == eps).all()
+    assert len(transform([[0, 4, 5, 1]], [8 * np.nextafter(eps, 0)], eps)) == 0
+    least = np.nextafter(0.0, 1.0)
+    rows = [[0, 4, 5, 1], [0, 4, 5, 1], [2, 6, 7, 3]]
+    at_zero = transform(rows, [0.5, -0.5, 8 * least], 0.0)  # the first support cancels exactly
+    assert len(at_zero) == 8 and (np.abs(at_zero.coefficients) == least).all()
 
 
 @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0])
