@@ -34,12 +34,7 @@ from .ortho import (
     rotate_integrals,
     symmetric_orthogonalizer,
 )
-from .pauli import (
-    NonHermitianError,
-    PauliOperatorSum,
-    coefficient_l1_norm,
-    simplify,
-)
+from .pauli import NonHermitianError, PauliOperatorSum, coefficient_l1_norm
 from .superfast import (
     InteractionGraph,
     add_parity_ancilla,

@@ -20,12 +20,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Tuple, Union
+from typing import Callable, Dict, Iterator, Sequence, Tuple, Union
 
 import numpy as np
 
 from .eri import Survivors, orbit_keys, pack_eri, packed_indices
-from .pauli import NonHermitianError, Packed, PauliOperatorSum, outer, simplify, z_rows
+from .pauli import NonHermitianError, PauliOperatorSum, num_words
 
 SYMMETRY_ATOL = 1e-10
 #: Slot s of a double excitation's X support holds the string of the s-th
@@ -35,15 +35,11 @@ SLOT_FLAGS = np.array(
     [[mask >> q & 1 for q in range(4)] for mask in range(16) if bin(mask).count("1") % 2 == 0],
     dtype=bool,
 )
-#: The least slot of every coset s ^ H, by a mask of the subgroup H of the
-#: slots (bit t - 1 set where H holds slot t) and by s: slot s's flags are
-#: linear in s, mask(s ^ t) = mask(s) ^ mask(t).
-_LEAST_SLOT = np.array(
-    [[min(s ^ t for t in range(8) if (2 * h + 1) >> t & 1) for s in range(8)] for h in range(128)],
-    dtype=np.uint8,
-)
-#: Distinct spatial ERI copies classified, or double-excitation rows flipped,
-#: at a time, which bounds the temporaries.
+#: A row flips at most four vertex words, so only the vertex words of a
+#: component of at most this many vertices can multiply to one another's.
+_SMALL = 4
+#: Distinct spatial ERI copies classified, or rows written, at a time, which
+#: bounds the temporaries.
 _BLOCK = 1 << 15
 
 
@@ -268,156 +264,245 @@ def classify_spatial(
 def _distinct(*modes: np.ndarray) -> Tuple[np.ndarray, ...]:
     """The mode columns, checked to differ in every row: the images of a hop
     and of a double excitation read their phases as if every mode were its
-    own qubit or edge, which a repeated mode is not."""
+    own qubit or edge, which a repeated mode is not, and a row's key reads
+    each mode it flips as a distinct word."""
     for b, later in enumerate(modes):
         if any((earlier == later).any() for earlier in modes[:b]):
-            raise ValueError("a hop or double excitation repeats a mode")
+            raise ValueError("a Coulomb term, hop or double excitation repeats a mode")
     return modes
 
 
-def _folded_doubles(
-    merged: PauliOperatorSum, indices: np.ndarray, g: np.ndarray, double, double_words, eps: float
-) -> PauliOperatorSum:
-    """``merged`` followed by one row per string of the double excitations
-    g (a_i^ a_j^ a_k a_l + h.c.), ``indices`` ``[n, 4]`` (``map_terms``),
-    whose sum passes ``simplify``'s eps rule: |c| >= eps, or c != 0 at eps 0.
+def _small_components(components: Sequence[Sequence[int]], n: int) -> Tuple[np.ndarray, ...]:
+    """Per vertex, and in a last entry for "no vertex" (index -1): the index
+    of its component among those of at most ``_SMALL`` vertices, or -1, its
+    bit in that component's mask (vertices in the order given) and the
+    component's full mask."""
+    comp, bit, full = np.full(n + 1, -1), np.zeros(n + 1, np.intp), np.zeros(n + 1, np.intp)
+    for c, members in enumerate(c for c in components if len(c) <= _SMALL):
+        comp[members], bit[members] = c, 1 << np.arange(len(members))
+        full[members] = (1 << len(members)) - 1
+    return comp, bit, full
 
-    Slots s and s ^ t of one support give one string exactly where the flip
-    words of t's flagged elements XOR to zero; a slot's flags are linear in
-    it, so those t form a subgroup and each slot is summed into the least
-    slot of its coset.  ``np.bincount`` then adds each string's terms in
-    term order, bitwise as ``simplify`` adds the terms' rows.  A support's
-    words are built once and copied into the rows of its kept strings, whose
-    flips are XORed in place, a block of rows at a time."""
-    _distinct(*indices.T)
-    support, slots, units = double(indices)
-    supports, at = np.unique(support, return_inverse=True)
-    x, z, elements, flips = double_words(supports)
-    live = np.arange(len(supports))  # the supports whose subgroup may hold another slot
-    joins = np.ones((7, len(live)), dtype=bool)  # where it may hold slot t + 1
-    # first the XOR of each flip's words: a t whose flips XOR to zero passes
-    # it too, and it leaves few supports for the exact test of every word
-    for column in (np.bitwise_xor.reduce(flips, axis=1), *flips.T):
-        if not len(live):
-            break
-        words = column.take(elements.take(live, axis=0).T)
-        # slot t flags element b + 1 for each bit b of t, and element 0 to make
-        # the count even, so its flagged words XOR to those bits' differences
-        differences = words[1:] ^ words[0]
-        flipped = np.zeros((8, len(live)), dtype=np.uint64)
-        for b in range(3):
-            flipped[1 << b : 2 << b] = flipped[: 1 << b] ^ differences[b]
-        joins &= flipped[1:] == 0
-        still = joins.any(axis=0)
-        live, joins = live[still], joins[:, still]
-    subgroup = np.zeros(len(supports), dtype=np.intp)
-    subgroup[live] = (1 << np.arange(7)) @ joins
-    key = 8 * at[:, None] + slots  # every string's (support, slot)
-    joined = np.flatnonzero(subgroup.take(at))  # the terms on supports with a subgroup
-    least = _LEAST_SLOT[subgroup.take(at[joined])[:, None], slots[joined]]
-    key[joined] = 8 * at[joined, None] + least
-    values = (units * g[:, None]).ravel()
-    sums = _bincount(key.ravel(), values, 8 * len(supports))
-    kept = np.flatnonzero(np.abs(sums) >= eps if eps else sums != 0)
-    at, slot = kept // 8, kept % 8
-    out_x, out_z = (np.empty((len(merged) + len(kept), x.shape[1]), np.uint64) for _ in range(2))
-    out_x[: len(merged)], out_z[: len(merged)] = merged.x, merged.z
-    double_x, double_z = out_x[len(merged) :], out_z[len(merged) :]
-    # mode="clip": with the default "raise", np.take writes through a temporary copy of out
-    np.take(x, at, axis=0, out=double_x, mode="clip")
-    np.take(z, at, axis=0, out=double_z, mode="clip")
-    flips = np.concatenate([flips, np.zeros_like(flips[:1])])  # a last row flips nothing
-    for begin in range(0, len(kept), _BLOCK):
-        block = slice(begin, begin + _BLOCK)
-        flagged = SLOT_FLAGS.take(slot[block], axis=0)
-        flip = np.where(flagged, elements.take(at[block], axis=0), len(flips) - 1)
-        for column in flip.T:
-            double_z[block] ^= flips.take(column, axis=0)
-    c = np.concatenate([merged.coefficients, sums[kept]])
-    return PauliOperatorSum(out_x, out_z, c, merged.num_qubits)
+
+def _flip_codes(flips: np.ndarray, small: Tuple[np.ndarray, ...]) -> Tuple[np.ndarray, int]:
+    """An integer per row of ``flips`` ``[n, 2]`` (vertices, -1 for none)
+    that two rows share exactly where their flipped vertex words XOR to the
+    same word, and the bound of the codes.  The vertex words of a component
+    multiply to the identity and, apart from that, are independent; so
+    inside each small component (``_small_components``) the flipped
+    vertices count only as the class of their mask there, min(mask,
+    full ^ mask), 0 for the identity.  Each vertex outside one is its own
+    atom, each class above 0 another atom, and a row's code is its pair of
+    atoms."""
+    comp, bit, full = small
+    n = len(comp) - 1
+
+    def atom(v, mask):  # -1 for the identity
+        cls = np.minimum(mask, full[v] ^ mask)
+        return np.where(comp[v] < 0, v, np.where(cls > 0, n + 8 * comp[v] + cls, -1))
+
+    vertices = np.arange(-1, n)
+    atoms = atom(vertices, bit[vertices]).take(flips + 1)
+    # two vertices of one small component flip as one class of both
+    c = comp.take(flips)
+    both = np.flatnonzero((c[:, 0] == c[:, 1]) & (c[:, 0] >= 0))
+    f0, f1 = flips[both].T
+    atoms[both, 0], atoms[both, 1] = atom(f0, bit[f0] | bit[f1]), -1
+    bound = n + 8 * int(comp.max()) + 16  # above every atom, -1 included, plus one
+    low, high = np.minimum(*atoms.T), np.maximum(*atoms.T)
+    return (low + 1) * bound + high + 1, bound * bound
+
+
+def _slot_classes(
+    elements: np.ndarray, slots: np.ndarray, small: Tuple[np.ndarray, ...]
+) -> np.ndarray:
+    """The slots ``[n, 8]`` of double excitations with elements ``[n, 4]``,
+    each slot moved to the one of its class: two slots of one support give
+    one string exactly where their flags differ on a union of components
+    that lie wholly among the four elements (``_flip_codes``), and in each
+    such component the flags become min(mask, full ^ mask) of their mask
+    over the elements there.  Only terms that touch a small component are
+    read, and ``slots`` is changed in place."""
+    comp, bit, full = small
+    touched = np.flatnonzero((comp >= 0).take(elements).any(axis=1))
+    e = elements[touched]
+    c, masks = comp[e], SLOT_FLAGS.take(slots[touched], axis=0) @ (1 << np.arange(4))
+    for b in range(4):
+        same = (c == c[:, b : b + 1]) & (c[:, b : b + 1] >= 0)
+        whole = (same * bit[e]).sum(axis=1) == full[e[:, b]]
+        at = np.where(whole, same @ (1 << np.arange(4)), 0)[:, None]
+        part = masks & at
+        masks ^= part ^ np.minimum(part, at ^ part)
+    slots[touched] = masks // 2
+    return slots
+
+
+def _write(x, z, ends, at, flipped, words, flip_words) -> None:
+    """Fill the words of rows, a block of rows at a time: those of the X
+    support on ``ends[at[r]]`` (none where ``ends`` is None; ``at``
+    ascends), built by ``words`` for the block's supports only, then in z
+    the flip word of each vertex that ``flipped(block)`` gives for the
+    block's rows (-1, the last flip word, flips nothing)."""
+    for start in range(0, len(x), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        if ends is not None:
+            first = at[start]
+            support_x, support_z = words(ends[first : at[block][-1] + 1])
+            x[block] = support_x.take(at[block] - first, axis=0)
+            z[block] = support_z.take(at[block] - first, axis=0)
+        for column in flipped(block).T:
+            z[block] ^= flip_words.take(column, axis=0)
 
 
 def map_terms(
     terms: ClassifiedTerms,
     z: np.ndarray,
-    hop: Callable[[np.ndarray, np.ndarray], Tuple[Packed, Tuple[np.ndarray, ...]]],
-    double: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray, np.ndarray]],
-    double_words: Callable[[np.ndarray], Tuple[np.ndarray, ...]],
+    hop: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    double: Callable[[np.ndarray], Tuple[np.ndarray, ...]],
+    words: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
     num_qubits: int,
     constant: complex,
     eps: float,
+    components: Sequence[Sequence[int]] = (),
 ) -> PauliOperatorSum:
     """Map classified terms to qubits under one encoding, given by four parts:
-    ``z[j]``, the Z word of n_j = (1 - Z_j)/2; ``hop(i, k)``, the images of
-    a_i^ a_k + h.c., grouped per term, and the qubits of their X bits (n_j
-    multiplies them through ``outer``'s bit rule); ``double(idx)``, for
-    every DOUBLE_EXCITATION row of ``idx``, an integer key of its image's X
-    support, ``[n]``, and the slots and unit coefficients of its eight
-    strings within that support, ``[n, 8]`` each; and
-    ``double_words(supports)``, for every support key, the x and z words of
-    its slot-0 string, its four elements ``[n, 4]`` (modes or vertices) and
-    the table of Z words that an element XORs into z where slot s flags it
-    (``SLOT_FLAGS[s]``).  A hop's or a double excitation's modes must differ
-    (ValueError otherwise).
+    ``z[j]``, the Z word of n_j = (1 - Z_j)/2; ``hop(i, k)``, the
+    coefficients ``[n, 2]`` of the two strings of a_i^ a_k + h.c., which are
+    its X support's words with ``z[k]``, then ``z[i]``, XORed into Z;
+    ``double(idx)``, for every DOUBLE_EXCITATION row of ``idx``, an integer
+    key of its image's X support ``[n]``, the support's four elements
+    ``[n, 4]`` (modes or edge ends), and the slots and unit coefficients of
+    its eight strings there ``[n, 8]``, slot s XORing in the ``z`` word of
+    each element that ``SLOT_FLAGS[s]`` flags; and ``words(ends)``, the x
+    and z words of the X support on the modes ``ends`` of a hop ``[n, 2]``
+    or on a double excitation's elements ``[n, 4]``.  ``components`` are the
+    vertex sets whose ``z`` words multiply to the identity (the superfast
+    graph's components; none in JW).  A hop's or a double excitation's
+    modes must differ (ValueError otherwise).
 
-    Every term is folded before any row is built.  n_j = (1 - Z_j)/2 gives
+    Every term is folded before any word is built.  n_j = (1 - Z_j)/2 gives
     the identity parts of the NUMBER and COULOMB_EXCHANGE terms to
     ``constant``; their Z_j parts are summed per mode, and the hop parts of
-    the EXCITATION and NUMBER_EXCITATION terms per mode pair.  The rows
-    written per term are g/4 Z_i Z_j of each Coulomb term g n_i n_j and
-    -g/2 hop(i, k) Z_j of each g n_j hop(i, k).  These rows, and the
-    identity, are merged and zero sums and |c| < eps cut (``simplify``:
-    rows come out in row-key order, a string's rows are summed in input
-    order, and a key shared by two distinct strings makes it retry from
-    another seed, a bounded number of times), so a pre-summed string's
-    coefficient may differ from a sum of its per-term rows by rounding.
+    the EXCITATION and NUMBER_EXCITATION terms per mode pair.  The rows are
+    then, in this order: the identity, the Z_j sums, g/4 Z_i Z_j of each
+    Coulomb term g n_i n_j, the hop sums, -g/2 hop(i, k) Z_j of each
+    g n_j hop(i, k) (its hop rows with z[j] XORed in: j is none of i, k, so
+    no phase), and the eight strings of each double excitation.
 
-    A double excitation's strings have X on its support alone, which no
-    string of another kind or another support has, so they never reach the
-    merge: its coefficients times g are summed per string, in term order,
-    which is bitwise ``simplify`` of its per-term rows (``_folded_doubles``),
-    the same eps rule cuts the sums, and only the kept sums' words are
-    built.  The returned operator is the merged rows, in row-key order,
-    followed by the double excitations' rows, in (support, slot) order.  A
-    Pauli sum is Hermitian exactly when its coefficients are real, so any
-    |imag| above eps, in any row, raises NonHermitianError.
+    Each row is keyed by integers read from its term: its X support (none,
+    a mode pair or a double excitation's support) and the class of the
+    vertices whose ``z`` words it flips (``_flip_codes``, ``_slot_classes``),
+    so two rows share a key exactly where they share a string.  One
+    ``np.unique`` and one ``np.bincount`` sum each string's rows in the
+    order above; a pre-summed string's coefficient may differ from a sum
+    of its per-term rows by rounding.  Sums that are 0, or below eps in
+    magnitude, are cut, and words are built for the kept rows only.  The
+    rows come out in key order: Z-only strings, then each mode pair's, then
+    each double excitation support's by slot.  eps must satisfy
+    0 <= eps < inf (ValueError otherwise): a NaN or infinite eps would drop
+    every term.  A Pauli sum is Hermitian exactly when its coefficients are
+    real, so any |imag| above eps raises NonHermitianError.
     """
+    if not 0 <= eps < np.inf:
+        raise ValueError("eps must be non-negative and finite")
 
     def of(kind: Kind, arity: int) -> Tuple[np.ndarray, np.ndarray]:
         return terms.by_kind.get(kind, (np.empty((0, arity), dtype=np.intp), np.empty(0)))
 
     number, coulomb = of(Kind.NUMBER, 1), of(Kind.COULOMB_EXCHANGE, 2)
     excitation, number_excitation = of(Kind.EXCITATION, 2), of(Kind.NUMBER_EXCITATION, 3)
-    double_excitation = of(Kind.DOUBLE_EXCITATION, 4)
+    (idx, g), n = of(Kind.DOUBLE_EXCITATION, 4), len(z)
     # g n_j = g/2 - g/2 Z_j and g n_i n_j = g/4 - g/4 Z_i - g/4 Z_j + g/4 Z_i Z_j:
     # the identity parts join the constant and the Z_j parts are summed per mode
     halves, quarters = 0.5 * number[1], 0.25 * coulomb[1]
     constant = constant + halves.sum() + quarters.sum()
     modes, z_sums = _summed(
-        [(number[0], -halves), (coulomb[0].reshape(-1, 1), -np.repeat(quarters, 2))], len(z)
+        [(number[0], -halves), (coulomb[0].reshape(-1, 1), -np.repeat(quarters, 2))], n
     )
     # g n_j hop(i, k) = g/2 hop(i, k) - g/2 hop(i, k) Z_j: the hop parts are summed per pair
     pairs, hop_sums = _summed(
-        [excitation, (number_excitation[0][:, [0, 2]], 0.5 * number_excitation[1])], len(z)
+        [excitation, (number_excitation[0][:, [0, 2]], 0.5 * number_excitation[1])], n
     )
-
-    def batches():  # from_packed draws them all before copying any (ROADMAP item 2)
-        yield z_rows(z.take(modes, axis=0), z_sums[:, None])
-        i, j = coulomb[0].T
-        yield z_rows((z.take(i, axis=0) ^ z.take(j, axis=0))[:, None], quarters[:, None])
-        if len(hop_sums):
-            x, zw, c = hop(*_distinct(*pairs.T))[0]
-            yield x, zw, c * hop_sums[:, None]
-        if len(number_excitation[1]):
-            (i, j, k), g = number_excitation[0].T, number_excitation[1]
-            rows, x_qubits = hop(*_distinct(i, k))
-            x, zw, c = outer(rows, z_rows(z.take(j, axis=0)[:, None], -0.5), x_qubits, ())
-            yield x, zw, c * g[:, None]
-
-    merged = simplify(PauliOperatorSum.from_packed(batches(), num_qubits, constant), eps)
-    if len(double_excitation[1]):
-        merged = _folded_doubles(merged, *double_excitation, double, double_words, eps)
-    worst = float(np.abs(merged.coefficients.imag).max(initial=0.0))
+    i, j, k = _distinct(*number_excitation[0].T)
+    hops = np.concatenate([pairs, np.stack([i, k], axis=1)])  # two rows per hop sum and n_j hop
+    c = hop(*_distinct(*hops.T))
+    identity = np.full((1 if constant else 0, 2), -1)
+    # every row but the double excitations': the vertices it flips (-1 for none)
+    second = np.append(np.full(2 * len(pairs), -1), np.repeat(j, 2))
+    flips = np.concatenate([
+        identity,
+        np.concatenate([modes, np.full_like(modes, -1)], axis=1),
+        np.stack(_distinct(*coulomb[0].T), axis=1),
+        np.stack([hops[:, ::-1].ravel(), second], axis=1),
+    ])
+    values = np.concatenate([
+        np.full(len(identity), constant),
+        z_sums,
+        quarters,
+        (c[: len(pairs)] * hop_sums[:, None]).ravel(),
+        (c[len(pairs) :] * -0.5 * number_excitation[1][:, None]).ravel(),
+    ])
+    z_only = len(flips) - 2 * len(hops)
+    small = _small_components(components, n)
+    codes, bound = _flip_codes(flips, small)
+    lo, hi = np.minimum(*hops.T), np.maximum(*hops.T)
+    support = np.append(np.zeros(z_only, np.intp), np.repeat(1 + lo * n + hi, 2))
+    _distinct(*idx.T)
+    double_support, elements, slots, units = double(idx)
+    base = (n * n + 1) * bound  # above every other row's key
+    if base + n**4 >= 2**63:
+        raise ValueError(f"{n} modes or vertices are too many for an exact int64 row key")
+    keys = np.concatenate([support * bound + codes, base + double_support])
+    keys, at = np.unique(keys, return_inverse=True)
+    # a bin per key of the other kinds' rows, which come first, then eight
+    # per double excitation support, one per slot; filled in place, since
+    # temporaries the size of the double excitations' rows cost more than the sums
+    rows, other = len(values), int(np.searchsorted(keys, base))
+    bins = np.empty(rows + slots.size, np.intp)
+    weights = np.empty(len(bins), np.result_type(values, units, g))
+    bins[:rows], weights[:rows] = at[:rows], values
+    slots = _slot_classes(elements, slots, small)
+    np.add((8 * at[rows:] - 7 * other)[:, None], slots, out=bins[rows:].reshape(slots.shape))
+    np.multiply(units, g[:, None], out=weights[rows:].reshape(units.shape))
+    del slots, units  # these, like bins and weights, are as large as the double rows
+    sums = _bincount(bins, weights, other + 8 * (len(keys) - other))
+    del bins, weights
+    kept = np.flatnonzero(np.abs(sums) >= eps if eps else sums != 0)  # |c| >= eps > 0: c != 0
+    coefficients = np.asarray(sums[kept], dtype=complex)
+    worst = float(np.abs(coefficients.imag).max(initial=0.0))
     if worst > eps:
         raise NonHermitianError(f"coefficient with |imag| = {worst:.3e} > {eps:.3e}")
-    return merged
+    # every row of a key has its string, so the words of a kept key are read
+    # from whichever of its rows ``first`` holds; the keys run Z-only rows,
+    # then hop rows, then double excitation rows
+    first = np.empty(len(keys), dtype=np.intp)
+    first[at] = np.arange(len(at))
+    b = int(np.searchsorted(kept, other))
+    unit, slot = np.divmod(kept[b:] - other, 8)
+    row = first.take(np.append(kept[:b], other + unit))
+    a = np.count_nonzero(row < z_only)
+    new = np.diff(unit, prepend=-1) > 0  # the first kept row of each double excitation support
+    support_of = np.cumsum(new) - 1
+    e = elements.take(row[b:][new] - rows, axis=0)
+    x, zw = (np.zeros((len(kept), num_words(num_qubits)), np.uint64) for _ in range(2))
+    flip_words = np.concatenate([z, np.zeros_like(z[:1])])
+    z_rows, hop_rows = row[:a], row[a:b]
+    for part, ends, index, flipped in (
+        (slice(0, a), None, None, lambda block: flips.take(z_rows[block], axis=0)),
+        (
+            slice(a, b),
+            hops.take((hop_rows - z_only) // 2, axis=0),
+            np.arange(b - a),
+            lambda block: flips.take(hop_rows[block], axis=0),
+        ),
+        (
+            slice(b, None),
+            e,
+            support_of,
+            lambda block: np.where(
+                SLOT_FLAGS.take(slot[block], axis=0), e.take(support_of[block], axis=0), -1
+            ),
+        ),
+    ):
+        _write(x[part], zw[part], ends, index, flipped, words, flip_words)
+    return PauliOperatorSum(x, zw, coefficients, num_qubits)

@@ -5,29 +5,29 @@ indices below j).
 
 The encoding's parts for ``fermion.map_terms``: n_j's Z word is qubit j's
 bit, and a hop or a double excitation is the product of its ladder images
-plus its adjoint.  Its words come from a per-register table of single bits
-and one of prefix masks (the Z strings): X on the modes, Z on the XOR of the
-modes' Z strings and of each mode whose ladder row is the Y one.  Its
-coefficients depend only on the modes' relative order and those Y choices,
-so a chain of ``pauli.outer`` runs once per process over every ordering of 2
-and of 4 modes, and each term reads its row of that table by the rank code
-of its modes.  Only the strings that carry an even number of Y are written;
-the adjoint cancels the others exactly.  A hop's rows are built per term.  A
-double excitation hands over the key of its X support, its sorted modes,
-and the slot of each of its 8 strings there: the mask, over the sorted
-modes, of the modes whose ladder row is the Y one, read by rank code from a
-table.  Its words are built once per summed string.
+plus its adjoint.  Its strings have X on the modes and Z on the XOR of the
+modes' Z strings (a per-register table of prefix masks) and of the bit of
+each mode whose ladder row is the Y one.  Its coefficients depend only on
+the modes' relative order and those Y choices, so a chain of
+``pauli.outer`` runs once per process over every ordering of 2 and of 4
+modes, and each term reads its row of that table by the rank code of its
+modes.  Only the strings that carry an even number of Y are written; the
+adjoint cancels the others exactly.  A double excitation hands over the key
+of its X support, its sorted modes and the slot of each of its 8 strings
+there: the mask, over the sorted modes, of the modes whose ladder row is
+the Y one, read by rank code from a table.  Words are built only for the
+strings that ``map_terms`` keeps.
 """
 
 from __future__ import annotations
 
 from functools import cache, partial, reduce
-from itertools import combinations, compress, permutations
+from itertools import combinations, permutations
 from typing import Tuple
 
 import numpy as np
 
-from .fermion import SLOT_FLAGS, ClassifiedTerms, map_terms
+from .fermion import ClassifiedTerms, map_terms
 from .pauli import Packed, PauliOperatorSum, outer, set_bits
 
 
@@ -90,21 +90,12 @@ def _coefficient_table(num_factors: int) -> np.ndarray:
     return table
 
 
-def _plus_adjoint(tables, *modes: np.ndarray) -> Tuple[Packed, Tuple[np.ndarray, ...]]:
-    """a_{m_0}^ ... a_{m_h-1}^ a_{m_h} ... a_{m_2h-1} plus its adjoint for every
-    row of the mode columns, whose modes must be distinct: the first half is
-    created, the second half annihilated.  Returns the rows whose strings
-    carry an even number of Y (the others are 0) and the qubits of their X
-    bits, the modes: every row has X on the modes and the Z strings of all
-    the ladders, plus Z on each mode whose ladder row is the Y one.
-    """
-    bits, prefix = tables
-    ladder_bits = [bits.take(m, axis=0) for m in modes]
-    strings = reduce(np.bitwise_xor, [prefix.take(m, axis=0) for m in modes])
-    ys = _even_y(len(modes))
-    z = np.stack([reduce(np.bitwise_xor, compress(ladder_bits, y), strings) for y in ys], axis=1)
-    x = np.broadcast_to(reduce(np.bitwise_xor, ladder_bits)[:, None], z.shape)
-    return (x, z, _coefficient_table(len(modes))[_rank_code(modes)]), modes
+def _hops(i: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """a_i^ a_k + h.c. for every pair, over X on i and k and Z on their Z
+    strings: the coefficients of its two even-Y strings, read by the rank
+    code of the modes, which have the Y on k (``z[k]`` XORed in), then on i
+    (``_even_y``); they are real (c + conj(c))."""
+    return _coefficient_table(2).real[_rank_code((i, k))]
 
 
 @cache
@@ -112,8 +103,8 @@ def _double_slots() -> np.ndarray:
     """The slot (``fermion.SLOT_FLAGS``) of every even-Y row of a double
     excitation's ladder product, by the rank code of its modes.  A row's Z
     word is the XOR of the modes' Z strings and of the bits of the modes
-    whose ladder row is the Y one (``_plus_adjoint``), so its slot is the
-    mask of those modes over the sorted modes, halved."""
+    whose ladder row is the Y one, so its slot is the mask of those modes
+    over the sorted modes, halved."""
     orderings = np.array(list(permutations(range(4))), dtype=np.intp)  # each mode is its rank
     masks = (_even_y(4).astype(np.intp)[None] << orderings[:, None]).sum(axis=2)
     table = np.zeros((64, len(masks[0])), dtype=np.intp)
@@ -123,22 +114,19 @@ def _double_slots() -> np.ndarray:
 
 def _double_excitations(num_modes: int, idx: np.ndarray) -> Tuple[np.ndarray, ...]:
     """a_i^ a_j^ a_k a_l + h.c. for every row of ``idx``: the key of its X
-    support, its four modes sorted and raveled, and the slots and
-    coefficients of its eight even-Y strings, read by the rank code of the
-    modes; the coefficients are real (c + conj(c))."""
+    support, its four modes sorted and raveled, those modes, and the
+    slots and coefficients of its eight even-Y strings, read by the rank
+    code of the modes; the coefficients are real (c + conj(c))."""
     code = _rank_code(tuple(idx.T))
-    support = np.ravel_multi_index(tuple(np.sort(idx, axis=1).T), (num_modes,) * 4)
-    return support, _double_slots()[code], _coefficient_table(4).real[code]
+    modes = np.sort(idx, axis=1)
+    support = np.ravel_multi_index(tuple(modes.T), (num_modes,) * 4)
+    return support, modes, _double_slots()[code], _coefficient_table(4).real[code]
 
 
-def _double_words(tables, num_modes: int, supports: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """For every support, X on its four modes and Z on the XOR of their Z
-    strings, its sorted modes and the bits they flip in Z."""
-    bits, prefix = tables
-    modes = np.unravel_index(supports, (num_modes,) * 4)
-    x = reduce(np.bitwise_xor, [bits.take(m, axis=0) for m in modes])
-    z = reduce(np.bitwise_xor, [prefix.take(m, axis=0) for m in modes])
-    return x, z, np.stack(modes, axis=1), bits
+def _words(tables, ends: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """X on the modes of every row of ``ends`` and Z on the XOR of their Z
+    strings."""
+    return tuple(reduce(np.bitwise_xor, [t.take(m, axis=0) for m in ends.T]) for t in tables)
 
 
 def jw_transform_terms(
@@ -152,8 +140,5 @@ def jw_transform_terms(
     Raises NonHermitianError when a merged coefficient has |imag| > eps.
     """
     tables = _register_tables(num_modes)
-    double = partial(_double_excitations, num_modes)
-    words = partial(_double_words, tables, num_modes)
-    return map_terms(
-        terms, tables[0], partial(_plus_adjoint, tables), double, words, num_modes, constant, eps
-    )
+    double, words = partial(_double_excitations, num_modes), partial(_words, tables)
+    return map_terms(terms, tables[0], _hops, double, words, num_modes, constant, eps)

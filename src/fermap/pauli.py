@@ -8,45 +8,29 @@ two bit masks (x, z): bit q of ``x`` marks an X component on qubit q, bit q of
 words on the last axis (Aaronson & Gottesman's symplectic tableau, word-packed
 as in Stim); a batch of terms is a tuple of packed rows ``(x, z, c)``, and a
 ``PauliOperatorSum`` holds one such batch over a fixed register.  Products are
-computed exactly, with the +/-1, +/-i phase folded into the coefficient, and
-``simplify`` merges like terms by a hashed row key that it checks exactly.
+computed exactly, with the +/-1, +/-i phase folded into the coefficient.
 ``outer`` is the one product.  Every factor the library multiplies (a JW
 ladder, an edge operator, a Z-only row) has at most one X bit, so a product
 of them has its X bits on qubits the caller knows; ``outer`` is told those
-qubits and reads the phase from the Z bits at them alone.
+qubits and reads the phase from the Z bits at them alone.  Like terms are
+merged before any word is built, by keys read from the terms
+(``fermion.map_terms``), so this module has no merge of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 _I_POW_ARRAY = np.array((1, 1j, -1, -1j), dtype=complex)
-
-#: The row key's start state on each merge attempt; ``simplify`` gives up after the last.
-_KEY_SEEDS = np.array(
-    [0x9E3779B97F4A7C15, 0xD1B54A32D192ED03, 0x8CB92BA72F3D8DD7, 0xF39CC0605CEDC835],
-    dtype=np.uint64,
-)
-MERGE_ATTEMPTS = len(_KEY_SEEDS)
-#: The splitmix64 finalizer: (shift, multiplier) twice, then a last shift.
-_MIX_STEPS = (
-    (np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
-    (np.uint64(27), np.uint64(0x94D049BB133111EB)),
-)
-_MIX_LAST_SHIFT = np.uint64(31)
-#: Rows keyed at a time.
-_KEY_BLOCK = 8192
+#: Rows weighed at a time.
+_WEIGHT_BLOCK = 1 << 15
 
 
 class DimensionMismatchError(ValueError):
     """Raised when operands act on different qubit counts."""
-
-
-class KeyCollisionError(RuntimeError):
-    """Raised when every merge attempt gives two distinct Pauli strings one key."""
 
 
 class NonHermitianError(ValueError):
@@ -154,11 +138,10 @@ def z_rows(z: np.ndarray, c) -> Packed:
 class PauliOperatorSum:
     """A qubit operator as packed Pauli rows over a fixed register.
 
-    Rows may repeat a string until ``simplify`` merges them; a merged sum has
-    one row per string, in the order of the merge's row keys, not of the words.
-    A mapped Hamiltonian (``fermion.map_terms``) has one row per string too:
-    the merged rows, in key order, then the double excitations' rows, whose
-    strings no other row has, in the order of their X support and slot.
+    Rows may repeat a string.  A mapped Hamiltonian (``fermion.map_terms``)
+    has one row per string, in the order of its row keys, not of the words:
+    the Z-only strings, then those of each hop's X support, then those of
+    each double excitation's X support by slot.
     """
 
     x: np.ndarray  # uint64 [n_terms, num_words(num_qubits)]
@@ -173,103 +156,17 @@ class PauliOperatorSum:
                 f"masks of shape {self.x.shape}/{self.z.shape} do not fit {shape}"
             )
 
-    @classmethod
-    def from_packed(
-        cls, batches: Iterable[Packed], num_qubits: int, constant: complex = 0.0
-    ) -> "PauliOperatorSum":
-        """One sum from packed batches of any leading shape, after an identity
-        row carrying ``constant`` when it is nonzero.  Each batch is copied
-        once, into its rows of the sum, so a broadcast batch is never
-        materialized on its own.  Every batch is drawn, to size the sum,
-        before any is copied: all of them are alive at once, and with the
-        sum's arrays until it returns (ROADMAP item 2)."""
-        words, n = num_words(num_qubits), 1 if constant else 0
-        rows = [(np.zeros((n, words), np.uint64),) * 2 + (np.full(n, constant, dtype=complex),)]
-        rows += batches
-        total = sum(c.size for _, _, c in rows)
-        x, z = (np.empty((total, words), np.uint64) for _ in range(2))
-        out = x, z, np.empty(total, complex)
-        start = 0
-        for batch in rows:
-            stop = start + batch[2].size
-            for part, column in zip(batch, out):
-                np.copyto(column[start:stop].reshape(part.shape), part)
-            start = stop
-        return cls(*out, num_qubits)
-
     def weights(self) -> np.ndarray:
-        """Non-identity factor count of every row."""
-        return _popcount(self.x | self.z)
+        """Non-identity factor count of every row, a block of rows at a
+        time, so that no copy of the words is made."""
+        out = np.empty(len(self), dtype=np.int64)
+        for start in range(0, len(self), _WEIGHT_BLOCK):
+            block = slice(start, start + _WEIGHT_BLOCK)
+            out[block] = _popcount(self.x[block] | self.z[block])
+        return out
 
     def __len__(self) -> int:
         return len(self.coefficients)
-
-
-def _row_keys(x: np.ndarray, z: np.ndarray, attempt: int) -> np.ndarray:
-    """A 64-bit key per row: starting from attempt's seed, each of the row's
-    words, x then z, is XORed into the state and mixed by the splitmix64
-    finalizer (Steele, Lea & Flood, OOPSLA 2014), a block of rows at a time
-    so that the block's words stay in cache across the folds."""
-    keys = np.empty(len(x), dtype=np.uint64)
-    buffer = np.empty(min(len(x), _KEY_BLOCK), dtype=np.uint64)
-    for start in range(0, len(x), _KEY_BLOCK):
-        block = slice(start, start + _KEY_BLOCK)
-        state = keys[block]
-        shifted = buffer[: len(state)]
-        state.fill(_KEY_SEEDS[attempt])
-        for word in (*x[block].T, *z[block].T):
-            state ^= word
-            for shift, multiplier in _MIX_STEPS:
-                np.right_shift(state, shift, out=shifted)
-                state ^= shifted
-                state *= multiplier
-            np.right_shift(state, _MIX_LAST_SHIFT, out=shifted)
-            state ^= shifted
-    return keys
-
-
-def simplify(s: PauliOperatorSum, eps: float = 1e-12) -> PauliOperatorSum:
-    """Merge like terms and drop coefficients that are 0 or below eps in magnitude.
-
-    Rows are grouped by a 64-bit key of their words (``_row_keys``) and one
-    argsort; the output is in key order, the same on every run.  Keys are
-    checked exactly: rows that share a key must share their words, and if two
-    do not, the merge starts again from the next seed, raising
-    KeyCollisionError after ``MERGE_ATTEMPTS`` attempts, so two distinct
-    strings are never merged.  Each group's coefficients are summed in input
-    order, so the sums do not depend on the key, the sort or a retry.  eps
-    must satisfy 0 <= eps < inf (ValueError otherwise): a NaN or infinite
-    eps would drop every term.  ``fermion.map_terms`` hands it every row but
-    the double excitations', which no other row can meet; it sums those
-    itself, in the same order and with the same eps rule.
-    """
-    if not 0 <= eps < np.inf:
-        raise ValueError("eps must be non-negative and finite")
-    for attempt in range(MERGE_ATTEMPTS):
-        keys = _row_keys(s.x, s.z, attempt)
-        order = np.argsort(keys)
-        keys = keys[order]
-        x, z = np.take(s.x, order, axis=0), np.take(s.z, order, axis=0)
-        first = np.empty(len(order), dtype=bool)  # where a row's key differs from the last row's
-        first[:1] = True
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        # a word that differs from the last row's where the key does not is a collision
-        if not any(np.greater(w[1:] != w[:-1], first[1:, None]).any() for w in (x, z)):
-            break
-    else:
-        raise KeyCollisionError(
-            f"each of {MERGE_ATTEMPTS} key seeds gave two distinct strings one key"
-        )
-    group = np.empty(len(order), dtype=np.intp)
-    group[order] = np.add.accumulate(first, dtype=np.intp) - 1
-    starts = np.flatnonzero(first)
-    merged = np.empty(len(starts), dtype=complex)
-    merged.real = np.bincount(group, s.coefficients.real, len(starts))
-    merged.imag = np.bincount(group, s.coefficients.imag, len(starts))
-    kept = np.abs(merged) >= eps if eps else merged != 0  # |c| >= eps > 0 implies c != 0
-    rows = starts[kept]
-    x, z = np.take(x, rows, axis=0), np.take(z, rows, axis=0)
-    return PauliOperatorSum(x, z, merged[kept], s.num_qubits)
 
 
 def coefficient_l1_norm(

@@ -10,24 +10,26 @@ forest are both read from it.
 
 The encoding's parts for ``fermion.map_terms``: n_j's Z word is B_j, a hop
 is an edge operator times two vertex operators, and a double excitation two
-edge operators times eight products of vertex operators.  A hop's product,
-and each step of a loop stabilizer's product around its cycle, is a
-``pauli.outer`` told the edges of the edge operators' X bits, so its phases
-are the Z bits at those edges, not bit counts over whole rows.  A double
-excitation hands over its two edges, its X support, and the slot and +/-1/8
-coefficient of each B-subset string there, read from one table by its
-pairing; its words are built once per summed string.
+edge operators times eight products of vertex operators.  Each step of a
+loop stabilizer's product around its cycle is a ``pauli.outer`` told the
+edges of the edge operators' X bits, so its phases are the Z bits at those
+edges, not bit counts over whole rows; the same rule gives a hop's two
+coefficients, +/-1/2.  A double excitation hands over its two edges, its X
+support, and the slot and +/-1/8 coefficient of each B-subset string there,
+read from one table by its pairing.  Words are built only for the strings
+that ``map_terms`` keeps, whose merge reads that the vertex operators of a
+connected component multiply to the identity.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from functools import cache, partial
+from functools import cache, partial, reduce
 from typing import List, Tuple
 
 import numpy as np
 
-from .fermion import SLOT_FLAGS, ClassifiedTerms, Kind, blocked_modes, map_terms
+from .fermion import ClassifiedTerms, Kind, blocked_modes, map_terms
 from .pauli import Packed, PauliOperatorSum, num_words, outer, set_bits, z_rows
 
 
@@ -109,12 +111,23 @@ class InteractionGraph:
         return parent
 
     def connected_components(self) -> List[List[int]]:
-        """Vertex lists of the components, each sorted, ordered by lowest vertex."""
-        parent = self.spanning_forest()
-        root = np.arange(self.num_vertices)
-        while (parent[root] >= 0).any():
-            root = np.where(parent[root] >= 0, parent[root], root)
-        return [np.flatnonzero(root == r).tolist() for r in np.flatnonzero(parent < 0)]
+        """Vertex lists of the components, each sorted, ordered by lowest
+        vertex.  Each vertex is labelled with itself; every round, a vertex
+        takes the least label among its own and its neighbours', then the
+        label of that label, until no label moves, when each component
+        carries its lowest vertex."""
+        label, (p, q) = np.arange(self.num_vertices), self.edges.T
+        while True:
+            low = label.copy()
+            np.minimum.at(low, p, label[q])
+            np.minimum.at(low, q, label[p])
+            low = low[low]
+            if (low == label).all():
+                break
+            label = low
+        order = np.argsort(label, kind="stable")
+        starts = np.flatnonzero(np.diff(label[order])) + 1
+        return [c.tolist() for c in np.split(order, starts) if len(c)]
 
 
 def pair_partition(
@@ -155,12 +168,14 @@ def build_interaction_graph(terms: ClassifiedTerms, num_modes: int) -> Interacti
     return InteractionGraph(num_modes, np.concatenate(pairs))
 
 
-def _hops(g: InteractionGraph, i: np.ndarray, j: np.ndarray) -> Tuple[Packed, Tuple[np.ndarray]]:
-    """a_i^ a_j + a_j^ a_i  ->  -i (A_ij B_j + B_i A_ij) / 2, with B_i A_ij = -A_ij B_i,
-    and the qubit of its X bit, edge ij."""
-    a, e = g.a(i, j)
-    b = z_rows(g.vertex.take(np.stack([j, i], axis=1), axis=0), (-0.5j, 0.5j))
-    return outer(a, b, (e,), ()), (e,)
+def _hops(g: InteractionGraph, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """a_i^ a_j + a_j^ a_i  ->  -i (A_ij B_j + B_i A_ij) / 2, with B_i A_ij = -A_ij B_i:
+    the coefficients of its two strings, the words of A_ij with B_j, then
+    B_i, XORed into Z.  B_v has a Z bit on edge ij, where A_ij has its X bit
+    and no Z bit, so ``outer``'s rule gives each product a factor -i: the
+    coefficients are -1/2 and 1/2, negated where i > j (A_ji = -A_ij)."""
+    g.edge(i, j)
+    return np.where(i > j, -1.0, 1.0)[:, None] * np.array([-0.5, 0.5])
 
 
 # B-subset signs for the double-excitation expansion, keyed by the subset of
@@ -213,24 +228,27 @@ def _double_excitations(
     g: InteractionGraph, spins: np.ndarray, idx: np.ndarray
 ) -> Tuple[np.ndarray, ...]:
     """a_i^ a_j^ a_k a_l + h.c. for every row of ``idx``: the key of its
-    two edges, the X support, as lower * Q + higher, and the slots and
-    coefficients of its eight strings (``_double_tables``)."""
+    two edges, the X support, as lower * Q + higher, their four vertices in
+    slot order, and the slots and coefficients of its eight strings
+    (``_double_tables``)."""
     first, second, pair_sign = pair_partition(idx, spins)
     e1, e2 = g.edge(*first.T), g.edge(*second.T)
     code = (pair_sign < 0) + 2 * (e1 > e2) + 4 * (first[:, 0] > first[:, 1])
     code += 8 * (second[:, 0] > second[:, 1])
-    support = np.minimum(e1, e2) * g.num_qubits + np.maximum(e1, e2)
+    lower, higher = np.minimum(e1, e2), np.maximum(e1, e2)
     slots, units = _double_tables()
-    return support, slots[code], units[code]
+    vertices = np.concatenate([g.edges.take(lower, axis=0), g.edges.take(higher, axis=0)], axis=1)
+    return lower * g.num_qubits + higher, vertices, slots[code], units[code]
 
 
-def _double_words(g: InteractionGraph, supports: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """For every support, the words of A_1 A_2 on its two edges, its four
-    vertices in slot order and the vertex words B_v, which flip Z."""
-    edges = supports // g.num_qubits, supports % g.num_qubits
-    x = g.edge_x.take(edges[0], axis=0) ^ g.edge_x.take(edges[1], axis=0)
-    z = g.edge_z.take(edges[0], axis=0) ^ g.edge_z.take(edges[1], axis=0)
-    return x, z, np.concatenate([g.edges.take(e, axis=0) for e in edges], axis=1), g.vertex
+def _words(g: InteractionGraph, ends: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The words of the product of the edge operators on the vertex pairs
+    (``ends[:, 0]``, ``ends[:, 1]``), (``ends[:, 2]``, ``ends[:, 3]``), ...
+    of every row, which share no vertex: X on their edges and Z on the XOR
+    of their Z words."""
+    edges = g.edge(ends[:, 0::2], ends[:, 1::2]).T
+    tables = g.edge_x, g.edge_z
+    return tuple(reduce(np.bitwise_xor, [t.take(e, axis=0) for e in edges]) for t in tables)
 
 
 def ose_transform_terms(
@@ -243,12 +261,15 @@ def ose_transform_terms(
 
     Vertex spins follow the blocked mode convention, whose boundary at
     ``num_vertices // 2`` a trailing ancilla vertex does not shift.  Like
-    terms are merged and |c| < eps dropped; raises NonHermitianError when a
-    merged coefficient has |imag| > eps.
+    terms are merged, the vertex operators of each connected component
+    multiplying to the identity, and |c| < eps dropped; raises
+    NonHermitianError when a merged coefficient has |imag| > eps.
     """
     double = partial(_double_excitations, g, blocked_modes(g.num_vertices)[1])
-    words = partial(_double_words, g)
-    return map_terms(terms, g.vertex, partial(_hops, g), double, words, g.num_qubits, constant, eps)
+    hops, words = partial(_hops, g), partial(_words, g)
+    return map_terms(
+        terms, g.vertex, hops, double, words, g.num_qubits, constant, eps, g.connected_components()
+    )
 
 
 def loop_stabilizers(g: InteractionGraph) -> PauliOperatorSum:

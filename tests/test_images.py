@@ -1,8 +1,8 @@
 """Term images from JW's coefficient tables and from bit lookups against the
-general Pauli product chain, kind by kind: the rows written per term row by
-row, the strings folded before the merge through the merged operator, and
-the double excitations' strings, which bypass the merge, through the
-returned operator."""
+general Pauli product chain, kind by kind, through the mapped operator: its
+rows against a word-exact reference merge of the product chain's rows, on
+random terms, on every ordering of a double excitation's modes and on
+graphs whose small components make rows of different terms meet."""
 
 from itertools import permutations
 
@@ -20,9 +20,10 @@ from fermap.jw import (
     _register_tables,
     jw_transform_terms,
 )
-from fermap.pauli import NonHermitianError, PauliOperatorSum, _popcount, simplify
+from fermap.pauli import NonHermitianError, _popcount
 from fermap.superfast import (
     _DOUBLE_B_SUBSETS,
+    InteractionGraph,
     add_parity_ancilla,
     ose_transform_terms,
     pair_partition,
@@ -65,10 +66,7 @@ def ose_double(g, idx):
 
 def reference_rows(kind, idx, coefficients, z_words, hop, double):
     """The rows of one kind's images through the product chain, scaled by
-    the coefficients, without the rows that are exactly 0, and a mask of
-    those that ``map_terms`` writes term by term: the Z_i Z_j row of a
-    Coulomb term and the hop(i, k) Z_j rows of a number excitation.  The
-    other rows are folded: their strings are summed before the merge."""
+    the coefficients, without the rows that are exactly 0."""
     cols = idx.T
     if kind is Kind.NUMBER:
         rows = number(z_words, cols[0])
@@ -81,28 +79,9 @@ def reference_rows(kind, idx, coefficients, z_words, hop, double):
     else:
         rows = double(idx)
     x, z, c = rows
-    written = np.zeros(c.shape, dtype=bool)
-    if kind is Kind.COULOMB_EXCHANGE:
-        written[:, 3] = True  # Z_i Z_j, the last row of (1 - Z_i)(1 - Z_j)/4
-    elif kind is Kind.NUMBER_EXCITATION:
-        written[:, 1::2] = True  # hop(i, k) Z_j, after each row of hop(i, k)
     c = (c * coefficients[:, None]).ravel()
     kept = c != 0
-    return x.reshape(len(c), -1)[kept], z.reshape(len(c), -1)[kept], c[kept], written.ravel()[kept]
-
-
-def merged_input(monkeypatch, transform):
-    """The rows ``map_terms`` hands to the merge when ``transform`` runs, and
-    the merged operator it returns."""
-    seen, simplify = [], fermion.simplify
-
-    def spy(s, eps):
-        seen.append(s)
-        return simplify(s, eps)
-
-    monkeypatch.setattr(fermion, "simplify", spy)
-    merged = transform()
-    return seen[0], merged
+    return x.reshape(len(c), -1)[kept], z.reshape(len(c), -1)[kept], c[kept]
 
 
 ARITY = {
@@ -121,54 +100,57 @@ def random_terms(kind, modes, seed, n=60):
     return ClassifiedTerms({kind: (idx, rng.normal(size=n))})
 
 
-def assert_rows_equal(got, expected):
-    for g, e in zip(got, expected):
-        assert g.shape == e.shape and np.array_equal(g, e)
+def sorted_rows(x, z, c):
+    """The words and coefficients of rows, sorted by their words."""
+    order = np.lexsort(np.concatenate([x, z], axis=1).T)
+    return x[order], z[order], c[order]
 
 
-def assert_merged_equal(merged, x, z, c, eps=1e-12):
-    """The merged operator has the strings of the merged product-chain rows,
-    and coefficients equal to theirs within the error bound of summing in
+def reference_merge(x, z, c, eps=1e-12):
+    """The like-term merge of rows, word-exact: a dictionary sums each
+    string's coefficients left to right, the sums that are 0 or below eps
+    in magnitude are cut, and the rows come sorted by their words."""
+    sums = {}
+    for words, value in zip(np.concatenate([x, z], axis=1), c.tolist()):
+        sums[words.tobytes()] = sums.get(words.tobytes(), 0) + value
+    kept = {key: v for key, v in sums.items() if (abs(v) >= eps if eps else v != 0)}
+    words = np.frombuffer(b"".join(kept), dtype=x.dtype).reshape(len(kept), 2 * x.shape[1])
+    n = x.shape[1]
+    return sorted_rows(words[:, :n], words[:, n:], np.array(list(kept.values()), dtype=complex))
+
+
+def assert_merged_equal(operator, x, z, c, eps=1e-12):
+    """The operator has the strings of the merged product-chain rows, and
+    coefficients equal to theirs within the error bound of summing in
     another order: a sum of n terms in any order is within (n - 1) u
     sum|terms| of the exact sum (u the unit roundoff), so two orders differ
     by at most twice that, taken here over all of the kind's rows."""
-    reference = simplify(PauliOperatorSum(x, z, c, merged.num_qubits), eps)
-    assert_rows_equal((merged.x, merged.z), (reference.x, reference.z))
+    got = sorted_rows(operator.x, operator.z, operator.coefficients)
+    expected = reference_merge(x, z, c, eps)
+    for g, e in zip(got[:2], expected[:2]):
+        assert g.shape == e.shape and np.array_equal(g, e)
     bound = len(c) * np.finfo(float).eps * np.abs(c).sum()  # 2 (n - 1) u <= n eps
-    assert np.abs(merged.coefficients - reference.coefficients).max(initial=0.0) <= bound
-
-
-def sorted_rows(s):
-    """The words and coefficients of ``s``, rows sorted by their words."""
-    order = np.lexsort(np.concatenate([s.x, s.z], axis=1).T)
-    return s.x[order], s.z[order], s.coefficients[order]
+    assert np.abs(got[2] - expected[2]).max(initial=0.0) <= bound
 
 
 def assert_doubles_equal(operator, x, z, c, eps=1e-12):
     """The operator's rows, sorted, are bitwise (words and coefficient bytes)
     the merged product-chain rows: each string's rows summed in term order,
     also where two slots of one support give one string."""
-    reference = simplify(PauliOperatorSum(x, z, c, operator.num_qubits), eps)
-    for got, expected in zip(sorted_rows(operator), sorted_rows(reference)):
-        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    got = sorted_rows(operator.x, operator.z, operator.coefficients)
+    for g, e in zip(got, reference_merge(x, z, c, eps)):
+        assert g.shape == e.shape and g.tobytes() == e.tobytes()
 
 
-def assert_images_equal(transformed, expected, kind, eps=1e-12):
-    """The rows written term by term are bitwise the product chain's and come
-    last in the merge's input, in term order.  The double excitations never
-    reach the merge: their rows in the returned operator are the product
-    chain's, bitwise (``assert_doubles_equal``).  The other kinds' merged
-    operator is the product chain's (``assert_merged_equal``)."""
-    (got, merged), (x, z, c, written) = transformed, expected
-    n = len(got) - int(written.sum())
-    assert_rows_equal(
-        (got.x[n:], got.z[n:], got.coefficients[n:]), (x[written], z[written], c[written])
-    )
+def assert_images_equal(operator, expected, kind, eps=1e-12):
+    """A double excitation's strings are summed in term order, as the
+    reference merge sums the product chain's rows: bitwise.  The other
+    kinds fold parts of their terms before their rows are summed
+    (``map_terms``), so their sums may differ by rounding."""
     if kind is Kind.DOUBLE_EXCITATION:
-        assert len(got) == 0
-        assert_doubles_equal(merged, x, z, c, eps)
+        assert_doubles_equal(operator, *expected, eps)
     else:
-        assert_merged_equal(merged, x, z, c, eps)
+        assert_merged_equal(operator, *expected, eps)
 
 
 def rows_per_support(s):
@@ -178,9 +160,8 @@ def rows_per_support(s):
 
 @pytest.mark.parametrize("kind", list(Kind))
 @pytest.mark.parametrize("num_modes", [12, 130])  # one word, three words
-def test_jw_images_equal_the_product_chain(monkeypatch, kind, num_modes):
+def test_jw_images_equal_the_product_chain(kind, num_modes):
     terms = random_terms(kind, num_modes, seed=num_modes)
-    transformed = merged_input(monkeypatch, lambda: jw_transform_terms(terms, num_modes))
     tables = _register_tables(num_modes)
     expected = reference_rows(
         kind,
@@ -189,7 +170,7 @@ def test_jw_images_equal_the_product_chain(monkeypatch, kind, num_modes):
         lambda i, k: jw_plus_adjoint(tables, i, k),
         lambda idx: jw_plus_adjoint(tables, *idx.T),
     )
-    assert_images_equal(transformed, expected, kind)
+    assert_images_equal(jw_transform_terms(terms, num_modes), expected, kind)
 
 
 SUPERFAST_GRAPHS = {
@@ -201,11 +182,10 @@ SUPERFAST_GRAPHS = {
 
 @pytest.mark.parametrize("kind", list(Kind))
 @pytest.mark.parametrize("name", list(SUPERFAST_GRAPHS))
-def test_superfast_images_equal_the_product_chain(monkeypatch, kind, name):
+def test_superfast_images_equal_the_product_chain(kind, name):
     g = SUPERFAST_GRAPHS[name]
     # the ancilla vertex takes part in no term; every other pair is an edge
     terms = random_terms(kind, g.num_vertices - (name == "K12+ancilla"), seed=len(name))
-    transformed = merged_input(monkeypatch, lambda: ose_transform_terms(terms, g))
     expected = reference_rows(
         kind,
         *terms.by_kind[kind],
@@ -213,7 +193,7 @@ def test_superfast_images_equal_the_product_chain(monkeypatch, kind, name):
         lambda i, j: ose_hop(g, i, j),
         lambda idx: ose_double(g, idx),
     )
-    assert_images_equal(transformed, expected, kind)
+    assert_images_equal(ose_transform_terms(terms, g), expected, kind)
 
 
 def double_terms(modes, seed):
@@ -224,32 +204,32 @@ def double_terms(modes, seed):
 
 
 @pytest.mark.parametrize("modes", [(0, 1, 2, 3), (1, 2, 5, 6)])  # one spin; two spins, crossings
-def test_jw_every_ordering_of_four_modes_folds_into_one_support(monkeypatch, modes):
+def test_jw_every_ordering_of_four_modes_folds_into_one_support(modes):
     terms = double_terms(modes, seed=sum(modes))
-    got, merged = merged_input(monkeypatch, lambda: jw_transform_terms(terms, 8))
+    merged = jw_transform_terms(terms, 8)
     assert rows_per_support(merged).tolist() == [len(merged)] and len(merged) <= 8
     tables = _register_tables(8)
     expected = reference_rows(
         Kind.DOUBLE_EXCITATION, *terms.by_kind[Kind.DOUBLE_EXCITATION], tables[0], None,
         lambda idx: jw_plus_adjoint(tables, *idx.T),
     )
-    assert_images_equal((got, merged), expected, Kind.DOUBLE_EXCITATION)
+    assert_images_equal(merged, expected, Kind.DOUBLE_EXCITATION)
 
 
 @pytest.mark.parametrize("modes", [(0, 1, 2, 3), (1, 2, 5, 6)])
 @pytest.mark.parametrize("name", ["K8", "K8+ancilla"])
-def test_superfast_every_ordering_of_four_modes_folds_per_support(monkeypatch, modes, name):
+def test_superfast_every_ordering_of_four_modes_folds_per_support(modes, name):
     # the orderings pair the modes in up to three ways, one edge pair each;
     # the ancilla's edge moves the qubits of the edges sorted after it
     g = complete_graphs(8, 1) if name == "K8" else add_parity_ancilla(complete_graphs(8, 1), 2)
     terms = double_terms(modes, seed=sum(modes))
-    got, merged = merged_input(monkeypatch, lambda: ose_transform_terms(terms, g))
+    merged = ose_transform_terms(terms, g)
     assert rows_per_support(merged).max() <= 8
     expected = reference_rows(
         Kind.DOUBLE_EXCITATION, *terms.by_kind[Kind.DOUBLE_EXCITATION], g.vertex, None,
         lambda idx: ose_double(g, idx),
     )
-    assert_images_equal((got, merged), expected, Kind.DOUBLE_EXCITATION)
+    assert_images_equal(merged, expected, Kind.DOUBLE_EXCITATION)
 
 
 @pytest.mark.parametrize(
@@ -266,23 +246,85 @@ def test_superfast_every_ordering_of_four_modes_folds_per_support(monkeypatch, m
     ],
     ids=["single-edge sectors", "K4 sectors", "K4 sectors+ancilla"],
 )
-def test_superfast_subsets_that_give_one_string_merge_exactly(monkeypatch, g, strings):
+def test_superfast_subsets_that_give_one_string_merge_exactly(g, strings):
     # every ordering of the modes 0-3 whose pairs are edges of the graph
     idx = np.array(list(permutations(range(4))))
     first, second, _ = pair_partition(idx, blocked_modes(g.num_vertices)[1])
     idx = idx[(g.lookup[tuple(first.T)] >= 0) & (g.lookup[tuple(second.T)] >= 0)]
     g_values = np.random.default_rng(4).normal(size=len(idx))
     terms = ClassifiedTerms({Kind.DOUBLE_EXCITATION: (idx, g_values)})
-    got, merged = merged_input(monkeypatch, lambda: ose_transform_terms(terms, g, eps=0.0))
-    x, z, c, _ = reference_rows(
+    merged = ose_transform_terms(terms, g, eps=0.0)
+    x, z, c = reference_rows(
         Kind.DOUBLE_EXCITATION, idx, g_values, g.vertex, None, lambda i: ose_double(g, i)
     )
     # the product chain gives each support's 8 slots `strings` strings, and
     # the operator sums each string's rows once, in term order
     distinct = np.unique(np.concatenate([x, z], axis=1), axis=0)
     assert len(distinct) == strings * len(np.unique(x, axis=0))
-    assert len(got) == 0 and rows_per_support(merged).max(initial=0) <= strings
+    assert rows_per_support(merged).max(initial=0) <= strings
     assert_doubles_equal(merged, x, z, c, 0.0)
+
+
+def graph_terms(g, modes, seed):
+    """Every term ``g`` can map on the vertices below ``modes``: each
+    number and Coulomb term, an excitation per edge, its number excitations
+    with every other vertex, and each double excitation (i < j, l < k) whose
+    pairs are edges.  Every g is a multiple of 1/8, so the rows sum exactly
+    in any order."""
+    edges = [[p, q] for p, q in g.edges.tolist() if q < modes]
+    doubles = [
+        (i, j, k, l)
+        for i, j, k, l in permutations(range(modes), 4)
+        if i < j and l < k and (i, j, k, l) < (l, k, j, i)
+    ]
+    first, second, _ = pair_partition(np.array(doubles), blocked_modes(g.num_vertices)[1])
+    doubles = np.array(doubles)[(g.lookup[tuple(first.T)] >= 0) & (g.lookup[tuple(second.T)] >= 0)]
+    rows = {
+        Kind.NUMBER: [[v] for v in range(modes)],
+        Kind.COULOMB_EXCHANGE: [[p, q] for q in range(modes) for p in range(q)],
+        Kind.EXCITATION: edges,
+        Kind.NUMBER_EXCITATION: [[p, j, q] for p, q in edges for j in range(modes) if p != j != q],
+        Kind.DOUBLE_EXCITATION: doubles,
+    }
+    rng = np.random.default_rng(seed)
+    by_kind = {}
+    for kind, idx in rows.items():
+        g = rng.choice([-1, 1], len(idx)) * rng.integers(1, 17, len(idx)) / 8
+        by_kind[kind] = np.array(idx).reshape(-1, ARITY[kind]), g
+    return ClassifiedTerms(by_kind)
+
+
+@pytest.mark.parametrize(
+    "g, modes",
+    [
+        # lone vertices: B_v = 1, so each Z_v row meets the identity
+        (InteractionGraph(4, [(0, 2)]), 4),
+        # single edges: B_p = B_q, so a hop's two rows meet, and the Z rows of its ends
+        (complete_graphs(2, 2), 4),
+        # triangles: B_a B_b = B_c, so a hop's row meets n_j hop rows and Z rows meet Z_i Z_j rows
+        (complete_graphs(3, 2), 6),
+        # K4 sectors: B_a B_b = B_c B_d, and every vertex word is the XOR of the other three
+        (complete_graphs(4, 2), 8),
+        # K5 sectors: no product of at most four vertex words is another's
+        (complete_graphs(5, 2), 10),
+        # single edges, one with the parity ancilla, which no term flips: a 3-vertex component
+        (add_parity_ancilla(complete_graphs(2, 2), 2), 4),
+    ],
+    ids=["1 vertex", "2 vertices", "3 vertices", "4 vertices", "5 vertices", "ancilla"],
+)
+def test_superfast_components_merge_rows_that_give_one_string(g, modes):
+    # the rows of every kind together, against the word-exact merge of the
+    # product chain's rows: the same strings and coefficient bytes
+    terms = graph_terms(g, modes, seed=modes)
+    rows = [
+        reference_rows(
+            kind, idx, c, g.vertex, lambda i, j: ose_hop(g, i, j), lambda i: ose_double(g, i)
+        )
+        for kind, (idx, c) in terms.by_kind.items()
+    ]
+    x, z, c = (np.concatenate(part) for part in zip(*rows))
+    assert len(np.unique(np.concatenate([x, z], axis=1), axis=0)) < len(c)
+    assert_doubles_equal(ose_transform_terms(terms, g, eps=0.0), x, z, c, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -290,17 +332,17 @@ def test_superfast_subsets_that_give_one_string_merge_exactly(monkeypatch, g, st
     [((2, 4, 1.00), 14_913, (456_736, 1_790_560)), ((3, 4, 3.00), 100_897, (938_464, 4_901_376))],
     ids=["d2-s4-a1.00", "d3-s4-a3.00"],
 )
-def test_dense_cells_hand_the_merge_no_double_excitation_rows(monkeypatch, cell, rows, weights):
-    # d2 side-4 a1.00 has 23 682 double excitations, whose 8 rows each made
-    # 189 456 of the 204 369 rows that each encoding handed the merge; their
-    # folded sums are final rows, so the merge gets the other kinds' rows only
-    seen, merge = [], fermion.simplify
+def test_dense_cells_key_every_row_but_the_doubles_by_its_flips(monkeypatch, cell, rows, weights):
+    # d2 side-4 a1.00 has 23 682 double excitations, whose 8 rows each are
+    # keyed by their support and slot; every other kind's rows, 14 913 of
+    # them, are keyed by their X support's mode pair and their flips
+    seen, codes = [], fermion._flip_codes
 
-    def spy(s, eps):
-        seen.append(len(s))
-        return merge(s, eps)
+    def spy(flips, small):
+        seen.append(len(flips))
+        return codes(flips, small)
 
-    monkeypatch.setattr(fermion, "simplify", spy)
+    monkeypatch.setattr(fermion, "_flip_codes", spy)
     row = run_cell(*cell)
     assert seen == [rows, rows]
     assert (row.jw_total_weight, row.bksf_total_weight) == weights
@@ -329,14 +371,14 @@ def test_an_imaginary_folded_coefficient_raises(kind, row):
 
 def test_a_tight_orbital_lattice_hands_the_merge_its_merged_rows(monkeypatch):
     # d3 side-4 a8.75 is almost all Coulomb terms: once n_j = (1 - Z_j)/2 is
-    # folded, each encoding hands the merge one row per merged term
-    seen, merge = [], fermion.simplify
+    # folded, each encoding keys one row per merged term
+    seen, codes = [], fermion._flip_codes
 
-    def spy(s, eps):
-        seen.append(len(s))
-        return merge(s, eps)
+    def spy(flips, small):
+        seen.append(len(flips))
+        return codes(flips, small)
 
-    monkeypatch.setattr(fermion, "simplify", spy)
+    monkeypatch.setattr(fermion, "_flip_codes", spy)
     row = run_cell(3, 4, 8.75)
     assert seen == [8833, 8833]
     assert row.jw_report.term_count == row.bksf_report.term_count == 8833
@@ -373,10 +415,13 @@ def test_jw_rows_with_odd_y_vanish_for_every_mode_order(num_factors):
         (Kind.NUMBER_EXCITATION, [1, 0, 1]),
         (Kind.DOUBLE_EXCITATION, [0, 2, 1, 0]),
         (Kind.DOUBLE_EXCITATION, [1, 3, 3, 0]),
+        (Kind.COULOMB_EXCHANGE, [3, 3]),
+        (Kind.NUMBER_EXCITATION, [1, 1, 2]),
     ],
 )
 def test_a_repeated_mode_raises(kind, row):
-    # the images read their phases as if each mode had its own qubit or edge
+    # the images read their phases as if each mode had its own qubit or
+    # edge, and the merge keys read each flipped mode as a distinct word
     terms = ClassifiedTerms({kind: (np.array([row]), np.array([0.5]))})
     with pytest.raises(ValueError, match="repeats a mode"):
         jw_transform_terms(terms, 4)

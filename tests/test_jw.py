@@ -23,8 +23,8 @@ def test_register_tables_match_integer_masks(num_modes):
 def ladder(j, dagger, num_modes):
     """The Pauli image of a_j (or a_j^) on num_modes qubits, from the
     production tables."""
-    rows = _ladders(np.array([j]), dagger, _register_tables(num_modes))
-    return PauliOperatorSum.from_packed([rows], num_modes)
+    x, z, c = _ladders(np.array([j]), dagger, _register_tables(num_modes))
+    return PauliOperatorSum(x[0], z[0], c[0], num_modes)
 
 
 @pytest.mark.parametrize("num_modes", [1, 2, 4])

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermap import pauli
-from fermap.bench import run_cell
+from fermap.fermion import ClassifiedTerms, Kind
+from fermap.jw import jw_transform_terms
 from fermap.oracle import dense_matrix
 from fermap.pauli import (
     _I_POW_ARRAY,
     DimensionMismatchError,
-    KeyCollisionError,
     Packed,
     PauliOperatorSum,
     _popcount,
@@ -22,8 +22,8 @@ from fermap.pauli import (
     num_words,
     outer,
     set_bits,
-    simplify,
 )
+from fermap.superfast import InteractionGraph, ose_transform_terms
 
 PAULI_MATS = {
     "I": np.eye(2),
@@ -216,18 +216,6 @@ def test_multiply_self_inverse_up_to_coefficient():
     assert not x.any() and not z.any() and c.tolist() == [1.0]
 
 
-def test_simplify_merges_and_drops():
-    s = simplify(pauli_sum([(1, 0, 0.5), (1, 0, 0.5), (0, 2, 1e-15)], 2), eps=1e-12)
-    assert rows_of(s) == [(1, 0, pytest.approx(1.0))]
-
-
-def test_simplify_cancellation_to_zero_operator():
-    s = pauli_sum([(0, 1, 0.75), (0, 1, -0.75)], 1)
-    assert len(simplify(s)) == 0
-    assert simplify(s).weights().sum() == 0
-    assert len(simplify(s, eps=0.0)) == 0
-
-
 def test_l1_norm_with_and_without_identity():
     s = pauli_sum([(0, 0, 3.0), (0, 1, -4.0)], 2)
     assert coefficient_l1_norm(s) == pytest.approx(7.0)
@@ -246,14 +234,14 @@ def test_pack_masks_rejects_bits_outside_the_register(q, mask):
     assert pack_masks([(1 << q) - 1], q).sum() > 0
 
 
-# widths on both sides of the 64-bit word boundaries, so the phase and the
-# merge key both span several words
+# widths on both sides of the 64-bit word boundaries, so the phase spans
+# several words
 PACKED_WIDTHS = (1, 5, 63, 64, 65, 130)
 
 
 @given(st.data())
 @settings(max_examples=100, deadline=None)
-def test_packed_product_and_merge_match_scalar_algebra(data):
+def test_packed_product_matches_scalar_algebra(data):
     q = data.draw(st.sampled_from(PACKED_WIDTHS))
     bits = random.Random(data.draw(st.integers(0, 2**32 - 1)))  # dense masks fill every word
     parts = st.sampled_from((-1.5, -1.0, 0.0, 1.0, 2.0))
@@ -266,94 +254,33 @@ def test_packed_product_and_merge_match_scalar_algebra(data):
 
     pairs = [(term(*string()), term(*string())) for _ in range(data.draw(st.integers(1, 6)))]
     a, b = (pauli_sum(side, q) for side in zip(*pairs))
-    rows = product((a.x, a.z, a.coefficients), (b.x, b.z, b.coefficients))
-    got = PauliOperatorSum.from_packed([rows], q)
+    x, z, c = product((a.x, a.z, a.coefficients), (b.x, b.z, b.coefficients))
+    got = PauliOperatorSum(x, z, c, q)
     assert rows_of(got) == [string_product(a, b, q) for a, b in pairs]
-
-    # merge repeated strings against a dictionary summed left to right: some
-    # differ in one bit, and from 64 qubits on some only in bit 63 of two of
-    # the 2W words, or have sparse high bits, as strings a weak key confused
-    x, z = string()
-    flip = 1 << data.draw(st.integers(0, q - 1))
-    pool = [(x, z), (x ^ flip, z), (x, z ^ flip), string()]
-    if q >= 64:
-        tops = [(side, 1 << bit) for side in (0, 1) for bit in range(63, q, 64)]
-        flips = data.draw(st.lists(st.sampled_from(tops), min_size=2, max_size=2, unique=True))
-        masks = [x, z]
-        for side, bit in flips:
-            masks[side] ^= bit
-        high_bits = {*range(q - 3, q), *(b for b in (62, 63, 126, 127) if b < q)}
-        high = st.sampled_from(sorted(high_bits))
-
-        def sparse():
-            return (1 << data.draw(high)) | (1 << data.draw(high)), 1 << data.draw(high)
-
-        pool += [tuple(masks), sparse(), sparse(), sparse()]
-    values = st.floats(-2, 2, allow_nan=False)
-    terms = [
-        (*data.draw(st.sampled_from(pool)), complex(data.draw(values), data.draw(values)))
-        for _ in range(data.draw(st.integers(0, 12)))
-    ]
-    merged = simplify(pauli_sum(terms, q))
-    expected = {}
-    for tx, tz, c in terms:
-        expected[tx, tz] = expected.get((tx, tz), 0) + c
-    expected = {key: c for key, c in expected.items() if abs(c) >= 1e-12}
-    assert {(tx, tz): c for tx, tz, c in rows_of(merged)} == expected  # bitwise
     if q <= 12:
-        dense = sum((kron_term(*t, q) for t in terms), np.zeros((2**q, 2**q)))
-        assert np.allclose(dense_matrix(merged), dense)
         products = (kron_term(*a, q) @ kron_term(*b, q) for a, b in pairs)
         assert np.allclose(dense_matrix(got), sum(products))
 
 
-def repeated_strings(seed: int, q: int = 130, n: int = 400):
-    """A sum of n rows drawn from 60 strings with 1 to 3 set bits, so most
-    strings repeat; coefficients are dyadic, so they sum exactly in any order."""
-    rng = np.random.default_rng(seed)
-    def mask():
-        return sum(1 << int(b) for b in rng.choice(q, size=rng.integers(1, 4), replace=False))
-
-    strings = [(mask(), mask()) for _ in range(60)]
-    picks = rng.integers(0, len(strings), n)
-    c = rng.choice([-1.5, -1.0, 0.5, 1.0, 2.0], n) + 1j * rng.choice([0.0, 0.25, -0.5], n)
-    return pauli_sum([(*strings[k], v) for k, v in zip(picks, c)], q)
-
-
 def test_merge_output_does_not_depend_on_the_input_order():
-    s = repeated_strings(1)
-    merged = rows_of(simplify(s))
-    assert 0 < len(merged) < len(s)
-    rng = np.random.default_rng(2)
-    for p in (rng.permutation(len(s)) for _ in range(3)):
-        permuted = PauliOperatorSum(s.x[p], s.z[p], s.coefficients[p], s.num_qubits)
-        assert rows_of(simplify(permuted)) == merged
-
-
-def colliding_keys(monkeypatch, collide):
-    """Replace the row keys with one shared key on the attempts ``collide``
-    picks; the attempts made are returned."""
-    keys, attempts = pauli._row_keys, []
-
-    def patched(x, z, attempt):
-        attempts.append(attempt)
-        return np.zeros(len(x), np.uint64) if collide(attempt) else keys(x, z, attempt)
-
-    monkeypatch.setattr(pauli, "_row_keys", patched)
-    return attempts
-
-
-def test_merge_retries_after_a_key_collision(monkeypatch):
-    s = pauli_sum([(t[0], t[1], t[2] * 0.3) for t in rows_of(repeated_strings(3))], 130)
-    expected = {(x, z): c for x, z, c in rows_of(simplify(s))}
-    attempts = colliding_keys(monkeypatch, lambda attempt: attempt == 0)
-    assert {(x, z): c for x, z, c in rows_of(simplify(s))} == expected  # bitwise
-    assert attempts == [0, 1]
-
-
-def test_merge_gives_up_after_its_attempts(monkeypatch):
-    attempts = colliding_keys(monkeypatch, lambda attempt: True)
-    with pytest.raises(KeyCollisionError):
-        simplify(repeated_strings(4))
-    assert attempts == list(range(pauli.MERGE_ATTEMPTS))
-    assert run_cell(1, 4, 1.0).error.startswith("KeyCollisionError")
+    # mapped rows are keyed by their terms and come out in key order, so
+    # permuting the terms of every kind gives the same rows; the coefficients
+    # are dyadic, so each string's rows sum exactly in any order
+    rng = np.random.default_rng(1)
+    arity = {Kind.NUMBER: 1, Kind.COULOMB_EXCHANGE: 2, Kind.EXCITATION: 2}
+    arity |= {Kind.NUMBER_EXCITATION: 3, Kind.DOUBLE_EXCITATION: 4}
+    by_kind = {}
+    for kind, n in arity.items():
+        idx = np.stack([rng.choice(8, n, replace=False) for _ in range(40)])
+        by_kind[kind] = idx, rng.integers(-8, 8, 40) / 4
+    orders = {kind: rng.permutation(40) for kind in arity}
+    shuffled = {kind: (idx[orders[kind]], g[orders[kind]]) for kind, (idx, g) in by_kind.items()}
+    k8 = InteractionGraph(8, [(p, q) for q in range(8) for p in range(q)])
+    for transform in (
+        lambda terms: jw_transform_terms(terms, 8, eps=0.0),
+        lambda terms: ose_transform_terms(terms, k8, eps=0.0),
+    ):
+        merged, permuted = transform(ClassifiedTerms(by_kind)), transform(ClassifiedTerms(shuffled))
+        assert 0 < len(merged) < 40 * 8 * len(arity)
+        for part in ("x", "z", "coefficients"):
+            assert getattr(permuted, part).tobytes() == getattr(merged, part).tobytes()
