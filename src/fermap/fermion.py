@@ -416,9 +416,10 @@ def map_terms(
     # the identity parts join the constant and the Z_j parts are summed per mode
     halves, quarters = 0.5 * number[1], 0.25 * coulomb[1]
     constant = constant + halves.sum() + quarters.sum()
-    modes, z_sums = _summed(
-        [(number[0], -halves), (coulomb[0].reshape(-1, 1), -np.repeat(quarters, 2))], n
-    )
+    z_parts = np.append(-halves, -np.repeat(quarters, 2))
+    z_sums = _bincount(np.append(number[0], coulomb[0]), z_parts, n)
+    modes = np.flatnonzero(np.abs(z_sums) > 0)
+    z_sums = z_sums[modes]
     # g n_j hop(i, k) = g/2 hop(i, k) - g/2 hop(i, k) Z_j: the hop parts are summed per pair
     pairs, hop_sums = _summed(
         [excitation, (number_excitation[0][:, [0, 2]], 0.5 * number_excitation[1])], n
@@ -431,7 +432,7 @@ def map_terms(
     second = np.append(np.full(2 * len(pairs), -1), np.repeat(j, 2))
     flips = np.concatenate([
         identity,
-        np.concatenate([modes, np.full_like(modes, -1)], axis=1),
+        np.stack([modes, np.full_like(modes, -1)], axis=1),
         np.stack(_distinct(*coulomb[0].T), axis=1),
         np.stack([hops[:, ::-1].ravel(), second], axis=1),
     ])

@@ -174,7 +174,7 @@ def _hops(g: InteractionGraph, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     B_i, XORed into Z.  B_v has a Z bit on edge ij, where A_ij has its X bit
     and no Z bit, so ``outer``'s rule gives each product a factor -i: the
     coefficients are -1/2 and 1/2, negated where i > j (A_ji = -A_ij)."""
-    g.edge(i, j)
+    g.edge(i, j)  # MissingEdgeError where a hop has no edge
     return np.where(i > j, -1.0, 1.0)[:, None] * np.array([-0.5, 0.5])
 
 
