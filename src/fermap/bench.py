@@ -20,6 +20,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from functools import cache
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -33,6 +34,15 @@ CSV_COLUMNS = ("Dimension", "Basis", "Size", "JW_Qbts", "BKSF_Qbts", "JW_TWt", "
 
 DATA_DIR_ENV = "FERMAP_DATA_DIR"
 
+#: Under ``jobs > 1`` only cells of more orbitals (``size ** dimension``) than
+#: this go to a worker.  In a warm process the cells of at most 16
+#: orbitals took 3-31 ms (d2 side 4 at exponent 1.00: 80-150 ms) and raised
+#: the peak RSS by at most 19 MB, while a 2-worker pool spent 20 ms of CPU
+#: on one 2-orbital cell that takes 5 ms in the caller.  Cells of 25 orbitals
+#: and more reach 0.4 s and 70 MB, and 64-orbital cells seconds and
+#: gigabytes: those keep a worker's isolation from the caller.
+POOL_ORBITALS = 16
+
 
 def basis_label(exponent: float) -> str:
     """The reference tables' two-decimal label of the exponent, or, where two
@@ -45,7 +55,9 @@ def basis_label(exponent: float) -> str:
 @dataclass(frozen=True)
 class SweepConfig:
     """One lattice sweep: a grid of sizes and basis exponents at fixed
-    dimension, cutoff and rotation."""
+    dimension, cutoff and rotation.  ``jobs`` bounds the forked workers that
+    ``run_sweep`` starts for the cells of more than ``POOL_ORBITALS``
+    orbitals; smaller cells run in the caller whatever ``jobs`` is."""
 
     dimension: int
     sizes: Tuple[int, ...]
@@ -135,9 +147,10 @@ def _run_cell_args(args) -> SweepRow:
     return run_cell(*args)
 
 
+@cache
 def _openblas(name: str):
     """The function ``name`` of the OpenBLAS that numpy bundles, or None when
-    numpy bundles none or that one lacks it."""
+    numpy bundles none or that one lacks it; looked up once per name."""
     for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*")):
         try:
             function = getattr(ctypes.CDLL(str(path)), name, None)
@@ -169,25 +182,35 @@ def _blas_threads(threads: int):
 def run_sweep(cfg: SweepConfig) -> List[SweepRow]:
     """Run every (size, exponent) cell; rows come back in table order
     (exponents as configured, sizes ascending within each), regardless of the
-    order in which parallel cells finish."""
+    order in which parallel cells finish.
+
+    With ``jobs > 1`` only the cells of more than ``POOL_ORBITALS`` orbitals
+    run in forked workers, at most ``jobs`` of them and no more than such
+    cells; the caller runs the other cells while the workers run.  No pool
+    starts when every cell is that small."""
     keys = [
         (cfg.dimension, size, exponent, cfg.cutoff, cfg.rotation, cfg.mappings, cfg.spacing)
         for exponent in cfg.exponents
         for size in cfg.sizes
     ]
-    if cfg.jobs > 1 and len(keys) > 1:
-        # a forked pool starts all its workers at the first submit, and each
-        # inherits the BLAS thread count: one thread per core in every worker
-        # would oversubscribe the cores.  The pool's modules load only here:
-        # they took a third of ``import fermap``
-        from concurrent.futures import ProcessPoolExecutor
+    pooled = [i for i, (dimension, size, *_) in enumerate(keys) if size**dimension > POOL_ORBITALS]
+    if cfg.jobs == 1 or not pooled:
+        return [run_cell(*k) for k in keys]
+    # a forked pool starts all its workers at the first submit, and each
+    # inherits the BLAS thread count: one thread per core in every worker
+    # would oversubscribe the cores.  The pool's modules load only here:
+    # they took a third of ``import fermap``
+    from concurrent.futures import ProcessPoolExecutor
 
-        workers = min(cfg.jobs, len(keys))
-        threads = max(1, (os.cpu_count() or 1) // workers)
-        with _blas_threads(threads), ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_cell_args, k) for k in keys]
-            return [_result_or_error_row(f, k) for f, k in zip(futures, keys)]
-    return [run_cell(*k) for k in keys]
+    workers = min(cfg.jobs, len(pooled))
+    threads = max(1, (os.cpu_count() or 1) // workers)
+    with _blas_threads(threads), ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = {i: pool.submit(_run_cell_args, keys[i]) for i in pooled}
+        inline = {i: run_cell(*k) for i, k in enumerate(keys) if i not in futures}
+        return [
+            inline[i] if i in inline else _result_or_error_row(futures[i], k)
+            for i, k in enumerate(keys)
+        ]
 
 
 def _result_or_error_row(future, key) -> SweepRow:

@@ -16,6 +16,7 @@ from typing import List, Optional, Sequence
 
 from . import fcidump
 from .bench import (
+    POOL_ORBITALS,
     SweepConfig,
     basis_label,
     compare_reference,
@@ -76,7 +77,13 @@ def _add_sweep_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rotation", choices=("aos", "aoc"), default="aos")
     p.add_argument("--mapping", choices=("jw", "ose", "both"), default="both")
     p.add_argument("--spacing", type=float, default=1.0, help="lattice spacing in Angstrom")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help=f"forked workers for the cells of more than {POOL_ORBITALS} orbitals (size**dim); "
+        "smaller cells run in this process, and no worker starts without such a cell",
+    )
 
 
 def _sweep_config(args) -> SweepConfig:

@@ -31,12 +31,17 @@ from .fermion import ClassifiedTerms, map_terms
 from .pauli import Packed, PauliOperatorSum, outer, set_bits
 
 
+@cache
 def _register_tables(num_modes: int) -> Tuple[np.ndarray, np.ndarray]:
     """``bits[j]`` is the mask of qubit j and ``prefix[j]`` that of qubits
-    0..j-1 (the Z string of a_j), both as words."""
+    0..j-1 (the Z string of a_j), both as words; built once per register
+    size and read-only, since every caller of that size shares them."""
     modes = np.arange(num_modes)
     bits = set_bits(modes, modes, num_modes, num_modes)
-    return bits, set_bits(*np.tril_indices(num_modes, -1), num_modes, num_modes)
+    prefix = set_bits(*np.tril_indices(num_modes, -1), num_modes, num_modes)
+    for table in (bits, prefix):
+        table.flags.writeable = False
+    return bits, prefix
 
 
 def _ladders(modes: np.ndarray, dagger: bool, tables) -> Packed:

@@ -95,73 +95,132 @@ def test_run_sweep_deterministic_csv():
     assert header == ",".join(CSV_COLUMNS)
 
 
+# d1 sides 16 and 17 sit on either side of the bound: 16 orbitals run in the
+# caller and 17 in a worker, each in a few ms
+INLINE_SIDE, POOLED_SIDE = 16, 17
+
+
+class InProcessPool:
+    """Stands in for ProcessPoolExecutor: runs each submitted call at once
+    and records the worker count asked for and the submitted keys."""
+
+    asked: list = []
+    submitted: list = []
+
+    def __init__(self, max_workers):
+        self.asked.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, key):
+        self.submitted.append(key)
+        future = Future()
+        future.set_result(fn(key))
+        return future
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    monkeypatch.setattr(InProcessPool, "asked", [])
+    monkeypatch.setattr(InProcessPool, "submitted", [])
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
+    return InProcessPool
+
+
 def test_run_sweep_parallel_matches_serial():
-    serial = rows_to_csv(run_sweep(small_config(jobs=1)))
-    parallel = rows_to_csv(run_sweep(small_config(jobs=2)))
+    cfg = small_config(sizes=(INLINE_SIDE, POOLED_SIDE))
+    serial = rows_to_csv(run_sweep(cfg))
+    parallel = rows_to_csv(run_sweep(small_config(sizes=cfg.sizes, jobs=2)))
     assert serial == parallel
 
 
-def test_run_sweep_starts_no_more_workers_than_cells(monkeypatch):
+def test_run_sweep_starts_no_pool_for_cells_within_the_bound(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+    rows = run_sweep(small_config(sizes=(2, INLINE_SIDE), jobs=2))
+    assert rows_to_csv(rows) == rows_to_csv(run_sweep(small_config(sizes=(2, INLINE_SIDE))))
+    assert all(r.error is None for r in rows)
+
+
+def test_run_sweep_pools_only_the_cells_above_the_bound(in_process_pool):
+    sizes, exponents = (2, POOLED_SIDE, INLINE_SIDE, POOLED_SIDE + 1), (8.75, 7.0)
+    rows = run_sweep(small_config(sizes=sizes, exponents=exponents, jobs=2))
+    assert [key[1:3] for key in in_process_pool.submitted] == [
+        (size, e) for e in exponents for size in (POOLED_SIDE, POOLED_SIDE + 1)
+    ]
+    assert in_process_pool.asked == [2]
+    serial = run_sweep(small_config(sizes=sizes, exponents=exponents))
+    assert rows_to_csv(rows) == rows_to_csv(serial)
+
+
+def test_run_sweep_starts_no_more_workers_than_cells(in_process_pool):
     # a forked pool starts all max_workers processes at the first submit
-    asked = []
+    run_sweep(small_config(sizes=(2, INLINE_SIDE, POOLED_SIDE), jobs=64))
+    run_sweep(small_config(sizes=(POOLED_SIDE, POOLED_SIDE + 1, POOLED_SIDE + 2), jobs=2))
+    assert in_process_pool.asked == [1, 2]
 
-    class InProcessPool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
-    rows = run_sweep(small_config(sizes=(2, 4), jobs=64))
-    assert asked == [2]
-    assert rows_to_csv(rows) == rows_to_csv(run_sweep(small_config(sizes=(2, 4))))
-    run_sweep(small_config(sizes=(2, 4, 6), jobs=2))
-    assert asked == [2, 2]
+def _needs_fork():
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched cell reaches the workers only when they are forked")
 
 
 def test_run_sweep_survives_a_dead_worker(monkeypatch):
-    if multiprocessing.get_start_method() != "fork":
-        pytest.skip("the patched cell reaches the workers only when they are forked")
+    _needs_fork()
+    # the crashing side must be one that run_sweep sends to a worker: in the
+    # caller it would end the test process
+    assert INLINE_SIDE <= bench.POOL_ORBITALS < POOLED_SIDE
     real = bench.run_cell
 
-    def crash_on_side_4(dimension, size, *rest):
-        if size == 4:
+    def crash_in_a_worker(dimension, size, *rest):
+        if size == POOLED_SIDE:
             os._exit(1)
         return real(dimension, size, *rest)
 
-    monkeypatch.setattr(bench, "run_cell", crash_on_side_4)
-    rows = run_sweep(small_config(sizes=(2, 4, 6), jobs=2))
-    assert [r.size for r in rows] == [2, 4, 6]
-    assert rows[1].error.startswith("BrokenProcessPool: ")
-    # cells the broken pool had not finished are error rows too; none is lost
-    assert all(r.error is None or r.error.startswith("BrokenProcessPool: ") for r in rows)
+    monkeypatch.setattr(bench, "run_cell", crash_in_a_worker)
+    sizes = (2, INLINE_SIDE, POOLED_SIDE, POOLED_SIDE + 1)
+    rows = run_sweep(small_config(sizes=sizes, jobs=2))
+    assert [r.size for r in rows] == list(sizes)
+    assert rows[2].error.startswith("BrokenProcessPool: ")
+    # the caller's cells are complete; pooled cells the broken pool had not
+    # finished are error rows too, and none is lost
+    assert rows_to_csv(rows[:2]) == rows_to_csv(run_sweep(small_config(sizes=sizes[:2])))
+    assert rows[3].error is None or rows[3].error.startswith("BrokenProcessPool: ")
+
+
+def _report_in_error(value):
+    def run(dimension, size, exponent, *rest):
+        row = SweepRow(dimension, basis_label(exponent), size**dimension)
+        row.error = str(value())
+        return row
+
+    return run
+
+
+def test_run_sweep_runs_a_lone_large_cell_in_a_worker(monkeypatch):
+    _needs_fork()
+    monkeypatch.setattr(bench, "run_cell", _report_in_error(os.getpid))
+    rows = run_sweep(small_config(sizes=(POOLED_SIDE,), jobs=2))
+    assert rows[0].error != str(os.getpid())
+    assert run_sweep(small_config(sizes=(POOLED_SIDE,)))[0].error == str(os.getpid())
 
 
 def test_sweep_workers_share_the_cores_as_blas_threads(monkeypatch):
-    if multiprocessing.get_start_method() != "fork":
-        pytest.skip("the patched cell reaches the workers only when they are forked")
-    if bench._openblas("scipy_openblas_get_num_threads64_") is None:
+    _needs_fork()
+    get = bench._openblas("scipy_openblas_get_num_threads64_")
+    if get is None:
         pytest.skip("numpy bundles no scipy-openblas")
-
-    def report_threads(dimension, size, exponent, *rest):
-        row = SweepRow(dimension, basis_label(exponent), size**dimension)
-        row.error = str(bench._openblas("scipy_openblas_get_num_threads64_")())
-        return row
-
-    monkeypatch.setattr(bench, "run_cell", report_threads)
-    before = bench._openblas("scipy_openblas_get_num_threads64_")()
-    rows = run_sweep(small_config(sizes=(2, 4), jobs=2))
+    monkeypatch.setattr(bench, "run_cell", _report_in_error(get))
+    before = get()
+    rows = run_sweep(small_config(sizes=(POOLED_SIDE, POOLED_SIDE + 1), jobs=2))
     assert [r.error for r in rows] == [str(max(1, os.cpu_count() // 2))] * 2
-    assert bench._openblas("scipy_openblas_get_num_threads64_")() == before  # restored
+    assert get() == before  # restored
 
 
 SEED_OUTPUTS = json.loads(

@@ -18,6 +18,9 @@ def test_register_tables_match_integer_masks(num_modes):
     bits, prefix = _register_tables(num_modes)
     assert np.array_equal(bits, pack_masks([1 << j for j in range(num_modes)], num_modes))
     assert np.array_equal(prefix, pack_masks([(1 << j) - 1 for j in range(num_modes)], num_modes))
+    # built once per size and shared by every caller, so no caller may write them
+    assert _register_tables(num_modes)[0] is bits
+    assert not bits.flags.writeable and not prefix.flags.writeable
 
 
 def ladder(j, dagger, num_modes):
