@@ -143,10 +143,6 @@ def run_cell(
     return row
 
 
-def _run_cell_args(args) -> SweepRow:
-    return run_cell(*args)
-
-
 @cache
 def _openblas(name: str):
     """The function ``name`` of the OpenBLAS that numpy bundles, or None when
@@ -205,7 +201,7 @@ def run_sweep(cfg: SweepConfig) -> List[SweepRow]:
     workers = min(cfg.jobs, len(pooled))
     threads = max(1, (os.cpu_count() or 1) // workers)
     with _blas_threads(threads), ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {i: pool.submit(_run_cell_args, keys[i]) for i in pooled}
+        futures = {i: pool.submit(run_cell, *keys[i]) for i in pooled}
         inline = {i: run_cell(*k) for i, k in enumerate(keys) if i not in futures}
         return [
             inline[i] if i in inline else _result_or_error_row(futures[i], k)

@@ -7,11 +7,11 @@ The encoding's parts for ``fermion.map_terms``: n_j's Z word is qubit j's
 bit, and a hop or a double excitation is the product of its ladder images
 plus its adjoint.  Its strings have X on the modes and Z on the XOR of the
 modes' Z strings (a per-register table of prefix masks) and of the bit of
-each mode whose ladder row is the Y one.  Its coefficients depend only on
-the modes' relative order and those Y choices, so a chain of
-``pauli.outer`` runs once per process over every ordering of 2 and of 4
-modes, and each term reads its row of that table by the rank code of its
-modes.  Only the strings that carry an even number of Y are written; the
+each mode whose ladder row is the Y one.  A hop's two coefficients are
+1/2 whatever its modes' order.  A double excitation's depend only on the
+modes' relative order and those Y choices, so a chain of ``pauli.outer``
+runs once per process over every ordering of 4 modes, and each term reads
+its row of that table by the rank code of its modes.  Only the strings that carry an even number of Y are written; the
 adjoint cancels the others exactly.  A double excitation hands over the key
 of its X support, its sorted modes and the slot of each of its 8 strings
 there: the mask, over the sorted modes, of the modes whose ladder row is
@@ -97,10 +97,10 @@ def _coefficient_table(num_factors: int) -> np.ndarray:
 
 def _hops(i: np.ndarray, k: np.ndarray) -> np.ndarray:
     """a_i^ a_k + h.c. for every pair, over X on i and k and Z on their Z
-    strings: the coefficients of its two even-Y strings, read by the rank
-    code of the modes, which have the Y on k (``z[k]`` XORed in), then on i
-    (``_even_y``); they are real (c + conj(c))."""
-    return _coefficient_table(2).real[_rank_code((i, k))]
+    strings: the coefficients of its two even-Y strings, 1/2 each for either
+    order of the modes, as a_i^ a_k + h.c. is (X_i X_k + Y_i Y_k) / 2 times
+    the Z string between them (``_coefficient_table(2)``)."""
+    return np.full((len(i), 2), 0.5)
 
 
 @cache

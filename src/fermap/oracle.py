@@ -1,5 +1,6 @@
 """Ground-truth verification tools: dense matrices, Fock-space rebuilds,
-code-space projection, and the JW-vs-superfast spectral comparison.
+code-space spectra under a stabilizer penalty, and the JW-vs-superfast
+spectral comparison.
 
 Everything here is desk-scale (hard cap of 12 qubits) and deliberately
 independent of the bit-level Pauli algebra where it serves as an oracle.
@@ -14,7 +15,7 @@ import numpy as np
 from .eri import unpack_eri
 from .fermion import ClassifiedTerms, FermionHamiltonian, Kind, blocked_modes, classify_spatial
 from .jw import jw_transform_terms
-from .pauli import PauliOperatorSum, commute
+from .pauli import PauliOperatorSum, coefficient_l1_norm, commute
 from .superfast import (
     add_parity_ancilla,
     build_interaction_graph,
@@ -36,22 +37,16 @@ def _check_size(num_qubits: int) -> None:
         raise SizeError(f"{num_qubits} qubits exceeds dense limit {DENSE_QUBIT_LIMIT}")
 
 
-def _row_actions(s: PauliOperatorSum):
-    """Per row of ``s``: the basis indices j, their images j ^ x and the
-    matrix entries c i^|x&z| (-1)^|z&j|, from X^x Z^z |j> = (-1)^|z&j| |j ^ x>.
-    Basis index bit q is qubit q."""
+def dense_matrix(s: PauliOperatorSum) -> np.ndarray:
+    """Dense matrix of a Pauli sum, one row at a time: from
+    X^x Z^z |j> = (-1)^|z&j| |j ^ x>, a row puts c i^|x&z| (-1)^|z&j| at
+    (j ^ x, j) for every basis index j, whose bit q is qubit q."""
+    _check_size(s.num_qubits)
     j = np.arange(2**s.num_qubits, dtype=np.uint64)
+    out = np.zeros((len(j),) * 2, dtype=complex)
     for x, z, c in zip(s.x[:, 0], s.z[:, 0], s.coefficients):
         sign = 1 - 2 * (np.bitwise_count(z & j) & 1).astype(np.int64)
-        yield j ^ x, j, c * 1j ** int(np.bitwise_count(x & z)) * sign
-
-
-def dense_matrix(s: PauliOperatorSum) -> np.ndarray:
-    """Dense matrix of a Pauli sum, one row at a time."""
-    _check_size(s.num_qubits)
-    out = np.zeros((2**s.num_qubits,) * 2, dtype=complex)
-    for rows, cols, entries in _row_actions(s):
-        out[rows, cols] += entries
+        out[j ^ x, j] += c * 1j ** int(np.bitwise_count(x & z)) * sign
     return out
 
 
@@ -137,17 +132,23 @@ def classified_dense(terms: ClassifiedTerms, num_modes: int, constant: float = 0
 # --- code space --------------------------------------------------------------
 
 
-def codespace_projector(stabs: PauliOperatorSum) -> np.ndarray:
-    """Projector onto the joint +1 eigenspace of the loop stabilizers, one
-    Pauli row each: the product of every (1 + S) / 2, where right-multiplying
-    by a Pauli row S permutes and signs the columns."""
-    _check_size(stabs.num_qubits)
-    if not commute((stabs.x[:, None], stabs.z[:, None]), (stabs.x, stabs.z)).all():
-        raise RuntimeError("stabilizers do not commute; upstream bug")
-    out = np.eye(2**stabs.num_qubits, dtype=complex)
-    for rows, _, entries in _row_actions(stabs):
-        out = (out + out[:, rows] * entries) / 2.0
-    return out
+def code_space_spectrum(h: PauliOperatorSum, stabs: PauliOperatorSum) -> np.ndarray:
+    """Ascending eigenvalues of ``h`` on the joint +1 eigenspace of the
+    Pauli rows ``stabs`` (signs included): those below c/2 of the one matrix
+    M = h + (c/2) sum_k (I - S_k), c = 2 L1(h) + 1.
+
+    The rows of ``h`` and ``stabs`` must commute with every S_k, so M keeps
+    each joint eigenspace of the S_k.  On the code space M = h, whose
+    eigenvalues lie in [-L1, L1]; elsewhere some S_k reads -1, which lifts
+    every eigenvalue to at least c - L1 = L1 + 1."""
+    c = 2 * coefficient_l1_norm(h) + 1
+    identity = np.zeros((1, stabs.x.shape[1]), dtype=np.uint64)
+    x, z = (np.concatenate([a, b, identity]) for a, b in ((h.x, stabs.x), (h.z, stabs.z)))
+    if not commute((x[:, None], z[:, None]), (stabs.x, stabs.z)).all():
+        raise RuntimeError("a row anticommutes with a stabilizer; upstream bug")
+    coefficients = np.concatenate([h.coefficients, -c / 2 * stabs.coefficients, [c / 2 * len(stabs)]])
+    evals = np.linalg.eigvalsh(dense_matrix(PauliOperatorSum(x, z, coefficients, h.num_qubits)))
+    return evals[evals < c / 2]
 
 
 # --- spectral comparison -----------------------------------------------------
@@ -174,8 +175,8 @@ def sector_spectra_match(
 
     Both sides are computed independently: the JW matrix is restricted to the
     Fock states with even particle number inside every interaction-graph
-    component; the encoded matrix is restricted to the joint +1 eigenspace of
-    the loop stabilizers.
+    component; the encoded spectrum is that of the joint +1 eigenspace of the
+    loop stabilizers (``code_space_spectrum``).
     """
     terms = classify_spatial(h.one_body, h.eri, cutoff)
     g = build_interaction_graph(terms, h.num_modes)
@@ -186,11 +187,7 @@ def sector_spectra_match(
     _check_size(g.num_qubits)
 
     ose = ose_transform_terms(terms, g, h.constant, MERGE_EPS)
-    weights, vectors = np.linalg.eigh(codespace_projector(loop_stabilizers(g)))
-    basis = vectors[:, weights > 0.5]
-    h_ose = dense_matrix(ose)
-    h_code = basis.conj().T @ h_ose @ basis
-    evals_ose = np.linalg.eigvalsh(h_code)
+    evals_ose = code_space_spectrum(ose, loop_stabilizers(g))
 
     jw = jw_transform_terms(terms, num_modes, h.constant, MERGE_EPS)
     h_jw = dense_matrix(jw)

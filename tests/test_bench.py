@@ -116,10 +116,10 @@ class InProcessPool:
     def __exit__(self, *exc):
         return False
 
-    def submit(self, fn, key):
+    def submit(self, fn, *key):
         self.submitted.append(key)
         future = Future()
-        future.set_result(fn(key))
+        future.set_result(fn(*key))
         return future
 
 
@@ -171,19 +171,40 @@ def _needs_fork():
         pytest.skip("the patched cell reaches the workers only when they are forked")
 
 
+# Stand-ins for ``bench.run_cell`` in forked workers.  The pool pickles the
+# function it is given by name, so each is defined at module level.
+
+
+def crash_on_the_pooled_side(dimension, size, *rest):
+    """``run_cell``, but the process running a ``POOLED_SIDE`` cell dies."""
+    if size == POOLED_SIDE:
+        os._exit(1)
+    return run_cell(dimension, size, *rest)
+
+
+def _error_row(dimension, size, exponent, value):
+    row = SweepRow(dimension, basis_label(exponent), size**dimension)
+    row.error = str(value)
+    return row
+
+
+def report_the_pid(dimension, size, exponent, *rest):
+    """A row whose error is the id of the process that ran the cell."""
+    return _error_row(dimension, size, exponent, os.getpid())
+
+
+def report_the_blas_threads(dimension, size, exponent, *rest):
+    """A row whose error is the BLAS thread count of the process that ran the cell."""
+    threads = bench._openblas("scipy_openblas_get_num_threads64_")()
+    return _error_row(dimension, size, exponent, threads)
+
+
 def test_run_sweep_survives_a_dead_worker(monkeypatch):
     _needs_fork()
     # the crashing side must be one that run_sweep sends to a worker: in the
     # caller it would end the test process
     assert INLINE_SIDE <= bench.POOL_ORBITALS < POOLED_SIDE
-    real = bench.run_cell
-
-    def crash_in_a_worker(dimension, size, *rest):
-        if size == POOLED_SIDE:
-            os._exit(1)
-        return real(dimension, size, *rest)
-
-    monkeypatch.setattr(bench, "run_cell", crash_in_a_worker)
+    monkeypatch.setattr(bench, "run_cell", crash_on_the_pooled_side)
     sizes = (2, INLINE_SIDE, POOLED_SIDE, POOLED_SIDE + 1)
     rows = run_sweep(small_config(sizes=sizes, jobs=2))
     assert [r.size for r in rows] == list(sizes)
@@ -194,18 +215,9 @@ def test_run_sweep_survives_a_dead_worker(monkeypatch):
     assert rows[3].error is None or rows[3].error.startswith("BrokenProcessPool: ")
 
 
-def _report_in_error(value):
-    def run(dimension, size, exponent, *rest):
-        row = SweepRow(dimension, basis_label(exponent), size**dimension)
-        row.error = str(value())
-        return row
-
-    return run
-
-
 def test_run_sweep_runs_a_lone_large_cell_in_a_worker(monkeypatch):
     _needs_fork()
-    monkeypatch.setattr(bench, "run_cell", _report_in_error(os.getpid))
+    monkeypatch.setattr(bench, "run_cell", report_the_pid)
     rows = run_sweep(small_config(sizes=(POOLED_SIDE,), jobs=2))
     assert rows[0].error != str(os.getpid())
     assert run_sweep(small_config(sizes=(POOLED_SIDE,)))[0].error == str(os.getpid())
@@ -216,7 +228,7 @@ def test_sweep_workers_share_the_cores_as_blas_threads(monkeypatch):
     get = bench._openblas("scipy_openblas_get_num_threads64_")
     if get is None:
         pytest.skip("numpy bundles no scipy-openblas")
-    monkeypatch.setattr(bench, "run_cell", _report_in_error(get))
+    monkeypatch.setattr(bench, "run_cell", report_the_blas_threads)
     before = get()
     rows = run_sweep(small_config(sizes=(POOLED_SIDE, POOLED_SIDE + 1), jobs=2))
     assert [r.error for r in rows] == [str(max(1, os.cpu_count() // 2))] * 2

@@ -394,6 +394,8 @@ def test_jw_coefficient_table_equals_the_product_chain(num_factors):
     expected = np.zeros_like(table)
     expected[_rank_code(orders.T)] = c[:, even]
     assert table.tobytes() == expected.tobytes()
+    if num_factors == 2:  # the constant that ``jw._hops`` returns
+        assert (table == 0.5).all()
 
 
 @pytest.mark.parametrize("num_factors", [2, 4])

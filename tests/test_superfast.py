@@ -4,9 +4,10 @@ stabilizers."""
 import numpy as np
 import pytest
 
+from fermap import superfast
 from fermap.fermion import ClassifiedTerms, Kind, blocked_modes, classify_spatial
 from fermap.lattice import LatticeSpec
-from fermap.oracle import codespace_projector, sector_spectra_match
+from fermap.oracle import sector_spectra_match
 from fermap.ortho import orthonormal_integrals
 from fermap.pauli import NonHermitianError, commute, num_words
 from fermap.sampling import random_spatial_hamiltonian
@@ -209,14 +210,6 @@ def test_lattice_loop_stabilizers_equal_the_product_chain(dim, side, exponent):
     assert_stabilizers_equal_the_product_chain(g)
 
 
-def test_codespace_dimension_matches_cycle_count():
-    g = InteractionGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
-    stabs = loop_stabilizers(g)
-    proj = codespace_projector(stabs)
-    assert np.trace(proj).real == pytest.approx(2 ** (g.num_qubits - len(stabs)))
-    assert symplectic_rank(stabs.x, stabs.z) == len(stabs)
-
-
 def test_pair_partition_spin_sectors():
     spin = blocked_modes(8)[1]
     # mixed spin: same-spin indices end up paired together
@@ -234,6 +227,19 @@ def test_sector_spectra_match_random_hamiltonians(seed):
     h = random_spatial_hamiltonian(2, seed)
     dev = sector_spectra_match(h)
     assert dev < 1e-9
+
+
+@pytest.mark.parametrize("subset", [(0, 1), (0, 2), (1, 3), (2, 3)])
+def test_oracle_catches_a_wrong_b_subset_sign(subset, monkeypatch):
+    # on this 3-orbital Hamiltonian a flip of (), (0, 3), (1, 2) or (0, 1, 2, 3)
+    # leaves the code-space spectrum as it was, and at 2 orbitals no flip shows
+    flipped = [(s, -sign if s == subset else sign) for s, sign in superfast._DOUBLE_B_SUBSETS]
+    monkeypatch.setattr(superfast, "_DOUBLE_B_SUBSETS", tuple(flipped))
+    superfast._double_tables.cache_clear()
+    try:
+        assert sector_spectra_match(random_spatial_hamiltonian(3, 0)) > 1e-9
+    finally:
+        superfast._double_tables.cache_clear()
 
 
 def test_parity_ancilla_spectra():
